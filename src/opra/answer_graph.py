@@ -306,9 +306,3 @@ class AnswerGraph:
             paths[var] = tuple(nodes)
         env = dict(zip(self.env_vars, states[0].env)) if states else {}
         return env, paths
-
-
-def build(source, pra: PraQuery, bound_paths=None, bound_nodes=None,
-          target=None) -> AnswerGraph:
-    """Construct the implicit answer graph for a validated query."""
-    return AnswerGraph(source, pra, bound_paths, bound_nodes, target)

@@ -19,8 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 from .extint import ext_compare
 from .graph import SINK, NodeId, path_index
 from .query import (
-    Concat, ConstAtom, Epsilon, LabelAtom, Letter, NodeConstraint, Regex,
-    Star, Union_, regex_size,
+    Concat, ConstAtom, Epsilon, Letter, NodeConstraint, Regex, Star, Union_,
 )
 
 
@@ -208,23 +207,3 @@ def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
         if not states:
             return False
     return bool(states & nfa.final)
-
-
-def max_posvar_index(regex: Regex) -> int:
-    if isinstance(regex, Letter):
-        best = 0
-        for atom in (regex.constraint.lhs, regex.constraint.rhs):
-            if isinstance(atom, LabelAtom):
-                for pv in atom.args:
-                    best = max(best, pv.index)
-        return best
-    if isinstance(regex, (Concat, Union_)):
-        return max(max_posvar_index(regex.left), max_posvar_index(regex.right))
-    if isinstance(regex, Star):
-        return max_posvar_index(regex.body)
-    return 0
-
-
-def state_bound(regex: Regex) -> int:
-    """Structural bound on compiled size: (2 * |regex|)^2."""
-    return (2 * regex_size(regex)) ** 2

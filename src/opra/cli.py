@@ -20,7 +20,7 @@ from typing import Optional
 from . import corpus as corpus_mod
 from .embedding import embed, load_data_graph
 from .engine import evaluate, evaluate_extremum
-from .errors import EvalError, OpraError, QuerySyntaxError, ValidationError
+from .errors import EvalError, OpraError
 from .extint import to_json
 from .graph import graph_to_dict, load_graph
 from .oracle import OracleConfig, enumerate_answers
@@ -38,8 +38,6 @@ def _add_common(p: argparse.ArgumentParser, graph_required: bool = True):
     p.add_argument("--bound-b2", type=int, default=None,
                    help="witness bound (phase 2)")
     p.add_argument("--visited-budget", type=int, default=1_000_000)
-    p.add_argument("--persist-cache", action="store_true",
-                   help="keep ontology memoization across evaluations")
     p.add_argument("--trace", action="store_true",
                    help="log each expanded product state to stderr")
     fmt = p.add_mutually_exclusive_group()
@@ -102,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-paths", type=int, default=2_000_000)
 
     p = sub.add_parser("corpus", help="run the bundled suite against goldens")
-    p.add_argument("--persist-cache", action="store_true")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("check", help="parse and validate a query")
@@ -120,8 +117,7 @@ def _cmd_eval(args) -> int:
     g = load_graph(args.graph)
     started = time.perf_counter()
     res = evaluate(g, open(args.query, encoding="utf-8").read(),
-                   cfg=_config(args), on_expand=_tracer(args.trace),
-                   persist_cache=args.persist_cache)
+                   cfg=_config(args), on_expand=_tracer(args.trace))
     elapsed = int(1000 * (time.perf_counter() - started))
     payload = {
         "outcome": "empty" if res.empty else "non-empty",
@@ -146,7 +142,6 @@ def _cmd_extremum(args) -> int:
         g, open(args.query, encoding="utf-8").read(),
         target=args.target, mode=args.mode, cfg=_config(args),
         target_paths=target_paths, on_expand=_tracer(args.trace),
-        persist_cache=args.persist_cache,
     )
     elapsed = int(1000 * (time.perf_counter() - started))
     payload = {
@@ -202,7 +197,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    report, failures = corpus_mod.run(persist_cache=args.persist_cache)
+    report, failures = corpus_mod.run()
     for section in ("answers", "extrema", "terms"):
         for key in sorted(report.get(section, {})):
             status = "FAIL" if f"{section}.{key}" in failures else "PASS"
@@ -243,22 +238,11 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (QuerySyntaxError, ValidationError) as e:
+    except (OpraError, OSError) as e:
+        kind = type(e).__name__ if isinstance(e, OpraError) else "OSError"
         print(json.dumps({"outcome": "error", "error": str(e),
-                          "kind": type(e).__name__}))
-        return 2
-    except EvalError as e:
-        print(json.dumps({"outcome": "error", "error": str(e),
-                          "kind": type(e).__name__}))
-        return 3
-    except OpraError as e:
-        print(json.dumps({"outcome": "error", "error": str(e),
-                          "kind": type(e).__name__}))
-        return 2
-    except OSError as e:
-        print(json.dumps({"outcome": "error", "error": str(e),
-                          "kind": "OSError"}))
-        return 2
+                          "kind": kind}))
+        return 3 if isinstance(e, EvalError) else 2
 
 
 if __name__ == "__main__":

@@ -85,12 +85,11 @@ def _canonical_answers(g: Graph, vq, answers) -> List[dict]:
     return out
 
 
-def _engine_report(g: Graph, persist_cache: bool = False) -> dict:
+def _engine_report(g: Graph) -> dict:
     report: Dict[str, dict] = {"answers": {}, "extrema": {}, "terms": {}}
     for name, bound in ANSWER_PLANS:
         vq = load_query(name, g)
-        answers = engine_answers(g, vq, max_len=bound, cfg=CORPUS_CONFIG,
-                                 persist_cache=persist_cache)
+        answers = engine_answers(g, vq, max_len=bound, cfg=CORPUS_CONFIG)
         report["answers"][name] = {
             "bound": bound,
             "answers": _canonical_answers(g, vq, answers),
@@ -131,13 +130,13 @@ def load_goldens() -> dict:
     return json.loads(_read("goldens.json"))
 
 
-def run(persist_cache: bool = False) -> Tuple[dict, List[str]]:
+def run() -> Tuple[dict, List[str]]:
     """Evaluate the whole suite and diff against the committed goldens.
 
     Returns the engine report and the list of mismatched item names.
     """
     g = fixture_graph()
-    report = _engine_report(g, persist_cache=persist_cache)
+    report = _engine_report(g)
     goldens = load_goldens()
     failures = []
     for section in ("answers", "extrema", "terms"):

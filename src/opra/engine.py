@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
-from .answer_graph import AnswerGraph, build
+from .answer_graph import AnswerGraph
 from .graph import Graph
 from .ontology import ExtendedGraph, extend
 from .parser import parse
@@ -21,22 +21,15 @@ from .solver import (
 )
 from .validate import ValidatedQuery, validate
 
-# memo shared across top-level evaluations when persistent caching is on
-_PERSISTENT_MEMO: dict = {}
 
-
-def prepare(g: Graph, q, cfg: Optional[SolveConfig] = None,
-            persist_cache: bool = False) -> Tuple[ExtendedGraph, object]:
-    """Validate and wrap: returns the ontology view and the inner query."""
+def prepare(g: Graph, q,
+            cfg: Optional[SolveConfig] = None) -> Tuple[ExtendedGraph, object]:
+    """Validate and wrap: returns a fresh ontology view and the inner
+    query."""
     if isinstance(q, str):
         q = parse(q)
     vq = validate(q, g)
-    memo = _PERSISTENT_MEMO if persist_cache else None
-    eg = extend(g, vq.query.ontology, solve_config=cfg,
-                persistent_cache=persist_cache)
-    if memo is not None:
-        eg._memo = memo
-    return eg, vq.query.query
+    return extend(g, vq.query.ontology, solve_config=cfg), vq.query.query
 
 
 def _ids_for(g: Graph, bound_nodes, bound_paths):
@@ -51,11 +44,12 @@ def _ids_for(g: Graph, bound_nodes, bound_paths):
 def build_answer_graph(g: Graph, q, cfg: Optional[SolveConfig] = None,
                        bound_nodes: Optional[Mapping[str, str]] = None,
                        bound_paths: Optional[Mapping[str, Sequence[str]]] = None,
-                       target: Optional[Tuple[str, Tuple[str, ...]]] = None,
-                       persist_cache: bool = False) -> AnswerGraph:
-    eg, pra = prepare(g, q, cfg, persist_cache)
+                       target: Optional[Tuple[str, Tuple[str, ...]]] = None
+                       ) -> AnswerGraph:
+    eg, pra = prepare(g, q, cfg)
     nodes, paths = _ids_for(g, bound_nodes, bound_paths)
-    return build(eg, pra, bound_paths=paths, bound_nodes=nodes, target=target)
+    return AnswerGraph(eg, pra, bound_paths=paths, bound_nodes=nodes,
+                       target=target)
 
 
 def decode_names(g: Graph, env, paths):
@@ -67,11 +61,10 @@ def decode_names(g: Graph, env, paths):
 
 
 def evaluate(g: Graph, q, cfg: Optional[SolveConfig] = None,
-             bound_nodes=None, bound_paths=None, on_expand=None,
-             persist_cache: bool = False) -> EmptinessResult:
+             bound_nodes=None, bound_paths=None,
+             on_expand=None) -> EmptinessResult:
     """Emptiness of the query on the graph; witness decoded to names."""
-    ag = build_answer_graph(g, q, cfg, bound_nodes, bound_paths,
-                            persist_cache=persist_cache)
+    ag = build_answer_graph(g, q, cfg, bound_nodes, bound_paths)
     res = check_empty(ag, cfg=cfg, on_expand=on_expand)
     if not res.empty:
         res.env, res.paths = decode_names(g, res.env, res.paths)
@@ -81,8 +74,8 @@ def evaluate(g: Graph, q, cfg: Optional[SolveConfig] = None,
 def evaluate_extremum(g: Graph, q, target: str, mode: str,
                       cfg: Optional[SolveConfig] = None,
                       target_paths: Optional[Sequence[str]] = None,
-                      bound_nodes=None, bound_paths=None, on_expand=None,
-                      persist_cache: bool = False) -> ExtremumResult:
+                      bound_nodes=None, bound_paths=None,
+                      on_expand=None) -> ExtremumResult:
     """Min/max of a labelling aggregated over the query's free path
     variables (or an explicit selection of path variables)."""
     if isinstance(q, str):
@@ -96,8 +89,7 @@ def evaluate_extremum(g: Graph, q, target: str, mode: str,
                 "pass target_paths explicitly"
             )
     ag = build_answer_graph(g, vq, cfg, bound_nodes, bound_paths,
-                            target=(target, tuple(target_paths)),
-                            persist_cache=persist_cache)
+                            target=(target, tuple(target_paths)))
     res = _extremum(ag, mode, cfg=cfg, on_expand=on_expand)
     if res.witness is not None:
         res.env, res.witness = decode_names(g, res.env, res.witness)
@@ -105,10 +97,8 @@ def evaluate_extremum(g: Graph, q, target: str, mode: str,
 
 
 def engine_answers(g: Graph, q, max_len: int,
-                   cfg: Optional[SolveConfig] = None,
-                   track_all: bool = False,
-                   persist_cache: bool = False) -> Set[tuple]:
+                   cfg: Optional[SolveConfig] = None) -> Set[tuple]:
     """Decoded answer set over product paths of at most max_len steps."""
-    ag = build_answer_graph(g, q, cfg, persist_cache=persist_cache)
-    answers, _ = _enumerate(ag, max_len=max_len, cfg=cfg, track_all=track_all)
+    ag = build_answer_graph(g, q, cfg)
+    answers, _ = _enumerate(ag, max_len=max_len, cfg=cfg)
     return answers

@@ -8,6 +8,10 @@ definitions may reference graph labellings and earlier definitions only
 (validation enforces the ordering).  Tuples that mention the sink short-
 circuit to 0 so that padded positions stay value-neutral.
 
+The memo belongs to one view: it lives exactly as long as the view, and
+labelling names are unique within a view, so a value computed on one
+graph or under one ontology is never read back for another.
+
 Term evaluation follows the constructor-by-constructor semantics:
 constants, labelling lookups, 0/1 query indicators, extrema of an
 aggregate over the paths satisfying a nested query (computed by the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .answer_graph import build
+from .answer_graph import AnswerGraph
 from .errors import (
     ArityMismatchError,
     RecursionDepthExceededError,
@@ -72,15 +76,15 @@ class ExtendedGraph:
     """A graph view with ontology labellings computed on demand."""
 
     def __init__(self, base: Graph, entries: Iterable[OntologyEntry] = (),
-                 solve_config: Optional[SolveConfig] = None,
-                 persistent_cache: bool = False):
+                 solve_config: Optional[SolveConfig] = None):
         self.base = base
+        # the base graph's stored labellings; defined ones resolve on demand
+        self.labellings = base.labellings
         self.entries: Tuple[OntologyEntry, ...] = tuple(entries)
         self._by_name: Dict[str, OntologyEntry] = {
             e.name: e for e in self.entries
         }
         self.solve_config = solve_config or SolveConfig()
-        self.persistent_cache = persistent_cache
         self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
         self._depth = 0
 
@@ -120,9 +124,7 @@ class ExtendedGraph:
             )
         if any(n == SINK for n in key):
             return 0  # padding stays value-neutral
-        # keyed by the whole definition so a shared persistent cache can
-        # never conflate same-named labellings from different ontologies
-        memo_key = (entry, key)
+        memo_key = (name, key)
         cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
@@ -130,18 +132,11 @@ class ExtendedGraph:
         self._memo[memo_key] = value
         return value
 
-    def clear_cache(self) -> None:
-        """Drop memoized values; called between top-level queries unless
-        persistent caching was requested."""
-        if not self.persistent_cache:
-            self._memo.clear()
-
 
 def extend(g: Graph, entries: Iterable[OntologyEntry] = (),
-           solve_config: Optional[SolveConfig] = None,
-           persistent_cache: bool = False) -> ExtendedGraph:
+           solve_config: Optional[SolveConfig] = None) -> ExtendedGraph:
     """Graph view where the given labelling definitions resolve on demand."""
-    return ExtendedGraph(g, entries, solve_config, persistent_cache)
+    return ExtendedGraph(g, entries, solve_config)
 
 
 def _solve_config(source) -> SolveConfig:
@@ -180,12 +175,12 @@ def _eval(source, term: Term, eta: Mapping[str, NodeId]) -> ExtInt:
         return 1 if eta[term.left] == eta[term.right] else 0
     if isinstance(term, IndicatorTerm):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        ag = build(source, term.query, bound_nodes=bound)
+        ag = AnswerGraph(source, term.query, bound_nodes=bound)
         result = check_empty(ag, cfg=_solve_config(source))
         return 0 if result.empty else 1
     if isinstance(term, (MinPathTerm, MaxPathTerm)):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        ag = build(
+        ag = AnswerGraph(
             source, term.query, bound_nodes=bound,
             target=(term.labelling, (term.path_var,)),
         )

@@ -1,14 +1,19 @@
 """Bounded search over answer graphs.
 
-Emptiness and extremum queries reduce to reachability over
-configurations (product state, accumulated weight vector).  The search
-is breadth-first with two sound prunings:
+Emptiness, extremum and answer-set queries all reduce to reachability
+over configurations (product state, tracked path prefixes, accumulated
+weight vector), explored by one breadth-first search.  The prefixes are
+only tracked when enumerating answers; otherwise they stay empty.  The
+search applies two sound prunings:
 
   * dominance: a configuration is dropped when an already-seen
-    configuration at the same product state has componentwise smaller or
-    equal accumulated weights (after sign normalization everything is
-    minimized), which preserves both reachability of satisfying
-    completions and minimal values;
+    configuration with the same product state and the same prefixes has
+    componentwise smaller or equal accumulated weights (after sign
+    normalization everything is minimized).  Both configurations have the
+    same completions, which decode to the same answers; the kept one
+    reaches each of them at no greater depth and with no greater
+    weights, so reachability of satisfying completions, minimal values
+    and the set of answers within a length bound are all preserved;
   * monotonicity: when every possible per-state contribution to a
     constraint component is nonnegative, configurations already above
     that component's bound can never come back and are dropped.
@@ -34,6 +39,10 @@ from .graph import SINK, NodeId
 
 DEFAULT_BUDGET = 1_000_000
 _BOUND_CAP = 10 ** 7
+_STATE_CAP = 10_000  # cap on the product-size estimate in derived bounds
+
+_Prefixes = Tuple[Tuple[NodeId, ...], ...]
+_Config = Tuple[AGState, _Prefixes, Tuple[ExtInt, ...]]
 
 
 @dataclass
@@ -41,7 +50,6 @@ class SolveConfig:
     b1: Optional[int] = None          # short-path bound (phase 1)
     b2: Optional[int] = None          # witness bound (phase 2), b1 < b2
     visited_budget: int = DEFAULT_BUDGET
-    state_cap: int = 10_000           # cap on the size estimate in derived bounds
 
 
 @dataclass
@@ -79,7 +87,7 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
     size = n_nodes ** ag.k * (ag.N + 2)
     for nfa, _ in ag.nfas:
         size *= max(nfa.n_states, 1)
-    size = min(size, cfg.state_cap)
+    size = min(size, _STATE_CAP)
     w = 1
     for terms in ag._arith:
         for coeff, name, _ in terms:
@@ -96,20 +104,14 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
 
 
 def _finite_bound(source, name: str) -> int:
-    lab = getattr(source, "labellings", {}).get(name)
-    if lab is not None:
-        return lab.finite_bound()
-    base = getattr(source, "base", None)
-    if base is not None and name in base.labellings:
-        return base.labellings[name].finite_bound()
-    return 1  # on-demand labelling: magnitude unknown up front
+    lab = source.labellings.get(name)
+    if lab is None:
+        return 1  # on-demand labelling: magnitude unknown up front
+    return lab.finite_bound()
 
 
 def _value_range(source, name: str) -> Tuple[ExtInt, ExtInt]:
-    lab = getattr(source, "labellings", {}).get(name)
-    if lab is None:
-        base = getattr(source, "base", None)
-        lab = base.labellings.get(name) if base is not None else None
+    lab = source.labellings.get(name)
     if lab is None:
         return NEG_INF, POS_INF
     lo = hi = lab.default
@@ -136,12 +138,15 @@ def _monotone_components(ag: AnswerGraph) -> Tuple[bool, ...]:
 
 
 class _Dominance:
-    """Per-state antichains of componentwise-minimal weight vectors."""
+    """Antichains of componentwise-minimal weight vectors, one per
+    (state, prefixes) pair."""
 
     def __init__(self):
-        self.store: Dict[AGState, List[Tuple[ExtInt, ...]]] = {}
+        self.store: Dict[Tuple[AGState, _Prefixes],
+                         List[Tuple[ExtInt, ...]]] = {}
 
-    def admit(self, state: AGState, acc: Tuple[ExtInt, ...]) -> bool:
+    def admit(self, state: Tuple[AGState, _Prefixes],
+              acc: Tuple[ExtInt, ...]) -> bool:
         vecs = self.store.get(state)
         if vecs is None:
             self.store[state] = [acc]
@@ -161,22 +166,28 @@ def _sat(acc: Sequence[ExtInt], bounds: Sequence[int]) -> bool:
 
 
 class _Search:
-    def __init__(self, ag: AnswerGraph, bounds, cfg: SolveConfig,
-                 with_target: bool,
+    """Breadth-first search over configurations (state, prefixes, acc).
+
+    `prefixes` holds, per tracked path component, the nodes it has
+    walked so far (bound components report their whole input path); it
+    stays () when nothing is tracked.  Dominance compares configurations
+    with the same state and the same prefixes.
+    """
+
+    def __init__(self, ag: AnswerGraph, cfg: SolveConfig,
+                 with_target: bool = False, negate_target: bool = False,
                  on_expand: Optional[Callable[[AGState, int], None]] = None,
-                 negate_target: bool = False):
+                 tracked: Sequence[int] = ()):
         self.ag = ag
-        self.bounds = ag.bounds if bounds is None else tuple(bounds)
-        if len(self.bounds) != ag.m:
-            raise ValueError(f"expected {ag.m} constraint bounds")
+        self.bounds = ag.bounds
         self.cfg = cfg
         self.with_target = with_target
         self.negate = negate_target
         self.on_expand = on_expand
+        self.tracked = tuple(tracked)
         self.stats = SolveStats()
         self.dom = _Dominance()
-        self.parent: Dict[Tuple[AGState, Tuple[ExtInt, ...]],
-                          Optional[Tuple[AGState, Tuple[ExtInt, ...]]]] = {}
+        self.parent: Dict[_Config, Optional[_Config]] = {}
         self.monotone = _monotone_components(ag)
 
     def weight_vec(self, st: AGState) -> Tuple[ExtInt, ...]:
@@ -196,18 +207,36 @@ class _Search:
                 return True
         return False
 
+    def prefixes(self, st: AGState, prev: _Prefixes) -> _Prefixes:
+        out = []
+        for slot, i in enumerate(self.tracked):
+            if self.ag.bound[i] is not None:
+                out.append(self.ag.bound[i])
+            elif st.nodes[i] != SINK:
+                out.append(prev[slot] + (st.nodes[i],))
+            else:
+                out.append(prev[slot])
+        return tuple(out)
+
+    def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
+        st, pre, acc = key
+        if key in self.parent or self.prune_monotone(acc):
+            return False
+        if not self.dom.admit((st, pre), acc):
+            return False
+        self.parent[key] = parent
+        self.stats.enqueued += 1
+        return True
+
     def levels(self, max_depth: int):
         """Yield (depth, configs-at-depth) up to max_depth; stops early
         when the frontier dies out."""
+        tracked = self.tracked
+        empty = tuple(() for _ in tracked)
         level = []
         for st in self.ag.start_states():
-            acc = self.weight_vec(st)
-            key = (st, acc)
-            if key in self.parent or self.prune_monotone(acc):
-                continue
-            if self.dom.admit(st, acc):
-                self.parent[key] = None
-                self.stats.enqueued += 1
+            key = (st, self.prefixes(st, empty), self.weight_vec(st))
+            if self._admit(key, None):
                 level.append(key)
         depth = 0
         while level:
@@ -215,9 +244,14 @@ class _Search:
             if depth >= max_depth:
                 return
             nxt = []
-            for st, acc in level:
+            for conf in level:
+                st, pre, acc = conf
                 self.stats.expanded += 1
-                self._budget_check()
+                if self.stats.enqueued > self.cfg.visited_budget:
+                    raise ResourceExceededError(
+                        f"visited budget {self.cfg.visited_budget} exceeded",
+                        expanded=self.stats.expanded,
+                    )
                 if self.on_expand:
                     self.on_expand(st, depth)
                 for succ in self.ag.successors(st):
@@ -225,25 +259,15 @@ class _Search:
                         ext_add(a, w)
                         for a, w in zip(acc, self.weight_vec(succ))
                     )
-                    key = (succ, acc2)
-                    if key in self.parent or self.prune_monotone(acc2):
-                        continue
-                    if self.dom.admit(succ, acc2):
-                        self.parent[key] = (st, acc)
-                        self.stats.enqueued += 1
+                    pre2 = self.prefixes(succ, pre) if tracked else ()
+                    key = (succ, pre2, acc2)
+                    if self._admit(key, conf):
                         nxt.append(key)
             depth += 1
             self.stats.depth = depth
             level = nxt
 
-    def _budget_check(self):
-        if self.stats.enqueued > self.cfg.visited_budget:
-            raise ResourceExceededError(
-                f"visited budget {self.cfg.visited_budget} exceeded",
-                expanded=self.stats.expanded,
-            )
-
-    def reconstruct(self, key):
+    def reconstruct(self, key: _Config):
         chain = []
         while key is not None:
             chain.append(key[0])
@@ -252,18 +276,18 @@ class _Search:
         return self.ag.decode(chain)
 
 
-def check_empty(ag: AnswerGraph, bounds: Optional[Sequence[int]] = None,
-                cfg: Optional[SolveConfig] = None,
+def check_empty(ag: AnswerGraph, cfg: Optional[SolveConfig] = None,
                 on_expand=None) -> EmptinessResult:
     """Is there a start-to-target product path meeting every arithmetical
     bound?  Complete for instances whose minimal witness fits under b2."""
     cfg = cfg or SolveConfig()
     _, b2 = derive_bounds(ag, cfg)
-    search = _Search(ag, bounds, cfg, with_target=False, on_expand=on_expand)
-    for depth, level in search.levels(b2):
-        for st, acc in level:
-            if ag.is_target(st) and _sat(acc, search.bounds):
-                env, paths = search.reconstruct((st, acc))
+    search = _Search(ag, cfg, on_expand=on_expand)
+    for _, level in search.levels(b2):
+        for key in level:
+            st, _, acc = key
+            if ag.is_target(st) and _sat(acc, ag.bounds):
+                env, paths = search.reconstruct(key)
                 return EmptinessResult(False, env, paths, search.stats)
     return EmptinessResult(True, stats=search.stats)
 
@@ -273,7 +297,6 @@ MAX = "max"
 
 
 def extremum(ag: AnswerGraph, mode: str,
-             bounds: Optional[Sequence[int]] = None,
              cfg: Optional[SolveConfig] = None,
              on_expand=None) -> ExtremumResult:
     """Minimum (or maximum) of the target aggregate over satisfying paths.
@@ -289,18 +312,20 @@ def extremum(ag: AnswerGraph, mode: str,
     cfg = cfg or SolveConfig()
     b1, b2 = derive_bounds(ag, cfg)
     negate = mode == MAX
-    search = _Search(ag, bounds, cfg, with_target=True, negate_target=negate)
+    search = _Search(ag, cfg, with_target=True, negate_target=negate,
+                     on_expand=on_expand)
 
     best: Optional[ExtInt] = None
     best_key = None
     for depth, level in search.levels(b2):
-        for st, acc in level:
-            if not ag.is_target(st) or not _sat(acc, search.bounds):
+        for key in level:
+            st, _, acc = key
+            if not ag.is_target(st) or not _sat(acc, ag.bounds):
                 continue
             value = acc[-1]
             if depth <= b1:
                 if best is None or value < best:
-                    best, best_key = value, (st, acc)
+                    best, best_key = value, key
             elif best is None or value < best:
                 # a longer path beats every short one: unbounded extremum
                 unbounded = NEG_INF if mode == MIN else POS_INF
@@ -316,77 +341,31 @@ def extremum(ag: AnswerGraph, mode: str,
 
 
 def enumerate_answers(ag: AnswerGraph, max_len: int,
-                      bounds: Optional[Sequence[int]] = None,
                       cfg: Optional[SolveConfig] = None,
                       track_all: bool = False):
     """All decoded answers whose product paths have at most max_len steps.
 
     An answer is (free-node assignment, free-path tuple); with track_all
     every path variable's component is reported instead, which is what
-    the engine/oracle equivalence tests compare.  No dominance pruning
-    here: enumeration must see every distinct decoded answer.
+    the engine/oracle equivalence tests compare.  The search carries each
+    reported component's prefix in its configurations, so dominance and
+    monotone pruning apply as for emptiness without losing an answer:
+    configurations with the same state and prefixes have the same
+    completions and decode to the same answers.
     """
     cfg = cfg or SolveConfig()
     n_free_nodes = len(ag.pra.match_nodes)
     if track_all:
-        tracked = list(range(ag.k))
+        tracked = range(ag.k)
     else:
         tracked = [
             i for i, v in enumerate(ag.path_vars)
             if v in ag.pra.match_paths
         ]
-    effective = ag.bounds if bounds is None else tuple(bounds)
-    stats = SolveStats()
+    search = _Search(ag, cfg, tracked=tracked)
     answers = set()
-
-    def prefixes_of(st: AGState, prev: Tuple[Tuple[NodeId, ...], ...]):
-        out = []
-        for slot, i in enumerate(tracked):
-            if ag.bound[i] is not None:
-                out.append(ag.bound[i])
-            elif st.nodes[i] != SINK:
-                out.append(prev[slot] + (st.nodes[i],))
-            else:
-                out.append(prev[slot])
-        return tuple(out)
-
-    empty_prefixes = tuple(() for _ in tracked)
-    level = []
-    seen = set()
-    for st in ag.start_states():
-        acc = ag.weight(st)
-        cfgkey = (st, prefixes_of(st, empty_prefixes), acc)
-        if cfgkey not in seen:
-            seen.add(cfgkey)
-            level.append(cfgkey)
-            stats.enqueued += 1
-
-    depth = 0
-    while level:
-        for st, prefix, acc in level:
-            stats.expanded += 1
-            if stats.enqueued > cfg.visited_budget:
-                raise ResourceExceededError(
-                    f"visited budget {cfg.visited_budget} exceeded",
-                    expanded=stats.expanded,
-                )
-            if ag.is_target(st) and _sat(acc, effective):
-                env_free = tuple(st.env[:n_free_nodes])
-                answers.add((env_free, prefix))
-        if depth >= max_len:
-            break
-        nxt = []
-        for st, prefix, acc in level:
-            for succ in ag.successors(st):
-                acc2 = tuple(
-                    ext_add(a, w) for a, w in zip(acc, ag.weight(succ))
-                )
-                key = (succ, prefixes_of(succ, prefix), acc2)
-                if key not in seen:
-                    seen.add(key)
-                    stats.enqueued += 1
-                    nxt.append(key)
-        level = nxt
-        depth += 1
-        stats.depth = depth
-    return answers, stats
+    for _, level in search.levels(max_len):
+        for st, prefixes, acc in level:
+            if ag.is_target(st) and _sat(acc, ag.bounds):
+                answers.add((st.env[:n_free_nodes], prefixes))
+    return answers, search.stats

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from opra.answer_graph import OMEGA, build
+from opra.answer_graph import OMEGA, AnswerGraph
 from opra.engine import engine_answers
 from opra.extint import ext_add
 from opra.graph import SINK, aggregate
@@ -28,7 +28,7 @@ def route_sp(fig2):
 
 
 def test_build_and_solve_route(fig2):
-    ag = build(fig2, route_sp(fig2))
+    ag = AnswerGraph(fig2, route_sp(fig2))
     res = check_empty(ag, cfg=CFG)
     assert not res.empty
     assert res.paths["pi"] == tuple(fig2.node_id(n) for n in "STP")
@@ -40,20 +40,20 @@ def test_unsatisfiable_letter_gives_empty(fig2):
     pra = replace(pra, regular_constraints=pra.regular_constraints + (
         type(pra.regular_constraints[0])(dead, ("pi",)),
     ))
-    ag = build(fig2, pra)
+    ag = AnswerGraph(fig2, pra)
     assert check_empty(ag, cfg=CFG).empty
 
 
 def test_bound_path_product(fig2, node):
     pra = route_sp(fig2)
     stp = tuple(node(n) for n in "STP")
-    ag = build(fig2, pra, bound_paths={"pi": stp})
+    ag = AnswerGraph(fig2, pra, bound_paths={"pi": stp})
     res = check_empty(ag, cfg=CFG)
     assert not res.empty
     assert res.paths["pi"] == stp
     # a non-route bound path cannot be certified
     swp = (node("S"), node("P"))
-    assert check_empty(build(fig2, pra, bound_paths={"pi": swp}),
+    assert check_empty(AnswerGraph(fig2, pra, bound_paths={"pi": swp}),
                        cfg=CFG).empty
 
 
@@ -63,7 +63,7 @@ def test_bound_path_fidelity(fig2, node):
         "MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t WHERE route(pi)"
     ), fig2).query.query
     bound = tuple(node(n) for n in ("T", "P", "B"))
-    ag = build(fig2, pra, bound_paths={"pi": bound})
+    ag = AnswerGraph(fig2, pra, bound_paths={"pi": bound})
     answers, _ = enumerate_answers(ag, max_len=6)
     assert answers
     for _, paths in answers:
@@ -71,7 +71,7 @@ def test_bound_path_fidelity(fig2, node):
 
 
 def test_successors_from_start(fig2, node):
-    ag = build(fig2, route_sp(fig2))
+    ag = AnswerGraph(fig2, route_sp(fig2))
     starts = list(ag.start_states())
     assert len(starts) == 1  # literal endpoints pin the single start
     (st,) = starts
@@ -89,7 +89,7 @@ def test_successors_from_start(fig2, node):
 def test_bottom_self_loop_state(fig2):
     # a state where every path has terminated and every NFA accepts
     # keeps itself among its successors via the terminated-letter loops
-    ag = build(fig2, route_sp(fig2))
+    ag = AnswerGraph(fig2, route_sp(fig2))
     from opra.answer_graph import AGState
 
     final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.nfas)
@@ -100,7 +100,7 @@ def test_bottom_self_loop_state(fig2):
 
 
 def test_is_target_definition(fig2, node):
-    ag = build(fig2, route_sp(fig2))
+    ag = AnswerGraph(fig2, route_sp(fig2))
     for st in ag.start_states():
         assert not ag.is_target(st)  # node component is non-sink
     # assemble a target state by hand: final NFA states, all sink
@@ -118,7 +118,7 @@ def test_weight_vector(fig2, node):
         'HAVING time[pi] <= 360'
     )
     pra = validate(parse(text), fig2).query.query
-    ag = build(fig2, pra)
+    ag = AnswerGraph(fig2, pra)
     (start,) = list(ag.start_states())
     at_t = [s for s in ag.successors(start) if s.nodes[0] == node("T")]
     assert all(ag.weight(s) == (10,) for s in at_t)
@@ -139,7 +139,7 @@ def test_weight_normalized_inequality(fig2, node):
     assert pra.arith_constraints == (ArithConstraint(
         (ArithTerm(-1, "attr", ("pi",)), ArithTerm(4, "time", ("pi",))), 0
     ),)
-    ag = build(fig2, pra)
+    ag = AnswerGraph(fig2, pra)
     (start,) = list(ag.start_states())
     at_p = [
         s for s in ag.successors(ag.successors(start)[0])
@@ -157,7 +157,7 @@ def test_weight_replay_along_paths(fig2):
         "HAVING time[pi] <= 200 AND attr[pi] - 4 * time[pi] >= -999"
     )
     pra = validate(parse(text), fig2).query.query
-    ag = build(fig2, pra)
+    ag = AnswerGraph(fig2, pra)
     rng = random.Random(3)
     for st in ag.start_states():
         acc = ag.weight(st)
@@ -190,7 +190,7 @@ def test_desk_scale_equivalence_with_oracle():
                                 max_nodes=3, n_unary=1)
         q = rand_query(rng, g)
         vq = validate(q, g)
-        ag = build(g, vq.query.query)
+        ag = AnswerGraph(g, vq.query.query)
         got, _ = enumerate_answers(ag, max_len=3, track_all=True,
                                    cfg=SolveConfig(visited_budget=2_000_000))
         want = set()

@@ -1,8 +1,7 @@
 import random
 
 from opra.automata import (
-    BOTTOM, compile_regex, eval_node_constraint, match_paths, state_bound,
-    step,
+    BOTTOM, compile_regex, eval_node_constraint, match_paths, step,
 )
 from opra.graph import SINK
 from opra.oracle import letters_of, match_paths_language, regex_matches
@@ -38,7 +37,7 @@ def test_compile_star_shape():
     # star of a letter: initial state is accepting and loops
     assert nfa.initial <= nfa.final or nfa.final
     assert any(letter is BOTTOM for _, letter, _ in nfa.transitions)
-    assert nfa.n_states <= state_bound(Star(Letter(E_LETTER)))
+    assert nfa.n_states <= (2 * regex_size(Star(Letter(E_LETTER)))) ** 2
 
 
 def test_compile_epsilon_accepts_empty_only(fig2):
@@ -119,7 +118,7 @@ def test_nfa_matches_language_semantics_randomized():
         k = rng.choice([1, 1, 2])
         regex = rand_regex(rng, k, ["w0"], depth=3)
         nfa = compile_regex(regex)
-        assert nfa.n_states <= state_bound(regex)
+        assert nfa.n_states <= (2 * regex_size(regex)) ** 2
         reals = list(g.real_nodes)
         for _ in range(30):
             paths = [

@@ -56,6 +56,16 @@ def test_eval_empty_exit_code(capsys, fig2_path, qfile):
     assert payload["empty"] is True
 
 
+def test_eval_budget_exceeded_exit_3(capsys, fig2_path, qfile):
+    code, payload = run_cli(
+        capsys, "eval", "--graph", fig2_path, "--query", qfile("q_route_sp"),
+        "--bound-b1", "8", "--bound-b2", "16", "--visited-budget", "1",
+    )
+    assert code == 3
+    assert payload["outcome"] == "error"
+    assert payload["kind"] == "ResourceExceededError"
+
+
 def test_check_malformed_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.opra"
     bad.write_text("MATCH NODES (s,", encoding="utf-8")

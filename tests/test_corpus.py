@@ -38,11 +38,3 @@ def test_expected_shapes_of_goldens(fig2):
     assert goldens["terms"]["mas_S_W"] == 0
     assert goldens["terms"]["t_walk_W"] == 100
     assert set(goldens["terms"]["crowded"].values()) == {0}
-
-
-def test_persistent_cache_mode_matches():
-    plain, _ = run(persist_cache=False)
-    cached, failures = run(persist_cache=True)
-    assert failures == []
-    assert json.dumps(plain, sort_keys=True) == \
-        json.dumps(cached, sort_keys=True)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from opra.answer_graph import build
+from opra.answer_graph import AnswerGraph
 from opra.embedding import (
     DataGraph, WeightedAutomaton, build_automaton_graph, embed, embed_path,
     symbol_node,
@@ -108,7 +108,7 @@ def test_negative_loop_gives_unbounded_minimum():
     g = build_automaton_graph(wa)
     assert automaton_graph_has_pumpable_negative_cycle(g)
     pra = validate(parse(RUN_QUERY), g).query.query
-    ag = build(g, pra, target=("weight", ("pi",)))
+    ag = AnswerGraph(g, pra, target=("weight", ("pi",)))
     res = extremum(ag, MIN, cfg=SolveConfig(b1=24, b2=144))
     assert res.value == NEG_INF
 
@@ -121,7 +121,7 @@ def test_dag_automaton_matches_oracle_minimum():
         assert not automaton_graph_has_pumpable_negative_cycle(g)
         vq = validate(parse(RUN_QUERY), g)
         pra = vq.query.query
-        ag = build(g, pra, target=("weight", ("pi",)))
+        ag = AnswerGraph(g, pra, target=("weight", ("pi",)))
         got = extremum(ag, MIN, cfg=SolveConfig(b1=24, b2=48)).value
         want = brute_extremum(g, vq, ("weight", ("pi",)), "min",
                               OracleConfig(max_path_len=12))

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from opra.engine import evaluate
 from opra.errors import (
     ForwardOntologyReferenceError, RecursionDepthExceededError,
     UnknownLabellingError,
 )
 from opra.extint import NEG_INF, POS_INF
-from opra.graph import SINK
+from opra.graph import SINK, Graph, Labelling
 from opra.ontology import ExtendedGraph, eval_fundamental, eval_term, extend
 from opra.oracle import OracleConfig, OracleView, oracle_eval_term
 from opra.parser import parse
@@ -238,6 +239,25 @@ def test_memo_transparency(fig2):
         b = eval_term(cached, term, eta)  # memoized second read
         c = eval_term(plain, term, eta)
         assert a == b == c
+
+
+def test_results_do_not_depend_on_earlier_graphs():
+    # one parsed query run on two graphs that differ only in w(a): no
+    # labelling value computed for one may be read back for the other
+    text = ("LET big(x) := w(x) IN MATCH NODES (x) SUCH THAT x -pi-> x "
+            "WHERE <T>(pi) AND <big(@1) >= 6>(pi)")
+    shared = parse(text)
+
+    def graph(w):
+        return Graph(["a"], [Labelling("w", 1, 0, {(1,): w})])
+
+    def fresh(w):
+        return evaluate(graph(w), parse(text), CFG).empty
+
+    assert (fresh(7), fresh(5)) == (False, True)
+    for order in ((7, 5), (5, 7)):
+        for w in order:
+            assert evaluate(graph(w), shared, CFG).empty == fresh(w), order
 
 
 def test_recursion_depth_guard(fig2):

@@ -1,0 +1,48 @@
+"""The benchmark's tracer must still find every layer boundary it wraps.
+
+`perfbench/tracer.py` patches functions and methods of `opra` by name;
+a rename or a moved call site would make it fail to install or leave a
+per-layer counter at zero.  This runs one small operation of each kind
+under the tracer, as the benchmark's traced runs do.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import opra.engine
+import opra.ontology
+from opra import solver
+from opra.corpus import CORPUS_CONFIG, fixture_graph, load_query
+from opra.engine import engine_answers, evaluate, evaluate_extremum
+from opra.ontology import extend
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_every_layer():
+    g = fixture_graph()
+    route = load_query("q_route_sp", g)
+    nested = load_query("processed_labellings", g)
+    tr = load_tracer().Tracer()
+    tr.install()
+    try:
+        assert not evaluate(g, route, CORPUS_CONFIG).empty
+        res = evaluate_extremum(g, route, "time", "min", CORPUS_CONFIG)
+        assert res.value == 80
+        assert engine_answers(g, route, max_len=4, cfg=CORPUS_CONFIG)
+        view = extend(g, nested.query.ontology, solve_config=CORPUS_CONFIG)
+        assert view.label_value("t_walk", (g.node_id("W"),)) == 100
+    finally:
+        tr.uninstall()
+    for counter in ("solver.enqueued", "automata.letter_evals",
+                    "answer_graph.successor_calls", "ontology.lookups"):
+        assert tr.count(counter) > 0, counter
+    assert opra.engine.check_empty is solver.check_empty
+    assert opra.ontology.check_empty is solver.check_empty

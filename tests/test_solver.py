@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from opra.answer_graph import build
+from opra.answer_graph import AnswerGraph
 from opra.errors import ResourceExceededError
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling, aggregate
@@ -34,7 +34,7 @@ def _route_sp(fig2, having=""):
 
 def test_check_empty_sums_witness(fig2):
     pra = _route_sp(fig2, "\nHAVING time[pi] <= 360 AND attr[pi] >= 101")
-    res = check_empty(build(fig2, pra), cfg=CFG)
+    res = check_empty(AnswerGraph(fig2, pra), cfg=CFG)
     assert not res.empty
     pi = res.paths["pi"]
     assert aggregate(fig2, "time", [pi]) <= 360
@@ -43,7 +43,7 @@ def test_check_empty_sums_witness(fig2):
 
 def test_check_empty_tight_time_bound(fig2):
     pra = _route_sp(fig2, "\nHAVING time[pi] <= 50")
-    assert check_empty(build(fig2, pra), cfg=CFG).empty
+    assert check_empty(AnswerGraph(fig2, pra), cfg=CFG).empty
 
 
 def test_no_edges_reachability():
@@ -51,16 +51,16 @@ def test_no_edges_reachability():
     text = ('def route(p) = <E(@1, @1\') = 1>* <T>\n'
             'MATCH PATHS (pi) SUCH THAT "a" -pi-> "b" WHERE route(pi)')
     pra = validate(parse(text), g).query.query
-    assert check_empty(build(g, pra), cfg=CFG).empty
+    assert check_empty(AnswerGraph(g, pra), cfg=CFG).empty
     # same endpoints: the single-node path works
     text2 = text.replace('"b"', '"a"')
     pra2 = validate(parse(text2), g).query.query
-    assert not check_empty(build(g, pra2), cfg=CFG).empty
+    assert not check_empty(AnswerGraph(g, pra2), cfg=CFG).empty
 
 
 def test_extremum_min_time(fig2, node):
     pra = _route_sp(fig2)
-    ag = build(fig2, pra, target=("time", ("pi",)))
+    ag = AnswerGraph(fig2, pra, target=("time", ("pi",)))
     res = extremum(ag, MIN, cfg=CFG)
     assert res.value == 80
     assert res.witness["pi"] == tuple(node(n) for n in "STP")
@@ -69,7 +69,7 @@ def test_extremum_min_time(fig2, node):
 
 def test_extremum_max_attr_unbounded(fig2):
     pra = _route_sp(fig2)
-    ag = build(fig2, pra, target=("attr", ("pi",)))
+    ag = AnswerGraph(fig2, pra, target=("attr", ("pi",)))
     res = extremum(ag, MAX, cfg=CFG)
     assert res.value == POS_INF
     assert res.witness is None
@@ -81,7 +81,7 @@ def test_extremum_empty_set_conventions(fig2):
         Letter(NodeConstraint(ConstAtom(1), "=", ConstAtom(0))), ("pi",)
     )
     pra = replace(pra, regular_constraints=pra.regular_constraints + (dead,))
-    ag = build(fig2, pra, target=("time", ("pi",)))
+    ag = AnswerGraph(fig2, pra, target=("time", ("pi",)))
     assert extremum(ag, MIN, cfg=CFG).value == POS_INF
     assert extremum(ag, MAX, cfg=CFG).value == NEG_INF
 
@@ -89,26 +89,26 @@ def test_extremum_empty_set_conventions(fig2):
 def test_consistency_coupling(fig2):
     # a finite minimum v is certified by emptiness at v and v-1
     pra = _route_sp(fig2)
-    ag = build(fig2, pra, target=("time", ("pi",)))
+    ag = AnswerGraph(fig2, pra, target=("time", ("pi",)))
     v = extremum(ag, MIN, cfg=CFG).value
     with_target = lambda bound: replace(pra, arith_constraints=(
         ArithConstraint((ArithTerm(1, "time", ("pi",)),), bound),
     ))
-    assert not check_empty(build(fig2, with_target(v)), cfg=CFG).empty
-    assert check_empty(build(fig2, with_target(v - 1)), cfg=CFG).empty
+    assert not check_empty(AnswerGraph(fig2, with_target(v)), cfg=CFG).empty
+    assert check_empty(AnswerGraph(fig2, with_target(v - 1)), cfg=CFG).empty
 
 
 def test_budget_exhaustion_raises(fig2):
     pra = _route_sp(fig2)
     with pytest.raises(ResourceExceededError) as err:
-        check_empty(build(fig2, pra), cfg=SolveConfig(b1=8, b2=16,
+        check_empty(AnswerGraph(fig2, pra), cfg=SolveConfig(b1=8, b2=16,
                                                       visited_budget=3))
     assert err.value.expanded <= 4
 
 
 def test_default_bounds_shape(fig2):
     pra = _route_sp(fig2, "\nHAVING time[pi] <= 360")
-    ag = build(fig2, pra)
+    ag = AnswerGraph(fig2, pra)
     b1, b2 = derive_bounds(ag, SolveConfig())
     assert 0 < b1 < b2 == 2 * b1
     with pytest.raises(ValueError):
@@ -127,12 +127,12 @@ def test_oracle_agreement_randomized():
         cfg = SolveConfig(b1=b1, b2=b2, visited_budget=2_000_000)
         ocfg = OracleConfig(max_path_len=b2, max_paths=5_000_000)
 
-        engine_empty = check_empty(build(g, pra), cfg=cfg).empty
+        engine_empty = check_empty(AnswerGraph(g, pra), cfg=cfg).empty
         oracle_empty = not enumerate_answers(g, vq, ocfg)
         assert engine_empty == oracle_empty, f"trial {trial} emptiness"
 
         target_var = pra.regular_constraints[0].path_vars[0]
-        ag = build(g, pra, target=("w0", (target_var,)))
+        ag = AnswerGraph(g, pra, target=("w0", (target_var,)))
         for mode in (MIN, MAX):
             got = extremum(ag, mode, cfg=cfg).value
             want = oracle_two_phase(g, vq, ("w0", (target_var,)), mode,
@@ -147,7 +147,7 @@ def test_extremum_witness_replays_value(fig2):
                              free_path_p=0.0, max_nodes=4, n_unary=1)
         pra = validate(q, g).query.query
         target_var = pra.regular_constraints[0].path_vars[0]
-        ag = build(g, pra, target=("w0", (target_var,)))
+        ag = AnswerGraph(g, pra, target=("w0", (target_var,)))
         res = extremum(ag, MIN, cfg=SolveConfig(b1=4, b2=8,
                                                 visited_budget=2_000_000))
         if res.witness is None:
