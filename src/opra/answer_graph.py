@@ -18,6 +18,21 @@ paths are alive, the terminated letter afterwards).
 Path tuples decode from product paths by truncating each component at
 its first sink; with that convention a product path of length L covers
 exactly the tuples whose longest component has length L.
+
+Where letters allow, successors come from labelling indexes rather than
+a scan of every node, under two rules that drop only states with no way
+on.  The closing-move rule: an NFA may move into a state with no
+real-letter move (not live) only when all its selected next nodes are
+the sink, because from there a real node could never take another step.
+Candidate narrowing: for an NFA whose selector is one component at a
+real node u, every real next node must pass a letter into a live state;
+when each such letter reads `L(@1, @1') = c` or `c = L(@1, @1')` with L
+a stored labelling and c other than its default, the passing nodes are
+among L's index targets of u at c, and the component's real choices are
+the intersection of these unions over its single-component NFAs.  Any
+other letter leaves all real nodes as candidates.  Every candidate is
+then evaluated against every letter as before, so the surviving states,
+and with them answers, witnesses and extrema, are unchanged.
 """
 
 from __future__ import annotations
@@ -28,11 +43,51 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .automata import BOTTOM, Nfa, compile_regex, eval_node_constraint
 from .extint import ExtInt, ext_add, ext_mul
-from .graph import SINK, NodeId, path_index
-from .query import PraQuery
+from .graph import SINK, Labelling, NodeId, path_index
+from .query import ConstAtom, LabelAtom, NodeConstraint, PosVar, PraQuery
 from .validate import query_node_vars, query_path_vars
 
 OMEGA = -1  # position index once past the bound input paths
+
+# (labelling, value): the index lookup that bounds a letter's next nodes
+IndexKey = Tuple[Labelling, ExtInt]
+# per NFA state: its letters' index keys, or None for a full scan
+StateKeys = List[Optional[Tuple[IndexKey, ...]]]
+_STEP_ARGS = (PosVar(1), PosVar(1, True))
+
+
+def _index_key(letter: NodeConstraint, source) -> Optional[IndexKey]:
+    """(L, c) for `L(@1, @1') = c` or `c = L(@1, @1')` with L stored and
+    c not L's default, whose true next nodes are L's index targets at c;
+    None for any other letter."""
+    lhs, rhs = letter.lhs, letter.rhs
+    if isinstance(lhs, ConstAtom):
+        lhs, rhs = rhs, lhs
+    if letter.op != "=" or not isinstance(lhs, LabelAtom) \
+            or not isinstance(rhs, ConstAtom) or lhs.args != _STEP_ARGS:
+        return None
+    lab = source.labellings.get(lhs.labelling)
+    if lab is None or rhs.value == lab.default:
+        return None
+    return lab, rhs.value
+
+
+def _state_index_keys(nfa: Nfa, source) -> StateKeys:
+    """Per NFA state, the index keys of its letters into live states, or
+    None when one of those letters has no index key."""
+    out: StateKeys = []
+    for state in range(nfa.n_states):
+        keys: Optional[List[IndexKey]] = []
+        for letter, dst in nfa.by_state.get(state, ()):
+            if letter is BOTTOM or dst not in nfa.live:
+                continue
+            key = _index_key(letter, source)
+            if key is None:
+                keys = None
+                break
+            keys.append(key)
+        out.append(None if keys is None else tuple(keys))
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,6 +188,14 @@ class AnswerGraph:
             (compile_regex(rc.regex), tuple(pidx[v] for v in rc.path_vars))
             for rc in pra.regular_constraints
         ]
+        # per component, its single-component NFAs with their index keys
+        self._narrowers: List[List[Tuple[int, StateKeys]]] = [
+            [] for _ in range(self.k)
+        ]
+        for j, (nfa, sel) in enumerate(self.nfas):
+            if len(sel) == 1:
+                self._narrowers[sel[0]].append(
+                    (j, _state_index_keys(nfa, source)))
 
         # arithmetical constraints: (terms, bound) with component selectors
         self._arith: List[List[Tuple[int, str, Tuple[int, ...]]]] = []
@@ -156,6 +219,7 @@ class AnswerGraph:
     # -- start and target states -----------------------------------------
 
     def start_states(self):
+        initials = [sorted(nfa.initial) for nfa, _ in self.nfas]
         for env in itertools.product(*self._domains):
             choices: List[Tuple[NodeId, ...]] = []
             ok = True
@@ -177,7 +241,6 @@ class AnswerGraph:
                     choices.append(self._reals + (SINK,))
             if not ok:
                 continue
-            initials = [sorted(nfa.initial) for nfa, _ in self.nfas]
             for nodes in itertools.product(*choices):
                 for combo in itertools.product(*initials):
                     yield AGState(tuple(combo), self.start_pos, nodes, env)
@@ -224,10 +287,23 @@ class AnswerGraph:
                 )
             elif st.nodes[i] == SINK:
                 choices.append((SINK,))
-            elif self._can_end(i, st.nodes[i], st.env):
-                choices.append(self._reals + (SINK,))
             else:
-                choices.append(self._reals)
+                # real next nodes that can pass a letter into a live state
+                # of each single-component NFA on i (candidate narrowing)
+                narrowed = None
+                for j, keys in self._narrowers[i]:
+                    lookups = keys[st.nfa_states[j]]
+                    if lookups is None:
+                        continue  # some letter admits every real node
+                    cands = set()
+                    for lab, value in lookups:
+                        cands.update(lab.targets(value, st.nodes[i]))
+                    narrowed = cands if narrowed is None else narrowed & cands
+                reals = self._reals if narrowed is None \
+                    else tuple(sorted(narrowed))
+                if self._can_end(i, st.nodes[i], st.env):
+                    reals += (SINK,)
+                choices.append(reals)
 
         out = set()
         move_cache: List[Dict[Tuple[NodeId, ...], List[Tuple[int, ...]]]] = [
@@ -245,10 +321,13 @@ class AnswerGraph:
                 if cached is None:
                     cur = cur_sels[j]
                     terminated = all(c == SINK for c in cur)
+                    closing = all(c == SINK for c in nxt_sel)
                     moves = []
                     for letter, dst in nfa.by_state.get(st.nfa_states[j], ()):
                         if (letter is BOTTOM) != terminated:
                             continue
+                        if not closing and dst not in nfa.live:
+                            continue  # a real node could not leave dst
                         if terminated or eval_node_constraint(
                                 self.source, letter, cur, nxt_sel):
                             moves.append(dst)

@@ -9,6 +9,8 @@ of the constraint's current nodes are the sink, i.e. when every
 constrained path has already terminated.  A simulation step offers
 BOTTOM moves only in that situation and real letters only otherwise, so
 runs read exactly the word induced by the paths and then idle on BOTTOM.
+A state with at least one real-letter move is *live*; the others can
+only idle on BOTTOM, so a run may enter one only on its last real letter.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ class Nfa:
     transitions: Tuple[Tuple[int, object, int], ...]  # (src, letter, dst)
     initial: FrozenSet[int]
     final: FrozenSet[int]
+    live: FrozenSet[int]  # states with at least one real-letter move
     by_state: Dict[int, List[Tuple[object, int]]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -169,6 +172,8 @@ def compile_regex(regex: Regex) -> Nfa:
         transitions=tuple(transitions),
         initial=frozenset({renumber[init]}),
         final=frozenset(finals),
+        live=frozenset(src for src, letter, _ in transitions
+                       if letter is not BOTTOM),
     )
 
 

@@ -8,7 +8,11 @@ sparsely with an explicit default, which makes lookup total; tuples that
 mention the sink are never stored and therefore evaluate to the default.
 
 Graphs and labellings are immutable after load and safe to share across
-concurrent evaluations.
+concurrent evaluations.  The one derived structure, a binary labelling's
+index from first to second argument per value, is computed from the
+immutable entries on first use and never changes afterwards; two
+evaluations that race to build it build the same index, so sharing
+stays safe.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from .errors import (
     ArityMismatchError,
@@ -48,6 +53,29 @@ class Labelling:
 
     def value(self, key: Tuple[NodeId, ...]) -> ExtInt:
         return self.entries.get(key, self.default)
+
+    def targets(self, value: ExtInt, first: NodeId) -> FrozenSet[NodeId]:
+        """Second arguments v with a stored entry (first, v) = value.
+
+        For a value other than the default these are exactly the v with
+        value((first, v)) == value.  Arity 2 only.
+        """
+        return self._forward.get(value, {}).get(first, frozenset())
+
+    @cached_property
+    def _forward(self) -> Dict[ExtInt, Dict[NodeId, FrozenSet[NodeId]]]:
+        if self.arity != 2:
+            raise ArityMismatchError(
+                f"labelling {self.name!r} has arity {self.arity}, "
+                "not 2: no first-to-second index"
+            )
+        index: Dict[ExtInt, Dict[NodeId, set]] = {}
+        for (u, v), val in self.entries.items():
+            index.setdefault(val, {}).setdefault(u, set()).add(v)
+        return {
+            val: {u: frozenset(vs) for u, vs in by_first.items()}
+            for val, by_first in index.items()
+        }
 
     def finite_bound(self) -> int:
         """Largest absolute finite value this labelling can take."""

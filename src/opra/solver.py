@@ -83,7 +83,7 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
         if not 0 < cfg.b1 < cfg.b2:
             raise ValueError("bounds must satisfy 0 < b1 < b2")
         return cfg.b1, cfg.b2
-    n_nodes = len(tuple(ag.source.real_nodes)) + 1
+    n_nodes = len(ag.source.real_nodes) + 1
     size = n_nodes ** ag.k * (ag.N + 2)
     for nfa, _ in ag.nfas:
         size *= max(nfa.n_states, 1)

@@ -34,6 +34,12 @@ def route_constraint(var: str) -> RegularConstraint:
     return RegularConstraint(ROUTE_REGEX, (var,))
 
 
+# a second stored binary labelling, with a non-zero default
+BINARY = "F"
+BINARY_DEFAULT = 2
+BINARY_VALUES = (0, 1, 3)
+
+
 # -- random graphs -------------------------------------------------------------
 
 def rand_graph(rng: random.Random, max_nodes: int = 5,
@@ -55,7 +61,22 @@ def rand_graph(rng: random.Random, max_nodes: int = 5,
             if v != 0:
                 entries[(i,)] = v
         labellings.append(Labelling(f"w{u}", 1, 0, entries))
+    pairs = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if rng.random() < 0.5:
+                pairs[(i, j)] = rng.choice(BINARY_VALUES)
+    labellings.append(Labelling(BINARY, 2, BINARY_DEFAULT, pairs))
     return Graph(names, labellings)
+
+
+def rand_sparse_graph(rng: random.Random, n: int, degree: int) -> Graph:
+    """Nodes n0..n{n-1}, each with `degree` distinct random E-successors."""
+    edges = {}
+    for i in range(1, n + 1):
+        for j in rng.sample(range(1, n + 1), degree):
+            edges[(i, j)] = 1
+    return Graph([f"n{i}" for i in range(n)], [Labelling("E", 2, 0, edges)])
 
 
 def count_walks(g: Graph, max_len: int) -> int:
@@ -117,13 +138,34 @@ def rand_instance(rng: random.Random, max_len: int,
 
 # -- random regexes over node constraints ----------------------------------------
 
+def step_letters(i: int) -> List[NodeConstraint]:
+    """Letters over a binary labelling on the i-th path's step, in every
+    shape successor narrowing must classify: indexable `L(@i, @i') = c`
+    and `c = L(@i, @i')` with c not L's default, and the unindexable
+    default value, reversed direction and non-equality comparison."""
+    step = LabelAtom("E", (PosVar(i), PosVar(i, True)))
+    other = LabelAtom(BINARY, (PosVar(i), PosVar(i, True)))
+    return [
+        NodeConstraint(step, "=", ConstAtom(1)),
+        NodeConstraint(ConstAtom(1), "=", step),
+        NodeConstraint(step, "=", ConstAtom(0)),
+        NodeConstraint(LabelAtom("E", (PosVar(i, True), PosVar(i))), "=",
+                       ConstAtom(1)),
+        NodeConstraint(step, "<", ConstAtom(1)),
+        NodeConstraint(ConstAtom(0), "=", other),
+    ] + [
+        NodeConstraint(other, "=", ConstAtom(c))
+        for c in BINARY_VALUES + (BINARY_DEFAULT,)
+    ]
+
+
 def _rand_letter(rng: random.Random, k: int, labellings: Sequence[str]):
     kind = rng.random()
     if kind < 0.35:
         i = rng.randint(1, k)
-        return Letter(NodeConstraint(
-            LabelAtom("E", (PosVar(i), PosVar(i, True))), "=", ConstAtom(1)
-        ))
+        if rng.random() < 0.4:
+            return Letter(step_letters(i)[0])
+        return Letter(rng.choice(step_letters(i)))
     if kind < 0.55 and k >= 2:
         return Letter(NodeConstraint(
             LabelAtom("E", (PosVar(1), PosVar(2))), "=", ConstAtom(1)
@@ -162,7 +204,7 @@ def rand_query(rng: random.Random, g: Graph,
     """A route-shaped query: every path variable carries a route
     constraint, plus optional extra regular, path and arithmetical
     constraints; at most one free path variable."""
-    unary = sorted(n for n in g.labellings if n != "E")
+    unary = sorted(n for n, lab in g.labellings.items() if lab.arity == 1)
     k = rng.choice([1, 1, 2])
     path_vars = [f"p{i}" for i in range(k)]
     regular = [route_constraint(v) for v in path_vars]

@@ -1,21 +1,28 @@
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
-from opra.answer_graph import OMEGA, AnswerGraph
+import opra.answer_graph
+from opra.answer_graph import OMEGA, AGState, AnswerGraph
+from opra.automata import eval_node_constraint, step
 from opra.engine import engine_answers
 from opra.extint import ext_add
 from opra.graph import SINK, aggregate
 from opra.oracle import OracleConfig, enumerate_satisfying
 from opra.parser import parse
 from opra.query import (
-    ArithConstraint, ArithTerm, ConstAtom, Letter, NodeConstraint,
+    ArithConstraint, ArithTerm, Concat, ConstAtom, Letter, NodeConstraint,
+    PraQuery, RegularConstraint, Star, TRUE_CONSTRAINT, Union_,
 )
 from opra.solver import SolveConfig, check_empty, enumerate_answers
 from opra.validate import validate
 
-from gensupport import rand_feasible_graph, rand_query, route_constraint
+from gensupport import (
+    rand_feasible_graph, rand_graph, rand_query, rand_sparse_graph,
+    route_constraint, step_letters,
+)
 
 CFG = SolveConfig(b1=8, b2=16)
 
@@ -84,6 +91,90 @@ def test_successors_from_start(fig2, node):
     assert via_edge == {node("T"), node("W")}
     # structural bound: at most |V|+1 node choices per component here
     assert len(succ) <= (len(list(fig2.real_nodes)) + 1) * ag.nfas[0][0].n_states
+    # a real node in a state without real-letter moves is a dead end
+    assert all(s.nodes[0] == SINK for s in succ
+               if s.nfa_states[0] not in nfa.live)
+
+
+def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
+    # from a fixed-endpoint start, route(pi) steps only along E, and
+    # closes on the sink only where the path may end; letters are
+    # evaluated on the E-neighbours and the sink alone
+    evals = []
+
+    def counted(*args):
+        evals.append(args)
+        return eval_node_constraint(*args)
+
+    monkeypatch.setattr(opra.answer_graph, "eval_node_constraint", counted)
+    g = rand_sparse_graph(random.Random(4), n=100, degree=3)
+    edges = g.labellings["E"].entries
+    rng = random.Random(5)
+    for s, t in [tuple(rng.sample(range(1, 101), 2)) for _ in range(5)] \
+            + [(7, 7)]:
+        pra = validate(parse(
+            "def route(p) = <E(@1, @1') = 1>* <T>\n"
+            f'MATCH PATHS (pi) SUCH THAT "{g.node_name(s)}" -pi-> '
+            f'"{g.node_name(t)}" WHERE route(pi)'
+        ), g).query.query
+        ag = AnswerGraph(g, pra)
+        (start,) = ag.start_states()
+        evals.clear()
+        nxt = [st.nodes[0] for st in ag.successors(start)]
+        want = [v for (u, v) in edges if u == s] + ([SINK] if s == t else [])
+        assert sorted(nxt) == sorted(want), (s, t)
+        # one E test per neighbour; the sink tests both letters
+        assert len(evals) == len(want) + (1 if s == t else 0)
+
+
+def full_scan_moves(ag, st):
+    """Successors of a one-component state by definition: every next
+    node, each NFA moving by `automata.step`."""
+    (u,) = st.nodes
+    nxt = (SINK,) if u == SINK else tuple(ag.source.real_nodes) + (SINK,)
+    out = set()
+    for v in nxt:
+        per_nfa = [sorted(step(ag.source, nfa, {st.nfa_states[j]}, (u,), (v,)))
+                   for j, (nfa, _) in enumerate(ag.nfas)]
+        for combo in itertools.product(*per_nfa):
+            out.add(AGState(combo, OMEGA, (v,), st.env))
+    return out
+
+
+def test_successors_match_full_scan_for_every_letter_shape():
+    # index narrowing and the closing-move rule drop exactly the states
+    # where a real node sits in an NFA state without real-letter moves,
+    # which have no successors: every other full-scan move is kept
+    rng = random.Random(8)
+    graphs = [rand_graph(rng, max_nodes=5, n_unary=0) for _ in range(3)]
+    shapes = step_letters(1)
+
+    def closed(letter):
+        return Concat(Star(Letter(letter)), Letter(TRUE_CONSTRAINT))
+
+    for a, b in zip(shapes, shapes[1:] + shapes[:1]):
+        for regexes in ([closed(a)],
+                        [closed(shapes[0]), closed(a)],
+                        [Star(Union_(Letter(a), Letter(b))), closed(b)]):
+            pra = PraQuery(regular_constraints=tuple(
+                RegularConstraint(r, ("pi",)) for r in regexes))
+            for g in graphs:
+                ag = AnswerGraph(g, pra)
+                level = set(ag.start_states())
+                for _ in range(3):
+                    nxt = set()
+                    for st in level:
+                        got = set(ag.successors(st))
+                        want = full_scan_moves(ag, st)
+                        dead = {
+                            x for x in want if x.nodes != (SINK,) and any(
+                                x.nfa_states[j] not in nfa.live
+                                for j, (nfa, _) in enumerate(ag.nfas))
+                        }
+                        assert got == want - dead, (a.text(), st)
+                        assert not any(ag.successors(x) for x in dead)
+                        nxt |= got
+                    level = nxt
 
 
 def test_bottom_self_loop_state(fig2):

@@ -107,6 +107,8 @@ def test_nfa_dump_golden():
         "1 <0 = 0> 2\n"
         "2 BOT 2"
     )
+    # the final state can only idle on BOTTOM
+    assert nfa.live == {0, 1}
 
 
 def test_nfa_matches_language_semantics_randomized():

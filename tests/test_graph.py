@@ -45,6 +45,19 @@ def test_label_values(fig2, node):
         fig2.label_value("time", (node("S"), node("T")))
 
 
+def test_binary_index_targets(fig2, node):
+    lab = Labelling("F", 2, 2, {(1, 2): 0, (1, 3): 0, (1, 4): 5, (2, 1): 0})
+    assert "_forward" not in vars(lab)  # built on first use only
+    assert lab.targets(0, 1) == {2, 3}
+    assert lab.targets(5, 1) == {4}
+    assert lab.targets(5, 2) == frozenset()
+    assert "_forward" in vars(lab)
+    edges = fig2.labellings["E"]
+    assert edges.targets(1, node("S")) == {node("T"), node("W")}
+    with pytest.raises(ArityMismatchError):
+        fig2.labellings["time"].targets(10, node("S"))
+
+
 def test_aggregate_route_times(fig2, node):
     route = [node(n) for n in ("S", "T", "P")]
     assert aggregate(fig2, "time", [route]) == 80

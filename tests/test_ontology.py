@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from opra.engine import evaluate
+from opra.engine import engine_answers, evaluate
 from opra.errors import (
     ForwardOntologyReferenceError, RecursionDepthExceededError,
     UnknownLabellingError,
@@ -10,7 +10,9 @@ from opra.errors import (
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import SINK, Graph, Labelling
 from opra.ontology import ExtendedGraph, eval_fundamental, eval_term, extend
-from opra.oracle import OracleConfig, OracleView, oracle_eval_term
+from opra.oracle import (
+    OracleConfig, OracleView, enumerate_answers, oracle_eval_term,
+)
 from opra.parser import parse
 from opra.query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
@@ -258,6 +260,21 @@ def test_results_do_not_depend_on_earlier_graphs():
     for order in ((7, 5), (5, 7)):
         for w in order:
             assert evaluate(graph(w), shared, CFG).empty == fresh(w), order
+
+
+def test_defined_binary_labelling_as_letter(fig2):
+    # a defined labelling has no stored index, so its step letter admits
+    # every real node as a candidate and is evaluated on each of them
+    route = ("MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t "
+             "WHERE <{}(@1, @1') = 1>* <T>(pi)")
+    defined = validate(parse("LET adj(x, y) := E(x, y) IN "
+                             + route.format("adj")), fig2)
+    stored = validate(parse(route.format("E")), fig2)
+    got = engine_answers(fig2, defined, max_len=3, cfg=CFG)
+    assert got
+    assert got == engine_answers(fig2, stored, max_len=3, cfg=CFG)
+    assert got == enumerate_answers(fig2, defined,
+                                    OracleConfig(max_path_len=3))
 
 
 def test_recursion_depth_guard(fig2):
