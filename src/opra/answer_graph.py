@@ -3,9 +3,22 @@
 A state couples one NFA state per regular constraint, a position index
 into the bound input paths (a counter that jumps to omega past their
 end, or is omega throughout when nothing is bound), one graph node per
-path variable, and a fixed assignment of the tracked node variables.
+path variable, and an assignment of the tracked node variables.
 States are never materialized globally; the solver asks for start
 states, successors, weights and target-ness on demand.
+
+Most tracked node variables are fixed in the start state, one start
+state per value.  A lazy target is bound later instead: a variable
+that is not given in `bound_nodes`, is the source of no path
+constraint, and is the target only of components without a bound
+input path (t in `s -pi-> t`).  It starts UNBOUND, any node may end a
+component it targets while it is unbound, and the step that moves such
+a component from a real node u onto the sink binds it to u; a step
+where two of its components end at different nodes is dropped.  This
+is sound because letters and arithmetical terms read path positions
+only, never tracked variables, and a target state has every component
+on the sink, so every lazy target is bound there.  Free `(s, t)`
+queries thus start from n states, not n^2.
 
 Transitions enforce, in one place, the four consistency rules that make
 product paths encode exactly the constraint-satisfying path tuples:
@@ -48,6 +61,7 @@ from .query import ConstAtom, LabelAtom, NodeConstraint, PosVar, PraQuery
 from .validate import query_node_vars, query_path_vars
 
 OMEGA = -1  # position index once past the bound input paths
+UNBOUND = -1  # env value of a lazy target before its component ends
 
 # (labelling, value): the index lookup that bounds a letter's next nodes
 IndexKey = Tuple[Labelling, ExtInt]
@@ -158,9 +172,21 @@ class AnswerGraph:
             sorted(set(constraint_vars))
         )
         self._env_slot = {v: i for i, v in enumerate(self.env_vars)}
+        # lazy targets: path-constraint targets that nothing fixes up front
+        eager = set(bound_nodes)
+        targets = set()
+        for pc in pra.path_constraints:
+            if not pc.source.literal:
+                eager.add(pc.source.name)
+            if not pc.target.literal:
+                targets.add(pc.target.name)
+                if pc.path_var in bound_paths:
+                    eager.add(pc.target.name)
+        self.lazy_vars = frozenset(targets - eager)
         reals = tuple(source.real_nodes)
         self._domains = [
-            (bound_nodes[v],) if v in bound_nodes else reals
+            (bound_nodes[v],) if v in bound_nodes
+            else (UNBOUND,) if v in self.lazy_vars else reals
             for v in self.env_vars
         ]
 
@@ -182,6 +208,13 @@ class AnswerGraph:
                 self._tgt_lits[i].append(source.node_id(pc.target.name))
             else:
                 self._tgt_slots[i].append(self._env_slot[pc.target.name])
+        # per component, the lazy target slots its last step binds
+        self._binds: List[Tuple[int, Tuple[int, ...]]] = []
+        for i, slots in enumerate(self._tgt_slots):
+            lazy = tuple(s for s in slots
+                         if self.env_vars[s] in self.lazy_vars)
+            if lazy:
+                self._binds.append((i, lazy))
 
         # compiled regular constraints with their component selectors
         self.nfas: List[Tuple[Nfa, Tuple[int, ...]]] = [
@@ -258,9 +291,25 @@ class AnswerGraph:
         return all(lit == p[-1] for lit in self._tgt_lits[i])
 
     def _can_end(self, i: int, node: NodeId, env: Tuple[NodeId, ...]) -> bool:
-        if any(env[s] != node for s in self._tgt_slots[i]):
+        if any(env[s] not in (node, UNBOUND) for s in self._tgt_slots[i]):
             return False
         return all(lit == node for lit in self._tgt_lits[i])
+
+    def _bind(self, cur: Tuple[NodeId, ...], nxt: Tuple[NodeId, ...],
+              env: Tuple[NodeId, ...]) -> Optional[Tuple[NodeId, ...]]:
+        """`env` after the step cur -> nxt: the lazy targets of every
+        component that ends in it take the node it ends at; None when
+        two components end at different nodes in the same step."""
+        for i, slots in self._binds:
+            u = cur[i]
+            if u == SINK or nxt[i] != SINK:
+                continue
+            for s in slots:
+                if env[s] == UNBOUND:
+                    env = env[:s] + (u,) + env[s + 1:]
+                elif env[s] != u:
+                    return None
+        return env
 
     def is_target(self, st: AGState) -> bool:
         if st.pos != OMEGA or any(n != SINK for n in st.nodes):
@@ -313,6 +362,9 @@ class AnswerGraph:
             tuple(st.nodes[c] for c in sel) for _, sel in self.nfas
         ]
         for nodes in itertools.product(*choices):
+            env = self._bind(st.nodes, nodes, st.env)
+            if env is None:
+                continue
             per_nfa: List[List[int]] = []
             feasible = True
             for j, (nfa, sel) in enumerate(self.nfas):
@@ -340,7 +392,7 @@ class AnswerGraph:
             if not feasible:
                 continue
             for combo in itertools.product(*per_nfa):
-                out.add(AGState(tuple(combo), nxt_pos, nodes, st.env))
+                out.add(AGState(tuple(combo), nxt_pos, nodes, env))
         return sorted(out, key=lambda s: (s.nodes, s.nfa_states, s.pos))
 
     # -- weights --------------------------------------------------------------
@@ -374,7 +426,9 @@ class AnswerGraph:
     # -- decoding ----------------------------------------------------------------
 
     def decode(self, states: Sequence[AGState]):
-        """Truncate each component at its first sink; report the env too."""
+        """Truncate each component at its first sink; report the env of
+        the last state, where every lazy target of a complete path has
+        been bound."""
         paths: Dict[str, Tuple[NodeId, ...]] = {}
         for i, var in enumerate(self.path_vars):
             nodes: List[NodeId] = []
@@ -383,5 +437,5 @@ class AnswerGraph:
                     break
                 nodes.append(st.nodes[i])
             paths[var] = tuple(nodes)
-        env = dict(zip(self.env_vars, states[0].env)) if states else {}
+        env = dict(zip(self.env_vars, states[-1].env)) if states else {}
         return env, paths

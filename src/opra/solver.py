@@ -2,7 +2,9 @@
 
 Emptiness, extremum and answer-set queries all reduce to reachability
 over configurations (product state, tracked path prefixes, accumulated
-weight vector), explored by one breadth-first search.  The prefixes are
+weight vector), explored by one breadth-first search.  Emptiness stops
+at the first admitted target that meets every bound, as soon as it is
+generated; extrema and answer sets read whole levels.  The prefixes are
 only tracked when enumerating answers; otherwise they stay empty.  The
 search applies two sound prunings:
 
@@ -228,15 +230,22 @@ class _Search:
         self.stats.enqueued += 1
         return True
 
-    def levels(self, max_depth: int):
+    def levels(self, max_depth: int,
+               goal: Optional[Callable[[_Config], bool]] = None):
         """Yield (depth, configs-at-depth) up to max_depth; stops early
-        when the frontier dies out."""
+        when the frontier dies out.  With `goal`, the first admitted
+        configuration that meets it, in generation order, is yielded
+        alone as the last level, before the rest of its level is built.
+        """
         tracked = self.tracked
         empty = tuple(() for _ in tracked)
         level = []
         for st in self.ag.start_states():
             key = (st, self.prefixes(st, empty), self.weight_vec(st))
             if self._admit(key, None):
+                if goal and goal(key):
+                    yield 0, [key]
+                    return
                 level.append(key)
         depth = 0
         while level:
@@ -262,6 +271,10 @@ class _Search:
                     pre2 = self.prefixes(succ, pre) if tracked else ()
                     key = (succ, pre2, acc2)
                     if self._admit(key, conf):
+                        if goal and goal(key):
+                            self.stats.depth = depth + 1
+                            yield depth + 1, [key]
+                            return
                         nxt.append(key)
             depth += 1
             self.stats.depth = depth
@@ -279,16 +292,23 @@ class _Search:
 def check_empty(ag: AnswerGraph, cfg: Optional[SolveConfig] = None,
                 on_expand=None) -> EmptinessResult:
     """Is there a start-to-target product path meeting every arithmetical
-    bound?  Complete for instances whose minimal witness fits under b2."""
+    bound?  Complete for instances whose minimal witness fits under b2.
+
+    The search stops at the first admitted target that meets the bounds,
+    as it is generated: the same witness a scan of its whole level would
+    find first, without building the rest of that level."""
     cfg = cfg or SolveConfig()
     _, b2 = derive_bounds(ag, cfg)
     search = _Search(ag, cfg, on_expand=on_expand)
-    for _, level in search.levels(b2):
-        for key in level:
-            st, _, acc = key
-            if ag.is_target(st) and _sat(acc, ag.bounds):
-                env, paths = search.reconstruct(key)
-                return EmptinessResult(False, env, paths, search.stats)
+
+    def goal(key: _Config) -> bool:
+        return ag.is_target(key[0]) and _sat(key[2], ag.bounds)
+
+    for _, level in search.levels(b2, goal):
+        # only the last level, that one configuration, can meet the goal
+        if goal(level[0]):
+            env, paths = search.reconstruct(level[0])
+            return EmptinessResult(False, env, paths, search.stats)
     return EmptinessResult(True, stats=search.stats)
 
 

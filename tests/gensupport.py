@@ -79,6 +79,14 @@ def rand_sparse_graph(rng: random.Random, n: int, degree: int) -> Graph:
     return Graph([f"n{i}" for i in range(n)], [Labelling("E", 2, 0, edges)])
 
 
+def rand_timed_graph(rng: random.Random, n: int, degree: int) -> Graph:
+    """`rand_sparse_graph` plus a unary `time` in 1..10 on every node."""
+    g = rand_sparse_graph(rng, n, degree)
+    time = Labelling("time", 1, 0,
+                     {(i,): rng.randint(1, 10) for i in g.real_nodes})
+    return Graph(g.node_names[1:], [g.labellings["E"], time])
+
+
 def count_walks(g: Graph, max_len: int) -> int:
     """Number of nonempty E-respecting walks with at most max_len nodes."""
     reals = list(g.real_nodes)

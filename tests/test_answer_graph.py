@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import opra.answer_graph
-from opra.answer_graph import OMEGA, AGState, AnswerGraph
+from opra.answer_graph import OMEGA, UNBOUND, AGState, AnswerGraph
 from opra.automata import eval_node_constraint, step
 from opra.engine import engine_answers
 from opra.extint import ext_add
@@ -16,7 +16,9 @@ from opra.query import (
     ArithConstraint, ArithTerm, Concat, ConstAtom, Letter, NodeConstraint,
     PraQuery, RegularConstraint, Star, TRUE_CONSTRAINT, Union_,
 )
-from opra.solver import SolveConfig, check_empty, enumerate_answers
+from opra.solver import (
+    MIN, SolveConfig, check_empty, enumerate_answers, extremum,
+)
 from opra.validate import validate
 
 from gensupport import (
@@ -25,6 +27,7 @@ from gensupport import (
 )
 
 CFG = SolveConfig(b1=8, b2=16)
+ROUTE = "def route(p) = <E(@1, @1') = 1>* <T>\n"
 
 
 def route_sp(fig2):
@@ -175,6 +178,105 @@ def test_successors_match_full_scan_for_every_letter_shape():
                         assert not any(ag.successors(x) for x in dead)
                         nxt |= got
                     level = nxt
+
+
+def free_pra(g, nodes, such_that, where="route(pi)", having=""):
+    return validate(parse(
+        ROUTE + f"MATCH NODES ({nodes}) SUCH THAT {such_that} "
+        f"WHERE {where} {having}"
+    ), g).query.query
+
+
+def test_free_target_starts_unbound():
+    # t is read only when pi ends, so s -pi-> t starts from one state per
+    # s, not one per (s, t) pair, and the step that ends pi binds t
+    g = rand_sparse_graph(random.Random(6), n=20, degree=3)
+    ag = AnswerGraph(g, free_pra(g, "s, t", "s -pi-> t"))
+    assert ag.lazy_vars == {"t"}
+    starts = list(ag.start_states())
+    assert sorted(st.env for st in starts) == \
+        [(s, UNBOUND) for s in g.real_nodes]
+    for st in starts:
+        succ = ag.successors(st)
+        ends = [x for x in succ if x.nodes == (SINK,)]
+        assert ends and all(x.env == (st.nodes[0],) * 2 for x in ends)
+        assert all(x.env == st.env for x in succ if x.nodes != (SINK,))
+
+
+def test_shared_lazy_target_binds_once(fig2, node):
+    ag = AnswerGraph(fig2, free_pra(
+        fig2, "s, u, t", "s -pi-> t AND u -rho-> t",
+        "route(pi) AND route(rho)"))
+    assert ag.lazy_vars == {"t"}
+    slot = ag.env_vars.index("t")
+    ipi, irho = ag.path_vars.index("pi"), ag.path_vars.index("rho")
+    S, T = node("S"), node("T")
+
+    def starts(a, b):
+        return [st for st in ag.start_states()
+                if (st.nodes[ipi], st.nodes[irho]) == (a, b)]
+
+    # at different nodes the two paths cannot end in one step; each may
+    # end alone, binding t to its node, and the other may then end only
+    # at that node
+    for st in starts(S, T):
+        succ = ag.successors(st)
+        assert not any(x.nodes == (SINK, SINK) for x in succ)
+        pi_ended = [x for x in succ if x.nodes[ipi] == SINK]
+        rho_ended = [x for x in succ if x.nodes[irho] == SINK]
+        assert pi_ended and all(x.env[slot] == S for x in pi_ended)
+        assert rho_ended and all(x.env[slot] == T for x in rho_ended)
+        for x in pi_ended:
+            for y in ag.successors(x):
+                assert y.env[slot] == S
+                assert y.nodes[irho] != SINK or x.nodes[irho] == S
+    # at the same node they end together and t binds there
+    for st in starts(S, S):
+        both = [x for x in ag.successors(st) if x.nodes == (SINK, SINK)]
+        assert both and all(x.env[slot] == S for x in both)
+
+
+def test_lazy_only_where_nothing_reads_the_target(fig2, node):
+    # a path source, a given node and the target of a bound path are read
+    # before their component ends, so they keep one start per value
+    ag = AnswerGraph(fig2, free_pra(
+        fig2, "s, t, u", "s -pi-> t AND t -rho-> u",
+        "route(pi) AND route(rho)"))
+    assert ag.lazy_vars == {"u"}
+    assert {st.env for st in ag.start_states()} == {
+        (s, t, UNBOUND) for s in fig2.real_nodes for t in fig2.real_nodes}
+
+    ag = AnswerGraph(fig2, free_pra(fig2, "s, t", "s -pi-> t"),
+                     bound_nodes={"t": node("P")})
+    assert ag.lazy_vars == frozenset()
+    assert {st.env[1] for st in ag.start_states()} == {node("P")}
+
+    pra = validate(parse(
+        ROUTE + "MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t "
+        "WHERE route(pi)"), fig2).query.query
+    stp = tuple(node(x) for x in "STP")
+    ag = AnswerGraph(fig2, pra, bound_paths={"pi": stp})
+    assert ag.lazy_vars == frozenset()
+    assert {st.env for st in ag.start_states()} == {(node("S"), node("P"))}
+
+
+def test_witness_env_names_every_free_node(fig2):
+    hop = "<E(@1, @1') = 1> <E(@1, @1') = 1>* <T>"
+    pra = free_pra(fig2, "s, t", "s -pi-> t", f"{hop}(pi)",
+                   "HAVING time[pi] >= 60")
+    res = check_empty(AnswerGraph(fig2, pra), cfg=CFG)
+    ext = extremum(AnswerGraph(fig2, pra, target=("time", ("pi",))), MIN,
+                   cfg=CFG)
+    for env, paths in ((res.env, res.paths), (ext.env, ext.witness)):
+        pi = paths["pi"]
+        assert env == {"s": pi[0], "t": pi[-1]}
+        assert len(pi) >= 2 and UNBOUND not in env.values()
+    pra = free_pra(fig2, "s, u, t", "s -pi-> t AND u -rho-> t",
+                   f"{hop}(pi) AND {hop}(rho)")
+    res = check_empty(AnswerGraph(fig2, pra), cfg=CFG)
+    assert res.env == {"s": res.paths["pi"][0], "u": res.paths["rho"][0],
+                       "t": res.paths["pi"][-1]}
+    assert res.paths["pi"][-1] == res.paths["rho"][-1]
 
 
 def test_bottom_self_loop_state(fig2):

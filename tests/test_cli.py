@@ -46,6 +46,19 @@ def test_eval_route_non_empty(capsys, fig2_path, qfile):
     assert payload["expanded"] > 0
 
 
+def test_eval_free_endpoints_names_both(capsys, fig2_path, qfile):
+    code, payload = run_cli(
+        capsys, "eval", "--graph", fig2_path, "--query", qfile(
+            "def route(p) = <E(@1, @1') = 1>* <T>\n"
+            "MATCH NODES (s, t) SUCH THAT s -pi-> t WHERE route(pi)"),
+        "--bound-b1", "8", "--bound-b2", "16",
+    )
+    assert code == 0
+    names = json.loads(Path(fig2_path).read_text(encoding="utf-8"))["nodes"]
+    assert set(payload["nodes"]) == {"s", "t"}
+    assert all(v in names for v in payload["nodes"].values())
+
+
 def test_eval_empty_exit_code(capsys, fig2_path, qfile):
     code, payload = run_cli(
         capsys, "eval", "--graph", fig2_path,

@@ -46,3 +46,18 @@ def test_tracer_counts_every_layer():
         assert tr.count(counter) > 0, counter
     assert opra.engine.check_empty is solver.check_empty
     assert opra.ontology.check_empty is solver.check_empty
+
+
+def test_tracer_counts_one_start_state_per_source():
+    # free (s, t): t is bound when the path ends, so one start per s
+    g = fixture_graph()
+    tr = load_tracer().Tracer()
+    tr.install()
+    try:
+        res = evaluate(g, "def route(p) = <E(@1, @1') = 1>* <T>\n"
+                       "MATCH NODES (s, t) SUCH THAT s -pi-> t "
+                       "WHERE route(pi)", CORPUS_CONFIG)
+    finally:
+        tr.uninstall()
+    assert not res.empty
+    assert tr.count("answer_graph.start_states") == len(g.real_nodes)

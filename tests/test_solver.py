@@ -7,7 +7,9 @@ from opra.answer_graph import AnswerGraph
 from opra.errors import ResourceExceededError
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling, aggregate
-from opra.oracle import OracleConfig, brute_extremum, enumerate_answers
+from opra.oracle import (
+    OracleConfig, enumerate_answers, enumerate_satisfying, oracle_source,
+)
 from opra.parser import parse
 from opra.query import (
     ArithConstraint, ArithTerm, ConstAtom, Letter, NodeConstraint,
@@ -18,7 +20,7 @@ from opra.solver import (
 )
 from opra.validate import validate
 
-from gensupport import oracle_two_phase, rand_instance
+from gensupport import oracle_two_phase, rand_instance, rand_timed_graph
 
 CFG = SolveConfig(b1=8, b2=16)
 
@@ -127,9 +129,13 @@ def test_oracle_agreement_randomized():
         cfg = SolveConfig(b1=b1, b2=b2, visited_budget=2_000_000)
         ocfg = OracleConfig(max_path_len=b2, max_paths=5_000_000)
 
-        engine_empty = check_empty(AnswerGraph(g, pra), cfg=cfg).empty
+        res = check_empty(AnswerGraph(g, pra), cfg=cfg)
         oracle_empty = not enumerate_answers(g, vq, ocfg)
-        assert engine_empty == oracle_empty, f"trial {trial} emptiness"
+        assert res.empty == oracle_empty, f"trial {trial} emptiness"
+        if not res.empty:
+            # the witness, node variables included, is a real assignment
+            assert (res.env, res.paths) in enumerate_satisfying(
+                oracle_source(g, vq, ocfg), pra, ocfg), f"trial {trial}"
 
         target_var = pra.regular_constraints[0].path_vars[0]
         ag = AnswerGraph(g, pra, target=("w0", (target_var,)))
@@ -138,6 +144,21 @@ def test_oracle_agreement_randomized():
             want = oracle_two_phase(g, vq, ("w0", (target_var,)), mode,
                                     b1, b2)
             assert got == want, f"trial {trial} {mode}"
+
+
+def test_free_endpoints_stop_at_first_target():
+    # every one-hop route fits the bound: the search expands the n start
+    # states, then the first one-hop state, whose step to the sink is
+    # the witness (4 n^2 expansions when every (s, t) pair started)
+    n = 20
+    g = rand_timed_graph(random.Random(1), n=n, degree=3)
+    pra = validate(parse(
+        "MATCH NODES (s, t) SUCH THAT s -pi-> t\n"
+        "WHERE <E(@1, @1') = 1> <E(@1, @1') = 1>* <T>(pi)\n"
+        "HAVING time[pi] <= 20"), g).query.query
+    res = check_empty(AnswerGraph(g, pra), cfg=SolveConfig(b1=40, b2=80))
+    assert not res.empty
+    assert res.stats.expanded <= n + 1
 
 
 def test_extremum_witness_replays_value(fig2):
