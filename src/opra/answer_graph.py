@@ -151,7 +151,6 @@ class AnswerGraph:
             + [v for v in free if v not in bound_paths] + exist
         self.path_vars: Tuple[str, ...] = tuple(ordered)
         self.k = len(self.path_vars)
-        self.k1 = len(bound_paths)
         self.bound: List[Optional[Tuple[NodeId, ...]]] = [
             tuple(bound_paths[v]) if v in bound_paths else None
             for v in self.path_vars
@@ -163,14 +162,7 @@ class AnswerGraph:
         self.start_pos = 1 if self.N >= 1 else OMEGA
 
         # tracked node variables: free ones, then path-constraint ones
-        constraint_vars = []
-        for pc in pra.path_constraints:
-            for ref in (pc.source, pc.target):
-                if not ref.literal and ref.name not in pra.match_nodes:
-                    constraint_vars.append(ref.name)
-        self.env_vars: Tuple[str, ...] = tuple(pra.match_nodes) + tuple(
-            sorted(set(constraint_vars))
-        )
+        self.env_vars: Tuple[str, ...] = query_node_vars(pra)
         self._env_slot = {v: i for i, v in enumerate(self.env_vars)}
         # lazy targets: path-constraint targets that nothing fixes up front
         eager = set(bound_nodes)

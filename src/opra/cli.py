@@ -12,7 +12,9 @@ Exit codes: 0 answered, 1 empty result where a boolean was asked,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 import time
 from typing import Optional
@@ -57,15 +59,27 @@ def _emit(payload: dict, pretty: bool) -> None:
     print(json.dumps(payload, indent=2 if pretty else None, sort_keys=False))
 
 
-def _tracer(enabled: bool):
-    if not enabled:
-        return None
+def _read_query(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
-    def on_expand(state, depth):
-        print(f"expand depth={depth} pos={state.pos} nodes={state.nodes} "
-              f"nfa={state.nfa_states}", file=sys.stderr)
 
-    return on_expand
+@contextlib.contextmanager
+def _tracing(enabled: bool):
+    """While the block runs, print the solver's DEBUG records, one line
+    per expanded state, to stderr."""
+    log = logging.getLogger("opra.solver")
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    if enabled:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args) -> int:
     g = load_graph(args.graph)
     started = time.perf_counter()
-    res = evaluate(g, open(args.query, encoding="utf-8").read(),
-                   cfg=_config(args), on_expand=_tracer(args.trace))
+    with _tracing(args.trace):
+        res = evaluate(g, _read_query(args.query), cfg=_config(args))
     elapsed = int(1000 * (time.perf_counter() - started))
     payload = {
         "outcome": "empty" if res.empty else "non-empty",
@@ -138,11 +152,11 @@ def _cmd_extremum(args) -> int:
         args.target_paths.split(",") if args.target_paths else None
     )
     started = time.perf_counter()
-    res = evaluate_extremum(
-        g, open(args.query, encoding="utf-8").read(),
-        target=args.target, mode=args.mode, cfg=_config(args),
-        target_paths=target_paths, on_expand=_tracer(args.trace),
-    )
+    with _tracing(args.trace):
+        res = evaluate_extremum(
+            g, _read_query(args.query), target=args.target, mode=args.mode,
+            cfg=_config(args), target_paths=target_paths,
+        )
     elapsed = int(1000 * (time.perf_counter() - started))
     payload = {
         "outcome": "value",
@@ -170,7 +184,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = load_graph(args.graph)
-    q = validate(parse(open(args.query, encoding="utf-8").read()), g)
+    q = validate(parse(_read_query(args.query)), g)
     cfg = OracleConfig(max_path_len=args.max_path_len,
                        max_paths=args.max_paths)
     started = time.perf_counter()
@@ -210,8 +224,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    text = open(args.query, encoding="utf-8").read()
-    q = parse(text)
+    q = parse(_read_query(args.query))
     if args.graph:
         q = validate(q, load_graph(args.graph)).query
     payload = {"outcome": "ok", "ontology_entries": len(q.ontology)}

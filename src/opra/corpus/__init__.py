@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine import engine_answers, evaluate_extremum
 from ..extint import to_json
 from ..graph import Graph, graph_from_dict
 from ..ontology import extend
-from ..oracle import OracleConfig, brute_extremum, enumerate_answers
+from ..oracle import (
+    OracleConfig, OracleView, brute_extremum, enumerate_answers,
+)
 from ..parser import parse
 from ..solver import SolveConfig
 from ..validate import validate
@@ -102,25 +104,28 @@ def _engine_report(g: Graph) -> dict:
             "query": qname, "target": target, "mode": mode,
             "value": to_json(res.value),
         }
-    report["terms"] = _engine_term_checks(g)
+    report["terms"] = _term_checks(
+        g, lambda entries: extend(g, entries, solve_config=CORPUS_CONFIG))
     return report
 
 
-def _engine_term_checks(g: Graph) -> dict:
+def _term_checks(g: Graph, view: Callable[[tuple], Graph]) -> dict:
+    """Ontology labellings read through `view(entries)`, the label source
+    that one evaluator makes for a query's ontology entries."""
+    def source_for(name: str):
+        return view(load_query(name, g).query.ontology)
+
     out: Dict[str, object] = {}
-    vq = load_query("processed_labellings", g)
-    eg = extend(g, vq.query.ontology, solve_config=CORPUS_CONFIG)
-    out["t_walk_W"] = to_json(eg.label_value("t_walk", (g.node_id("W"),)))
-    vq = load_query("neighbourhood", g)
-    eg = extend(g, vq.query.ontology, solve_config=CORPUS_CONFIG)
+    src = source_for("processed_labellings")
+    out["t_walk_W"] = to_json(src.label_value("t_walk", (g.node_id("W"),)))
+    src = source_for("neighbourhood")
     out["mas_S_T"] = to_json(
-        eg.label_value("mas", (g.node_id("S"), g.node_id("T"))))
+        src.label_value("mas", (g.node_id("S"), g.node_id("T"))))
     out["mas_S_W"] = to_json(
-        eg.label_value("mas", (g.node_id("S"), g.node_id("W"))))
-    vq = load_query("nested_queries", g)
-    eg = extend(g, vq.query.ontology, solve_config=CORPUS_CONFIG)
+        src.label_value("mas", (g.node_id("S"), g.node_id("W"))))
+    src = source_for("nested_queries")
     out["crowded"] = {
-        g.node_name(v): to_json(eg.label_value("crowded", (v,)))
+        g.node_name(v): to_json(src.label_value("crowded", (v,)))
         for v in g.real_nodes
     }
     return out
@@ -190,7 +195,9 @@ def generate_goldens() -> dict:
             "value": to_json(value),
         }
 
-    goldens["terms"] = _oracle_term_checks(g)
+    term_cfg = OracleConfig(max_path_len=8, max_paths=5_000_000)
+    goldens["terms"] = _term_checks(
+        g, lambda entries: OracleView(g, entries, term_cfg))
     return goldens
 
 
@@ -233,26 +240,3 @@ def _oracle_path_lengths_answers(g: Graph, vq, bound: int):
                     answers.add(((s, t), ()))
                     break
     return answers
-
-
-def _oracle_term_checks(g: Graph) -> dict:
-    from ..oracle import OracleView
-
-    ocfg = OracleConfig(max_path_len=8, max_paths=5_000_000)
-    out: Dict[str, object] = {}
-    vq = load_query("processed_labellings", g)
-    view = OracleView(g, vq.query.ontology, ocfg)
-    out["t_walk_W"] = to_json(view.label_value("t_walk", (g.node_id("W"),)))
-    vq = load_query("neighbourhood", g)
-    view = OracleView(g, vq.query.ontology, ocfg)
-    out["mas_S_T"] = to_json(
-        view.label_value("mas", (g.node_id("S"), g.node_id("T"))))
-    out["mas_S_W"] = to_json(
-        view.label_value("mas", (g.node_id("S"), g.node_id("W"))))
-    vq = load_query("nested_queries", g)
-    view = OracleView(g, vq.query.ontology, ocfg)
-    out["crowded"] = {
-        g.node_name(v): to_json(view.label_value("crowded", (v,)))
-        for v in g.real_nodes
-    }
-    return out

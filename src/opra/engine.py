@@ -8,18 +8,17 @@ every nested solver run triggered by on-demand labellings.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Mapping, Optional, Sequence, Set, Tuple
 
 from .answer_graph import AnswerGraph
 from .graph import Graph
 from .ontology import ExtendedGraph, extend
 from .parser import parse
-from .query import OpraQuery
 from .solver import (
     EmptinessResult, ExtremumResult, SolveConfig, check_empty,
     enumerate_answers as _enumerate, extremum as _extremum,
 )
-from .validate import ValidatedQuery, validate
+from .validate import validate
 
 
 def prepare(g: Graph, q,
@@ -61,11 +60,10 @@ def decode_names(g: Graph, env, paths):
 
 
 def evaluate(g: Graph, q, cfg: Optional[SolveConfig] = None,
-             bound_nodes=None, bound_paths=None,
-             on_expand=None) -> EmptinessResult:
+             bound_nodes=None, bound_paths=None) -> EmptinessResult:
     """Emptiness of the query on the graph; witness decoded to names."""
     ag = build_answer_graph(g, q, cfg, bound_nodes, bound_paths)
-    res = check_empty(ag, cfg=cfg, on_expand=on_expand)
+    res = check_empty(ag, cfg=cfg)
     if not res.empty:
         res.env, res.paths = decode_names(g, res.env, res.paths)
     return res
@@ -74,23 +72,21 @@ def evaluate(g: Graph, q, cfg: Optional[SolveConfig] = None,
 def evaluate_extremum(g: Graph, q, target: str, mode: str,
                       cfg: Optional[SolveConfig] = None,
                       target_paths: Optional[Sequence[str]] = None,
-                      bound_nodes=None, bound_paths=None,
-                      on_expand=None) -> ExtremumResult:
+                      bound_nodes=None, bound_paths=None) -> ExtremumResult:
     """Min/max of a labelling aggregated over the query's free path
     variables (or an explicit selection of path variables)."""
-    if isinstance(q, str):
-        q = parse(q)
-    vq = validate(q, g)
+    eg, pra = prepare(g, q, cfg)
     if target_paths is None:
-        target_paths = vq.query.query.match_paths
+        target_paths = pra.match_paths
         if not target_paths:
             raise ValueError(
                 "the query has no free path variable to aggregate over; "
                 "pass target_paths explicitly"
             )
-    ag = build_answer_graph(g, vq, cfg, bound_nodes, bound_paths,
-                            target=(target, tuple(target_paths)))
-    res = _extremum(ag, mode, cfg=cfg, on_expand=on_expand)
+    nodes, paths = _ids_for(g, bound_nodes, bound_paths)
+    ag = AnswerGraph(eg, pra, bound_paths=paths, bound_nodes=nodes,
+                     target=(target, tuple(target_paths)))
+    res = _extremum(ag, mode, cfg=cfg)
     if res.witness is not None:
         res.env, res.witness = decode_names(g, res.env, res.witness)
     return res

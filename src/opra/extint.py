@@ -9,9 +9,9 @@ than a value, so modelling mistakes surface instead of propagating.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import IndeterminateSumError
+from .errors import IndeterminateSumError, UnknownLabellingError
 
 ExtInt = Union[int, float]
 
@@ -54,6 +54,35 @@ def ext_times(a: ExtInt, b: ExtInt) -> ExtInt:
     if is_finite(a) and is_finite(b):
         return a * b
     return POS_INF if (a > 0) == (b > 0) else NEG_INF
+
+
+def eval_fundamental(func: str, args: Sequence[ExtInt]) -> ExtInt:
+    """Apply a fundamental function.
+
+    Aggregates take any number of arguments (empty input yields the
+    lattice identity); the binary functions return 0 unless applied to
+    exactly two arguments, and <= returns 1 or 0.
+    """
+    if func == "Max":
+        return max(args) if args else NEG_INF
+    if func == "Min":
+        return min(args) if args else POS_INF
+    if func == "Count":
+        return len(args)
+    if func == "Sum":
+        return ext_sum(args)
+    if func in ("+", "-", "*", "<="):
+        if len(args) != 2:
+            return 0
+        a, b = args
+        if func == "+":
+            return ext_add(a, b)
+        if func == "-":
+            return ext_add(a, ext_mul(-1, b))
+        if func == "*":
+            return ext_times(a, b)
+        return 1 if a <= b else 0
+    raise UnknownLabellingError(f"unknown fundamental function {func!r}")
 
 
 def ext_compare(op: str, a: ExtInt, b: ExtInt) -> bool:

@@ -7,12 +7,14 @@ so every path has a total (1-based) index.  Labellings are stored
 sparsely with an explicit default, which makes lookup total; tuples that
 mention the sink are never stored and therefore evaluate to the default.
 
-Graphs and labellings are immutable after load and safe to share across
-concurrent evaluations.  The one derived structure, a binary labelling's
-index from first to second argument per value, is computed from the
-immutable entries on first use and never changes afterwards; two
-evaluations that race to build it build the same index, so sharing
-stays safe.
+Stored graphs and their labellings are immutable after load and safe to
+share across concurrent evaluations.  An ontology view
+(`ontology.ExtendedGraph`) is a Graph too, but it carries its own memo
+and evaluation depth, so each evaluation makes its own view.  The one
+derived structure, a binary labelling's index from first to second
+argument per value, is computed from the immutable entries on first use
+and never changes afterwards; two evaluations that race to build it
+build the same index, so sharing stays safe.
 """
 
 from __future__ import annotations

@@ -30,7 +30,9 @@ from .errors import (
     EnumerationCapExceededError,
     UnknownLabellingError,
 )
-from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul
+from .extint import (
+    NEG_INF, POS_INF, ExtInt, eval_fundamental, ext_add, ext_mul,
+)
 from .graph import SINK, Graph, NodeId, aggregate, path_index
 from .query import (
     AggTerm, ApplyTerm, Concat, ConstTerm, Epsilon, IndicatorTerm, LabelTerm,
@@ -243,40 +245,33 @@ def enumerate_satisfying(source, pra: PraQuery, cfg: OracleConfig,
 
 # -- ontology labellings by direct recursion ------------------------------------
 
-class OracleView:
-    """Label source whose ontology labellings evaluate by enumeration."""
+class OracleView(Graph):
+    """A graph whose ontology labellings evaluate by enumeration; it
+    shares its base graph's nodes and stored labellings."""
 
     def __init__(self, base: Graph, entries: Sequence[OntologyEntry],
                  cfg: OracleConfig):
-        self.base = base
+        self.node_names = base.node_names
+        self._index = base._index
+        self.labellings = base.labellings
         self.entries = tuple(entries)
         self._by_name = {e.name: e for e in self.entries}
         self.cfg = cfg
         self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
 
-    @property
-    def real_nodes(self):
-        return self.base.real_nodes
-
-    def node_id(self, name):
-        return self.base.node_id(name)
-
-    def node_name(self, nid):
-        return self.base.node_name(nid)
-
     def has_labelling(self, name):
-        return self.base.has_labelling(name) or name in self._by_name
+        return name in self.labellings or name in self._by_name
 
     def arity(self, name):
-        if self.base.has_labelling(name):
-            return self.base.arity(name)
+        if name in self.labellings:
+            return super().arity(name)
         if name in self._by_name:
             return len(self._by_name[name].params)
         raise UnknownLabellingError(f"unknown labelling {name!r}")
 
     def label_value(self, name, key):
-        if self.base.has_labelling(name):
-            return self.base.label_value(name, key)
+        if name in self.labellings:
+            return super().label_value(name, key)
         entry = self._by_name.get(name)
         if entry is None:
             raise UnknownLabellingError(f"unknown labelling {name!r}")
@@ -295,10 +290,9 @@ class OracleView:
         return self._memo[memo_key]
 
 
-def oracle_eval_term(view, term: Term, eta: Mapping[str, NodeId]) -> ExtInt:
+def oracle_eval_term(view: OracleView, term: Term,
+                     eta: Mapping[str, NodeId]) -> ExtInt:
     """Term semantics with nested queries answered by enumeration."""
-    from .ontology import eval_fundamental  # pure arithmetic, shared
-
     if isinstance(term, ConstTerm):
         return term.value
     if isinstance(term, LabelTerm):
@@ -308,16 +302,14 @@ def oracle_eval_term(view, term: Term, eta: Mapping[str, NodeId]) -> ExtInt:
         return 1 if eta[term.left] == eta[term.right] else 0
     if isinstance(term, IndicatorTerm):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        cfg = view.cfg if hasattr(view, "cfg") else OracleConfig()
-        for _ in enumerate_satisfying(view, term.query, cfg,
+        for _ in enumerate_satisfying(view, term.query, view.cfg,
                                       bound_nodes=bound):
             return 1
         return 0
     if isinstance(term, (MinPathTerm, MaxPathTerm)):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        cfg = view.cfg if hasattr(view, "cfg") else OracleConfig()
         best: Optional[ExtInt] = None
-        for _, paths in enumerate_satisfying(view, term.query, cfg,
+        for _, paths in enumerate_satisfying(view, term.query, view.cfg,
                                              bound_nodes=bound):
             value = aggregate(view, term.labelling,
                               [paths[term.path_var]])

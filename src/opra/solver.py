@@ -31,6 +31,7 @@ completeness holds for instances whose witnesses fit under b2.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +39,8 @@ from .answer_graph import AGState, AnswerGraph
 from .errors import ResourceExceededError
 from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul, is_finite
 from .graph import SINK, NodeId
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 1_000_000
 _BOUND_CAP = 10 ** 7
@@ -177,15 +180,13 @@ class _Search:
     """
 
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig,
-                 with_target: bool = False, negate_target: bool = False,
-                 on_expand: Optional[Callable[[AGState, int], None]] = None,
+                 with_target: bool = False, sign: int = 1,
                  tracked: Sequence[int] = ()):
         self.ag = ag
         self.bounds = ag.bounds
         self.cfg = cfg
         self.with_target = with_target
-        self.negate = negate_target
-        self.on_expand = on_expand
+        self.sign = sign  # -1 turns a maximised target into a minimised one
         self.tracked = tuple(tracked)
         self.stats = SolveStats()
         self.dom = _Dominance()
@@ -195,12 +196,7 @@ class _Search:
     def weight_vec(self, st: AGState) -> Tuple[ExtInt, ...]:
         w = self.ag.weight(st)
         if self.with_target:
-            t = self.ag.extremum_weight(st)
-            if self.negate and is_finite(t):
-                t = -t
-            elif self.negate:
-                t = NEG_INF if t == POS_INF else POS_INF
-            w = w + (t,)
+            w = w + (ext_mul(self.sign, self.ag.extremum_weight(st)),)
         return w
 
     def prune_monotone(self, acc: Tuple[ExtInt, ...]) -> bool:
@@ -222,7 +218,7 @@ class _Search:
 
     def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
         st, pre, acc = key
-        if key in self.parent or self.prune_monotone(acc):
+        if self.prune_monotone(acc):
             return False
         if not self.dom.admit((st, pre), acc):
             return False
@@ -236,8 +232,10 @@ class _Search:
         when the frontier dies out.  With `goal`, the first admitted
         configuration that meets it, in generation order, is yielded
         alone as the last level, before the rest of its level is built.
+        Each expanded state is logged at DEBUG on `opra.solver`.
         """
         tracked = self.tracked
+        trace = logger.isEnabledFor(logging.DEBUG)
         empty = tuple(() for _ in tracked)
         level = []
         for st in self.ag.start_states():
@@ -261,8 +259,9 @@ class _Search:
                         f"visited budget {self.cfg.visited_budget} exceeded",
                         expanded=self.stats.expanded,
                     )
-                if self.on_expand:
-                    self.on_expand(st, depth)
+                if trace:
+                    logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
+                                 depth, st.pos, st.nodes, st.nfa_states)
                 for succ in self.ag.successors(st):
                     acc2 = tuple(
                         ext_add(a, w)
@@ -289,8 +288,8 @@ class _Search:
         return self.ag.decode(chain)
 
 
-def check_empty(ag: AnswerGraph, cfg: Optional[SolveConfig] = None,
-                on_expand=None) -> EmptinessResult:
+def check_empty(ag: AnswerGraph,
+                cfg: Optional[SolveConfig] = None) -> EmptinessResult:
     """Is there a start-to-target product path meeting every arithmetical
     bound?  Complete for instances whose minimal witness fits under b2.
 
@@ -299,7 +298,7 @@ def check_empty(ag: AnswerGraph, cfg: Optional[SolveConfig] = None,
     find first, without building the rest of that level."""
     cfg = cfg or SolveConfig()
     _, b2 = derive_bounds(ag, cfg)
-    search = _Search(ag, cfg, on_expand=on_expand)
+    search = _Search(ag, cfg)
 
     def goal(key: _Config) -> bool:
         return ag.is_target(key[0]) and _sat(key[2], ag.bounds)
@@ -317,8 +316,7 @@ MAX = "max"
 
 
 def extremum(ag: AnswerGraph, mode: str,
-             cfg: Optional[SolveConfig] = None,
-             on_expand=None) -> ExtremumResult:
+             cfg: Optional[SolveConfig] = None) -> ExtremumResult:
     """Minimum (or maximum) of the target aggregate over satisfying paths.
 
     Phase 1 takes the best value over paths of length <= b1; any strictly
@@ -331,9 +329,8 @@ def extremum(ag: AnswerGraph, mode: str,
         raise ValueError("mode must be 'min' or 'max'")
     cfg = cfg or SolveConfig()
     b1, b2 = derive_bounds(ag, cfg)
-    negate = mode == MAX
-    search = _Search(ag, cfg, with_target=True, negate_target=negate,
-                     on_expand=on_expand)
+    sign = 1 if mode == MIN else -1
+    search = _Search(ag, cfg, with_target=True, sign=sign)
 
     best: Optional[ExtInt] = None
     best_key = None
@@ -348,16 +345,12 @@ def extremum(ag: AnswerGraph, mode: str,
                     best, best_key = value, key
             elif best is None or value < best:
                 # a longer path beats every short one: unbounded extremum
-                unbounded = NEG_INF if mode == MIN else POS_INF
-                return ExtremumResult(unbounded, stats=search.stats)
+                return ExtremumResult(ext_mul(sign, NEG_INF),
+                                      stats=search.stats)
     if best is None:
-        return ExtremumResult(POS_INF if mode == MIN else NEG_INF,
-                              stats=search.stats)
+        return ExtremumResult(ext_mul(sign, POS_INF), stats=search.stats)
     env, paths = search.reconstruct(best_key)
-    value = best if not negate else (
-        -best if is_finite(best) else (NEG_INF if best == POS_INF else POS_INF)
-    )
-    return ExtremumResult(value, env, paths, search.stats)
+    return ExtremumResult(ext_mul(sign, best), env, paths, search.stats)
 
 
 def enumerate_answers(ag: AnswerGraph, max_len: int,

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,25 @@ def test_eval_route_non_empty(capsys, fig2_path, qfile):
     assert payload["outcome"] == "non-empty"
     assert payload["witness"] == [["S", "T", "P"]]
     assert payload["expanded"] > 0
+
+
+def test_eval_trace_logs_each_expanded_state(capsys, caplog, fig2_path,
+                                             qfile):
+    solver_log = logging.getLogger("opra.solver")
+    level = solver_log.level
+    code = main(["eval", "--graph", fig2_path, "--query", qfile("q_route_sp"),
+                 "--bound-b1", "8", "--bound-b2", "16", "--trace"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "opra.solver"
+               and r.getMessage().startswith("expand depth=")]
+    lines = captured.err.splitlines()
+    assert code == 0
+    assert len(records) == payload["expanded"] > 0
+    assert lines == records
+    assert lines[0] == "expand depth=0 pos=-1 nodes=(1,) nfa=(0,)"
+    assert solver_log.level == level
 
 
 def test_eval_free_endpoints_names_both(capsys, fig2_path, qfile):
@@ -165,3 +185,14 @@ def test_console_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "eval" in proc.stdout
+
+
+def test_query_file_is_closed(fig2_path, qfile):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "opra.cli",
+         "eval", "--graph", fig2_path, "--query", qfile("q_route_sp"),
+         "--bound-b1", "8", "--bound-b2", "16"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "unclosed file" not in proc.stderr

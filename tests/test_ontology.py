@@ -4,8 +4,8 @@ import pytest
 
 from opra.engine import engine_answers, evaluate
 from opra.errors import (
-    ForwardOntologyReferenceError, RecursionDepthExceededError,
-    UnknownLabellingError,
+    ArityMismatchError, ForwardOntologyReferenceError,
+    RecursionDepthExceededError, UnknownLabellingError,
 )
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import SINK, Graph, Labelling
@@ -186,11 +186,22 @@ def test_t_walk_value(fig2, node):
 
 def test_extend_empty_is_identity(fig2, node):
     eg = extend(fig2)
+    assert isinstance(eg, Graph)
+    assert eg.real_nodes == fig2.real_nodes
+    for v in fig2.real_nodes:
+        name = fig2.node_name(v)
+        assert eg.node_name(v) == name and eg.node_id(name) == v
     assert eg.label_value("time", (node("P"),)) == 60
     assert eg.arity("E") == 2
     assert not eg.has_labelling("zzz")
     with pytest.raises(UnknownLabellingError):
         eg.label_value("zzz", (node("P"),))
+    text = "LET hop(x, y) := E(x, y) IN MATCH NODES (s)"
+    defined = extend(fig2, validate(parse(text), fig2).query.ontology)
+    assert defined.arity("hop") == 2
+    assert defined.label_value("hop", (node("S"), node("T"))) == 1
+    with pytest.raises(ArityMismatchError):
+        defined.label_value("hop", (node("S"),))
 
 
 def test_extend_crowded_is_all_zero(fig2):

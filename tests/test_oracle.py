@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import opra.oracle
 from opra.errors import EnumerationCapExceededError
 from opra.extint import NEG_INF, POS_INF
 from opra.oracle import (
@@ -98,3 +101,25 @@ def test_generator_instances_within_cap():
         vq = validate(q, g)
         enumerate_answers(g, vq, OracleConfig(max_path_len=6,
                                               max_paths=2_000_000))
+
+
+def test_oracle_imports_no_engine_module():
+    # the oracle is the independent side of every differential test: no
+    # import of it, at module level or inside a function, may reach the
+    # product engine
+    pkg = Path(opra.oracle.__file__).parent
+    reached, todo = set(), ["oracle"]
+    while todo:
+        mod = todo.pop()
+        if mod in reached:
+            continue
+        reached.add(mod)
+        tree = ast.parse((pkg / f"{mod}.py").read_text(encoding="utf-8"))
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                if stmt.module:
+                    todo.append(stmt.module.split(".")[0])
+                else:
+                    todo.extend(alias.name for alias in stmt.names)
+    assert "graph" in reached  # the walk does follow imports
+    assert not reached & {"answer_graph", "solver", "ontology", "engine"}
