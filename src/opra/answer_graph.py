@@ -237,6 +237,9 @@ class AnswerGraph:
         self.target: Optional[Tuple[str, Tuple[int, ...]]] = None
         if target is not None:
             name, path_sel = target
+            for v in path_sel:
+                if v not in pidx:
+                    raise ValueError(f"unknown target path variable {v!r}")
             self.target = (name, tuple(pidx[v] for v in path_sel))
 
         self._reals = reals

@@ -200,8 +200,9 @@ def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
 
     Builds the letters (p_1[i], p_1[i+1], ..., p_k[i], p_k[i+1]) for i up
     to the longest path's length and simulates the NFA on exactly those.
-    Used by the oracle and for differential testing, not by the product
-    engine.
+    Used for differential testing only: the oracle calls `step` as it
+    extends each path prefix, and `AnswerGraph.successors` evaluates the
+    letters itself.
     """
     s = max((len(p) for p in paths), default=0)
     states: FrozenSet[int] = nfa.initial

@@ -6,7 +6,8 @@ labelling), embed (data graph -> labelled graph JSON), oracle
 (parse and validate only).
 
 Exit codes: 0 answered, 1 empty result where a boolean was asked,
-2 usage/syntax/validation error, 3 resource or evaluation error.
+2 usage/syntax/validation error or invalid argument, 3 resource or
+evaluation error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,14 @@ from .solver import SolveConfig
 from .validate import validate
 
 
-def _add_common(p: argparse.ArgumentParser, graph_required: bool = True):
-    p.add_argument("--graph", required=graph_required,
-                   help="graph JSON file")
+def _add_io(p: argparse.ArgumentParser):
+    p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--query", required=True, help="query file")
+    p.add_argument("--pretty", action="store_true")
+
+
+def _add_solver(p: argparse.ArgumentParser):
+    _add_io(p)
     p.add_argument("--bound-b1", type=int, default=None,
                    help="short-path bound (phase 1)")
     p.add_argument("--bound-b2", type=int, default=None,
@@ -42,10 +47,6 @@ def _add_common(p: argparse.ArgumentParser, graph_required: bool = True):
     p.add_argument("--visited-budget", type=int, default=1_000_000)
     p.add_argument("--trace", action="store_true",
                    help="log each expanded product state to stderr")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="pretty", action="store_false",
-                     default=False, help="compact JSON output (default)")
-    fmt.add_argument("--pretty", dest="pretty", action="store_true")
 
 
 def _config(args) -> SolveConfig:
@@ -91,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="decide emptiness, print a witness")
-    _add_common(p)
+    _add_solver(p)
 
     p = sub.add_parser("extremum", help="min/max of a labelling over answers")
-    _add_common(p)
+    _add_solver(p)
     p.add_argument("--target", required=True, help="labelling to aggregate")
     p.add_argument("--target-paths", default=None,
                    help="comma-separated path variables (default: the "
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force reference evaluation")
-    _add_common(p)
+    _add_io(p)
     p.add_argument("--max-path-len", type=int, default=6)
     p.add_argument("--max-paths", type=int, default=2_000_000)
 
@@ -251,8 +252,12 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OpraError, OSError) as e:
-        kind = type(e).__name__ if isinstance(e, OpraError) else "OSError"
+    except (OpraError, OSError, ValueError) as e:
+        # a ValueError is an argument the API rejects, such as bad bounds
+        if isinstance(e, OpraError):
+            kind = type(e).__name__
+        else:
+            kind = "OSError" if isinstance(e, OSError) else "ValueError"
         print(json.dumps({"outcome": "error", "error": str(e),
                           "kind": kind}))
         return 3 if isinstance(e, EvalError) else 2

@@ -18,7 +18,7 @@ from ..extint import to_json
 from ..graph import Graph, graph_from_dict
 from ..ontology import extend
 from ..oracle import (
-    OracleConfig, OracleView, brute_extremum, enumerate_answers,
+    OracleConfig, OracleView, enumerate_answers, oracle_two_phase,
 )
 from ..parser import parse
 from ..solver import SolveConfig
@@ -165,7 +165,6 @@ def generate_goldens() -> dict:
     can match them and its answer set is empty.
     """
     g = fixture_graph()
-    ocfg = lambda n: OracleConfig(max_path_len=n, max_paths=5_000_000)
     goldens: Dict[str, dict] = {"answers": {}, "extrema": {}, "terms": {}}
 
     for name, bound in ANSWER_PLANS:
@@ -173,23 +172,18 @@ def generate_goldens() -> dict:
         if name == "path_lengths":
             answers = _oracle_path_lengths_answers(g, vq, bound)
         else:
-            answers = enumerate_answers(g, vq, ocfg(bound))
+            answers = enumerate_answers(
+                g, vq, OracleConfig(max_path_len=bound, max_paths=5_000_000))
         goldens["answers"][name] = {
             "bound": bound,
             "answers": _canonical_answers(g, vq, answers),
         }
 
-    b1, b2 = ORACLE_TWO_PHASE
     for key, qname, target, mode in EXTREMUM_PLANS:
         vq = load_query(qname, g)
-        pra = vq.query.query
-        sel = pra.match_paths
-        short = brute_extremum(g, vq, (target, sel), mode, ocfg(b1))
-        long_ = brute_extremum(g, vq, (target, sel), mode, ocfg(b2))
-        if mode == "min":
-            value = float("-inf") if long_ < short else short
-        else:
-            value = float("inf") if long_ > short else short
+        value = oracle_two_phase(
+            g, vq, (target, vq.query.query.match_paths), mode,
+            *ORACLE_TWO_PHASE, max_paths=5_000_000)
         goldens["extrema"][key] = {
             "query": qname, "target": target, "mode": mode,
             "value": to_json(value),
@@ -218,18 +212,11 @@ def _oracle_path_lengths_answers(g: Graph, vq, bound: int):
     for s in g.real_nodes:
         for t in g.real_nodes:
             bound_nodes = {"s": s, "t": t}
-            extrema = {}
-            for target, mode in (("attr", "max"), ("time", "min")):
-                short = brute_extremum(
-                    g, route_vq, (target, ("pi",)), mode,
-                    OracleConfig(max_path_len=b1), bound_nodes=bound_nodes)
-                long_ = brute_extremum(
-                    g, route_vq, (target, ("pi",)), mode,
-                    OracleConfig(max_path_len=b2), bound_nodes=bound_nodes)
-                if mode == "max":
-                    extrema[target] = float("inf") if long_ > short else short
-                else:
-                    extrema[target] = float("-inf") if long_ < short else short
+            extrema = {
+                target: oracle_two_phase(g, route_vq, (target, ("pi",)), mode,
+                                         b1, b2, bound_nodes=bound_nodes)
+                for target, mode in (("attr", "max"), ("time", "min"))
+            }
             for _, paths in enumerate_satisfying(
                     view, route_vq.query.query,
                     OracleConfig(max_path_len=bound),

@@ -20,7 +20,6 @@ build the same index, so sharing stays safe.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
@@ -34,8 +33,6 @@ from .errors import (
     UnknownNodeError,
 )
 from .extint import ExtInt, ext_add, from_json, is_finite, to_json
-
-logger = logging.getLogger(__name__)
 
 SINK = 0
 SINK_NAME = "<sink>"
@@ -185,7 +182,7 @@ def aggregate(source, name: str, paths: Sequence[Sequence[NodeId]]) -> ExtInt:
 # Each entry is exactly `arity` node names followed by one value.  Duplicate
 # tuples are a load error.
 
-def graph_from_dict(data: dict, weight_cap: int | None = None) -> Graph:
+def graph_from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "nodes" not in data:
         raise GraphLoadError("graph file must be an object with a 'nodes' array")
     names = data["nodes"]
@@ -222,16 +219,7 @@ def graph_from_dict(data: dict, weight_cap: int | None = None) -> Graph:
             entries[key] = from_json(row[arity])
         labellings.append(Labelling(lname, arity, default, entries))
 
-    g = Graph(names, labellings)
-    cap = weight_cap if weight_cap is not None else 10 * len(g.node_names)
-    for lab in g.labellings.values():
-        if lab.finite_bound() > cap:
-            logger.warning(
-                "labelling %r has magnitude %d above the cap %d; "
-                "solver bounds assume labels polynomial in graph size",
-                lab.name, lab.finite_bound(), cap,
-            )
-    return g
+    return Graph(names, labellings)
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -249,6 +237,6 @@ def graph_to_dict(g: Graph) -> dict:
     return {"nodes": list(g.node_names[1:]), "labellings": labellings}
 
 
-def load_graph(path: str, weight_cap: int | None = None) -> Graph:
+def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh), weight_cap=weight_cap)
+        return graph_from_dict(json.load(fh))

@@ -387,3 +387,19 @@ def brute_extremum(g: Graph, q, target: Tuple[str, Tuple[str, ...]],
     if best is None:
         return POS_INF if mode == "min" else NEG_INF
     return best
+
+
+def oracle_two_phase(g: Graph, q, target: Tuple[str, Tuple[str, ...]],
+                     mode: str, b1: int, b2: int,
+                     max_paths: int = OracleConfig.max_paths,
+                     bound_nodes=None) -> ExtInt:
+    """The two-bound extremum protocol evaluated with the oracle: a
+    better value at length bound b2 than at b1 means the true extremum is
+    unbounded."""
+    short = brute_extremum(g, q, target, mode,
+                           OracleConfig(b1, max_paths), bound_nodes)
+    long_ = brute_extremum(g, q, target, mode,
+                           OracleConfig(b2, max_paths), bound_nodes)
+    if mode == "min":
+        return NEG_INF if long_ < short else short
+    return POS_INF if long_ > short else short

@@ -1,7 +1,7 @@
 """Lexer and recursive-descent parser for query files.
 
-A query file is UTF-8 text with `#` line comments: optional `def`
-regex macros, an optional LET ontology, and one MATCH query.
+A query file is UTF-8 text: optional `def` regex macros, an optional
+LET ontology, and one MATCH query.
 
     def route(p) = <E(@1, @1') = 1>* <T>
     LET t_walk(x) := (type(x) = 4) * time(x) IN
@@ -10,18 +10,27 @@ regex macros, an optional LET ontology, and one MATCH query.
     WHERE route(pi)
     HAVING t_walk[pi] <= 10
 
+Lexical rules: a token is an operator, an identifier (a letter or `_`,
+then letters, digits and `_`; the reserved ones are keywords), an
+integer (a run of decimal digits), a position variable `@i` or `@i'`,
+or a double-quoted node name on one line.  Spaces, tabs, carriage
+returns and newlines separate tokens, and `#` starts a comment that runs
+to the end of the line.
+
 The parser reduces all sugar to the core AST in query.py:
 
   * `>=`, `>`, `!=` in node constraints become the core {<=, <, =}
     (inequality becomes a union of two letters); `<T>` becomes `<0 = 0>`.
   * boolean connectives and comparisons in terms become fundamental-
     function applications over the 0/1 arithmetization.
-  * general terms inside HAVING become auxiliary labellings applied to
-    fresh length-1 paths, leaving only linear constraints behind.
+  * general terms inside HAVING clauses become auxiliary labellings
+    applied to fresh length-1 paths, leaving only linear constraints
+    behind.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +41,7 @@ from .query import (
     Concat, IndicatorTerm, LabelAtom, LabelTerm, Letter, MaxPathTerm,
     MinPathTerm, NodeConstraint, NodeRef, OntologyEntry, OpraQuery,
     PathConstraint, PosVar, PraQuery, Regex, RegularConstraint, star,
-    Term, Union_, VarEqTerm,
+    Term, Union_, VarEqTerm, term_free_vars,
 )
 
 KEYWORDS = {
@@ -40,8 +49,20 @@ KEYWORDS = {
     "HAVING", "AND", "def", "min", "max", "agg", "eps",
 }
 
-_TWO_CHAR = (":=", "->", "<=", ">=", "!=", "&&", "||", "=>")
-_ONE_CHAR = "()[]{}<>,:=*+-.!"
+# `\d` is a decimal digit (what int() accepts) and `\w` a character for
+# which isalnum() holds, or `_`.  A word that starts with a non-decimal
+# digit such as '²' is rejected at that character; `bad` takes every other
+# character that starts no token, such as an '@' without digits or an
+# unclosed '"'.
+_TOKEN = re.compile(r"""
+    (?P<nl>\n) | [ \t\r]+ | (?P<comment>\#[^\n]*)
+  | (?P<op>:= | -> | <= | >= | != | && | \|\| | => | [()\[\]{}<>,:=*+\-.!])
+  | (?P<posvar>@\d+'?) | (?P<string>"[^"\n]*") | (?P<int>\d+) | (?P<word>\w+)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+_BAD_START = {"@": "expected digits after '@'",
+              '"': "unterminated string literal"}
 
 
 @dataclass(frozen=True)
@@ -54,83 +75,36 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def err(msg: str):
-        raise QuerySyntaxError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None or kind == "comment":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("op", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c == "@":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                err("expected digits after '@'")
-            primed = j < n and text[j] == "'"
-            idx = int(text[i + 1:j])
-            if primed:
-                j += 1
-            tokens.append(Token("posvar", PosVar(idx, primed), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                err("unterminated string literal")
-            tokens.append(Token("string", text[i + 1:j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token("op", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {c!r}")
-    tokens.append(Token("eof", None, line, col))
+        value, col = m.group(), m.start() - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "op":
+            tokens.append(Token("op", value, line, col))
+        elif kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            kind = "kw" if value in KEYWORDS else "ident"
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "int":
+            tokens.append(Token("int", int(value), line, col))
+        elif kind == "posvar":
+            pv = PosVar(int(value[1:].rstrip("'")), value.endswith("'"))
+            tokens.append(Token("posvar", pv, line, col))
+        elif kind == "string":
+            tokens.append(Token("string", value[1:-1], line, col))
+        else:
+            message = _BAD_START.get(value[0],
+                                     f"unexpected character {value[0]!r}")
+            raise QuerySyntaxError(message, line, col)
+    # the column does not advance over a comment, so input that ends in
+    # one ends at its '#'
+    end = m.start() if m is not None and m.lastgroup == "comment" \
+        else len(text)
+    tokens.append(Token("eof", None, line, end - line_start + 1))
     return tokens
 
 
@@ -143,7 +117,18 @@ class _VarRef:
         self.name = name
 
 
-_REGEX_START = {"<", "(", }  # plus the 'eps' keyword
+# left-associative binary term operators, loosest first, each mapped to
+# the fundamental function it applies; the comparisons (None) sit between
+# '&&' and '+' and do not associate
+_TERM_LEVELS = (
+    {"||": "Max"}, {"&&": "*"}, None, {"+": "+", "-": "-"}, {"*": "*"},
+)
+_ADDITIVE = 3
+_TERM_COMPARISONS = ("<=", "<", "=", "!=", ">=", ">")
+
+
+def _negate(t: Term) -> Term:
+    return ApplyTerm("-", (ConstTerm(1), t))
 
 
 class Parser:
@@ -152,12 +137,15 @@ class Parser:
         self.pos = 0
         self.macros: Dict[str, Tuple[int, Regex]] = {}
         self._aux_n = 0
-        # entries synthesized by HAVING-term desugaring, flushed in order
-        self._pending_entries: List[OntologyEntry] = []
+        # ontology entries in definition order; an auxiliary entry that a
+        # HAVING term synthesizes precedes the entry whose term holds it
+        self._entries: List[OntologyEntry] = []
 
     # -- token plumbing ---------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # the position never passes the final eof token
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
@@ -178,6 +166,28 @@ class Parser:
         t = self.peek()
         return t.kind == "kw" and t.value == value
 
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is this operator or keyword."""
+        t = self.peek()
+        if t.value == value and t.kind in ("op", "kw"):
+            self.pos += 1
+            return True
+        return False
+
+    def _ahead(self, kind: str, *values) -> bool:
+        """Whether the token after the next has this kind and a value
+        among `values`."""
+        t = self.peek(1)
+        return t.kind == kind and t.value in values
+
+    def _take_op(self, ops) -> Optional[str]:
+        """Consume and return the next token if it is an operator in ops."""
+        t = self.peek()
+        if t.kind == "op" and t.value in ops:
+            self.pos += 1
+            return t.value
+        return None
+
     def expect_op(self, value: str) -> Token:
         if not self.at_op(value):
             self.error(f"expected {value!r}")
@@ -194,6 +204,20 @@ class Parser:
             self.error(f"expected {what}")
         return self.next().value
 
+    def sep_list(self, item, separator: str = ","):
+        """`item (separator item)*`; the separator is an operator or a
+        keyword."""
+        items = [item()]
+        while self.accept(separator):
+            items.append(item())
+        return items
+
+    def enclosed(self, open_: str, item, close: str):
+        self.expect_op(open_)
+        inner = item()
+        self.expect_op(close)
+        return inner
+
     # -- entry point ------------------------------------------------------
 
     def parse_file(self) -> OpraQuery:
@@ -201,124 +225,80 @@ class Parser:
             self.error("empty query")
         while self.at_kw("def"):
             self.parse_def()
-        user_entries: List[OntologyEntry] = []
-        if self.at_kw("LET"):
-            self.next()
-            while True:
-                name = self.expect_ident("labelling name")
-                self.expect_op("(")
-                params = self.parse_ident_list()
-                self.expect_op(")")
-                self.expect_op(":=")
-                term = self.parse_term()
-                # terms synthesized while parsing this entry precede it
-                user_entries.extend(self._pending_entries)
-                self._pending_entries = []
-                user_entries.append(OntologyEntry(name, tuple(params), term))
-                if self.at_op(","):
-                    self.next()
-                    continue
-                break
+        if self.accept("LET"):
+            self.sep_list(self.parse_let_entry)
             self.expect_kw("IN")
         query = self.parse_pra()
-        entries = user_entries + self._pending_entries
-        self._pending_entries = []
         if self.peek().kind != "eof":
             self.error("trailing input after query")
-        return OpraQuery(tuple(entries), query)
+        return OpraQuery(tuple(self._entries), query)
 
     def parse_def(self) -> None:
         self.expect_kw("def")
         name = self.expect_ident("macro name")
         if name in self.macros:
             self.error(f"macro {name!r} defined twice")
-        self.expect_op("(")
-        params = self.parse_ident_list()
-        self.expect_op(")")
+        params = self.enclosed("(", self.parse_ident_list, ")")
         self.expect_op("=")
-        body = self.parse_regex()
-        self.macros[name] = (len(params), body)
+        self.macros[name] = (len(params), self.parse_regex())
+
+    def parse_let_entry(self) -> None:
+        name = self.expect_ident("labelling name")
+        params = self.enclosed("(", self.parse_ident_list, ")")
+        self.expect_op(":=")
+        term = self.parse_term()
+        self._entries.append(OntologyEntry(name, tuple(params), term))
 
     def parse_ident_list(self) -> List[str]:
-        names: List[str] = []
-        if self.peek().kind == "ident":
-            names.append(self.next().value)
-            while self.at_op(","):
-                self.next()
-                names.append(self.expect_ident())
-        return names
+        """Comma-separated identifiers, possibly none."""
+        if self.peek().kind != "ident":
+            return []
+        return self.sep_list(self.expect_ident)
 
     # -- PRA queries ------------------------------------------------------
 
     def parse_pra(self) -> PraQuery:
         self.expect_kw("MATCH")
-        match_nodes: Tuple[str, ...] = ()
-        match_paths: Tuple[str, ...] = ()
-        seen_any = False
-        while self.at_kw("NODES") or self.at_kw("PATHS"):
-            kw = self.next().value
-            self.expect_op("(")
-            names = tuple(self.parse_ident_list())
-            self.expect_op(")")
-            if kw == "NODES":
-                match_nodes = names
-            else:
-                match_paths = names
-            seen_any = True
-            if self.at_op(",") and self.peek(1).kind == "kw" \
-                    and self.peek(1).value in ("NODES", "PATHS"):
-                self.next()
-                continue
-            break
-        if not seen_any:
+        free = {"NODES": (), "PATHS": ()}
+        if not (self.at_kw("NODES") or self.at_kw("PATHS")):
             self.error("expected NODES or PATHS after MATCH")
+        while True:
+            kw = self.next().value
+            free[kw] = tuple(self.enclosed("(", self.parse_ident_list, ")"))
+            if not (self.at_op(",") and self._ahead("kw", "NODES", "PATHS")):
+                break
+            self.next()
 
         path_constraints: List[PathConstraint] = []
         regular_constraints: List[RegularConstraint] = []
-        extra: List[ArithConstraint] = []
-
-        if self.at_kw("SUCH"):
-            self.next()
-            self.expect_kw("THAT")
-            while True:
-                path_constraints.append(self.parse_path_constraint())
-                if self.at_kw("AND"):
-                    self.next()
-                    continue
-                break
-        if self.at_kw("WHERE"):
-            self.next()
-            while True:
-                regular_constraints.append(self.parse_regular_application())
-                if self.at_kw("AND"):
-                    self.next()
-                    continue
-                break
         arith: List[ArithConstraint] = []
-        if self.at_kw("HAVING"):
-            self.next()
-            while True:
-                arith.extend(
-                    self.parse_having_comparison(path_constraints,
-                                                 regular_constraints)
-                )
-                if self.at_kw("AND"):
-                    self.next()
-                    continue
-                break
+        if self.accept("SUCH"):
+            self.expect_kw("THAT")
+            path_constraints = self.sep_list(self.parse_path_constraint, "AND")
+        if self.accept("WHERE"):
+            regular_constraints = self.sep_list(
+                self.parse_regular_application, "AND")
+        if self.accept("HAVING"):
+            for comparison in self.sep_list(
+                    lambda: self.parse_having_comparison(
+                        path_constraints, regular_constraints), "AND"):
+                arith.extend(comparison)
         return PraQuery(
-            match_nodes, match_paths,
+            free["NODES"], free["PATHS"],
             tuple(path_constraints), tuple(regular_constraints), tuple(arith),
         )
 
+    def _parse_node_var(self) -> str:
+        # a position variable is kept so that validation can reject it
+        # with the dedicated error
+        if self.peek().kind == "posvar":
+            return self.next().value.text()
+        return self.expect_ident("node variable")
+
     def parse_node_ref(self) -> NodeRef:
-        t = self.peek()
-        if t.kind == "string":
+        if self.peek().kind == "string":
             return NodeRef(self.next().value, literal=True)
-        if t.kind == "posvar":
-            # kept so validation can reject it with the dedicated error
-            return NodeRef(self.next().value.text(), literal=False)
-        return NodeRef(self.expect_ident("node variable"))
+        return NodeRef(self._parse_node_var())
 
     def parse_path_constraint(self) -> PathConstraint:
         source = self.parse_node_ref()
@@ -332,76 +312,53 @@ class Parser:
 
     def parse_regular_application(self) -> RegularConstraint:
         t = self.peek()
-        if t.kind == "ident" and self.peek(1).kind == "op" \
-                and self.peek(1).value == "(":
+        if t.kind == "ident" and self._ahead("op", "("):
             name = self.next().value
             if name not in self.macros:
                 self.error(f"unknown regex macro {name!r}", t)
             arity, body = self.macros[name]
-            self.expect_op("(")
-            args = self.parse_ident_list()
-            self.expect_op(")")
+            args = self.enclosed("(", self.parse_ident_list, ")")
             if len(args) != arity:
                 self.error(
                     f"macro {name!r} takes {arity} path(s), got {len(args)}", t
                 )
             return RegularConstraint(body, tuple(args))
         regex = self.parse_regex()
-        self.expect_op("(")
-        args = self.parse_ident_list()
-        self.expect_op(")")
+        args = self.enclosed("(", self.parse_ident_list, ")")
         if not args:
             self.error("regular constraint needs at least one path variable")
         return RegularConstraint(regex, tuple(args))
 
     def _starts_regex_primary(self) -> bool:
-        t = self.peek()
-        if t.kind == "kw" and t.value == "eps":
+        if self.at_kw("eps") or self.at_op("<"):
             return True
-        if t.kind != "op":
-            return False
-        if t.value == "<":
-            return True
-        if t.value == "(":
-            # '(' starts a grouped regex only if a regex follows; otherwise
-            # it is the path-variable list of an application
-            nxt = self.peek(1)
-            return (nxt.kind == "kw" and nxt.value == "eps") or (
-                nxt.kind == "op" and nxt.value in _REGEX_START
-            )
-        return False
+        # '(' starts a grouped regex only if a regex follows; otherwise
+        # it is the path-variable list of an application
+        return self.at_op("(") and (
+            self._ahead("kw", "eps") or self._ahead("op", "<", "("))
 
     def parse_regex(self) -> Regex:
         left = self.parse_concat()
-        while self.at_op("+"):
-            self.next()
+        while self.accept("+"):
             left = Union_(left, self.parse_concat())
         return left
 
     def parse_concat(self) -> Regex:
         left = self.parse_postfix()
-        while True:
-            if self.at_op("."):
-                self.next()
-                left = Concat(left, self.parse_postfix())
-            elif self._starts_regex_primary():
-                left = Concat(left, self.parse_postfix())
-            else:
-                return left
+        while self.accept(".") or self._starts_regex_primary():
+            left = Concat(left, self.parse_postfix())
+        return left
 
     def parse_postfix(self) -> Regex:
         r = self.parse_regex_primary()
-        while self.at_op("*"):
-            self.next()
+        while self.accept("*"):
             r = star(r)
         return r
 
     def parse_regex_primary(self) -> Regex:
-        if self.at_kw("eps"):
-            self.next()
+        if self.accept("eps"):
             return EPSILON
-        if self.at_op("("):
-            self.next()
+        if self.accept("("):
             r = self.parse_regex()
             self.expect_op(")")
             return r
@@ -411,17 +368,14 @@ class Parser:
 
     def parse_letter(self) -> Regex:
         self.expect_op("<")
-        if self.peek().kind == "ident" and self.peek().value == "T" \
-                and self.peek(1).kind == "op" and self.peek(1).value == ">":
-            self.next()
-            self.next()
+        t = self.peek()
+        if t.kind == "ident" and t.value == "T" and self._ahead("op", ">"):
+            self.pos += 2
             return Letter(TRUE_CONSTRAINT)
         lhs = self.parse_nc_atom()
-        op_tok = self.peek()
-        if not (op_tok.kind == "op" and op_tok.value in
-                ("<=", "<", "=", ">=", ">", "!=")):
+        op = self._take_op(("<=", "<", "=", ">=", ">", "!="))
+        if op is None:
             self.error("expected a comparison operator")
-        op = self.next().value
         rhs = self.parse_nc_atom()
         self.expect_op(">")
         if op == ">=":
@@ -435,29 +389,23 @@ class Parser:
             )
         return Letter(NodeConstraint(lhs, op, rhs))
 
+    def _expect_posvar(self) -> PosVar:
+        if self.peek().kind != "posvar":
+            self.error("expected a position variable (@i or @i')")
+        return self.next().value
+
     def parse_nc_atom(self):
         t = self.peek()
         if t.kind == "int":
             return ConstAtom(self.next().value)
-        if t.kind == "op" and t.value == "-":
-            self.next()
-            tok = self.peek()
-            if tok.kind != "int":
+        if self.accept("-"):
+            if self.peek().kind != "int":
                 self.error("expected an integer after '-'")
             return ConstAtom(-self.next().value)
         if t.kind == "ident":
             name = self.next().value
             self.expect_op("(")
-            args: List[PosVar] = []
-            while True:
-                tok = self.peek()
-                if tok.kind != "posvar":
-                    self.error("expected a position variable (@i or @i')")
-                args.append(self.next().value)
-                if self.at_op(","):
-                    self.next()
-                    continue
-                break
+            args = self.sep_list(self._expect_posvar)
             self.expect_op(")")
             return LabelAtom(name, tuple(args))
         self.error("expected an integer or a labelling application")
@@ -470,11 +418,9 @@ class Parser:
         regular_constraints: List[RegularConstraint],
     ) -> List[ArithConstraint]:
         lhs = self.parse_having_expr()
-        op_tok = self.peek()
-        if not (op_tok.kind == "op" and op_tok.value in
-                ("<=", "<", "=", ">=", ">")):
+        op = self._take_op(("<=", "<", "=", ">=", ">"))
+        if op is None:
             self.error("expected a comparison in HAVING")
-        op = self.next().value
         rhs = self.parse_having_expr()
 
         def materialize(side):
@@ -523,38 +469,29 @@ class Parser:
         """Linear expression: list of (coeff, kind, payload) plus a constant."""
         items: List[tuple] = []
         const = 0
-        sign = 1
-        if self.at_op("-"):
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         while True:
             c, item = self.parse_having_item(sign)
             if item is None:
                 const += c
             else:
                 items.append(item)
-            if self.at_op("+"):
-                self.next()
-                sign = 1
-            elif self.at_op("-"):
-                self.next()
-                sign = -1
-            else:
+            op = self._take_op(("+", "-"))
+            if op is None:
                 return items, const
+            sign = 1 if op == "+" else -1
 
     def parse_having_item(self, sign: int):
         t = self.peek()
         if t.kind == "int":
             value = self.next().value
-            if self.at_op("*"):
-                self.next()
-                coeff, item = self.parse_having_item(sign * value)
-                if item is None:
-                    self.error("expected an aggregate or term after '*'")
-                return coeff, item
-            return sign * value, None
-        if t.kind == "ident" and self.peek(1).kind == "op" \
-                and self.peek(1).value == "[":
+            if not self.accept("*"):
+                return sign * value, None
+            coeff, item = self.parse_having_item(sign * value)
+            if item is None:
+                self.error("expected an aggregate or term after '*'")
+            return coeff, item
+        if t.kind == "ident" and self._ahead("op", "["):
             name = self.next().value
             self.expect_op("[")
             vars_ = self.parse_ident_list()
@@ -564,19 +501,18 @@ class Parser:
             return 0, (sign, "agg", (name, tuple(vars_)))
         # comparisons bind at the HAVING level, so terms here parse at the
         # additive level; parenthesize to use a full term
-        term = self._as_value(self._parse_term_add())
+        term = self._as_value(self._parse_binary(_ADDITIVE))
         return 0, (sign, "term", term)
 
     def _auxiliary_for_term(self, term, path_constraints, regular_constraints):
         """Define `_auxN := term` and aggregate it over fresh length-1 paths."""
-        from .query import term_free_vars
         params = term_free_vars(term)
         if not params:
             # variable-free term: give it one unused existential parameter
             params = (f"_any{self._aux_n}",)
         name = f"_aux{self._aux_n}"
         self._aux_n += 1
-        self._pending_entries.append(OntologyEntry(name, params, term))
+        self._entries.append(OntologyEntry(name, params, term))
         aux_paths = []
         for v in params:
             pv = f"_len1_{v}"
@@ -594,44 +530,34 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        t = self._parse_term_impl()
-        if isinstance(t, _VarRef):
-            self.error(f"node variable {t.name!r} used as a value")
-        return t
+        return self._as_value(self._parse_term_impl())
 
     def _parse_term_impl(self):
-        left = self._parse_term_or()
-        if self.at_op("=>"):
-            self.next()
+        left = self._parse_binary(0)
+        if self.accept("=>"):
             right = self._parse_term_impl()
             left = self._as_value(left)
-            right = self._as_value(right)
-            return ApplyTerm("Max", (ApplyTerm("-", (ConstTerm(1), left)), right))
+            return ApplyTerm("Max", (_negate(left), self._as_value(right)))
         return left
 
-    def _parse_term_or(self):
-        left = self._parse_term_and()
-        while self.at_op("||"):
-            self.next()
-            right = self._parse_term_and()
-            left = ApplyTerm("Max", (self._as_value(left), self._as_value(right)))
+    def _parse_binary(self, level: int):
+        """The operators of `_TERM_LEVELS[level:]`, then a unary term."""
+        if level == len(_TERM_LEVELS):
+            return self._parse_term_unary()
+        left = self._parse_binary(level + 1)
+        ops = _TERM_LEVELS[level]
+        if ops is None:
+            op = self._take_op(_TERM_COMPARISONS)
+            if op is None:
+                return left
+            return self._comparison(op, left, self._parse_binary(level + 1))
+        while (op := self._take_op(ops)) is not None:
+            right = self._parse_binary(level + 1)
+            left = ApplyTerm(ops[op], (self._as_value(left),
+                                       self._as_value(right)))
         return left
 
-    def _parse_term_and(self):
-        left = self._parse_term_cmp()
-        while self.at_op("&&"):
-            self.next()
-            right = self._parse_term_cmp()
-            left = ApplyTerm("*", (self._as_value(left), self._as_value(right)))
-        return left
-
-    def _parse_term_cmp(self):
-        left = self._parse_term_add()
-        t = self.peek()
-        if not (t.kind == "op" and t.value in ("<=", "<", "=", "!=", ">=", ">")):
-            return left
-        op = self.next().value
-        right = self._parse_term_add()
+    def _comparison(self, op: str, left, right) -> Term:
         if op in ("=", "!="):
             if isinstance(left, _VarRef) and isinstance(right, _VarRef):
                 eq: Term = VarEqTerm(left.name, right.name)
@@ -646,9 +572,7 @@ class Parser:
                     ApplyTerm("<=", (left, right)),
                     ApplyTerm("<=", (right, left)),
                 ))
-            if op == "!=":
-                return ApplyTerm("-", (ConstTerm(1), eq))
-            return eq
+            return _negate(eq) if op == "!=" else eq
         left = self._as_value(left)
         right = self._as_value(right)
         if op == "<=":
@@ -656,73 +580,43 @@ class Parser:
         if op == ">=":
             return ApplyTerm("<=", (right, left))
         if op == "<":
-            return ApplyTerm("-", (ConstTerm(1), ApplyTerm("<=", (right, left))))
-        return ApplyTerm("-", (ConstTerm(1), ApplyTerm("<=", (left, right))))
-
-    def _parse_term_add(self):
-        left = self._parse_term_mul()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.next().value
-            right = self._parse_term_mul()
-            left = ApplyTerm(op, (self._as_value(left), self._as_value(right)))
-        return left
-
-    def _parse_term_mul(self):
-        left = self._parse_term_unary()
-        while self.at_op("*"):
-            self.next()
-            right = self._parse_term_unary()
-            left = ApplyTerm("*", (self._as_value(left), self._as_value(right)))
-        return left
-
-    def _parse_term_unary(self):
-        if self.at_op("!"):
-            self.next()
-            body = self._as_value(self._parse_term_unary())
-            return ApplyTerm("-", (ConstTerm(1), body))
-        if self.at_op("-"):
-            self.next()
-            if self.peek().kind == "int":
-                return ConstTerm(-self.next().value)
-            body = self._as_value(self._parse_term_unary())
-            return ApplyTerm("-", (ConstTerm(0), body))
-        return self._parse_term_atom()
+            return _negate(ApplyTerm("<=", (right, left)))
+        return _negate(ApplyTerm("<=", (left, right)))
 
     def _as_value(self, t):
         if isinstance(t, _VarRef):
             self.error(f"node variable {t.name!r} used as a value")
         return t
 
-    def _parse_term_atom(self):
+    def _parse_term_unary(self):
         t = self.peek()
+        if self.accept("!"):
+            return _negate(self._as_value(self._parse_term_unary()))
+        if self.accept("-"):
+            if self.peek().kind == "int":
+                return ConstTerm(-self.next().value)
+            body = self._as_value(self._parse_term_unary())
+            return ApplyTerm("-", (ConstTerm(0), body))
         if t.kind == "int":
             return ConstTerm(self.next().value)
         if t.kind == "posvar":
             return _VarRef(self.next().value.text())
-        if t.kind == "op" and t.value == "(":
-            self.next()
+        if self.accept("("):
             inner = self._parse_term_impl()
             self.expect_op(")")
             return inner
-        if t.kind == "op" and t.value == "[":
-            self.next()
-            query = self.parse_pra()
-            self.expect_op("]")
-            return IndicatorTerm(query)
+        if self.at_op("["):
+            return IndicatorTerm(self.enclosed("[", self.parse_pra, "]"))
         if t.kind == "kw" and t.value in ("min", "max"):
-            kw = self.next().value
+            cls = MinPathTerm if self.next().value == "min" else MaxPathTerm
             self.expect_op("[")
             labelling = self.expect_ident("labelling name")
             self.expect_op(",")
             path_var = self.expect_ident("path variable")
             self.expect_op("]")
-            self.expect_op("{")
-            query = self.parse_pra()
-            self.expect_op("}")
-            cls = MinPathTerm if kw == "min" else MaxPathTerm
-            return cls(labelling, path_var, query)
-        if t.kind == "kw" and t.value == "agg":
-            self.next()
+            return cls(labelling, path_var,
+                       self.enclosed("{", self.parse_pra, "}"))
+        if self.accept("agg"):
             func = self.expect_ident("aggregate function")
             if func not in AGGREGATE_FUNCS:
                 self.error(f"{func!r} is not an aggregate function")
@@ -735,31 +629,15 @@ class Parser:
             return AggTerm(func, collector, value, filt)
         if t.kind == "ident":
             name = self.next().value
-            if self.at_op("("):
-                self.next()
-                if name in AGGREGATE_FUNCS:
-                    args: List[Term] = []
-                    if not self.at_op(")"):
-                        args.append(self.parse_term())
-                        while self.at_op(","):
-                            self.next()
-                            args.append(self.parse_term())
-                    self.expect_op(")")
-                    return ApplyTerm(name, tuple(args))
-                vars_: List[str] = []
-                while True:
-                    tok = self.peek()
-                    if tok.kind == "posvar":
-                        vars_.append(self.next().value.text())
-                    else:
-                        vars_.append(self.expect_ident("node variable"))
-                    if self.at_op(","):
-                        self.next()
-                        continue
-                    break
+            if not self.accept("("):
+                return _VarRef(name)
+            if name in AGGREGATE_FUNCS:
+                args = [] if self.at_op(")") else self.sep_list(self.parse_term)
                 self.expect_op(")")
-                return LabelTerm(name, tuple(vars_))
-            return _VarRef(name)
+                return ApplyTerm(name, tuple(args))
+            vars_ = self.sep_list(self._parse_node_var)
+            self.expect_op(")")
+            return LabelTerm(name, tuple(vars_))
         self.error("expected a term")
 
 

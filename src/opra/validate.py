@@ -11,7 +11,7 @@ whatever ordering they need from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from .errors import (
     ArityMismatchError,
@@ -26,7 +26,7 @@ from .errors import (
 from .graph import Graph
 from .query import (
     AGGREGATE_FUNCS, BINARY_FUNCS,
-    AggTerm, ApplyTerm, Concat, ConstTerm, Epsilon, IndicatorTerm, LabelAtom,
+    AggTerm, ApplyTerm, Concat, ConstTerm, IndicatorTerm, LabelAtom,
     LabelTerm, Letter, MaxPathTerm, MinPathTerm, OpraQuery, PraQuery, Regex,
     RegularConstraint, Star, Term, Union_, VarEqTerm,
 )
@@ -34,10 +34,9 @@ from .query import (
 
 @dataclass(frozen=True)
 class ValidatedQuery:
-    """A query that passed validation, with the visible labelling arities."""
+    """A query that passed validation."""
 
     query: OpraQuery
-    labels: Tuple[Tuple[str, int], ...]  # name -> arity, graph then ontology
 
 
 def query_node_vars(pra: PraQuery) -> Tuple[str, ...]:
@@ -239,5 +238,4 @@ def validate(q: OpraQuery | ValidatedQuery, g: Graph) -> ValidatedQuery:
         checker.check_term(entry.term, frozenset(entry.params))
         checker.labels[entry.name] = len(entry.params)
     checker.check_pra(q.query)
-    visible = tuple(sorted(checker.labels.items()))
-    return ValidatedQuery(q, visible)
+    return ValidatedQuery(q)

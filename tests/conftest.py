@@ -1,12 +1,6 @@
-import logging
-
 import pytest
 
 from opra.corpus import fixture_graph
-
-# the map fixture's labels exceed the polynomial-magnitude cap on purpose;
-# silence the loader's warning for the whole suite
-logging.getLogger("opra.graph").setLevel(logging.ERROR)
 
 
 @pytest.fixture(scope="session")

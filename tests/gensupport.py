@@ -14,9 +14,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from opra.embedding import WeightedAutomaton
-from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling
-from opra.oracle import OracleConfig, brute_extremum
 from opra.query import (
     ArithConstraint, ArithTerm, ConstAtom, LabelAtom, Letter, NodeConstraint,
     NodeRef, OpraQuery, PathConstraint, PosVar, PraQuery, RegularConstraint,
@@ -263,23 +261,6 @@ def rand_query(rng: random.Random, g: Graph,
         arith_constraints=tuple(arith),
     )
     return OpraQuery((), pra)
-
-
-# -- oracle-side protocols ------------------------------------------------------------
-
-def oracle_two_phase(g: Graph, q, target: Tuple[str, Tuple[str, ...]],
-                     mode: str, b1: int, b2: int,
-                     max_paths: int = 5_000_000):
-    """The two-bound extremum protocol evaluated with the oracle: a
-    better value in the longer phase means the true extremum is
-    unbounded."""
-    short = brute_extremum(g, q, target, mode,
-                           OracleConfig(b1, max_paths))
-    long_ = brute_extremum(g, q, target, mode,
-                           OracleConfig(b2, max_paths))
-    if mode == "min":
-        return NEG_INF if long_ < short else short
-    return POS_INF if long_ > short else short
 
 
 # -- weighted automata ----------------------------------------------------------------

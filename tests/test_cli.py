@@ -196,3 +196,40 @@ def test_query_file_is_closed(fig2_path, qfile):
     )
     assert proc.returncode == 0
     assert "unclosed file" not in proc.stderr
+
+
+def test_check_non_decimal_digit_exit_2(capsys, qfile):
+    code, payload = run_cli(capsys, "check", "--query", qfile(
+        "MATCH PATHS (p) WHERE <T>(p) HAVING time[p] <= ²"))
+    assert code == 2
+    assert payload["kind"] == "QuerySyntaxError"
+    assert payload["error"] == "1:48: unexpected character '²'"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["extremum", "--min", "--target", "time", "--query", "q_route_sp",
+      "--target-paths", "nope"], "unknown target path variable 'nope'"),
+    (["eval", "--query", "q_route_sp", "--bound-b1", "16", "--bound-b2", "8"],
+     "bounds must satisfy 0 < b1 < b2"),
+    (["extremum", "--min", "--target", "time", "--query",
+      "MATCH NODES (s) SUCH THAT s -pi-> s WHERE <T>(pi)"],
+     "the query has no free path variable to aggregate over; "
+     "pass target_paths explicitly"),
+])
+def test_invalid_arguments_exit_2(capsys, fig2_path, qfile, argv, error):
+    argv[argv.index("--query") + 1] = qfile(argv[argv.index("--query") + 1])
+    code, payload = run_cli(capsys, *argv, "--graph", fig2_path)
+    assert code == 2
+    assert payload == {"outcome": "error", "error": error,
+                       "kind": "ValueError"}
+
+
+@pytest.mark.parametrize("flag", [
+    ["--trace"], ["--bound-b1", "8"], ["--bound-b2", "16"],
+    ["--visited-budget", "10"], ["--json"],
+])
+def test_oracle_rejects_solver_flags(capsys, fig2_path, qfile, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["oracle", "--graph", fig2_path, "--query", qfile("q_route_sp"),
+              *flag])
+    assert exit_.value.code == 2

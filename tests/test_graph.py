@@ -120,18 +120,3 @@ def test_load_errors():
     g = graph_from_dict(inf)
     assert g.label_value("w", (g.node_id("a"),)) == NEG_INF
     assert g.label_value("w", (g.node_id("b"),)) == POS_INF
-
-
-def test_magnitude_cap_warns(caplog):
-    data = {"nodes": ["a"], "labellings": {
-        "w": {"arity": 1, "entries": [["a", 10 ** 6]]}
-    }}
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="opra.graph"):
-        graph_from_dict(data)
-    assert any("magnitude" in r.message for r in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="opra.graph"):
-        graph_from_dict(data, weight_cap=10 ** 7)
-    assert not caplog.records

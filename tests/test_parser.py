@@ -155,6 +155,89 @@ def test_corpus_queries_parse():
         assert isinstance(q, OpraQuery)
 
 
+ROUTE_TAIL = "def r(p) = <T>\nMATCH PATHS (pi)\nSUCH THAT s -pi-> t\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # lexer errors
+    ("MATCH PATHS (p) WHERE <w(@) = 1>(p)", "1:26: expected digits after '@'"),
+    ('MATCH NODES (s) SUCH THAT "abc -p-> s',
+     "1:27: unterminated string literal"),
+    ('MATCH NODES (s) SUCH THAT "ab\nc" -p-> s',
+     "1:27: unterminated string literal"),
+    ("MATCH NODES (s) SUCH THAT s -p-> s $", "1:36: unexpected character '$'"),
+    ("MATCH NODES (s) SUCH THAT s\t-p-> s & t",
+     "1:36: unexpected character '&'"),
+    ("MATCH PATHS (p) HAVING w[p] <= ½", "1:32: unexpected character '½'"),
+    ("MATCH PATHS (p) HAVING w[p] <= ²", "1:32: unexpected character '²'"),
+    # parser errors; the position is that of the next token
+    ("LET f(x) := x IN MATCH NODES (s) SUCH THAT s -p-> s",
+     "1:15: node variable 'x' used as a value"),
+    ("LET f(x) := x + 1 IN MATCH NODES (s)",
+     "1:19: node variable 'x' used as a value"),
+    ("LET f(x) := 1 + x IN MATCH NODES (s)",
+     "1:19: node variable 'x' used as a value"),
+    ("LET f(x, y) := x = 1 IN MATCH NODES (s)",
+     "1:22: node variable 'x' can only be compared with another variable"),
+    ("LET f(x) := IN MATCH NODES (s) SUCH THAT s -p-> s",
+     "1:13: expected a term"),
+    ("def r(p) = <T>\ndef r(p) = <T>\nMATCH PATHS (p) WHERE r(p)",
+     "2:6: macro 'r' defined twice"),
+    (ROUTE_TAIL + "WHERE <T>(pi) AND <T><T>(pi) extra",
+     "4:30: trailing input after query"),
+    ("def r(p) = <T>\nMATCH PATHS (pi)\nWHERE <T>(pi) AND <T><T>(pi) extra",
+     "3:30: trailing input after query"),
+    ("MATCH PATHS (p) WHERE q(p)", "1:23: unknown regex macro 'q'"),
+    ("MATCH PATHS (p) WHERE <E(@1, 2) = 1>(p)",
+     "1:30: expected a position variable (@i or @i')"),
+    ("MATCH PATHS (p) WHERE <w(@1) ~ 1>(p)", "1:30: unexpected character '~'"),
+    ("MATCH PATHS (p) WHERE <w(@1) 1>(p)",
+     "1:30: expected a comparison operator"),
+    ("MATCH PATHS (p) HAVING 2 * 3 <= 1",
+     "1:30: expected an aggregate or term after '*'"),
+    ("MATCH PATHS (p) HAVING w[] <= 1",
+     "1:26: aggregate needs at least one path variable"),
+    ("MATCH NODES (s) SUCH THAT s -p-> s AND", "1:39: expected node variable"),
+    ("MATCH NODES (s,", "1:16: expected identifier"),
+    # the column does not advance over a comment
+    ("MATCH NODES (s, # c", "1:17: expected identifier"),
+    ("MATCH NODES (s,\n# c", "2:1: expected identifier"),
+    ("   # nothing\n", "2:1: empty query"),
+    ("  # nothing", "1:3: empty query"),
+])
+def test_syntax_error_messages(text, message):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+FRAGMENTS = (
+    "def", "r(p)", "=", "<T>", "<E(@1, @1') = 1>", "*", "+", ".", "eps",
+    "LET", "f(x)", ":=", "IN", "MATCH", "NODES", "PATHS", "(s, t)", "(pi)",
+    "SUCH", "THAT", "s -pi-> t", "WHERE", "HAVING", "AND", "time[pi]",
+    "<=", ">=", "!=", "<", ">", "&&", "||", "=>", "!", "-", "10", "@2'",
+    '"S"', "min[time, pi]", "{", "}", "[", "]", "(", ")", ",", ":", "agg",
+    "Max", "x", "²", "٣", "$", "é", "\t", "#", " ", "\n", '"', "@",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
+def test_parse_raises_only_syntax_errors(text):
+    try:
+        assert isinstance(parse(text), OpraQuery)
+    except QuerySyntaxError:
+        pass
+
+
+def test_unicode_digits():
+    having = "MATCH PATHS (p) WHERE <T>(p) HAVING w[p] <= "
+    assert parse(having + "٣") == parse(having + "3")
+    with pytest.raises(QuerySyntaxError) as err:
+        parse(having + "²")
+    assert str(err.value) == "1:45: unexpected character '²'"
+
+
 # -- round-trip property ----------------------------------------------------------
 
 IDENTS = st.sampled_from(["a", "b", "xs", "p0", "p1", "q2", "lab", "foo"])
