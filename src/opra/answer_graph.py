@@ -3,9 +3,11 @@
 A state couples one NFA state per regular constraint, a position index
 into the bound input paths (a counter that jumps to omega past their
 end, or is omega throughout when nothing is bound), one graph node per
-path variable, and an assignment of the tracked node variables.
-States are never materialized globally; the solver asks for start
-states, successors, weights and target-ness on demand.
+path variable, and an assignment of the tracked node variables.  A
+node literal of a path constraint is one more tracked slot, after the
+variables', whose domain is its one node, so every endpoint check
+reads a slot.  States are never materialized globally; the solver asks
+for start states, successors, weights and target-ness on demand.
 
 Most tracked node variables are fixed in the start state, one start
 state per value.  A lazy target is bound later instead: a variable
@@ -57,7 +59,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .automata import BOTTOM, Nfa, compile_regex, eval_node_constraint
 from .extint import ExtInt, ext_add, ext_mul
 from .graph import SINK, Labelling, NodeId, path_index
-from .query import ConstAtom, LabelAtom, NodeConstraint, PosVar, PraQuery
+from .query import (
+    ConstAtom, LabelAtom, NodeConstraint, NodeRef, PosVar, PraQuery,
+)
 from .validate import query_node_vars, query_path_vars
 
 OMEGA = -1  # position index once past the bound input paths
@@ -163,7 +167,6 @@ class AnswerGraph:
 
         # tracked node variables: free ones, then path-constraint ones
         self.env_vars: Tuple[str, ...] = query_node_vars(pra)
-        self._env_slot = {v: i for i, v in enumerate(self.env_vars)}
         # lazy targets: path-constraint targets that nothing fixes up front
         eager = set(bound_nodes)
         targets = set()
@@ -181,30 +184,26 @@ class AnswerGraph:
             else (UNBOUND,) if v in self.lazy_vars else reals
             for v in self.env_vars
         ]
+        # a node literal of a path constraint is one more slot, after the
+        # variables', whose domain is its one node
+        slot = {NodeRef(v): i for i, v in enumerate(self.env_vars)}
+        for pc in pra.path_constraints:
+            for ref in (pc.source, pc.target):
+                if ref not in slot:
+                    slot[ref] = len(self._domains)
+                    self._domains.append((source.node_id(ref.name),))
 
-        # per-component endpoint requirements from the path constraints
+        # per component, the slots its path constraints' endpoints read
         pidx = {v: i for i, v in enumerate(self.path_vars)}
         self._src_slots: List[List[int]] = [[] for _ in range(self.k)]
-        self._src_lits: List[List[NodeId]] = [[] for _ in range(self.k)]
         self._tgt_slots: List[List[int]] = [[] for _ in range(self.k)]
-        self._tgt_lits: List[List[NodeId]] = [[] for _ in range(self.k)]
-        self._constrained = [False] * self.k
         for pc in pra.path_constraints:
-            i = pidx[pc.path_var]
-            self._constrained[i] = True
-            if pc.source.literal:
-                self._src_lits[i].append(source.node_id(pc.source.name))
-            else:
-                self._src_slots[i].append(self._env_slot[pc.source.name])
-            if pc.target.literal:
-                self._tgt_lits[i].append(source.node_id(pc.target.name))
-            else:
-                self._tgt_slots[i].append(self._env_slot[pc.target.name])
+            self._src_slots[pidx[pc.path_var]].append(slot[pc.source])
+            self._tgt_slots[pidx[pc.path_var]].append(slot[pc.target])
         # per component, the lazy target slots its last step binds
         self._binds: List[Tuple[int, Tuple[int, ...]]] = []
         for i, slots in enumerate(self._tgt_slots):
-            lazy = tuple(s for s in slots
-                         if self.env_vars[s] in self.lazy_vars)
+            lazy = tuple(s for s in slots if self._domains[s] == (UNBOUND,))
             if lazy:
                 self._binds.append((i, lazy))
 
@@ -232,7 +231,6 @@ class AnswerGraph:
                 (t.coeff, t.labelling, tuple(pidx[v] for v in t.path_vars))
                 for t in ac.terms
             ])
-        self.m = len(self._arith)
 
         self.target: Optional[Tuple[str, Tuple[int, ...]]] = None
         if target is not None:
@@ -250,45 +248,35 @@ class AnswerGraph:
         initials = [sorted(nfa.initial) for nfa, _ in self.nfas]
         for env in itertools.product(*self._domains):
             choices: List[Tuple[NodeId, ...]] = []
-            ok = True
             for i in range(self.k):
-                p = self.bound[i]
+                p, srcs = self.bound[i], self._src_slots[i]
                 if p is not None:
-                    if self._constrained[i] and not self._endpoints_ok(i, p, env):
-                        ok = False
+                    if srcs and not self._endpoints_ok(i, p, env):
                         break
                     choices.append((path_index(p, 1) if self.N >= 1 else SINK,))
-                elif self._constrained[i]:
-                    starts = {env[s] for s in self._src_slots[i]}
-                    starts.update(self._src_lits[i])
+                elif srcs:
+                    starts = {env[s] for s in srcs}
                     if len(starts) != 1:
-                        ok = False
                         break
-                    choices.append((starts.pop(),))
+                    choices.append(tuple(starts))
                 else:
                     choices.append(self._reals + (SINK,))
-            if not ok:
-                continue
-            for nodes in itertools.product(*choices):
-                for combo in itertools.product(*initials):
-                    yield AGState(tuple(combo), self.start_pos, nodes, env)
+            else:
+                for nodes in itertools.product(*choices):
+                    for combo in itertools.product(*initials):
+                        yield AGState(tuple(combo), self.start_pos, nodes, env)
 
     def _endpoints_ok(self, i: int, p: Tuple[NodeId, ...],
                       env: Tuple[NodeId, ...]) -> bool:
-        if not p:
-            return False  # a path constraint needs a first and last node
-        if any(env[s] != p[0] for s in self._src_slots[i]):
-            return False
-        if any(lit != p[0] for lit in self._src_lits[i]):
-            return False
-        if any(env[s] != p[-1] for s in self._tgt_slots[i]):
-            return False
-        return all(lit == p[-1] for lit in self._tgt_lits[i])
+        # a path constraint needs a first and last node
+        return bool(p) and all(env[s] == p[0] for s in self._src_slots[i]) \
+            and self._can_end(i, p[-1], env)
 
     def _can_end(self, i: int, node: NodeId, env: Tuple[NodeId, ...]) -> bool:
-        if any(env[s] not in (node, UNBOUND) for s in self._tgt_slots[i]):
-            return False
-        return all(lit == node for lit in self._tgt_lits[i])
+        for s in self._tgt_slots[i]:
+            if env[s] != node and env[s] != UNBOUND:
+                return False
+        return True
 
     def _bind(self, cur: Tuple[NodeId, ...], nxt: Tuple[NodeId, ...],
               env: Tuple[NodeId, ...]) -> Optional[Tuple[NodeId, ...]]:

@@ -38,21 +38,12 @@ def ext_sum(values: Iterable[ExtInt]) -> ExtInt:
     return total
 
 
-def ext_mul(c: int, v: ExtInt) -> ExtInt:
-    """Scale by an integer coefficient; 0 * infinity is 0."""
-    if c == 0:
-        return 0
-    if is_finite(v):
-        return c * v
-    return v if c > 0 else (NEG_INF if v == POS_INF else POS_INF)
-
-
-def ext_times(a: ExtInt, b: ExtInt) -> ExtInt:
-    """General product; zero absorbs even against infinities."""
-    if a == 0 or b == 0:
-        return 0
+def ext_mul(a: ExtInt, b: ExtInt) -> ExtInt:
+    """Product; zero absorbs even against infinities."""
     if is_finite(a) and is_finite(b):
         return a * b
+    if a == 0 or b == 0:
+        return 0
     return POS_INF if (a > 0) == (b > 0) else NEG_INF
 
 
@@ -80,7 +71,7 @@ def eval_fundamental(func: str, args: Sequence[ExtInt]) -> ExtInt:
         if func == "-":
             return ext_add(a, ext_mul(-1, b))
         if func == "*":
-            return ext_times(a, b)
+            return ext_mul(a, b)
         return 1 if a <= b else 0
     raise UnknownLabellingError(f"unknown fundamental function {func!r}")
 

@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabellingError,
     UnknownNodeError,
 )
-from .extint import ExtInt, ext_add, from_json, is_finite, to_json
+from .extint import ExtInt, ext_sum, from_json, is_finite, to_json
 
 SINK = 0
 SINK_NAME = "<sink>"
@@ -165,11 +165,10 @@ def aggregate(source, name: str, paths: Sequence[Sequence[NodeId]]) -> ExtInt:
             f"got {len(paths)} paths"
         )
     s = max((len(p) for p in paths), default=0)
-    total: ExtInt = 0
-    for i in range(1, s + 1):
-        key = tuple(path_index(p, i) for p in paths)
-        total = ext_add(total, source.label_value(name, key))
-    return total
+    return ext_sum(
+        source.label_value(name, tuple(path_index(p, i) for p in paths))
+        for i in range(1, s + 1)
+    )
 
 
 # -- JSON format --------------------------------------------------------------
@@ -194,29 +193,42 @@ def graph_from_dict(data: dict) -> Graph:
     if len(index) != len(names):
         raise NameCollisionError("duplicate node name in 'nodes'")
 
+    specs = data.get("labellings") or {}
+    if not isinstance(specs, dict):
+        raise GraphLoadError("'labellings' must be an object")
     labellings = []
-    for lname, spec in (data.get("labellings") or {}).items():
+    for lname, spec in specs.items():
+        if not isinstance(spec, dict):
+            raise GraphLoadError(f"labelling {lname!r} must be an object")
         arity = spec.get("arity")
-        if not isinstance(arity, int) or arity < 1:
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
             raise GraphLoadError(f"labelling {lname!r}: arity must be a positive int")
-        default = from_json(spec.get("default", 0))
+        rows = spec.get("entries", [])
+        if not isinstance(rows, list):
+            raise GraphLoadError(
+                f"labelling {lname!r}: 'entries' must be an array")
+        shape = f"labelling {lname!r}: entry needs {arity} nodes and one value"
         entries: Dict[Tuple[int, ...], ExtInt] = {}
-        for row in spec.get("entries", []):
-            if len(row) != arity + 1:
-                raise GraphLoadError(
-                    f"labelling {lname!r}: entry needs {arity} nodes and one value"
-                )
-            try:
-                key = tuple(index[n] for n in row[:arity])
-            except KeyError as e:
-                raise UnknownNodeError(
-                    f"labelling {lname!r}: unknown node {e.args[0]!r}"
-                ) from None
-            if key in entries:
-                raise DuplicateEntryError(
-                    f"labelling {lname!r}: duplicate entry for {row[:arity]}"
-                )
-            entries[key] = from_json(row[arity])
+        try:
+            default = from_json(spec.get("default", 0))
+            for row in rows:
+                if not isinstance(row, list) or len(row) != arity + 1:
+                    raise GraphLoadError(shape)
+                try:
+                    key = tuple(index[n] for n in row[:arity])
+                except KeyError as e:
+                    raise UnknownNodeError(
+                        f"labelling {lname!r}: unknown node {e.args[0]!r}"
+                    ) from None
+                except TypeError:  # an unhashable node name, such as a list
+                    raise GraphLoadError(shape) from None
+                if key in entries:
+                    raise DuplicateEntryError(
+                        f"labelling {lname!r}: duplicate entry for {row[:arity]}"
+                    )
+                entries[key] = from_json(row[arity])
+        except ValueError as e:  # from from_json: no int, '+inf' or '-inf'
+            raise GraphLoadError(f"labelling {lname!r}: {e}") from None
         labellings.append(Labelling(lname, arity, default, entries))
 
     return Graph(names, labellings)

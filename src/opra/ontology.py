@@ -127,17 +127,13 @@ def _eval(view: ExtendedGraph, term: Term,
         )
     if isinstance(term, VarEqTerm):
         return 1 if eta[term.left] == eta[term.right] else 0
-    if isinstance(term, IndicatorTerm):
+    if isinstance(term, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        ag = AnswerGraph(view, term.query, bound_nodes=bound)
-        result = check_empty(ag, cfg=view.solve_config)
-        return 0 if result.empty else 1
-    if isinstance(term, (MinPathTerm, MaxPathTerm)):
-        bound = {v: eta[v] for v in term.query.match_nodes}
-        ag = AnswerGraph(
-            view, term.query, bound_nodes=bound,
-            target=(term.labelling, (term.path_var,)),
-        )
+        if isinstance(term, IndicatorTerm):
+            ag = AnswerGraph(view, term.query, bound_nodes=bound)
+            return 0 if check_empty(ag, cfg=view.solve_config).empty else 1
+        ag = AnswerGraph(view, term.query, bound_nodes=bound,
+                         target=(term.labelling, (term.path_var,)))
         mode = MIN if isinstance(term, MinPathTerm) else MAX
         return extremum(ag, mode, cfg=view.solve_config).value
     if isinstance(term, ApplyTerm):

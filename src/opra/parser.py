@@ -643,4 +643,8 @@ class Parser:
 
 def parse(text: str) -> OpraQuery:
     """Parse a query file into the core AST; raises QuerySyntaxError."""
-    return Parser(text).parse_file()
+    parser = Parser(text)
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        parser.error("query nested too deeply")

@@ -11,7 +11,7 @@ The printer emits canonical text that reparses to an equal AST
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 # -- node constraints (the letter alphabet of regular constraints) -------------
 

@@ -61,7 +61,6 @@ class SolveConfig:
 class SolveStats:
     expanded: int = 0
     enqueued: int = 0
-    depth: int = 0
 
 
 @dataclass
@@ -84,24 +83,22 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
     """Default search bounds, shaped like the short-witness bounds for
     fixed-dimension integer-weighted reachability: polynomial in a capped
     product-size estimate, exponential in the constraint dimension."""
-    if cfg.b1 is not None and cfg.b2 is not None:
-        if not 0 < cfg.b1 < cfg.b2:
-            raise ValueError("bounds must satisfy 0 < b1 < b2")
-        return cfg.b1, cfg.b2
-    n_nodes = len(ag.source.real_nodes) + 1
-    size = n_nodes ** ag.k * (ag.N + 2)
-    for nfa, _ in ag.nfas:
-        size *= max(nfa.n_states, 1)
-    size = min(size, _STATE_CAP)
-    w = 1
-    for terms in ag._arith:
-        for coeff, name, _ in terms:
-            w = max(w, abs(coeff) * max(1, _finite_bound(ag.source, name)))
-    if ag.target is not None:
-        w = max(w, max(1, _finite_bound(ag.source, ag.target[0])))
-    d = ag.m + 1
-    b1 = min(size * (2 * d * w * size + 1) ** d, _BOUND_CAP)
-    b1 = cfg.b1 if cfg.b1 is not None else b1
+    b1 = cfg.b1
+    if b1 is None:
+        n_nodes = len(ag.source.real_nodes) + 1
+        size = n_nodes ** ag.k * (ag.N + 2)
+        for nfa, _ in ag.nfas:
+            size *= max(nfa.n_states, 1)
+        size = min(size, _STATE_CAP)
+        w = 1
+        for terms in ag._arith:
+            for coeff, name, _ in terms:
+                bound = max(1, _finite_bound(ag.source, name))
+                w = max(w, abs(coeff) * bound)
+        if ag.target is not None:
+            w = max(w, max(1, _finite_bound(ag.source, ag.target[0])))
+        d = len(ag.bounds) + 1
+        b1 = min(size * (2 * d * w * size + 1) ** d, _BOUND_CAP)
     b2 = cfg.b2 if cfg.b2 is not None else 2 * b1
     if not 0 < b1 < b2:
         raise ValueError("bounds must satisfy 0 < b1 < b2")
@@ -119,26 +116,22 @@ def _value_range(source, name: str) -> Tuple[ExtInt, ExtInt]:
     lab = source.labellings.get(name)
     if lab is None:
         return NEG_INF, POS_INF
-    lo = hi = lab.default
-    for v in lab.entries.values():
-        lo = min(lo, v)
-        hi = max(hi, v)
-    return lo, hi
+    values = (lab.default, *lab.entries.values())
+    return min(values), max(values)
 
 
 def _monotone_components(ag: AnswerGraph) -> Tuple[bool, ...]:
-    """Components whose per-state contribution is provably >= 0."""
+    """Components whose per-state contribution is provably >= 0: every
+    term's least contribution is finite and >= 0 (all-sink positions
+    contribute 0, so 0 is always possible)."""
+    def least(coeff: int, name: str) -> ExtInt:
+        lo, hi = _value_range(ag.source, name)
+        return ext_mul(coeff, lo if coeff >= 0 else hi)
+
     flags = []
     for terms in ag._arith:
-        lo: ExtInt = 0
-        for coeff, name, _ in terms:
-            vlo, vhi = _value_range(ag.source, name)
-            contrib = ext_mul(coeff, vlo if coeff >= 0 else vhi)
-            # all-sink positions contribute 0, so 0 is always possible
-            lo = ext_add(lo, min(0, contrib)) if is_finite(contrib) else NEG_INF
-            if lo == NEG_INF:
-                break
-        flags.append(lo >= 0)
+        lows = (least(coeff, name) for coeff, name, _ in terms)
+        flags.append(all(is_finite(lo) and lo >= 0 for lo in lows))
     return tuple(flags)
 
 
@@ -271,12 +264,10 @@ class _Search:
                     key = (succ, pre2, acc2)
                     if self._admit(key, conf):
                         if goal and goal(key):
-                            self.stats.depth = depth + 1
                             yield depth + 1, [key]
                             return
                         nxt.append(key)
             depth += 1
-            self.stats.depth = depth
             level = nxt
 
     def reconstruct(self, key: _Config):

@@ -41,32 +41,20 @@ class ValidatedQuery:
 
 def query_node_vars(pra: PraQuery) -> Tuple[str, ...]:
     """Node variables: free ones first (MATCH order), then existential sorted."""
-    out = list(pra.match_nodes)
-    extra = set()
-    for pc in pra.path_constraints:
-        for ref in (pc.source, pc.target):
-            if not ref.literal and ref.name not in out:
-                extra.add(ref.name)
-    return tuple(out) + tuple(sorted(extra))
+    free = tuple(pra.match_nodes)
+    named = {ref.name for pc in pra.path_constraints
+             for ref in (pc.source, pc.target) if not ref.literal}
+    return free + tuple(sorted(named - set(free)))
 
 
 def query_path_vars(pra: PraQuery) -> Tuple[str, ...]:
     """Path variables: free ones first (MATCH order), then existential sorted."""
-    out = list(pra.match_paths)
-    extra = set()
-    for pc in pra.path_constraints:
-        if pc.path_var not in out:
-            extra.add(pc.path_var)
-    for rc in pra.regular_constraints:
-        for v in rc.path_vars:
-            if v not in out:
-                extra.add(v)
-    for ac in pra.arith_constraints:
-        for t in ac.terms:
-            for v in t.path_vars:
-                if v not in out:
-                    extra.add(v)
-    return tuple(out) + tuple(sorted(e for e in extra if e not in out))
+    free = tuple(pra.match_paths)
+    named = {pc.path_var for pc in pra.path_constraints}
+    named.update(v for rc in pra.regular_constraints for v in rc.path_vars)
+    named.update(v for ac in pra.arith_constraints for t in ac.terms
+                 for v in t.path_vars)
+    return free + tuple(sorted(named - set(free)))
 
 
 def _regex_letters(r: Regex):

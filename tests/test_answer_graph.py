@@ -7,10 +7,11 @@ import pytest
 import opra.answer_graph
 from opra.answer_graph import OMEGA, UNBOUND, AGState, AnswerGraph
 from opra.automata import eval_node_constraint, step
-from opra.engine import engine_answers
+from opra.engine import engine_answers, evaluate
 from opra.extint import ext_add
 from opra.graph import SINK, aggregate
 from opra.oracle import OracleConfig, enumerate_satisfying
+from opra.oracle import enumerate_answers as oracle_answers
 from opra.parser import parse
 from opra.query import (
     ArithConstraint, ArithTerm, Concat, ConstAtom, Letter, NodeConstraint,
@@ -393,3 +394,52 @@ def test_desk_scale_equivalence_with_oracle():
             nodes = tuple(env[v] for v in vq.query.query.match_nodes)
             want.add((nodes, tuple(paths[v] for v in ag.path_vars)))
         assert got == want, f"trial {trial} diverged"
+
+
+# (query, answer counts at bounds 3, 4 and 5)
+ENDPOINT_CASES = (
+    # two sources on one path must agree
+    ("MATCH NODES (s, u, t) SUCH THAT s -pi-> t AND u -pi-> t "
+     "WHERE route(pi)", (17, 23, 25)),
+    # a literal source beside a variable one
+    ('MATCH NODES (s, t) SUCH THAT s -pi-> t AND "S" -pi-> t '
+     "WHERE route(pi)", (4, 5, 5)),
+    # a literal target beside a variable one, on a free path
+    ('MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t AND s -pi-> "T" '
+     "WHERE route(pi)", (3, 4, 6)),
+    # no path at all: every start state is a target
+    ("MATCH NODES (x)", (5, 5, 5)),
+)
+
+
+@pytest.mark.parametrize("text, counts", ENDPOINT_CASES)
+def test_endpoint_rules_match_oracle(fig2, text, counts):
+    vq = validate(parse(ROUTE + text), fig2)
+    for bound, count in zip((3, 4, 5), counts):
+        got = engine_answers(fig2, vq, max_len=bound,
+                             cfg=SolveConfig(b1=bound, b2=bound + 1))
+        assert got == oracle_answers(fig2, vq,
+                                     OracleConfig(max_path_len=bound))
+        assert len(got) == count
+
+
+def test_path_free_query_is_met_by_a_start_state(fig2):
+    res = evaluate(fig2, "MATCH NODES (x)", cfg=CFG)
+    assert not res.empty
+    assert res.env == {"x": "S"} and res.paths == {}
+    assert res.stats.expanded == 0
+
+
+@pytest.mark.parametrize("path, empty", [
+    ("STP", False),   # ends at the literal target
+    ("ST", True),     # a route that ends elsewhere
+    ("TP", True),     # ends at the target but starts off the source
+    ("", True),       # no first or last node
+])
+def test_bound_path_against_literal_endpoints(fig2, path, empty):
+    q = ('MATCH NODES (s), PATHS (pi) SUCH THAT s -pi-> "P" AND '
+         '"S" -pi-> "P" WHERE route(pi)')
+    res = evaluate(fig2, ROUTE + q, cfg=CFG, bound_paths={"pi": list(path)})
+    assert res.empty is empty
+    if not empty:
+        assert res.env == {"s": "S"} and res.paths == {"pi": list(path)}

@@ -233,3 +233,36 @@ def test_oracle_rejects_solver_flags(capsys, fig2_path, qfile, flag):
         main(["oracle", "--graph", fig2_path, "--query", qfile("q_route_sp"),
               *flag])
     assert exit_.value.code == 2
+
+
+def test_check_dumps_nfas(capsys, fig2_path, qfile):
+    code, payload = run_cli(capsys, "check", "--graph", fig2_path,
+                            "--query", qfile("q_route_sp"), "--dump-nfa")
+    assert code == 0
+    assert payload["outcome"] == "ok"
+    assert payload["ontology_entries"] == 0
+    [dump] = payload["nfa_dumps"]
+    lines = dump.splitlines()
+    for flag in ("INITIAL ", "FINAL "):
+        assert any(line.startswith(flag) for line in lines)
+    assert any(line.split()[1] == "BOT" for line in lines
+               if line.split()[0].isdigit())
+
+
+def test_eval_malformed_labelling_exit_2(capsys, tmp_path, qfile):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"nodes": ["S"], "labellings": {"w": 5}}),
+                     encoding="utf-8")
+    code, payload = run_cli(capsys, "eval", "--graph", str(graph),
+                            "--query", qfile("MATCH NODES (s)"))
+    assert code == 2
+    assert payload["kind"] == "GraphLoadError"
+
+
+def test_check_deep_nesting_exit_2(capsys, qfile):
+    text = "LET f(x) := " + "Max(" * 120 + "1" + ")" * 120 \
+        + "\nIN MATCH NODES (s)"
+    code, payload = run_cli(capsys, "check", "--query", qfile(text))
+    assert code == 2
+    assert payload["kind"] == "QuerySyntaxError"
+    assert payload["error"].endswith("query nested too deeply")

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from opra.errors import IndeterminateSumError
 from opra.extint import (
-    NEG_INF, POS_INF, ext_add, ext_compare, ext_mul, ext_sum, ext_times,
+    NEG_INF, POS_INF, ext_add, ext_compare, ext_mul, ext_sum,
     from_json, is_finite, to_json,
 )
 
@@ -29,8 +29,8 @@ def test_scaling():
     assert ext_mul(0, POS_INF) == 0
     assert ext_mul(-2, POS_INF) == NEG_INF
     assert ext_mul(3, -4) == -12
-    assert ext_times(POS_INF, NEG_INF) == NEG_INF
-    assert ext_times(0, NEG_INF) == 0
+    assert ext_mul(POS_INF, NEG_INF) == NEG_INF
+    assert ext_mul(0, NEG_INF) == 0
 
 
 def test_compare_ops():

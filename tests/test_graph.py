@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opra.errors import (
-    ArityMismatchError, DuplicateEntryError, NameCollisionError,
-    UnknownLabellingError, UnknownNodeError,
+    ArityMismatchError, DuplicateEntryError, GraphLoadError,
+    NameCollisionError, UnknownLabellingError, UnknownNodeError,
 )
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import (
@@ -120,3 +120,20 @@ def test_load_errors():
     g = graph_from_dict(inf)
     assert g.label_value("w", (g.node_id("a"),)) == NEG_INF
     assert g.label_value("w", (g.node_id("b"),)) == POS_INF
+
+
+@pytest.mark.parametrize("labellings", [
+    {"w": 5},
+    [1],
+    {"w": {"arity": True}},
+    {"w": {"arity": 1, "entries": [7]}},
+    {"w": {"arity": 1, "entries": 5}},
+    {"w": {"arity": 1, "entries": [[["a"], 1]]}},
+    {"w": {"arity": 1, "default": [1]}},
+    {"w": {"arity": 1, "entries": [["a", "x"]]}},
+], ids=["spec", "labellings", "arity", "entry", "entries", "node",
+        "default", "value"])
+def test_malformed_labelling_is_load_error(labellings):
+    with pytest.raises(GraphLoadError) as err:
+        graph_from_dict({"nodes": ["a"], "labellings": labellings})
+    assert type(err.value) is GraphLoadError

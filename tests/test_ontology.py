@@ -309,3 +309,25 @@ def test_oracle_term_eval_agrees(fig2, node):
             eta = {"x": x, "y": y}
             assert eval_term(eg, term, eta) == \
                 oracle_eval_term(view, term, eta)
+
+
+@pytest.mark.parametrize("kind, having", [
+    ("min", ""),
+    # the cap leaves some pairs without a path: the -inf convention
+    ("max", "HAVING time[rho] <= 150"),
+])
+def test_oracle_nested_extrema_agree(fig2, kind, having):
+    text = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
+            f"LET f(x, y) := {kind}[time, rho]{{ MATCH NODES (x, y), "
+            "PATHS (rho) SUCH THAT x -rho-> y WHERE route(rho) "
+            f"{having} }} IN MATCH NODES (s)")
+    term = entry_term(fig2, text, "f")
+    eg = extend(fig2, solve_config=CFG)
+    view = OracleView(fig2, (), OracleConfig(max_path_len=8))
+    values = []
+    for x in fig2.real_nodes:
+        for y in fig2.real_nodes:
+            eta = {"x": x, "y": y}
+            values.append(eval_term(eg, term, eta))
+            assert values[-1] == oracle_eval_term(view, term, eta)
+    assert (NEG_INF in values) == (kind == "max")

@@ -379,3 +379,15 @@ def _regex_app(r):
     from opra.query import regex_text
 
     return f"{regex_text(r)} (p)"
+
+
+@pytest.mark.parametrize("text, at", [
+    ("LET f(x) := " + "Max(" * 120 + "1" + ")" * 120 + " IN MATCH NODES (s)",
+     "Max"),
+    ("MATCH PATHS (p) WHERE " + "(" * 300 + "<T>" + ")" * 300 + "(p)", "("),
+], ids=["term", "regex"])
+def test_deep_nesting_is_syntax_error(text, at):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse(text)
+    assert str(err.value).endswith(": query nested too deeply")
+    assert text[err.value.column - 1:].startswith(at)
