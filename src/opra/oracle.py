@@ -39,7 +39,10 @@ from .query import (
     Letter, MaxPathTerm, MinPathTerm, OntologyEntry, OpraQuery, PraQuery,
     Regex, Star, Term, Union_, VarEqTerm,
 )
-from .validate import ValidatedQuery, query_node_vars, query_path_vars
+from .parser import parse
+from .validate import (
+    ValidatedQuery, query_node_vars, query_path_vars, validate,
+)
 
 
 @dataclass
@@ -340,14 +343,18 @@ def oracle_eval_term(view: OracleView, term: Term,
 
 # -- public query-level entry points ---------------------------------------------
 
-def _unwrap(q) -> OpraQuery:
+def _unwrap(g: Graph, q) -> OpraQuery:
+    """The query itself: text is parsed and validated against g, as the
+    engine does."""
+    if isinstance(q, str):
+        q = validate(parse(q), g)
     if isinstance(q, ValidatedQuery):
         return q.query
     return q
 
 
 def oracle_source(g: Graph, q, cfg: OracleConfig) -> OracleView:
-    return OracleView(g, _unwrap(q).ontology, cfg)
+    return OracleView(g, _unwrap(g, q).ontology, cfg)
 
 
 def enumerate_answers(g: Graph, q, cfg: OracleConfig,
@@ -355,8 +362,8 @@ def enumerate_answers(g: Graph, q, cfg: OracleConfig,
     """All assignments to the free variables for which some assignment to
     the existential ones (paths within the length bound) satisfies every
     constraint.  Returns a set of (free-node tuple, free-path tuple)."""
-    opra = _unwrap(q)
-    view = oracle_source(g, q, cfg)
+    opra = _unwrap(g, q)
+    view = oracle_source(g, opra, cfg)
     pra = opra.query
     answers = set()
     for env, paths in enumerate_satisfying(view, pra, cfg,
@@ -372,8 +379,8 @@ def brute_extremum(g: Graph, q, target: Tuple[str, Tuple[str, ...]],
                    bound_nodes=None) -> ExtInt:
     """Min or max of the target aggregate over all satisfying assignments
     within the length bound; empty set gives +inf (min) / -inf (max)."""
-    opra = _unwrap(q)
-    view = oracle_source(g, q, cfg)
+    opra = _unwrap(g, q)
+    view = oracle_source(g, opra, cfg)
     name, path_sel = target
     best: Optional[ExtInt] = None
     for _, paths in enumerate_satisfying(view, opra.query, cfg, bound_nodes):

@@ -27,13 +27,35 @@ path of length at most b2 satisfies the constraints at all, the result
 is the empty-set convention (+inf for MIN, -inf for MAX).  The default
 bounds grow with a capped product-size estimate and are overridable;
 completeness holds for instances whose witnesses fit under b2.
+
+Derived bounds run into the thousands or to their cap, too far to walk
+an improving cycle up to them, so when neither bound is pinned the
+extremum search also recognises the cycle itself (Karp-Miller
+acceleration in the direction where satisfaction is monotone).  With
+accumulated vectors sign-normalised so the target is minimised:
+
+  * pump: a newly admitted c2 = (st, pre, a') with an ancestor
+    c1 = (st, pre, a), both finite, a' <= a componentwise and a' < a on
+    the target, closes a cycle that keeps every constraint component no
+    larger and lowers the target.  If a goal search from c1 over the
+    constraint components finds a completion d within b2 - depth(c1)
+    whose target is not +inf, the extremum is unbounded: a + k(a' - a) + d
+    <= a + d meets every bound for every k.  The ancestor chain is only
+    walked when a' replaces a stored vector of (st, pre) with a lower
+    target, so searches that do not pump pay nothing for it;
+  * dead key: when that goal search finds nothing, a's constraint part
+    is recorded for (st, pre), and a later configuration there whose
+    constraint part is >= it is not admitted: breadth-first order puts
+    it at depth >= depth(c1), so it has no completion within b2 either.
+
+Pinned bounds keep the two-bound rule alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .answer_graph import AGState, AnswerGraph
 from .errors import ResourceExceededError
@@ -82,7 +104,8 @@ class ExtremumResult:
 def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
     """Default search bounds, shaped like the short-witness bounds for
     fixed-dimension integer-weighted reachability: polynomial in a capped
-    product-size estimate, exponential in the constraint dimension."""
+    product-size estimate, exponential in the constraint dimension.  A
+    pinned b2 alone caps the derived b1 at b2 // 2."""
     b1 = cfg.b1
     if b1 is None:
         n_nodes = len(ag.source.real_nodes) + 1
@@ -99,6 +122,8 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
             w = max(w, max(1, _finite_bound(ag.source, ag.target[0])))
         d = len(ag.bounds) + 1
         b1 = min(size * (2 * d * w * size + 1) ** d, _BOUND_CAP)
+        if cfg.b2 is not None:
+            b1 = min(b1, cfg.b2 // 2)  # as b2 = 2 * b1 when b2 is derived
     b2 = cfg.b2 if cfg.b2 is not None else 2 * b1
     if not 0 < b1 < b2:
         raise ValueError("bounds must satisfy 0 < b1 < b2")
@@ -159,8 +184,11 @@ class _Dominance:
         return True
 
 
-def _sat(acc: Sequence[ExtInt], bounds: Sequence[int]) -> bool:
-    return all(a <= c for a, c in zip(acc, bounds))
+def _le(u: Sequence[ExtInt], v: Sequence[ExtInt]) -> bool:
+    """u <= v componentwise over the shorter of the two: compared with
+    the bounds or with a vector of constraint components, a target column
+    after the constraint components is left out."""
+    return all(a <= b for a, b in zip(u, v))
 
 
 class _Search:
@@ -174,14 +202,15 @@ class _Search:
 
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig,
                  with_target: bool = False, sign: int = 1,
-                 tracked: Sequence[int] = ()):
+                 tracked: Sequence[int] = (),
+                 stats: Optional[SolveStats] = None):
         self.ag = ag
         self.bounds = ag.bounds
         self.cfg = cfg
         self.with_target = with_target
         self.sign = sign  # -1 turns a maximised target into a minimised one
         self.tracked = tuple(tracked)
-        self.stats = SolveStats()
+        self.stats = SolveStats() if stats is None else stats
         self.dom = _Dominance()
         self.parent: Dict[_Config, Optional[_Config]] = {}
         self.monotone = _monotone_components(ag)
@@ -220,19 +249,23 @@ class _Search:
         return True
 
     def levels(self, max_depth: int,
-               goal: Optional[Callable[[_Config], bool]] = None):
+               goal: Optional[Callable[[_Config], bool]] = None,
+               _starts: Optional[Iterable[_Config]] = None):
         """Yield (depth, configs-at-depth) up to max_depth; stops early
         when the frontier dies out.  With `goal`, the first admitted
         configuration that meets it, in generation order, is yielded
         alone as the last level, before the rest of its level is built.
+        `_starts` replaces the answer graph's start configurations.
         Each expanded state is logged at DEBUG on `opra.solver`.
         """
         tracked = self.tracked
         trace = logger.isEnabledFor(logging.DEBUG)
-        empty = tuple(() for _ in tracked)
+        if _starts is None:
+            empty = tuple(() for _ in tracked)
+            _starts = ((st, self.prefixes(st, empty), self.weight_vec(st))
+                       for st in self.ag.start_states())
         level = []
-        for st in self.ag.start_states():
-            key = (st, self.prefixes(st, empty), self.weight_vec(st))
+        for key in _starts:
             if self._admit(key, None):
                 if goal and goal(key):
                     yield 0, [key]
@@ -279,6 +312,100 @@ class _Search:
         return self.ag.decode(chain)
 
 
+def _first_target(search: _Search, max_depth: int,
+                  starts: Optional[Iterable[_Config]] = None
+                  ) -> Optional[_Config]:
+    """The first admitted target that meets every bound within max_depth,
+    in generation order, or None."""
+    ag = search.ag
+
+    def goal(key: _Config) -> bool:
+        return ag.is_target(key[0]) and _le(key[2], ag.bounds)
+
+    for _, level in search.levels(max_depth, goal, starts):
+        # only the last level, that one configuration, can meet the goal
+        if goal(level[0]):
+            return level[0]
+    return None
+
+
+class _Completion(_Search):
+    """Goal search over the constraint components from a pumped prefix.
+    A state whose target term is +inf after sign normalisation is not
+    entered: a path through it has value +inf however often the cycle is
+    pumped."""
+
+    def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
+        if ext_mul(self.sign, self.ag.extremum_weight(key[0])) == POS_INF:
+            return False
+        return super()._admit(key, parent)
+
+
+class _PumpSearch(_Search):
+    """The extremum search under derived bounds: the pump and dead-key
+    rules of the module docstring on top of dominance."""
+
+    def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int,
+                 b2: int):
+        super().__init__(ag, cfg, with_target=True, sign=sign)
+        self.b2 = b2
+        self.dead: Dict[Tuple[AGState, _Prefixes],
+                        List[Tuple[ExtInt, ...]]] = {}
+        self.unbounded = False
+
+    def pumped(self, key: _Config) -> bool:
+        """`levels` goal: the last admitted configuration closed a
+        pumpable cycle that has a completion."""
+        return self.unbounded
+
+    def _dead(self, key: _Config) -> bool:
+        st, pre, acc = key
+        return any(_le(d, acc) for d in self.dead.get((st, pre), ()))
+
+    def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
+        st, pre, acc = key
+        if self._dead(key):
+            return False
+        old = self.dom.store.get((st, pre), ())
+        if not super()._admit(key, parent):
+            return False
+        # acc replaced a stored vector (the antichain did not grow), and
+        # one it replaced has a higher target
+        if len(self.dom.store[st, pre]) <= len(old) and \
+                any(acc[-1] < v[-1] and _le(acc, v) for v in old):
+            self.unbounded = self._pumps(key)
+        return True
+
+    def _pumps(self, c2: _Config) -> bool:
+        """Does an ancestor c1 of c2 close a pumpable cycle with a
+        completion?  Each c1 searched from without one becomes a dead
+        key."""
+        st, pre, a2 = c2
+        # an infinite component stays infinite along a path, so a finite
+        # a2 has finite ancestors
+        if not all(is_finite(x) for x in a2):
+            return False
+        chain = []
+        key = self.parent[c2]
+        while key is not None:
+            chain.append(key)
+            key = self.parent[key]
+        for i, c1 in enumerate(chain):
+            st1, pre1, a1 = c1
+            # an ancestor a dead key covers is not searched from again
+            if st1 != st or pre1 != pre or not a2[-1] < a1[-1] \
+                    or not _le(a2, a1) or self._dead(c1):
+                continue
+            start = (st, pre, a1[:-1])
+            depth = len(chain) - 1 - i
+            comp = _Completion(self.ag, self.cfg, sign=self.sign,
+                               stats=self.stats)
+            if _first_target(comp, self.b2 - depth, [start]) is not None:
+                return True
+            self.dead.setdefault((st, pre), []).append(start[2])
+        return False
+
+
 def check_empty(ag: AnswerGraph,
                 cfg: Optional[SolveConfig] = None) -> EmptinessResult:
     """Is there a start-to-target product path meeting every arithmetical
@@ -290,16 +417,11 @@ def check_empty(ag: AnswerGraph,
     cfg = cfg or SolveConfig()
     _, b2 = derive_bounds(ag, cfg)
     search = _Search(ag, cfg)
-
-    def goal(key: _Config) -> bool:
-        return ag.is_target(key[0]) and _sat(key[2], ag.bounds)
-
-    for _, level in search.levels(b2, goal):
-        # only the last level, that one configuration, can meet the goal
-        if goal(level[0]):
-            env, paths = search.reconstruct(level[0])
-            return EmptinessResult(False, env, paths, search.stats)
-    return EmptinessResult(True, stats=search.stats)
+    hit = _first_target(search, b2)
+    if hit is None:
+        return EmptinessResult(True, stats=search.stats)
+    env, paths = search.reconstruct(hit)
+    return EmptinessResult(False, env, paths, search.stats)
 
 
 MIN = "min"
@@ -313,6 +435,14 @@ def extremum(ag: AnswerGraph, mode: str,
     Phase 1 takes the best value over paths of length <= b1; any strictly
     better path with length in (b1, b2] makes the result -inf (MIN) or
     +inf (MAX); no satisfying path at all gives the empty-set convention.
+
+    When neither bound is pinned, a cycle that lowers the sign-normalised
+    target and raises no constraint component, followed by a completion
+    that meets the bounds within b2, gives -inf (MIN) or +inf (MAX) at
+    once, with no witness: pumping the cycle k times keeps every bound
+    and lowers the target by k times the cycle's gain.  A prefix whose
+    cycle has no completion is a dead key: no later configuration with
+    its state and at least its constraint components is explored.
     """
     if ag.target is None:
         raise ValueError("answer graph was built without a target labelling")
@@ -321,14 +451,21 @@ def extremum(ag: AnswerGraph, mode: str,
     cfg = cfg or SolveConfig()
     b1, b2 = derive_bounds(ag, cfg)
     sign = 1 if mode == MIN else -1
-    search = _Search(ag, cfg, with_target=True, sign=sign)
+    if cfg.b1 is None and cfg.b2 is None:
+        search = _PumpSearch(ag, cfg, sign, b2)
+        stop = search.pumped
+    else:
+        search = _Search(ag, cfg, with_target=True, sign=sign)
+        stop = None
 
     best: Optional[ExtInt] = None
     best_key = None
-    for depth, level in search.levels(b2):
+    for depth, level in search.levels(b2, stop):
+        if stop and stop(level[0]):
+            return ExtremumResult(ext_mul(sign, NEG_INF), stats=search.stats)
         for key in level:
             st, _, acc = key
-            if not ag.is_target(st) or not _sat(acc, ag.bounds):
+            if not ag.is_target(st) or not _le(acc, ag.bounds):
                 continue
             value = acc[-1]
             if depth <= b1:
@@ -370,6 +507,6 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
     answers = set()
     for _, level in search.levels(max_len):
         for st, prefixes, acc in level:
-            if ag.is_target(st) and _sat(acc, ag.bounds):
+            if ag.is_target(st) and _le(acc, ag.bounds):
                 answers.add((st.env[:n_free_nodes], prefixes))
     return answers, search.stats

@@ -9,8 +9,11 @@ up the enumeration.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from opra.embedding import WeightedAutomaton
@@ -265,6 +268,26 @@ def rand_query(rng: random.Random, g: Graph,
 
 # -- weighted automata ----------------------------------------------------------------
 
+# runs of a weighted automaton are the routes of its automaton graph from
+# an initial-flagged transition to a final-flagged one
+RUN_QUERY = """
+def route(p) = <E(@1, @1') = 1>* <T>
+MATCH PATHS (pi)
+WHERE route(pi) AND <initial(@1) = 1> <T>*(pi) AND <T>* <final(@1) = 1>(pi)
+"""
+
+
+def rand_automaton(rng: random.Random) -> WeightedAutomaton:
+    """Any automaton on 2-5 states with 2-8 transitions of weight -1/0/1,
+    from q0 to the last state: cycles of every sign, on a run or off it,
+    and automata with no run at all."""
+    n = rng.randint(2, 5)
+    states = tuple(f"q{i}" for i in range(n))
+    trans = {(rng.choice(states), rng.choice("ab"), rng.choice((-1, 0, 1)),
+              rng.choice(states)) for _ in range(rng.randint(2, 8))}
+    return WeightedAutomaton(states, (states[0],), (states[-1],),
+                             tuple(sorted(trans)))
+
 def rand_automaton_with_negative_cycle(rng: random.Random) -> WeightedAutomaton:
     """Automaton whose transition graph has an all-(-1) cycle within two
     steps of an initial transition and two steps of a final one, so a
@@ -465,3 +488,20 @@ def all_paths(nodes: Sequence[int], max_len: int):
     yield ()
     for length in range(1, max_len + 1):
         yield from itertools.product(nodes, repeat=length)
+
+
+# -- the benchmark's own modules ------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of perfbench/, imported unedited from its file; its plain
+    imports of sibling modules (workloads imports reference) resolve
+    there too."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+

@@ -47,6 +47,16 @@ def test_eval_route_non_empty(capsys, fig2_path, qfile):
     assert payload["expanded"] > 0
 
 
+def test_eval_pinned_b2_alone(capsys, fig2_path, qfile):
+    # the derived b1 (2 628 here) is capped at b2 // 2
+    code, payload = run_cli(
+        capsys, "eval", "--graph", fig2_path, "--query", qfile("q_route_sp"),
+        "--bound-b2", "40",
+    )
+    assert code == 0
+    assert payload["witness"] == [["S", "T", "P"]]
+
+
 def test_eval_trace_logs_each_expanded_state(capsys, caplog, fig2_path,
                                              qfile):
     solver_log = logging.getLogger("opra.solver")
@@ -136,6 +146,19 @@ def test_extremum_unbounded_max(capsys, fig2_path, qfile):
     assert code == 0
     assert payload["value"] == "+inf"
     assert payload["witness"] is None
+
+
+def test_extremum_unbounded_max_derived_bounds(capsys, fig2_path, qfile):
+    # with no bounds given, the improving cycle S T P B S is pumped at once
+    code, payload = run_cli(
+        capsys, "extremum", "--max", "--target", "attr",
+        "--graph", fig2_path, "--query", qfile("q_route_sp"),
+        "--visited-budget", "20000",
+    )
+    assert code == 0
+    assert payload["value"] == "+inf"
+    assert payload["witness"] is None
+    assert payload["expanded"] <= 50
 
 
 def test_oracle_subcommand(capsys, fig2_path, qfile):

@@ -16,7 +16,8 @@ from opra.solver import MIN, SolveConfig, extremum
 from opra.validate import validate
 
 from gensupport import (
-    automaton_graph_has_pumpable_negative_cycle, rand_dag_automaton,
+    RUN_QUERY, automaton_graph_has_pumpable_negative_cycle,
+    rand_dag_automaton,
 )
 
 
@@ -90,13 +91,6 @@ def test_automaton_graph_chained_transitions():
     second = g.node_id("t1")
     assert g.label_value("E", (first, second)) == 1
     assert g.label_value("E", (second, first)) == 0
-
-
-RUN_QUERY = """
-def route(p) = <E(@1, @1') = 1>* <T>
-MATCH PATHS (pi)
-WHERE route(pi) AND <initial(@1) = 1> <T>*(pi) AND <T>* <final(@1) = 1>(pi)
-"""
 
 
 def test_negative_loop_gives_unbounded_minimum():

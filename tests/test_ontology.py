@@ -119,6 +119,9 @@ def test_rule_min_max_over_paths(fig2, node):
     assert eval_term(eg, term, {"x": node("W"), "y": node("T")}) == 195
     worst = MaxPathTerm(term.labelling, term.path_var, term.query)
     assert eval_term(eg, worst, eta) == POS_INF  # pumpable cycle
+    # under derived bounds the nested search recognises the cycle itself
+    derived = extend(fig2, solve_config=SolveConfig(visited_budget=2_000))
+    assert eval_term(derived, worst, eta) == POS_INF
     # an unsatisfiable side condition empties the path set
     empty_text = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
                   "LET best(x, y) := min[time, p]{ MATCH NODES (x, y), "

@@ -30,6 +30,17 @@ def test_route_answers_contain_stp(fig2, node):
     assert ((node("S"), node("P")), (stp,)) in answers
 
 
+def test_query_text_answers_as_its_validated_query(fig2):
+    # the oracle takes query text as the engine does
+    cfg = OracleConfig(max_path_len=4)
+    vq = validate(parse(ROUTE_ST), fig2)
+    assert enumerate_answers(fig2, ROUTE_ST, cfg) \
+        == enumerate_answers(fig2, vq, cfg)
+    target = ("time", ("pi",))
+    assert brute_extremum(fig2, ROUTE_ST, target, "min", cfg) \
+        == brute_extremum(fig2, vq, target, "min", cfg)
+
+
 def test_unsatisfiable_query_is_empty(fig2):
     text = "MATCH PATHS (p) WHERE <1 = 0>(p)"
     vq = validate(parse(text), fig2)

@@ -6,9 +6,6 @@ per-layer counter at zero.  This runs one small operation of each kind
 under the tracer, as the benchmark's traced runs do.
 """
 
-import importlib.util
-from pathlib import Path
-
 import opra.engine
 import opra.ontology
 from opra import solver
@@ -16,21 +13,13 @@ from opra.corpus import CORPUS_CONFIG, fixture_graph, load_query
 from opra.engine import engine_answers, evaluate, evaluate_extremum
 from opra.ontology import extend
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from gensupport import load_perfbench
 
 def test_tracer_counts_every_layer():
     g = fixture_graph()
     route = load_query("q_route_sp", g)
     nested = load_query("processed_labellings", g)
-    tr = load_tracer().Tracer()
+    tr = load_perfbench("tracer").Tracer()
     tr.install()
     try:
         assert not evaluate(g, route, CORPUS_CONFIG).empty
@@ -51,7 +40,7 @@ def test_tracer_counts_every_layer():
 def test_tracer_counts_one_start_state_per_source():
     # free (s, t): t is bound when the path ends, so one start per s
     g = fixture_graph()
-    tr = load_tracer().Tracer()
+    tr = load_perfbench("tracer").Tracer()
     tr.install()
     try:
         res = evaluate(g, "def route(p) = <E(@1, @1') = 1>* <T>\n"
@@ -61,3 +50,13 @@ def test_tracer_counts_one_start_state_per_source():
         tr.uninstall()
     assert not res.empty
     assert tr.count("answer_graph.start_states") == len(g.real_nodes)
+
+
+def test_automaton_extrema_round_answers_every_operation():
+    # the round includes the two unbounded extrema under default bounds
+    # (MIN over a pumpable automaton, MAX attr over fig2's q_route_sp)
+    # that the benchmark marks as known faults
+    case = load_perfbench("workloads").WORKLOADS["automaton_extrema"](1)
+    for op in case.ops(case.setup()):
+        assert op.check(op.run()), op.name
+

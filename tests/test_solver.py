@@ -4,12 +4,13 @@ from dataclasses import replace
 import pytest
 
 from opra.answer_graph import AnswerGraph
+from opra.embedding import WeightedAutomaton, build_automaton_graph
 from opra.errors import ResourceExceededError
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling, aggregate
 from opra.oracle import (
-    OracleConfig, enumerate_answers, enumerate_satisfying, oracle_source,
-    oracle_two_phase,
+    OracleConfig, brute_extremum, enumerate_answers, enumerate_satisfying,
+    oracle_source, oracle_two_phase,
 )
 from opra.parser import parse
 from opra.query import (
@@ -21,7 +22,9 @@ from opra.solver import (
 )
 from opra.validate import validate
 
-from gensupport import rand_instance, rand_timed_graph
+from gensupport import (
+    RUN_QUERY, load_perfbench, rand_automaton, rand_instance, rand_timed_graph,
+)
 
 CFG = SolveConfig(b1=8, b2=16)
 
@@ -116,6 +119,8 @@ def test_default_bounds_shape(fig2):
     assert 0 < b1 < b2 == 2 * b1
     with pytest.raises(ValueError):
         derive_bounds(ag, SolveConfig(b1=5, b2=5))
+    # a pinned b2 alone halves into b1, as a derived b2 doubles b1
+    assert derive_bounds(ag, SolveConfig(b2=40)) == (20, 40)
 
 
 def test_oracle_agreement_randomized():
@@ -175,3 +180,131 @@ def test_extremum_witness_replays_value(fig2):
         if res.witness is None:
             continue
         assert aggregate(g, "w0", [res.witness[target_var]]) == res.value
+
+
+# -- unbounded extrema under derived bounds: pumping -----------------------------
+
+def _automaton(states, transitions):
+    return build_automaton_graph(WeightedAutomaton(
+        states, (states[0],), (states[-1],), transitions))
+
+
+def _run_extremum(g, mode: str, having: str = "", target: str = "weight",
+                  budget: int = 20_000):
+    pra = validate(parse(RUN_QUERY + having), g).query.query
+    ag = AnswerGraph(g, pra, target=(target, ("pi",)))
+    return extremum(ag, mode, cfg=SolveConfig(visited_budget=budget))
+
+
+@pytest.mark.parametrize("having", [
+    "",
+    # the loop lowers the bounded weight too, so more laps stay within it
+    "HAVING weight[pi] <= -3",
+])
+def test_derived_bounds_pump_an_improving_cycle(having):
+    # q0 -a/-1-> q0 lowers the weight of an accepting run on every lap
+    g = _automaton(("q0", "q1"), (("q0", "a", -1, "q0"), ("q0", "a", 0, "q1")))
+    res = _run_extremum(g, MIN, having)
+    assert res.value == NEG_INF
+    assert res.witness is None
+
+
+def test_derived_bounds_pump_fig2_max_attr(fig2):
+    # each lap S T P B S adds 73 to attr
+    ag = AnswerGraph(fig2, _route_sp(fig2), target=("attr", ("pi",)))
+    res = extremum(ag, MAX, cfg=SolveConfig())
+    assert res.value == POS_INF
+    assert res.witness is None
+    assert res.stats.expanded <= 50
+
+
+def test_cycle_raising_a_having_component_is_not_pumped(fig2):
+    # each cycle improves the target but raises the bounded component, so
+    # the bound caps the laps; every node adds at least 10 time or 1
+    # letter, so the oracle's length bound covers every path within it
+    route_sp = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
+                'MATCH PATHS (pi) SUCH THAT "S" -pi-> "P" WHERE route(pi)\n')
+    # the route s m u enters the loop u w u with more letters and less
+    # weight than s u, and a later lap of s u replaces it, so the pump
+    # test meets the first lap, with fewer letters, among the ancestors
+    loop = _automaton(("s", "m", "u", "w", "f"), (
+        ("s", "a", 0, "u"), ("s", "b", -1, "m"), ("m", "b", 0, "u"),
+        ("u", "a", -1, "w"), ("w", "a", -1, "u"), ("u", "a", 0, "f")))
+    cases = [
+        # a lap S T P B S adds 73 attr and 95 time: two fit before T P
+        (fig2, route_sp + "HAVING time[pi] <= 360", "attr", MAX, 36,
+         5 + 2 * 73 + 40 + 30),
+        # a lap u w u takes 2 weight off and adds 2 letters
+        (loop, RUN_QUERY + "HAVING letter[pi] <= 6", "weight", MIN, 6, -4),
+    ]
+    for g, text, target, mode, max_len, want in cases:
+        pra = validate(parse(text), g).query.query
+        ag = AnswerGraph(g, pra, target=(target, ("pi",)))
+        got = extremum(ag, mode, cfg=SolveConfig()).value
+        oracle = brute_extremum(g, text, (target, ("pi",)), mode,
+                                OracleConfig(max_path_len=max_len))
+        assert got == oracle == want
+
+
+def test_cycle_keeping_the_target_is_not_pumped():
+    # the 0-weight loop on u only adds letters, which lowers the bounded
+    # component -letter[pi]: the minimum is 0 (s -a/-1-> u, one lap, out),
+    # not -inf.  A cycle that lowers a constraint component is not
+    # recognised at all, so this search runs out of budget.
+    g = _automaton(("s", "u", "f"), (
+        ("s", "a", -1, "u"), ("s", "b", 1, "u"), ("u", "a", 0, "u"),
+        ("u", "a", 1, "f")))
+    with pytest.raises(ResourceExceededError):
+        _run_extremum(g, MIN, "HAVING letter[pi] >= 3", budget=2_000)
+
+
+def test_pump_needs_a_completion_with_a_finite_target():
+    # the loop on a lowers w, but every route ends at b, where w is +inf
+    g = Graph(["a", "b"], [
+        Labelling("E", 2, 0, {(1, 1): 1, (1, 2): 1}),
+        Labelling("w", 1, 0, {(1,): -1, (2,): POS_INF}),
+    ])
+    text = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
+            'MATCH PATHS (pi) SUCH THAT "a" -pi-> "b" WHERE route(pi)')
+    ag = AnswerGraph(g, validate(parse(text), g).query.query,
+                     target=("w", ("pi",)))
+    res = extremum(ag, MIN, cfg=SolveConfig(visited_budget=5_000))
+    assert res.value == POS_INF
+
+
+Q4 = ("q0", "q1", "q2", "q3")
+
+
+@pytest.mark.parametrize("g, mode, having, target, want", [
+    # the cycle q0 q2 q0 raises the weight, but the final q3 is unreachable
+    (_automaton(Q4, (("q0", "a", 1, "q2"), ("q2", "b", 0, "q1"),
+                     ("q2", "b", 1, "q0"))), MAX, "", "weight", NEG_INF),
+    # the -1 loop on q1 leads nowhere; q3 is only reached from q2
+    (_automaton(Q4, (("q0", "b", 1, "q1"), ("q1", "b", -1, "q1"),
+                     ("q2", "a", -1, "q3"), ("q2", "a", 1, "q2"),
+                     ("q3", "a", 0, "q0"))), MIN, "", "weight", POS_INF),
+    # every lap of the loop on u adds a letter; s -a/1-> u leaves it over
+    # the weight bound and becomes a dead key, the lighter route through
+    # m1..m4 reaches the loop later and must still pump it
+    (_automaton(("s", "m1", "m2", "m3", "m4", "u", "f"), (
+        ("s", "a", 1, "u"), ("s", "a", -1, "m1"), ("m1", "a", 0, "m2"),
+        ("m2", "a", 0, "m3"), ("m3", "a", 0, "m4"), ("m4", "a", 0, "u"),
+        ("u", "a", 0, "u"), ("u", "a", 0, "f"))),
+     MAX, "HAVING weight[pi] <= 0", "letter", POS_INF),
+])
+def test_improving_cycle_without_completion(g, mode, having, target, want):
+    res = _run_extremum(g, mode, having, target, budget=5_000)
+    assert res.value == want
+
+
+def test_derived_bounds_match_bellman_ford_on_random_automata():
+    reference = load_perfbench("reference")
+    rng = random.Random(20171012)
+    for trial in range(120):
+        wa = rand_automaton(rng)
+        g = build_automaton_graph(wa)
+        for mode in (MIN, MAX):
+            got = _run_extremum(g, mode, budget=5_000).value
+            want = reference.automaton_extremum(
+                wa.initial, wa.final, wa.transitions, mode)
+            assert got == want, f"trial {trial} {mode}: {wa}"
