@@ -6,8 +6,9 @@ end, or is omega throughout when nothing is bound), one graph node per
 path variable, and an assignment of the tracked node variables.  A
 node literal of a path constraint is one more tracked slot, after the
 variables', whose domain is its one node, so every endpoint check
-reads a slot.  States are never materialized globally; the solver asks
-for start states, successors, weights and target-ness on demand.
+reads a slot.  A state is an `AGState` named tuple, so hashing and
+equality run in C.  States are never materialized globally; the solver
+asks for start states, successors, weights and target-ness on demand.
 
 Most tracked node variables are fixed in the start state, one start
 state per value.  A lazy target is bound later instead: a variable
@@ -45,18 +46,19 @@ when each such letter reads `L(@1, @1') = c` or `c = L(@1, @1')` with L
 a stored labelling and c other than its default, the passing nodes are
 among L's index targets of u at c, and the component's real choices are
 the intersection of these unions over its single-component NFAs.  Any
-other letter leaves all real nodes as candidates.  Every candidate is
-then evaluated against every letter as before, so the surviving states,
-and with them answers, witnesses and extrema, are unchanged.
+other letter leaves all real nodes as candidates.  Each candidate is
+then tested against its NFA state's entry in the move table
+(`Nfa.moves`).  Weights read stored labellings straight from their
+entries and add plain ints as ints, other values by the extended rules.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .automata import BOTTOM, Nfa, compile_regex, eval_node_constraint
+from .automata import Nfa, compile_regex, eval_node_constraint
 from .extint import ExtInt, ext_add, ext_mul
 from .graph import SINK, Labelling, NodeId, path_index
 from .query import (
@@ -93,23 +95,12 @@ def _index_key(letter: NodeConstraint, source) -> Optional[IndexKey]:
 def _state_index_keys(nfa: Nfa, source) -> StateKeys:
     """Per NFA state, the index keys of its letters into live states, or
     None when one of those letters has no index key."""
-    out: StateKeys = []
-    for state in range(nfa.n_states):
-        keys: Optional[List[IndexKey]] = []
-        for letter, dst in nfa.by_state.get(state, ()):
-            if letter is BOTTOM or dst not in nfa.live:
-                continue
-            key = _index_key(letter, source)
-            if key is None:
-                keys = None
-                break
-            keys.append(key)
-        out.append(None if keys is None else tuple(keys))
-    return out
+    keys = [[_index_key(letter, source) for letter, _, live in real if live]
+            for _, real in nfa.moves]
+    return [None if None in k else tuple(k) for k in keys]
 
 
-@dataclass(frozen=True)
-class AGState:
+class AGState(NamedTuple):
     nfa_states: Tuple[int, ...]
     pos: int
     nodes: Tuple[NodeId, ...]
@@ -221,26 +212,29 @@ class AnswerGraph:
                 self._narrowers[sel[0]].append(
                     (j, _state_index_keys(nfa, source)))
 
-        # arithmetical constraints: (terms, bound) with component selectors
-        self._arith: List[List[Tuple[int, str, Tuple[int, ...]]]] = []
+        # arithmetical constraints: (coeff, labelling, reader) terms per
+        # row, and the rows' bounds
+        self._arith = [
+            [(t.coeff, t.labelling, self._reader(
+                t.labelling, tuple(pidx[v] for v in t.path_vars)))
+             for t in ac.terms]
+            for ac in pra.arith_constraints
+        ]
         self.bounds: Tuple[int, ...] = tuple(
             ac.bound for ac in pra.arith_constraints
         )
-        for ac in pra.arith_constraints:
-            self._arith.append([
-                (t.coeff, t.labelling, tuple(pidx[v] for v in t.path_vars))
-                for t in ac.terms
-            ])
 
-        self.target: Optional[Tuple[str, Tuple[int, ...]]] = None
+        self.target = None  # (labelling, reader)
         if target is not None:
             name, path_sel = target
             for v in path_sel:
                 if v not in pidx:
                     raise ValueError(f"unknown target path variable {v!r}")
-            self.target = (name, tuple(pidx[v] for v in path_sel))
+            self.target = (name, self._reader(
+                name, tuple(pidx[v] for v in path_sel)))
 
         self._reals = reals
+        self._sinks = (SINK,) * self.k
 
     # -- start and target states -----------------------------------------
 
@@ -295,20 +289,15 @@ class AnswerGraph:
         return env
 
     def is_target(self, st: AGState) -> bool:
-        if st.pos != OMEGA or any(n != SINK for n in st.nodes):
-            return False
-        return all(
+        return st.pos == OMEGA and st.nodes == self._sinks and all(
             st.nfa_states[j] in nfa.final
-            for j, (nfa, _) in enumerate(self.nfas)
-        )
+            for j, (nfa, _) in enumerate(self.nfas))
 
     # -- transitions --------------------------------------------------------
 
     def successors(self, st: AGState) -> List[AGState]:
-        if st.pos == OMEGA:
-            nxt_pos = OMEGA
-        else:
-            nxt_pos = st.pos + 1 if st.pos < self.N else OMEGA
+        nxt_pos = st.pos + 1 if st.pos != OMEGA and st.pos < self.N \
+            else OMEGA
 
         choices: List[Sequence[NodeId]] = []
         for i in range(self.k):
@@ -337,74 +326,87 @@ class AnswerGraph:
                     reals += (SINK,)
                 choices.append(reals)
 
+        # per NFA: selector, all-sink selection, current nodes, BOTTOM
+        # moves once its paths have all terminated (else None), real moves
+        nfa_steps = []
+        for (nfa, sel), state in zip(self.nfas, st.nfa_states):
+            sinks = (SINK,) * len(sel)
+            cur = tuple([st.nodes[c] for c in sel])
+            bottom, real = nfa.moves[state]
+            nfa_steps.append(
+                (sel, sinks, cur, bottom if cur == sinks else None, real))
+        # an NFA that reads fewer components than vary meets each of its
+        # next-node selections more than once: evaluate its letters once
+        dsts_memo: Dict[Tuple[int, Tuple[NodeId, ...]], List[int]] = {}
         out = set()
-        move_cache: List[Dict[Tuple[NodeId, ...], List[Tuple[int, ...]]]] = [
-            {} for _ in self.nfas
-        ]
-        cur_sels = [
-            tuple(st.nodes[c] for c in sel) for _, sel in self.nfas
-        ]
         for nodes in itertools.product(*choices):
             env = self._bind(st.nodes, nodes, st.env)
             if env is None:
                 continue
-            per_nfa: List[List[int]] = []
-            feasible = True
-            for j, (nfa, sel) in enumerate(self.nfas):
-                nxt_sel = tuple(nodes[c] for c in sel)
-                cached = move_cache[j].get(nxt_sel)
-                if cached is None:
-                    cur = cur_sels[j]
-                    terminated = all(c == SINK for c in cur)
-                    closing = all(c == SINK for c in nxt_sel)
-                    moves = []
-                    for letter, dst in nfa.by_state.get(st.nfa_states[j], ()):
-                        if (letter is BOTTOM) != terminated:
-                            continue
-                        if not closing and dst not in nfa.live:
-                            continue  # a real node could not leave dst
-                        if terminated or eval_node_constraint(
-                                self.source, letter, cur, nxt_sel):
-                            moves.append(dst)
-                    cached = sorted(set(moves))
-                    move_cache[j][nxt_sel] = cached
-                if not cached:
-                    feasible = False
+            per_nfa = []
+            for j, (sel, sinks, cur, dsts, real) in enumerate(nfa_steps):
+                if dsts is None:
+                    nxt = tuple([nodes[c] for c in sel])
+                    dsts = dsts_memo.get((j, nxt))
+                    if dsts is None:
+                        # only a closing move may enter a state not live
+                        closing = nxt == sinks
+                        dsts = dsts_memo[j, nxt] = [
+                            dst for letter, dst, live in real
+                            if (live or closing) and eval_node_constraint(
+                                self.source, letter, cur, nxt)
+                        ]
+                if not dsts:
                     break
-                per_nfa.append(cached)
-            if not feasible:
-                continue
-            for combo in itertools.product(*per_nfa):
-                out.add(AGState(tuple(combo), nxt_pos, nodes, env))
-        return sorted(out, key=lambda s: (s.nodes, s.nfa_states, s.pos))
+                per_nfa.append(dsts)
+            else:
+                out.update(AGState(combo, nxt_pos, nodes, env)
+                           for combo in itertools.product(*per_nfa))
+        # pos is the same for all and env follows from nodes
+        return sorted(out, key=itemgetter(2, 0))  # (nodes, nfa_states)
 
     # -- weights --------------------------------------------------------------
+
+    def _reader(self, name: str, sel: Tuple[int, ...]):
+        """`name` at the nodes `sel` picks from a node tuple; 0 when all
+        are the sink, as a positionwise sum stops at its longest path.
+        Only a stored labelling of the right arity is read directly."""
+        source, sinks = self.source, (SINK,) * len(sel)
+        lab = source.labellings.get(name)
+        if lab is not None and lab.arity != len(sel):
+            lab = None  # the source raises for it
+
+        def read(nodes: Tuple[NodeId, ...]) -> ExtInt:
+            key = tuple([nodes[c] for c in sel])
+            if key == sinks:
+                return 0
+            if lab is None:
+                return source.label_value(name, key)
+            return lab.entries.get(key, lab.default)
+
+        return read
 
     def weight(self, st: AGState) -> Tuple[ExtInt, ...]:
         """Per-constraint contribution of this state's node tuple.
 
-        A term whose selected components are all sink contributes 0: the
-        positionwise sum it models stops at the longest selected path.
+        Plain ints add and multiply as ints; any other value takes the
+        extended-integer rules, so opposite infinities raise and a huge
+        int next to an infinity never meets float arithmetic.
         """
-        return tuple(
-            self._linear_value(terms, st.nodes) for terms in self._arith
-        )
+        out = []
+        for terms in self._arith:
+            total: ExtInt = 0
+            for coeff, _, read in terms:
+                v = read(st.nodes)
+                if type(v) is int and type(total) is int:
+                    total += coeff * v
+                else:
+                    total = ext_add(total, ext_mul(coeff, v))
+            out.append(total)
+        return tuple(out)
 
     def extremum_weight(self, st: AGState) -> ExtInt:
-        name, sel = self.target
-        return self._term_value(1, name, sel, st.nodes)
-
-    def _linear_value(self, terms, nodes) -> ExtInt:
-        total: ExtInt = 0
-        for coeff, name, sel in terms:
-            total = ext_add(total, self._term_value(coeff, name, sel, nodes))
-        return total
-
-    def _term_value(self, coeff, name, sel, nodes) -> ExtInt:
-        key = tuple(nodes[c] for c in sel)
-        if all(n == SINK for n in key):
-            return 0
-        return ext_mul(coeff, self.source.label_value(name, key))
+        return self.target[1](st.nodes)
 
     # -- decoding ----------------------------------------------------------------
 

@@ -11,17 +11,22 @@ BOTTOM moves only in that situation and real letters only otherwise, so
 runs read exactly the word induced by the paths and then idle on BOTTOM.
 A state with at least one real-letter move is *live*; the others can
 only idle on BOTTOM, so a run may enter one only on its last real letter.
+
+`compile_regex` also builds each `Nfa`'s move table `moves`, indexed by
+state: the state's BOTTOM destinations, and its real-letter moves as
+(letter, destination, destination is live) in transition order.  A step
+reads one entry per current state instead of scanning the transitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .extint import ext_compare
 from .graph import SINK, NodeId, path_index
 from .query import (
-    Concat, ConstAtom, Epsilon, Letter, NodeConstraint, Regex, Star, Union_,
+    Concat, Epsilon, Letter, NodeConstraint, Regex, Star, Union_,
 )
 
 
@@ -40,17 +45,8 @@ def eval_node_constraint(source, letter, cur: Sequence[NodeId],
     """Evaluate a letter on the current/next node tuples of the k paths."""
     if letter is BOTTOM:
         return all(c == SINK for c in cur)
-
-    def atom_value(atom):
-        if isinstance(atom, ConstAtom):
-            return atom.value
-        key = tuple(
-            nxt[pv.index - 1] if pv.primed else cur[pv.index - 1]
-            for pv in atom.args
-        )
-        return source.label_value(atom.labelling, key)
-
-    return ext_compare(letter.op, atom_value(letter.lhs), atom_value(letter.rhs))
+    return ext_compare(letter.op, letter.lhs.read(source, cur, nxt),
+                       letter.rhs.read(source, cur, nxt))
 
 
 @dataclass
@@ -60,12 +56,7 @@ class Nfa:
     initial: FrozenSet[int]
     final: FrozenSet[int]
     live: FrozenSet[int]  # states with at least one real-letter move
-    by_state: Dict[int, List[Tuple[object, int]]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.by_state:
-            for src, letter, dst in self.transitions:
-                self.by_state.setdefault(src, []).append((letter, dst))
+    moves: Tuple[tuple, ...]  # per state: BOTTOM dsts, (letter, dst, live)
 
     def dump(self) -> str:
         """Line-based text form: one line per state flag and transition."""
@@ -158,28 +149,27 @@ def compile_regex(regex: Regex) -> Nfa:
 
     order = sorted(reach)
     renumber = {old: new for new, old in enumerate(order)}
-    transitions: List[Tuple[int, object, int]] = []
-    finals = set()
-    for old in order:
-        if final in closures[old]:
-            finals.add(renumber[old])
-        for letter, t in out[old]:
-            transitions.append((renumber[old], letter, renumber[t]))
-    for f in sorted(finals):
-        transitions.append((f, BOTTOM, f))
+    finals = frozenset(renumber[s] for s in order if final in closures[s])
+    moves = tuple(
+        ((new,) if new in finals else (),  # the BOTTOM self-loop
+         tuple((letter, renumber[t], bool(out[t])) for letter, t in out[old]))
+        for new, old in enumerate(order))
+    transitions = [(src, letter, dst) for src, (_, real) in enumerate(moves)
+                   for letter, dst, _ in real]
+    transitions += [(f, BOTTOM, f) for f in sorted(finals)]
     return Nfa(
         n_states=len(order),
         transitions=tuple(transitions),
         initial=frozenset({renumber[init]}),
-        final=frozenset(finals),
-        live=frozenset(src for src, letter, _ in transitions
-                       if letter is not BOTTOM),
+        final=finals,
+        live=frozenset(s for s, (_, real) in enumerate(moves) if real),
+        moves=moves,
     )
 
 
 def step(source, nfa: Nfa, states: Iterable[int], cur: Sequence[NodeId],
          nxt: Sequence[NodeId]) -> FrozenSet[int]:
-    """One simulation step over all states, with the BOTTOM gating.
+    """One simulation step over all states, read from `nfa.moves`.
 
     Once every constrained path has terminated (all current nodes are the
     sink) only BOTTOM moves are offered; before that, only real letters.
@@ -187,11 +177,12 @@ def step(source, nfa: Nfa, states: Iterable[int], cur: Sequence[NodeId],
     terminated = all(c == SINK for c in cur)
     out = set()
     for s in states:
-        for letter, dst in nfa.by_state.get(s, ()):
-            if (letter is BOTTOM) != terminated:
-                continue
-            if terminated or eval_node_constraint(source, letter, cur, nxt):
-                out.add(dst)
+        bottom, real = nfa.moves[s]
+        if terminated:
+            out.update(bottom)
+        else:
+            out.update(dst for letter, dst, _ in real
+                       if eval_node_constraint(source, letter, cur, nxt))
     return frozenset(out)
 
 
@@ -201,8 +192,9 @@ def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
     Builds the letters (p_1[i], p_1[i+1], ..., p_k[i], p_k[i+1]) for i up
     to the longest path's length and simulates the NFA on exactly those.
     Used for differential testing only: the oracle calls `step` as it
-    extends each path prefix, and `AnswerGraph.successors` evaluates the
-    letters itself.
+    extends each path prefix, and `AnswerGraph.successors` reads the same
+    `Nfa.moves` table but evaluates the letters itself, with its live-state
+    filter.
     """
     s = max((len(p) for p in paths), default=0)
     states: FrozenSet[int] = nfa.initial

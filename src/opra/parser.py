@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from .errors import QuerySyntaxError
@@ -44,10 +45,10 @@ from .query import (
     Term, Union_, VarEqTerm, term_free_vars,
 )
 
-KEYWORDS = {
+KEYWORDS = frozenset({
     "LET", "IN", "MATCH", "NODES", "PATHS", "SUCH", "THAT", "WHERE",
     "HAVING", "AND", "def", "min", "max", "agg", "eps",
-}
+})
 
 # `\d` is a decimal digit (what int() accepts) and `\w` a character for
 # which isalnum() holds, or `_`.  A word that starts with a non-decimal
@@ -61,8 +62,8 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
-_BAD_START = {"@": "expected digits after '@'",
-              '"': "unterminated string literal"}
+_BAD_START = MappingProxyType({"@": "expected digits after '@'",
+                               '"': "unterminated string literal"})
 
 
 @dataclass(frozen=True)

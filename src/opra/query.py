@@ -33,6 +33,9 @@ class ConstAtom:
     def text(self) -> str:
         return str(self.value)
 
+    def read(self, source, cur, nxt) -> int:
+        return self.value
+
 
 @dataclass(frozen=True)
 class LabelAtom:
@@ -41,6 +44,12 @@ class LabelAtom:
 
     def text(self) -> str:
         return f"{self.labelling}({', '.join(a.text() for a in self.args)})"
+
+    def read(self, source, cur, nxt):  # at the nodes its arguments name
+        return source.label_value(self.labelling, tuple([
+            nxt[pv.index - 1] if pv.primed else cur[pv.index - 1]
+            for pv in self.args
+        ]))
 
 
 Atom = Union[ConstAtom, LabelAtom]

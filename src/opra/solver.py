@@ -49,12 +49,20 @@ accumulated vectors sign-normalised so the target is minimised:
     it at depth >= depth(c1), so it has no completion within b2 either.
 
 Pinned bounds keep the two-bound rule alone.
+
+A search may expand one product state at several weights, so it
+memoises the state's successors with their weight vectors on its first
+expansion and reads them on later ones.  Both depend only on the state
+and the view, and the memo keeps the answer graph's order, so
+generation order, dominance outcomes and witnesses stay the same.  The
+memo belongs to the search object and dies with it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import le
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .answer_graph import AGState, AnswerGraph
@@ -175,12 +183,9 @@ class _Dominance:
             self.store[state] = [acc]
             return True
         for v in vecs:
-            if all(a <= b for a, b in zip(v, acc)):
+            if _le(v, acc):
                 return False
-        self.store[state] = [
-            v for v in vecs if not all(a <= b for a, b in zip(acc, v))
-        ]
-        self.store[state].append(acc)
+        self.store[state] = [v for v in vecs if not _le(acc, v)] + [acc]
         return True
 
 
@@ -188,7 +193,7 @@ def _le(u: Sequence[ExtInt], v: Sequence[ExtInt]) -> bool:
     """u <= v componentwise over the shorter of the two: compared with
     the bounds or with a vector of constraint components, a target column
     after the constraint components is left out."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 class _Search:
@@ -214,12 +219,23 @@ class _Search:
         self.dom = _Dominance()
         self.parent: Dict[_Config, Optional[_Config]] = {}
         self.monotone = _monotone_components(ag)
+        # per expanded state, its successors with their weight vectors
+        self.memo: Dict[AGState, List[Tuple[AGState, tuple]]] = {}
 
     def weight_vec(self, st: AGState) -> Tuple[ExtInt, ...]:
         w = self.ag.weight(st)
         if self.with_target:
             w = w + (ext_mul(self.sign, self.ag.extremum_weight(st)),)
         return w
+
+    def _expand(self, st: AGState):
+        """st's successors with their weight vectors, each weighed when the
+        search reaches it; memoised once all are, never a partial list."""
+        out = []
+        for succ in self.ag.successors(st):
+            out.append((succ, self.weight_vec(succ)))
+            yield out[-1]
+        self.memo[st] = out
 
     def prune_monotone(self, acc: Tuple[ExtInt, ...]) -> bool:
         for i, mono in enumerate(self.monotone):
@@ -288,11 +304,13 @@ class _Search:
                 if trace:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
-                for succ in self.ag.successors(st):
-                    acc2 = tuple(
-                        ext_add(a, w)
-                        for a, w in zip(acc, self.weight_vec(succ))
-                    )
+                moves = self.memo.get(st)
+                for succ, w in self._expand(st) if moves is None else moves:
+                    acc2 = tuple([
+                        a + b if type(a) is int and type(b) is int
+                        else ext_add(a, b)
+                        for a, b in zip(acc, w)
+                    ])
                     pre2 = self.prefixes(succ, pre) if tracked else ()
                     key = (succ, pre2, acc2)
                     if self._admit(key, conf):

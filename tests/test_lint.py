@@ -31,3 +31,34 @@ def unused_imports(tree: ast.Module):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unused_imports(tree) == []
+
+
+MUTABLE_CALLS = ("dict", "list", "set")
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set,
+                    ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def module_mutable_state(tree: ast.Module):
+    """(line, name) of each module-level name bound to a dict, list or set
+    display or call: state that every caller in the process would share."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, MUTABLE_DISPLAYS) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in MUTABLE_CALLS):
+            found += [(node.lineno, ast.unparse(t)) for t in targets]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_level_mutable_state(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert module_mutable_state(tree) == []

@@ -60,3 +60,19 @@ def test_automaton_extrema_round_answers_every_operation():
     for op in case.ops(case.setup()):
         assert op.check(op.run()), op.name
 
+
+def test_route_fixed_round_keeps_its_search():
+    # the expanded and enqueued counts of seed 1's route_fixed round pin
+    # its search: memoised successors save successor calls, never a
+    # configuration
+    case = load_perfbench("workloads").WORKLOADS["route_fixed"](1)
+    ops = case.ops(case.setup())
+    tr = load_perfbench("tracer").Tracer()
+    tr.install()
+    try:
+        for op in ops:
+            assert op.check(op.run()), op.name
+    finally:
+        tr.uninstall()
+    assert tr.count("solver.expanded") == 2801
+    assert tr.count("solver.enqueued") == 2832

@@ -5,7 +5,7 @@ import pytest
 
 from opra.answer_graph import AnswerGraph
 from opra.embedding import WeightedAutomaton, build_automaton_graph
-from opra.errors import ResourceExceededError
+from opra.errors import IndeterminateSumError, ResourceExceededError
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling, aggregate
 from opra.oracle import (
@@ -165,6 +165,95 @@ def test_free_endpoints_stop_at_first_target():
     res = check_empty(AnswerGraph(g, pra), cfg=SolveConfig(b1=40, b2=80))
     assert not res.empty
     assert res.stats.expanded <= n + 1
+
+
+def test_each_state_is_expanded_once_per_search(monkeypatch):
+    # the searches expand 102 and 160 configurations over 82 and 91
+    # distinct states: a state reached again at another weight reads its
+    # successors from the search's memo, and stats, value and witness
+    # are pinned
+    g = rand_timed_graph(random.Random(3), n=100, degree=3)
+    pra = validate(parse(
+        "def route(p) = <E(@1, @1') = 1>* <T>\n"
+        'MATCH PATHS (pi) SUCH THAT "n0" -pi-> "n57" WHERE route(pi)\n'
+        "HAVING time[pi] <= 40"), g).query.query
+    cfg = SolveConfig(b1=12, b2=24)
+    calls = []
+    successors = AnswerGraph.successors
+
+    def counted(ag, st):
+        calls.append(st)
+        return successors(ag, st)
+
+    monkeypatch.setattr(AnswerGraph, "successors", counted)
+    names = lambda path: [g.node_name(v) for v in path]
+
+    res = check_empty(AnswerGraph(g, pra), cfg=cfg)
+    assert (res.stats.expanded, res.stats.enqueued) == (102, 134)
+    assert names(res.paths["pi"]) == ["n0", "n69", "n76", "n86", "n82",
+                                      "n57"]
+    assert len(calls) == len(set(calls)) == 82
+
+    calls.clear()
+    res = extremum(AnswerGraph(g, pra, target=("time", ("pi",))), MIN,
+                   cfg=cfg)
+    assert (res.stats.expanded, res.stats.enqueued) == (160, 160)
+    assert res.value == 27
+    assert names(res.witness["pi"]) == ["n0", "n30", "n73", "n64", "n86",
+                                        "n82", "n57"]
+    assert len(calls) == len(set(calls)) == 91
+
+
+def _abc_route(g, having):
+    return validate(parse(
+        "def route(p) = <E(@1, @1') = 1>* <T>\n"
+        'MATCH PATHS (pi) SUCH THAT "a" -pi-> "c" WHERE route(pi)\n'
+        + having), g).query.query
+
+
+ABC_EDGES = Labelling("E", 2, 0, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+
+
+def test_opposite_infinities_in_one_row_raise():
+    g = Graph(["a", "b", "c"], [
+        ABC_EDGES, Labelling("hi", 1, 0, {(1,): POS_INF}),
+        Labelling("lo", 1, 0, {(1,): NEG_INF})])
+    pra = _abc_route(g, "HAVING hi[pi] + lo[pi] <= 0")
+    with pytest.raises(IndeterminateSumError):
+        check_empty(AnswerGraph(g, pra), cfg=CFG)
+    # from b, the first successor closes the path into a target, and the
+    # search stops there before it weighs the one at a
+    g = Graph(["a", "b", "c"], [
+        Labelling("E", 2, 0, {(2, 1): 1}),
+        Labelling("hi", 1, 0, {(1,): POS_INF}),
+        Labelling("lo", 1, 0, {(1,): NEG_INF})])
+    pra = validate(parse(
+        "def route(p) = <E(@1, @1') = 1>* <T>\n"
+        'MATCH PATHS (pi) SUCH THAT "b" -pi-> "b" WHERE route(pi)\n'
+        "HAVING hi[pi] + lo[pi] <= 0"), g).query.query
+    assert check_empty(AnswerGraph(g, pra), cfg=CFG).paths["pi"] == (2,)
+
+
+def test_huge_int_next_to_infinity_stays_exact():
+    # a row sums 10**400 and +inf on one step, and a path adds +inf to
+    # 10**400: extended-int rules, never int + float (an OverflowError)
+    big = 10 ** 400
+    g = Graph(["a", "b", "c"], [
+        ABC_EDGES, Labelling("big", 1, 0, {(1,): big, (2,): POS_INF,
+                                           (3,): big}),
+        Labelling("top", 1, 0, {(1,): POS_INF})])
+    pra = _abc_route(g, "HAVING big[pi] + top[pi] >= 0 "
+                        f"AND big[pi] <= {10 * big}")
+    res = check_empty(AnswerGraph(g, pra), cfg=CFG)
+    assert res.paths["pi"] == (1, 3)
+    ag = AnswerGraph(g, pra, target=("big", ("pi",)))
+    for mode in (MIN, MAX):
+        res = extremum(ag, mode, cfg=CFG)
+        assert (res.value, res.witness["pi"]) == (2 * big, (1, 3))
+    pra = _abc_route(g, "HAVING big[pi] + top[pi] >= 0")
+    res = extremum(AnswerGraph(g, pra, target=("big", ("pi",))), MAX,
+                   cfg=CFG)
+    assert (res.value, res.witness["pi"]) == (POS_INF, (1, 2, 3))
 
 
 def test_extremum_witness_replays_value(fig2):
