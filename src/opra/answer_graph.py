@@ -42,25 +42,30 @@ real-letter move (not live) only when all its selected next nodes are
 the sink, because from there a real node could never take another step.
 Candidate narrowing: for an NFA whose selector is one component at a
 real node u, every real next node must pass a letter into a live state;
-when each such letter reads `L(@1, @1') = c` or `c = L(@1, @1')` with L
-a stored labelling and c other than its default, the passing nodes are
-among L's index targets of u at c, and the component's real choices are
-the intersection of these unions over its single-component NFAs.  Any
-other letter leaves all real nodes as candidates.  Each candidate is
-then tested against its NFA state's entry in the move table
-(`Nfa.moves`).  Weights read stored labellings straight from their
-entries and add plain ints as ints, other values by the extended rules.
+when each such letter reads `L(@1, @1') = c` or `L(@1', @1) = c` (or
+either with its sides swapped) and the source's `step_targets` bounds
+it, the passing nodes are among those targets of u, and the
+component's real choices are the intersection of these unions over its
+single-component NFAs.  The source answers for stored labellings at
+any value but their default, and an ontology view also for the defined
+shapes `ontology` lists; the lookups are resolved when the product is
+built.  Any other letter leaves all real nodes as candidates.  Each candidate is then tested against its NFA state's
+entry in the move table (`Nfa.moves`).  Weights read stored labellings
+straight from their entries and add plain ints as ints, other values
+by the extended rules.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .automata import Nfa, compile_regex, eval_node_constraint
 from .extint import ExtInt, ext_add, ext_mul
-from .graph import SINK, Labelling, NodeId, path_index
+from .graph import SINK, NodeId, path_index
 from .query import (
     ConstAtom, LabelAtom, NodeConstraint, NodeRef, PosVar, PraQuery,
 )
@@ -69,32 +74,31 @@ from .validate import query_node_vars, query_path_vars
 OMEGA = -1  # position index once past the bound input paths
 UNBOUND = -1  # env value of a lazy target before its component ends
 
-# (labelling, value): the index lookup that bounds a letter's next nodes
-IndexKey = Tuple[Labelling, ExtInt]
-# per NFA state: its letters' index keys, or None for a full scan
-StateKeys = List[Optional[Tuple[IndexKey, ...]]]
+# per real node, a set holding every real next node a letter admits
+Targets = Mapping[NodeId, FrozenSet[NodeId]]
+# per NFA state: its letters' targets, or None for a full scan
+StateKeys = List[Optional[Tuple[Targets, ...]]]
 _STEP_ARGS = (PosVar(1), PosVar(1, True))
 
 
-def _index_key(letter: NodeConstraint, source) -> Optional[IndexKey]:
-    """(L, c) for `L(@1, @1') = c` or `c = L(@1, @1')` with L stored and
-    c not L's default, whose true next nodes are L's index targets at c;
-    None for any other letter."""
+def _index_key(letter: NodeConstraint, source) -> Optional[Targets]:
+    """The source's step targets of `L(@1, @1') = c` or `L(@1', @1) = c`,
+    either side first; None for any other letter or where the source has
+    no index for L at c."""
     lhs, rhs = letter.lhs, letter.rhs
     if isinstance(lhs, ConstAtom):
         lhs, rhs = rhs, lhs
     if letter.op != "=" or not isinstance(lhs, LabelAtom) \
-            or not isinstance(rhs, ConstAtom) or lhs.args != _STEP_ARGS:
+            or not isinstance(rhs, ConstAtom) \
+            or lhs.args not in (_STEP_ARGS, _STEP_ARGS[::-1]):
         return None
-    lab = source.labellings.get(lhs.labelling)
-    if lab is None or rhs.value == lab.default:
-        return None
-    return lab, rhs.value
+    return source.step_targets(lhs.labelling, rhs.value,
+                               lhs.args != _STEP_ARGS)
 
 
 def _state_index_keys(nfa: Nfa, source) -> StateKeys:
-    """Per NFA state, the index keys of its letters into live states, or
-    None when one of those letters has no index key."""
+    """Per NFA state, the targets of its letters into live states, or
+    None when one of those letters has none."""
     keys = [[_index_key(letter, source) for letter, _, live in real if live]
             for _, real in nfa.moves]
     return [None if None in k else tuple(k) for k in keys]
@@ -317,8 +321,8 @@ class AnswerGraph:
                     if lookups is None:
                         continue  # some letter admits every real node
                     cands = set()
-                    for lab, value in lookups:
-                        cands.update(lab.targets(value, st.nodes[i]))
+                    for targets in lookups:
+                        cands.update(targets.get(st.nodes[i], ()))
                     narrowed = cands if narrowed is None else narrowed & cands
                 reals = self._reals if narrowed is None \
                     else tuple(sorted(narrowed))

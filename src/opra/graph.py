@@ -11,10 +11,13 @@ Stored graphs and their labellings are immutable after load and safe to
 share across concurrent evaluations.  An ontology view
 (`ontology.ExtendedGraph`) is a Graph too, but it carries its own memo
 and evaluation depth, so each evaluation makes its own view.  The one
-derived structure, a binary labelling's index from first to second
-argument per value, is computed from the immutable entries on first use
-and never changes afterwards; two evaluations that race to build it
-build the same index, so sharing stays safe.
+derived structure is a labelling's index, for any arity: per value and
+tuple of positions, the keys of that value grouped by their nodes at
+those positions, kept with the per-node projections (`targets`) that
+`step_targets` reads to bound the next nodes of a step letter.  Each
+is computed from the immutable entries on first use and never changes
+afterwards; two evaluations that race to build one build the same
+index, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple,
+)
 
 from .errors import (
     ArityMismatchError,
@@ -53,28 +58,49 @@ class Labelling:
     def value(self, key: Tuple[NodeId, ...]) -> ExtInt:
         return self.entries.get(key, self.default)
 
-    def targets(self, value: ExtInt, first: NodeId) -> FrozenSet[NodeId]:
-        """Second arguments v with a stored entry (first, v) = value.
+    def index(self, value: ExtInt, by: Tuple[int, ...]
+              ) -> Mapping[Tuple[NodeId, ...], Tuple[Tuple[NodeId, ...], ...]]:
+        """Keys of the entries of `value`, grouped by their nodes at the
+        0-based positions `by`, each group in key order.
 
-        For a value other than the default these are exactly the v with
-        value((first, v)) == value.  Arity 2 only.
+        For a value other than the default, group g holds exactly the
+        keys t with t at `by` equal to g and value(t) == value.
         """
-        return self._forward.get(value, {}).get(first, frozenset())
+        groups = self._indexes.get((value, by))
+        if groups is None:
+            if any(not 0 <= p < self.arity for p in by):
+                raise ArityMismatchError(
+                    f"labelling {self.name!r} has arity {self.arity}, "
+                    f"no positions {by}")
+            lists: Dict[Tuple[NodeId, ...], list] = {}
+            for key in sorted(k for k, v in self.entries.items() if v == value):
+                lists.setdefault(tuple([key[p] for p in by]), []).append(key)
+            groups = {g: tuple(keys) for g, keys in lists.items()}
+            self._indexes[value, by] = groups
+        return groups
 
     @cached_property
-    def _forward(self) -> Dict[ExtInt, Dict[NodeId, FrozenSet[NodeId]]]:
-        if self.arity != 2:
-            raise ArityMismatchError(
-                f"labelling {self.name!r} has arity {self.arity}, "
-                "not 2: no first-to-second index"
-            )
-        index: Dict[ExtInt, Dict[NodeId, set]] = {}
-        for (u, v), val in self.entries.items():
-            index.setdefault(val, {}).setdefault(u, set()).add(v)
-        return {
-            val: {u: frozenset(vs) for u, vs in by_first.items()}
-            for val, by_first in index.items()
-        }
+    def _indexes(self) -> Dict[tuple, Mapping]:
+        return {}  # (value, by) -> index, (value, by, at) -> targets
+
+    def targets(self, value: ExtInt, by: Tuple[int, ...],
+                at: int) -> Mapping[NodeId, FrozenSet[NodeId]]:
+        """Per node u, the nodes at position `at` of the entries of
+        `value` that hold u at each of the positions `by` (at least one).
+        Read from `index` and kept with it."""
+        targets = self._indexes.get((value, by, at))
+        if targets is None:
+            if not 0 <= at < self.arity:
+                raise ArityMismatchError(
+                    f"labelling {self.name!r} has arity {self.arity}, "
+                    f"no position {at}")
+            targets = {
+                g[0]: frozenset([key[at] for key in keys])
+                for g, keys in self.index(value, by).items()
+                if g.count(g[0]) == len(g)
+            }
+            self._indexes[value, by, at] = targets
+        return targets
 
     def finite_bound(self) -> int:
         """Largest absolute finite value this labelling can take."""
@@ -140,6 +166,33 @@ class Graph:
                 f"labelling {name!r} has arity {lab.arity}, got {len(key)} nodes"
             )
         return lab.value(key)
+
+    def step_targets(self, name: str, value: ExtInt, reverse: bool = False
+                     ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
+        """Next-node candidates of the step letter `name(@1, @1') = value`,
+        or `name(@1', @1) = value` when `reverse`: per real node u, a set
+        holding every real w where the letter holds on the step u -> w
+        (a u it does not map has none), or None when no index bounds the
+        letter.  A stored labelling answers for any value but its
+        default."""
+        cur, nxt = (1, 0) if reverse else (0, 1)
+        return step_candidates(self.labellings.get(name), value, (0, 1),
+                               cur, nxt)
+
+
+def step_candidates(lab: Optional[Labelling], value: ExtInt,
+                    args: Sequence[object], cur: object, nxt: object
+                    ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
+    """Per node u, the nodes w such that `lab` applied to `args` has an
+    entry of `value` that reads u wherever `args` holds `cur` and w where
+    it first holds `nxt`, whatever it reads elsewhere.  None when no
+    stored `lab` of that arity bounds the step: `value` is its default,
+    or `args` lacks `cur` or `nxt`."""
+    if lab is None or lab.arity != len(args) or value == lab.default \
+            or cur not in args or nxt not in args:
+        return None
+    by = tuple(i for i, a in enumerate(args) if a == cur)
+    return lab.targets(value, by, args.index(nxt))
 
 
 def path_index(path: Sequence[NodeId], i: int) -> NodeId:

@@ -18,12 +18,26 @@ Term evaluation follows the constructor-by-constructor semantics:
 constants, labelling lookups, 0/1 query indicators, extrema of an
 aggregate over the paths satisfying a nested query (computed by the
 product engine), variable equality, fundamental-function application,
-and aggregation over all graph nodes passing a 0/1 filter.
+and aggregation over all graph nodes passing a 0/1 filter.  An
+aggregate whose filter is a stored labelling, with a default other
+than 1, over its collector and bound variables reads the collector
+values that pass from that labelling's index instead of scanning every
+node: the same nodes, in the same order, run the same value terms, so
+values, errors and memo contents are those of the scan.
+
+A defined binary labelling also bounds the next nodes of a step letter
+(`step_targets`) when its term is a bare stored labelling over its two
+parameters, or such an aggregate whose value on an empty set differs
+from the letter's value: some collector value must then pass the
+filter, so the next node is among the filter's entries of value 1.
+Both indexes give way to the scan near `MAX_EVAL_DEPTH`, so that a
+`RecursionDepthExceededError` is raised exactly where the scan raises
+it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .answer_graph import AnswerGraph
 from .errors import (
@@ -32,7 +46,7 @@ from .errors import (
     UnknownLabellingError,
 )
 from .extint import ExtInt, eval_fundamental  # re-exported
-from .graph import SINK, Graph, NodeId
+from .graph import SINK, Graph, NodeId, step_candidates
 from .query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
     MinPathTerm, OntologyEntry, Term, VarEqTerm,
@@ -40,6 +54,9 @@ from .query import (
 from .solver import MAX, MIN, SolveConfig, check_empty, extremum
 
 MAX_EVAL_DEPTH = 64
+# an index read skips evaluations at most this many levels below the
+# current depth, so it is used only while they could not trip the limit
+INDEX_DEPTH_MARGIN = 2
 
 
 class ExtendedGraph(Graph):
@@ -92,6 +109,32 @@ class ExtendedGraph(Graph):
         self._memo[memo_key] = value
         return value
 
+    def step_targets(self, name: str, value: ExtInt, reverse: bool = False
+                     ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
+        """As `Graph.step_targets`; a defined labelling answers in the
+        two shapes the module docstring lists, read from its stored
+        labelling's index, and only where a search at this depth could
+        evaluate the letter without tripping the depth limit."""
+        entry = self._by_name.get(name)
+        if entry is None:
+            return super().step_targets(name, value, reverse)
+        if len(entry.params) != 2 \
+                or self._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN:
+            return None
+        cur, nxt = entry.params[::-1] if reverse else entry.params
+        term, free = entry.term, ()
+        if isinstance(term, AggTerm) and isinstance(term.filter, LabelTerm) \
+                and value != eval_fundamental(term.func, []):
+            # the collector shadows a parameter of its name
+            free = (term.collector,)
+            cur, nxt = [None if v in free else v for v in (cur, nxt)]
+            term, value = term.filter, 1
+        if not isinstance(term, LabelTerm) or cur == nxt \
+                or any(a not in (cur, nxt) + free for a in term.args):
+            return None
+        return step_candidates(self.labellings.get(term.labelling), value,
+                               term.args, cur, nxt)
+
 
 def extend(g: Graph, entries: Iterable[OntologyEntry] = (),
            solve_config: Optional[SolveConfig] = None) -> ExtendedGraph:
@@ -140,12 +183,37 @@ def _eval(view: ExtendedGraph, term: Term,
         args = [eval_term(view, a, eta) for a in term.args]
         return eval_fundamental(term.func, args)
     if isinstance(term, AggTerm):
-        values = []
-        for v in view.real_nodes:
-            scope = dict(eta)
-            scope[term.collector] = v
-            if eval_term(view, term.filter, scope) == 1:
-                values.append(eval_term(view, term.value,
-                                        {term.collector: v}))
+        z = term.collector
+        passing = _passing(view, term, eta)
+        if passing is not None:
+            values = [eval_term(view, term.value, {z: v}) for v in passing]
+        else:
+            values = []
+            scope = dict(eta)  # no callee keeps it, so one serves every node
+            for v in view.real_nodes:
+                scope[z] = v
+                if eval_term(view, term.filter, scope) == 1:
+                    values.append(eval_term(view, term.value, {z: v}))
         return eval_fundamental(term.func, values)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _passing(view: ExtendedGraph, term: AggTerm,
+             eta: Mapping[str, NodeId]) -> Optional[List[NodeId]]:
+    """The nodes that pass an aggregate's filter, in node order, read from
+    the filter's index when it is a stored labelling S, with a default
+    other than 1, over the collector and bound variables: the collector
+    values of S's entries of value 1 that agree with the bound variables.
+    None where the scan must run instead."""
+    f, z = term.filter, term.collector
+    if not isinstance(f, LabelTerm) or z not in f.args \
+            or view._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN:
+        return None
+    lab = view.labellings.get(f.labelling)
+    if lab is None or lab.default == 1 or lab.arity != len(f.args):
+        return None
+    by = tuple(i for i, a in enumerate(f.args) if a != z)
+    keys = lab.index(1, by).get(tuple([eta[f.args[i]] for i in by]), ())
+    at = f.args.index(z)
+    same = [i for i, a in enumerate(f.args) if a == z and i != at]
+    return [key[at] for key in keys if all(key[i] == key[at] for i in same)]

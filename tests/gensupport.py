@@ -149,9 +149,10 @@ def rand_instance(rng: random.Random, max_len: int,
 
 def step_letters(i: int) -> List[NodeConstraint]:
     """Letters over a binary labelling on the i-th path's step, in every
-    shape successor narrowing must classify: indexable `L(@i, @i') = c`
-    and `c = L(@i, @i')` with c not L's default, and the unindexable
-    default value, reversed direction and non-equality comparison."""
+    shape successor narrowing must classify: indexable `L(@i, @i') = c`,
+    `c = L(@i, @i')` and the reversed `L(@i', @i) = c` with c not L's
+    default, and the unindexable default value and non-equality
+    comparison."""
     step = LabelAtom("E", (PosVar(i), PosVar(i, True)))
     other = LabelAtom(BINARY, (PosVar(i), PosVar(i, True)))
     return [

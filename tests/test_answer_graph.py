@@ -5,16 +5,20 @@ from dataclasses import replace
 import pytest
 
 import opra.answer_graph
-from opra.answer_graph import OMEGA, UNBOUND, AGState, AnswerGraph
+from opra.answer_graph import (
+    OMEGA, UNBOUND, AGState, AnswerGraph, _index_key,
+)
 from opra.automata import eval_node_constraint, step
 from opra.engine import engine_answers, evaluate
 from opra.extint import ext_add
-from opra.graph import SINK, aggregate
+from opra.graph import SINK, Graph, Labelling, aggregate
+from opra.ontology import extend
 from opra.oracle import OracleConfig, enumerate_satisfying
 from opra.oracle import enumerate_answers as oracle_answers
 from opra.parser import parse
 from opra.query import (
-    ArithConstraint, ArithTerm, Concat, ConstAtom, Letter, NodeConstraint,
+    AggTerm, ArithConstraint, ArithTerm, Concat, ConstAtom, ConstTerm,
+    LabelAtom, LabelTerm, Letter, NodeConstraint, OntologyEntry, PosVar,
     PraQuery, RegularConstraint, Star, TRUE_CONSTRAINT, Union_,
 )
 from opra.solver import (
@@ -23,7 +27,7 @@ from opra.solver import (
 from opra.validate import validate
 
 from gensupport import (
-    rand_feasible_graph, rand_graph, rand_query, rand_sparse_graph,
+    BINARY, BINARY_DEFAULT, BINARY_VALUES, rand_feasible_graph, rand_graph, rand_query, rand_sparse_graph,
     route_constraint, step_letters,
 )
 
@@ -145,14 +149,10 @@ def full_scan_moves(ag, st):
     return out
 
 
-def test_successors_match_full_scan_for_every_letter_shape():
+def assert_successors_match_full_scan(sources, shapes):
     # index narrowing and the closing-move rule drop exactly the states
     # where a real node sits in an NFA state without real-letter moves,
     # which have no successors: every other full-scan move is kept
-    rng = random.Random(8)
-    graphs = [rand_graph(rng, max_nodes=5, n_unary=0) for _ in range(3)]
-    shapes = step_letters(1)
-
     def closed(letter):
         return Concat(Star(Letter(letter)), Letter(TRUE_CONSTRAINT))
 
@@ -162,7 +162,7 @@ def test_successors_match_full_scan_for_every_letter_shape():
                         [Star(Union_(Letter(a), Letter(b))), closed(b)]):
             pra = PraQuery(regular_constraints=tuple(
                 RegularConstraint(r, ("pi",)) for r in regexes))
-            for g in graphs:
+            for g in sources:
                 ag = AnswerGraph(g, pra)
                 level = set(ag.start_states())
                 for _ in range(3):
@@ -179,6 +179,71 @@ def test_successors_match_full_scan_for_every_letter_shape():
                         assert not any(ag.successors(x) for x in dead)
                         nxt |= got
                     level = nxt
+
+
+def step_letter(name, value, reverse=False, const_first=False):
+    args = (PosVar(1), PosVar(1, True))
+    atom = LabelAtom(name, args[::-1] if reverse else args)
+    if const_first:
+        return NodeConstraint(ConstAtom(value), "=", atom)
+    return NodeConstraint(atom, "=", ConstAtom(value))
+
+
+# defined binary labellings over E and a ternary S (default 0), each with
+# the step letter values among 0, 1, 2 that index it: a bare stored term
+# in either argument order at any value but its default, and an
+# aggregate filtered by S at any value but its empty-set one (Max: -inf,
+# Count: 0); the collector of `agg` shadows x, so that one has no index
+DEFINED_LETTERS = (
+    (OntologyEntry("adj", ("x", "y"), LabelTerm("E", ("x", "y"))), (1, 2)),
+    (OntologyEntry("back", ("x", "y"), LabelTerm("E", ("y", "x"))),
+     (1, 2)),
+    (OntologyEntry("twice", ("x", "y"), LabelTerm("S", ("x", "x", "y"))),
+     (1, 2)),
+    (OntologyEntry("hop", ("x", "y"), AggTerm(
+        "Max", "z", LabelTerm("w0", ("z",)),
+        LabelTerm("S", ("x", "z", "y")))), (0, 1, 2)),
+    (OntologyEntry("via", ("x", "y"), AggTerm(
+        "Count", "z", ConstTerm(1), LabelTerm("S", ("z", "y", "x")))),
+     (1, 2)),
+    (OntologyEntry("agg", ("x", "y"), AggTerm(
+        "Sum", "x", LabelTerm("w0", ("x",)),
+        LabelTerm("S", ("x", "y", "x")))), ()),
+)
+
+
+def with_ternary(g, rng):
+    n = len(g.node_names) - 1
+    s = {key: rng.choice((1, 1, 5)) for key in itertools.product(
+        range(1, n + 1), repeat=3) if rng.random() < 0.15}
+    return Graph(g.node_names[1:],
+                 list(g.labellings.values()) + [Labelling("S", 3, 0, s)])
+
+
+def test_successors_match_full_scan_for_every_letter_shape():
+    rng = random.Random(8)
+    graphs = [rand_graph(rng, max_nodes=5, n_unary=0) for _ in range(3)]
+    shapes = step_letters(1)
+    # reversed stored letters, both sides first, at every value
+    shapes += [step_letter(name, c, True, const_first)
+               for name, values in (("E", (1, 0)), (BINARY, BINARY_VALUES
+                                                   + (BINARY_DEFAULT,)))
+               for c in values for const_first in (False, True)]
+    assert_successors_match_full_scan(graphs, shapes)
+
+    # defined letters, forward and reversed, indexed and not
+    views = [extend(with_ternary(rand_graph(rng, max_nodes=5, n_unary=1),
+                                 rng), [e for e, _ in DEFINED_LETTERS])
+             for _ in range(3)]
+    shapes = []
+    for entry, indexed in DEFINED_LETTERS:
+        for c in (0, 1, 2):
+            for reverse in (False, True):
+                letter = step_letter(entry.name, c, reverse)
+                assert all((_index_key(letter, v) is not None)
+                           == (c in indexed) for v in views), letter.text()
+                shapes.append(letter)
+    assert_successors_match_full_scan(views, shapes)
 
 
 def free_pra(g, nodes, such_that, where="route(pi)", having=""):

@@ -1,22 +1,29 @@
+import itertools
 import random
 
 import pytest
 
+import opra.ontology
+
+from opra.embedding import data_graph_from_dict, embed
 from opra.engine import engine_answers, evaluate
 from opra.errors import (
-    ArityMismatchError, ForwardOntologyReferenceError,
-    RecursionDepthExceededError, UnknownLabellingError,
+    ArityMismatchError, ForwardOntologyReferenceError, IndeterminateSumError,
+    OpraError, RecursionDepthExceededError, UnknownLabellingError,
 )
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import SINK, Graph, Labelling
-from opra.ontology import ExtendedGraph, eval_fundamental, eval_term, extend
+from opra.ontology import (
+    INDEX_DEPTH_MARGIN, MAX_EVAL_DEPTH, ExtendedGraph, eval_fundamental,
+    eval_term, extend,
+)
 from opra.oracle import (
     OracleConfig, OracleView, enumerate_answers, oracle_eval_term,
 )
 from opra.parser import parse
 from opra.query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
-    MinPathTerm, VarEqTerm,
+    MinPathTerm, OntologyEntry, VarEqTerm,
 )
 from opra.solver import SolveConfig
 from opra.validate import validate
@@ -276,19 +283,198 @@ def test_results_do_not_depend_on_earlier_graphs():
             assert evaluate(graph(w), shared, CFG).empty == fresh(w), order
 
 
-def test_defined_binary_labelling_as_letter(fig2):
-    # a defined labelling has no stored index, so its step letter admits
-    # every real node as a candidate and is evaluated on each of them
+def test_defined_binary_labelling_as_letter(fig2, monkeypatch):
+    # adj's term is a bare stored labelling, so the view bounds its step
+    # letter by E's index: adj is evaluated on E's edges and the sink only
     route = ("MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t "
              "WHERE <{}(@1, @1') = 1>* <T>(pi)")
     defined = validate(parse("LET adj(x, y) := E(x, y) IN "
                              + route.format("adj")), fig2)
     stored = validate(parse(route.format("E")), fig2)
+    steps = []
+    label_value = ExtendedGraph.label_value
+
+    def spy(view, name, key):
+        if name == "adj" and SINK not in key:
+            steps.append(key)
+        return label_value(view, name, key)
+
+    monkeypatch.setattr(ExtendedGraph, "label_value", spy)
     got = engine_answers(fig2, defined, max_len=3, cfg=CFG)
+    monkeypatch.undo()
+    edges = fig2.labellings["E"].entries
+    assert steps and all(edges.get(key) == 1 for key in steps)
     assert got
     assert got == engine_answers(fig2, stored, max_len=3, cfg=CFG)
     assert got == enumerate_answers(fig2, defined,
                                     OracleConfig(max_path_len=3))
+
+
+# -- indexed aggregation -------------------------------------------------------
+
+def agg_graph(rng):
+    """Filters S (ternary) and E (binary) with default 0 and values other
+    than 1 too, D with default 1, and values U with both infinities."""
+    nodes = range(1, rng.randint(2, 5) + 1)
+
+    def entries(arity, p, values):
+        return {key: rng.choice(values)
+                for key in itertools.product(nodes, repeat=arity)
+                if rng.random() < p}
+
+    return Graph([f"n{i}" for i in nodes], [
+        Labelling("S", 3, 0, entries(3, 0.25, (1, 1, 5))),
+        Labelling("E", 2, 0, entries(2, 0.4, (1, 1, -1))),
+        Labelling("D", 2, 1, entries(2, 0.4, (0, 1, 3))),
+        Labelling("U", 1, 0, entries(1, 0.8, (POS_INF, NEG_INF, -2, 3))),
+    ])
+
+
+def agg(func, value, filter_name, *args):
+    return AggTerm(func, "z", value, LabelTerm(filter_name, args))
+
+
+U_Z = LabelTerm("U", ("z",))
+AGG_ENTRIES = tuple(OntologyEntry(name, params, term) for name, params, term in (
+    ("mx", ("x", "y"), agg("Max", U_Z, "S", "x", "z", "y")),
+    ("mn", ("x", "y"), agg("Min", U_Z, "S", "z", "y", "x")),
+    ("sm", ("x", "y"), agg("Sum", U_Z, "S", "y", "z", "x")),  # +inf + -inf
+    ("rep", ("x", "y"), agg("Count", U_Z, "S", "z", "x", "z")),
+    ("loops", ("x", "y"), agg("Sum", U_Z, "E", "z", "z")),
+    ("shadow", ("z", "y"), agg("Max", U_Z, "S", "y", "z", "z")),
+    ("one", ("x", "y"), agg("Sum", U_Z, "D", "x", "z")),  # default 1
+    ("nest", ("x", "y"), agg("Max", LabelTerm("mx", ("z", "z")),
+                             "E", "x", "z")),
+    ("defined", ("x", "y"), agg("Count", U_Z, "nest", "z", "y")),
+))
+
+
+def test_indexed_aggregates_match_the_full_scan(monkeypatch):
+    # an aggregate filtered by a stored labelling with a default other than
+    # 1 reads the nodes that pass from its index: the values, the errors
+    # and the memo are those of the scan; other filters keep the scan
+    passing = opra.ontology._passing
+    indexed = set()
+
+    def spy(view, term, eta):
+        got = passing(view, term, eta)
+        if got is not None:
+            indexed.add(term.filter.labelling)
+        return got
+
+    def run(g):
+        view = extend(g, AGG_ENTRIES, solve_config=CFG)
+        out = []
+        for entry in AGG_ENTRIES:
+            for key in itertools.product(g.real_nodes, repeat=2):
+                try:
+                    out.append(view.label_value(entry.name, key))
+                except OpraError as e:
+                    out.append((type(e), str(e)))
+        return out, view._memo
+
+    rng = random.Random(11)
+    outcomes = []
+    for _ in range(40):
+        g = agg_graph(rng)
+        monkeypatch.setattr(opra.ontology, "_passing", spy)
+        got = run(g)
+        monkeypatch.setattr(opra.ontology, "_passing", lambda *args: None)
+        assert got == run(g)
+        outcomes += got[0]
+    assert indexed == {"S", "E"}
+    assert {POS_INF, NEG_INF} <= set(outcomes)
+    assert any(isinstance(o, tuple) and o[0] is IndeterminateSumError
+               for o in outcomes)
+
+
+def test_indexed_aggregate_at_the_depth_limit(monkeypatch):
+    # the index skips the filter's evaluations one level below the
+    # aggregate, so near the limit it gives way to the scan: the depth
+    # error comes where the scan raises it, also where no node passes
+    g = Graph(["a", "b", "c"], [Labelling("S", 3, 0, {(1, 2, 3): 1}),
+                                Labelling("U", 1, 0, {(2,): 7})])
+    hop = agg("Max", U_Z, "S", "x", "z", "y")
+
+    def outcomes():
+        out = []
+        for wraps in range(MAX_EVAL_DEPTH - 4, MAX_EVAL_DEPTH + 1):
+            term = hop
+            for _ in range(wraps):
+                term = ApplyTerm("+", (term, ConstTerm(0)))
+            for eta in ({"x": 1, "y": 3}, {"x": 3, "y": 1}):
+                try:
+                    out.append(eval_term(extend(g), term, eta))
+                except RecursionDepthExceededError:
+                    out.append("too deep")
+        return out
+
+    calls = []  # (depth, whether the index answered)
+    passing = opra.ontology._passing
+
+    def spy(view, term, eta):
+        got = passing(view, term, eta)
+        calls.append((view._depth, got is not None))
+        return got
+
+    monkeypatch.setattr(opra.ontology, "_passing", spy)
+    indexed = outcomes()
+    assert eval_term(extend(g), hop, {"x": 1, "y": 3}) == 7
+    # the aggregate runs at depth wraps + 1 and its filter at wraps + 2
+    assert indexed == [7, NEG_INF] * 3 + ["too deep"] * 4
+    limit = MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN
+    assert {d for d, used in calls if used} == {MAX_EVAL_DEPTH - 3, 1}
+    assert {d for d, used in calls if not used} == {limit, limit + 1,
+                                                     limit + 2}
+    monkeypatch.setattr(opra.ontology, "_passing", lambda *args: None)
+    assert indexed == outcomes()
+
+    # the step index of a defined letter gives way at the same depth
+    view = extend(g, [OntologyEntry("hop", ("x", "y"), hop)])
+    assert view.step_targets("hop", 1) == {1: {3}}
+    view._depth = MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN - 1
+    assert view.step_targets("hop", 1) == {1: {3}}
+    view._depth += 1
+    assert view.step_targets("hop", 1) is None
+
+
+def test_rpq_over_defined_letters_reads_few_label_values(monkeypatch):
+    # (a+b)* over hop labellings on a 32-node data graph: each step letter
+    # is evaluated on its E3 support only, and each hop value reads only
+    # the symbols between its two nodes (126 010 lookups without indexes)
+    rng = random.Random(1)
+    nodes = [f"d{i}" for i in range(32)]
+    edges = [[u, a, rng.choice(nodes)] for u in nodes for a in "ab"]
+    eg = embed(data_graph_from_dict(
+        {"nodes": nodes, "alphabet": ["a", "b"], "edges": edges}))
+    defs = ",\n".join(
+        [f'is_{x}(v) := [ MATCH NODES (v) SUCH THAT "sigma:{x}" -r-> v '
+         "WHERE <T>(r) ]" for x in "ab"]
+        + [f"hop_{x}(v, w) := agg Max z {{ is_{x}(z) : E3(v, z, w) }}"
+           for x in "ab"])
+    vq = validate(parse(
+        f"LET {defs},\n is_data(v) := 1 - Max(is_a(v), is_b(v)) IN "
+        "MATCH NODES (s, t) SUCH THAT s -pi-> t "
+        "WHERE (<hop_a(@1, @1') = 1> + <hop_b(@1, @1') = 1>)* <T>(pi) "
+        "AND <is_data(@1) = 1> <T>*(pi)"), eg)
+    calls = [0]
+    label_value = ExtendedGraph.label_value
+
+    def counted(view, name, key):
+        calls[0] += 1
+        return label_value(view, name, key)
+
+    monkeypatch.setattr(ExtendedGraph, "label_value", counted)
+    got = engine_answers(eg, vq, max_len=5)
+    # pairs joined by a data path of at most four edges
+    want = set()
+    for s in nodes:
+        reach = {s}
+        for _ in range(4):
+            reach |= {v for u, _, v in edges if u in reach}
+        want |= {(s, t) for t in reach}
+    assert {tuple(eg.node_name(v) for v in pair) for pair, _ in got} == want
+    assert calls[0] <= 10_000
 
 
 def test_recursion_depth_guard(fig2):
