@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from .embedding import embed, load_data_graph
-from .engine import evaluate, evaluate_extremum
+from .engine import decode_answers, evaluate, evaluate_extremum
 from .errors import EvalError, OpraError
 from .extint import to_json
 from .graph import graph_to_dict, load_graph
@@ -191,16 +191,7 @@ def _cmd_oracle(args) -> int:
     started = time.perf_counter()
     answers = enumerate_answers(g, q, cfg)
     elapsed = int(1000 * (time.perf_counter() - started))
-    pra = q.query.query
-    decoded = [
-        {
-            "nodes": {v: g.node_name(n)
-                      for v, n in zip(pra.match_nodes, nodes)},
-            "paths": {v: [g.node_name(n) for n in p]
-                      for v, p in zip(pra.match_paths, paths)},
-        }
-        for nodes, paths in sorted(answers)
-    ]
+    decoded = decode_answers(g, q.query.query, sorted(answers))
     payload = {
         "outcome": "empty" if not decoded else "non-empty",
         "count": len(decoded),

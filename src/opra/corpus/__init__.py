@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..engine import engine_answers, evaluate_extremum
+from ..engine import decode_answers, engine_answers, evaluate_extremum
 from ..extint import to_json
 from ..graph import Graph, graph_from_dict
 from ..ontology import extend
@@ -71,18 +71,7 @@ def load_query(name: str, g: Optional[Graph] = None):
 
 
 def _canonical_answers(g: Graph, vq, answers) -> List[dict]:
-    pra = vq.query.query
-    out = []
-    for nodes, paths in answers:
-        out.append({
-            "nodes": {
-                v: g.node_name(n) for v, n in zip(pra.match_nodes, nodes)
-            },
-            "paths": {
-                v: [g.node_name(n) for n in p]
-                for v, p in zip(pra.match_paths, paths)
-            },
-        })
+    out = decode_answers(g, vq.query.query, answers)
     out.sort(key=lambda e: json.dumps(e, sort_keys=True))
     return out
 

@@ -8,7 +8,7 @@ every nested solver run triggered by on-demand labellings.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from .answer_graph import AnswerGraph
 from .graph import Graph
@@ -43,9 +43,22 @@ def _ids_for(g: Graph, bound_nodes, bound_paths):
 def build_answer_graph(g: Graph, q, cfg: Optional[SolveConfig] = None,
                        bound_nodes: Optional[Mapping[str, str]] = None,
                        bound_paths: Optional[Mapping[str, Sequence[str]]] = None,
-                       target: Optional[Tuple[str, Tuple[str, ...]]] = None
-                       ) -> AnswerGraph:
+                       target: Optional[Tuple[str, Optional[Sequence[str]]]]
+                       = None) -> AnswerGraph:
+    """The query's product graph on g.  A target (labelling, path
+    variables) with None for its path variables aggregates over the
+    query's free path variables."""
     eg, pra = prepare(g, q, cfg)
+    if target is not None:
+        name, over = target
+        if over is None:
+            over = pra.match_paths
+            if not over:
+                raise ValueError(
+                    "the query has no free path variable to aggregate over; "
+                    "pass target_paths explicitly"
+                )
+        target = (name, tuple(over))
     nodes, paths = _ids_for(g, bound_nodes, bound_paths)
     return AnswerGraph(eg, pra, bound_paths=paths, bound_nodes=nodes,
                        target=target)
@@ -57,6 +70,18 @@ def decode_names(g: Graph, env, paths):
         v: [g.node_name(n) for n in p] for v, p in (paths or {}).items()
     }
     return env_names, path_names
+
+
+def decode_answers(g: Graph, pra, answers) -> List[dict]:
+    """(node tuple, path tuple) answers of the query `pra`, in the given
+    order, as {"nodes": ..., "paths": ...} dicts of names keyed by its
+    free variables."""
+    out = []
+    for nodes, paths in answers:
+        env, named = decode_names(g, dict(zip(pra.match_nodes, nodes)),
+                                  dict(zip(pra.match_paths, paths)))
+        out.append({"nodes": env, "paths": named})
+    return out
 
 
 def evaluate(g: Graph, q, cfg: Optional[SolveConfig] = None,
@@ -75,17 +100,8 @@ def evaluate_extremum(g: Graph, q, target: str, mode: str,
                       bound_nodes=None, bound_paths=None) -> ExtremumResult:
     """Min/max of a labelling aggregated over the query's free path
     variables (or an explicit selection of path variables)."""
-    eg, pra = prepare(g, q, cfg)
-    if target_paths is None:
-        target_paths = pra.match_paths
-        if not target_paths:
-            raise ValueError(
-                "the query has no free path variable to aggregate over; "
-                "pass target_paths explicitly"
-            )
-    nodes, paths = _ids_for(g, bound_nodes, bound_paths)
-    ag = AnswerGraph(eg, pra, bound_paths=paths, bound_nodes=nodes,
-                     target=(target, tuple(target_paths)))
+    ag = build_answer_graph(g, q, cfg, bound_nodes, bound_paths,
+                            target=(target, target_paths))
     res = _extremum(ag, mode, cfg=cfg)
     if res.witness is not None:
         res.env, res.witness = decode_names(g, res.env, res.witness)

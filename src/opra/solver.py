@@ -2,11 +2,14 @@
 
 Emptiness, extremum and answer-set queries all reduce to reachability
 over configurations (product state, tracked path prefixes, accumulated
-weight vector), explored by one breadth-first search.  Emptiness stops
-at the first admitted target that meets every bound, as soon as it is
-generated; extrema and answer sets read whole levels.  The prefixes are
-only tracked when enumerating answers; otherwise they stay empty.  The
-search applies two sound prunings:
+weight vector), explored by one breadth-first search.  The search
+yields each configuration with its depth as it is admitted, in
+generation order, and expands a level only once the previous one has
+been consumed, so a caller stops it at any configuration: emptiness at
+the first admitted target that meets every bound, an extremum at the
+first configuration beyond b1 that beats the best short one.  The
+prefixes are only tracked when enumerating answers; otherwise they stay
+empty.  The search applies two sound prunings:
 
   * dominance: a configuration is dropped when an already-seen
     configuration with the same product state and the same prefixes has
@@ -37,13 +40,13 @@ accumulated vectors sign-normalised so the target is minimised:
   * pump: a newly admitted c2 = (st, pre, a') with an ancestor
     c1 = (st, pre, a), both finite, a' <= a componentwise and a' < a on
     the target, closes a cycle that keeps every constraint component no
-    larger and lowers the target.  If a goal search from c1 over the
+    larger and lowers the target.  If a search from c1 over the
     constraint components finds a completion d within b2 - depth(c1)
     whose target is not +inf, the extremum is unbounded: a + k(a' - a) + d
     <= a + d meets every bound for every k.  The ancestor chain is only
-    walked when a' replaces a stored vector of (st, pre) with a lower
+    walked when a' replaces a stored vector of (st, pre) with a higher
     target, so searches that do not pump pay nothing for it;
-  * dead key: when that goal search finds nothing, a's constraint part
+  * dead key: when that search finds nothing, a's constraint part
     is recorded for (st, pre), and a later configuration there whose
     constraint part is >= it is not admitted: breadth-first order puts
     it at depth >= depth(c1), so it has no completion within b2 either.
@@ -63,7 +66,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from operator import le
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .answer_graph import AGState, AnswerGraph
 from .errors import ResourceExceededError
@@ -77,7 +80,10 @@ _BOUND_CAP = 10 ** 7
 _STATE_CAP = 10_000  # cap on the product-size estimate in derived bounds
 
 _Prefixes = Tuple[Tuple[NodeId, ...], ...]
-_Config = Tuple[AGState, _Prefixes, Tuple[ExtInt, ...]]
+_Vec = Tuple[ExtInt, ...]
+_Config = Tuple[AGState, _Prefixes, _Vec]
+# the stored vectors an admitted configuration replaced, None if refused
+_Admitted = Optional[Sequence[_Vec]]
 
 
 @dataclass
@@ -173,20 +179,24 @@ class _Dominance:
     (state, prefixes) pair."""
 
     def __init__(self):
-        self.store: Dict[Tuple[AGState, _Prefixes],
-                         List[Tuple[ExtInt, ...]]] = {}
+        self.store: Dict[Tuple[AGState, _Prefixes], List[_Vec]] = {}
 
     def admit(self, state: Tuple[AGState, _Prefixes],
-              acc: Tuple[ExtInt, ...]) -> bool:
+              acc: _Vec) -> _Admitted:
+        """None when a stored vector of state is <= acc.  Otherwise store
+        acc and return the stored vectors it replaced, those >= acc."""
         vecs = self.store.get(state)
         if vecs is None:
             self.store[state] = [acc]
-            return True
+            return ()
+        kept, replaced = [], []
         for v in vecs:
             if _le(v, acc):
-                return False
-        self.store[state] = [v for v in vecs if not _le(acc, v)] + [acc]
-        return True
+                return None
+            (replaced if _le(acc, v) else kept).append(v)
+        kept.append(acc)
+        self.store[state] = kept
+        return replaced
 
 
 def _le(u: Sequence[ExtInt], v: Sequence[ExtInt]) -> bool:
@@ -205,6 +215,8 @@ class _Search:
     with the same state and the same prefixes.
     """
 
+    unbounded = False  # set by a search that recognises an unbounded value
+
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig,
                  with_target: bool = False, sign: int = 1,
                  tracked: Sequence[int] = (),
@@ -222,7 +234,7 @@ class _Search:
         # per expanded state, its successors with their weight vectors
         self.memo: Dict[AGState, List[Tuple[AGState, tuple]]] = {}
 
-    def weight_vec(self, st: AGState) -> Tuple[ExtInt, ...]:
+    def weight_vec(self, st: AGState) -> _Vec:
         w = self.ag.weight(st)
         if self.with_target:
             w = w + (ext_mul(self.sign, self.ag.extremum_weight(st)),)
@@ -237,7 +249,7 @@ class _Search:
             yield out[-1]
         self.memo[st] = out
 
-    def prune_monotone(self, acc: Tuple[ExtInt, ...]) -> bool:
+    def prune_monotone(self, acc: _Vec) -> bool:
         for i, mono in enumerate(self.monotone):
             if mono and acc[i] > self.bounds[i]:
                 return True
@@ -254,27 +266,33 @@ class _Search:
                 out.append(prev[slot])
         return tuple(out)
 
-    def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
+    def meets(self, key: _Config) -> bool:
+        """Is the configuration a target within every bound?"""
+        return self.ag.is_target(key[0]) and _le(key[2], self.bounds)
+
+    def _admit(self, key: _Config, parent: Optional[_Config]) -> _Admitted:
+        """The vectors key replaced in the dominance store, or None when
+        it is not admitted."""
         st, pre, acc = key
         if self.prune_monotone(acc):
-            return False
-        if not self.dom.admit((st, pre), acc):
-            return False
-        self.parent[key] = parent
-        self.stats.enqueued += 1
-        return True
+            return None
+        replaced = self.dom.admit((st, pre), acc)
+        if replaced is not None:
+            self.parent[key] = parent
+            self.stats.enqueued += 1
+        return replaced
 
     def levels(self, max_depth: int,
-               goal: Optional[Callable[[_Config], bool]] = None,
                _starts: Optional[Iterable[_Config]] = None):
-        """Yield (depth, configs-at-depth) up to max_depth; stops early
-        when the frontier dies out.  With `goal`, the first admitted
-        configuration that meets it, in generation order, is yielded
-        alone as the last level, before the rest of its level is built.
-        `_starts` replaces the answer graph's start configurations.
-        Each expanded state is logged at DEBUG on `opra.solver`.
+        """Yield (depth, config) for each configuration as it is admitted,
+        in generation order, up to depth max_depth.  A level is expanded
+        only once the previous one has been consumed, so a caller that
+        stops at a configuration builds nothing after it.  `_starts`
+        replaces the answer graph's start configurations.  Each expanded
+        state is logged at DEBUG on `opra.solver`.
         """
-        tracked = self.tracked
+        tracked, stats, memo = self.tracked, self.stats, self.memo
+        admit, budget = self._admit, self.cfg.visited_budget
         trace = logger.isEnabledFor(logging.DEBUG)
         if _starts is None:
             empty = tuple(() for _ in tracked)
@@ -282,29 +300,24 @@ class _Search:
                        for st in self.ag.start_states())
         level = []
         for key in _starts:
-            if self._admit(key, None):
-                if goal and goal(key):
-                    yield 0, [key]
-                    return
+            if admit(key, None) is not None:
                 level.append(key)
+                yield 0, key
         depth = 0
-        while level:
-            yield depth, level
-            if depth >= max_depth:
-                return
+        while level and depth < max_depth:
             nxt = []
             for conf in level:
                 st, pre, acc = conf
-                self.stats.expanded += 1
-                if self.stats.enqueued > self.cfg.visited_budget:
+                stats.expanded += 1
+                if stats.enqueued > budget:
                     raise ResourceExceededError(
-                        f"visited budget {self.cfg.visited_budget} exceeded",
-                        expanded=self.stats.expanded,
+                        f"visited budget {budget} exceeded",
+                        expanded=stats.expanded,
                     )
                 if trace:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
-                moves = self.memo.get(st)
+                moves = memo.get(st)
                 for succ, w in self._expand(st) if moves is None else moves:
                     acc2 = tuple([
                         a + b if type(a) is int and type(b) is int
@@ -313,11 +326,9 @@ class _Search:
                     ])
                     pre2 = self.prefixes(succ, pre) if tracked else ()
                     key = (succ, pre2, acc2)
-                    if self._admit(key, conf):
-                        if goal and goal(key):
-                            yield depth + 1, [key]
-                            return
+                    if admit(key, conf) is not None:
                         nxt.append(key)
+                        yield depth + 1, key
             depth += 1
             level = nxt
 
@@ -335,27 +346,21 @@ def _first_target(search: _Search, max_depth: int,
                   ) -> Optional[_Config]:
     """The first admitted target that meets every bound within max_depth,
     in generation order, or None."""
-    ag = search.ag
-
-    def goal(key: _Config) -> bool:
-        return ag.is_target(key[0]) and _le(key[2], ag.bounds)
-
-    for _, level in search.levels(max_depth, goal, starts):
-        # only the last level, that one configuration, can meet the goal
-        if goal(level[0]):
-            return level[0]
+    for _, key in search.levels(max_depth, starts):
+        if search.meets(key):
+            return key
     return None
 
 
 class _Completion(_Search):
-    """Goal search over the constraint components from a pumped prefix.
-    A state whose target term is +inf after sign normalisation is not
-    entered: a path through it has value +inf however often the cycle is
-    pumped."""
+    """Search from a pumped prefix for a completion that meets the
+    constraint components.  A state whose target term is +inf after sign
+    normalisation is not entered: a path through it has value +inf
+    however often the cycle is pumped."""
 
-    def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
+    def _admit(self, key: _Config, parent: Optional[_Config]) -> _Admitted:
         if ext_mul(self.sign, self.ag.extremum_weight(key[0])) == POS_INF:
-            return False
+            return None
         return super()._admit(key, parent)
 
 
@@ -367,32 +372,20 @@ class _PumpSearch(_Search):
                  b2: int):
         super().__init__(ag, cfg, with_target=True, sign=sign)
         self.b2 = b2
-        self.dead: Dict[Tuple[AGState, _Prefixes],
-                        List[Tuple[ExtInt, ...]]] = {}
-        self.unbounded = False
-
-    def pumped(self, key: _Config) -> bool:
-        """`levels` goal: the last admitted configuration closed a
-        pumpable cycle that has a completion."""
-        return self.unbounded
+        self.dead: Dict[Tuple[AGState, _Prefixes], List[_Vec]] = {}
 
     def _dead(self, key: _Config) -> bool:
         st, pre, acc = key
         return any(_le(d, acc) for d in self.dead.get((st, pre), ()))
 
-    def _admit(self, key: _Config, parent: Optional[_Config]) -> bool:
-        st, pre, acc = key
+    def _admit(self, key: _Config, parent: Optional[_Config]) -> _Admitted:
         if self._dead(key):
-            return False
-        old = self.dom.store.get((st, pre), ())
-        if not super()._admit(key, parent):
-            return False
-        # acc replaced a stored vector (the antichain did not grow), and
-        # one it replaced has a higher target
-        if len(self.dom.store[st, pre]) <= len(old) and \
-                any(acc[-1] < v[-1] and _le(acc, v) for v in old):
+            return None
+        replaced = super()._admit(key, parent)
+        # acc replaced a stored vector with a higher target
+        if replaced and any(key[2][-1] < v[-1] for v in replaced):
             self.unbounded = self._pumps(key)
-        return True
+        return replaced
 
     def _pumps(self, c2: _Config) -> bool:
         """Does an ancestor c1 of c2 close a pumpable cycle with a
@@ -452,7 +445,8 @@ def extremum(ag: AnswerGraph, mode: str,
 
     Phase 1 takes the best value over paths of length <= b1; any strictly
     better path with length in (b1, b2] makes the result -inf (MIN) or
-    +inf (MAX); no satisfying path at all gives the empty-set convention.
+    +inf (MAX), as soon as the first one is admitted; no satisfying path
+    at all gives the empty-set convention.
 
     When neither bound is pinned, a cycle that lowers the sign-normalised
     target and raises no constraint component, followed by a completion
@@ -471,28 +465,19 @@ def extremum(ag: AnswerGraph, mode: str,
     sign = 1 if mode == MIN else -1
     if cfg.b1 is None and cfg.b2 is None:
         search = _PumpSearch(ag, cfg, sign, b2)
-        stop = search.pumped
     else:
         search = _Search(ag, cfg, with_target=True, sign=sign)
-        stop = None
 
     best: Optional[ExtInt] = None
     best_key = None
-    for depth, level in search.levels(b2, stop):
-        if stop and stop(level[0]):
+    for depth, key in search.levels(b2):
+        value = key[2][-1]
+        better = search.meets(key) and (best is None or value < best)
+        if search.unbounded or better and depth > b1:
+            # a pumpable cycle, or a longer path that beats every short one
             return ExtremumResult(ext_mul(sign, NEG_INF), stats=search.stats)
-        for key in level:
-            st, _, acc = key
-            if not ag.is_target(st) or not _le(acc, ag.bounds):
-                continue
-            value = acc[-1]
-            if depth <= b1:
-                if best is None or value < best:
-                    best, best_key = value, key
-            elif best is None or value < best:
-                # a longer path beats every short one: unbounded extremum
-                return ExtremumResult(ext_mul(sign, NEG_INF),
-                                      stats=search.stats)
+        if better:
+            best, best_key = value, key
     if best is None:
         return ExtremumResult(ext_mul(sign, POS_INF), stats=search.stats)
     env, paths = search.reconstruct(best_key)
@@ -523,8 +508,7 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
         ]
     search = _Search(ag, cfg, tracked=tracked)
     answers = set()
-    for _, level in search.levels(max_len):
-        for st, prefixes, acc in level:
-            if ag.is_target(st) and _le(acc, ag.bounds):
-                answers.add((st.env[:n_free_nodes], prefixes))
+    for _, key in search.levels(max_len):
+        if search.meets(key):
+            answers.add((key[0].env[:n_free_nodes], key[1]))
     return answers, search.stats

@@ -62,3 +62,46 @@ def module_mutable_state(tree: ast.Module):
 def test_no_module_level_mutable_state(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert module_mutable_state(tree) == []
+
+
+def unreferenced_private_helpers(tree: ast.Module):
+    """(line, name) of each `_`-prefixed module-level function or class,
+    and each `_`-prefixed method, whose name the module never reads: a
+    name in a load context, or an attribute of that name, other than its
+    own definition.  Dunder methods are called by the language."""
+    defined = [(node.lineno, node.name) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))]
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        defined += [(node.lineno, node.name) for node in cls.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return sorted((line, name) for line, name in defined
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unreferenced_private_helpers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unreferenced_private_helpers(tree) == []
+
+
+def test_unreferenced_private_helpers_flags_only_dead_ones():
+    tree = ast.parse(
+        "def _used(): pass\n"
+        "def _dead(): pass\n"
+        "class _Box:\n"
+        "    def __init__(self): self._step()\n"
+        "    def _step(self): pass\n"
+        "    def _idle(self): pass\n"
+        "x = _Box() if _used() else None\n")
+    assert unreferenced_private_helpers(tree) == [(2, "_dead"),
+                                                  (6, "_idle")]

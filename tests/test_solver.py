@@ -18,7 +18,7 @@ from opra.query import (
     RegularConstraint,
 )
 from opra.solver import (
-    MAX, MIN, SolveConfig, check_empty, derive_bounds, extremum,
+    MAX, MIN, SolveConfig, _Dominance, check_empty, derive_bounds, extremum,
 )
 from opra.validate import validate
 
@@ -256,6 +256,42 @@ def test_huge_int_next_to_infinity_stays_exact():
     assert (res.value, res.witness["pi"]) == (POS_INF, (1, 2, 3))
 
 
+def _leq(u, v):
+    return all(a <= b for a, b in zip(u, v))
+
+
+def _minimal(vecs):
+    return {v for v in vecs if not any(_leq(u, v) and u != v for u in vecs)}
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_dominance_admit_matches_brute_force_antichain(dim):
+    # every vector offered to a key so far is kept in `offered`; the store
+    # must hold exactly their distinct minimal elements
+    rng = random.Random(20171012 + dim)
+    values = (NEG_INF, -2, -1, 0, 1, 2, POS_INF)
+    for _ in range(30):
+        dom = _Dominance()
+        offered = {}
+        for _ in range(80):
+            key = rng.randrange(3)
+            acc = tuple(rng.choice(values) for _ in range(dim))
+            stored = _minimal(offered.setdefault(key, []))
+            got = dom.admit(key, acc)
+            offered[key].append(acc)
+            if any(_leq(v, acc) for v in stored):
+                assert got is None
+            else:
+                assert sorted(got) == sorted(v for v in stored
+                                             if _leq(acc, v))
+        for key, vecs in offered.items():
+            kept = dom.store[key]
+            assert len(kept) == len(set(kept))
+            assert set(kept) == _minimal(vecs)
+            assert not any(_leq(u, v) for u in kept for v in kept
+                           if u is not v)
+
+
 def test_extremum_witness_replays_value(fig2):
     rng = random.Random(11)
     for _ in range(15):
@@ -283,6 +319,33 @@ def _run_extremum(g, mode: str, having: str = "", target: str = "weight",
     pra = validate(parse(RUN_QUERY + having), g).query.query
     ag = AnswerGraph(g, pra, target=(target, ("pi",)))
     return extremum(ag, mode, cfg=SolveConfig(visited_budget=budget))
+
+
+@pytest.mark.parametrize("mode, states, transitions, want, expanded", [
+    # a -1 loop on q0 before the step into q1
+    (MIN, ("q0", "q1"), (("q0", "a", -1, "q0"), ("q0", "a", 0, "q1")),
+     NEG_INF, 50),
+    (MAX, ("q0", "q1"), (("q0", "a", 1, "q0"), ("q0", "b", 0, "q1")),
+     POS_INF, 50),
+    # the loop, plus 0-weight detours through q1 and q2 that widen every
+    # level after the first
+    (MIN, ("q0", "q1", "q2", "q3"), (
+        ("q0", "a", -1, "q0"), ("q0", "b", 0, "q1"), ("q1", "a", 0, "q1"),
+        ("q1", "b", 1, "q2"), ("q2", "a", 0, "q2"), ("q2", "b", 0, "q3"),
+        ("q0", "a", 0, "q3")), NEG_INF, 108),
+])
+def test_pinned_bounds_stop_at_the_first_better_long_path(
+        mode, states, transitions, want, expanded):
+    # the two-bound rule returns at the first configuration beyond b1 that
+    # beats the best short one, before the rest of depth b1 is expanded:
+    # building that whole level first takes 51, 51 and 114 expansions
+    g = _automaton(states, transitions)
+    pra = validate(parse(RUN_QUERY), g).query.query
+    ag = AnswerGraph(g, pra, target=("weight", ("pi",)))
+    res = extremum(ag, mode, cfg=SolveConfig(b1=12, b2=24))
+    assert res.value == want
+    assert res.witness is None
+    assert res.stats.expanded == expanded
 
 
 @pytest.mark.parametrize("having", [
