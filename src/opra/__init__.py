@@ -10,7 +10,7 @@ graph searched with bounded breadth-first exploration; a brute-force
 oracle provides independent reference semantics for testing.
 """
 
-from .answer_graph import AGState, AnswerGraph
+from .answer_graph import AGState, AnswerGraph, Plan
 from .automata import (
     BOTTOM, Nfa, compile_regex, eval_node_constraint, match_paths, step,
 )

@@ -48,11 +48,19 @@ it, the passing nodes are among those targets of u, and the
 component's real choices are the intersection of these unions over its
 single-component NFAs.  The source answers for stored labellings at
 any value but their default, and an ontology view also for the defined
-shapes `ontology` lists; the lookups are resolved when the product is
-built.  Any other letter leaves all real nodes as candidates.  Each candidate is then tested against its NFA state's
-entry in the move table (`Nfa.moves`).  Weights read stored labellings
-straight from their entries and add plain ints as ints, other values
-by the extended rules.
+shapes `ontology` lists; the lookups are resolved when the plan is
+built.  Any other letter leaves all real nodes as candidates.  Each
+candidate is then tested against its NFA state's entry in the move
+table (`Nfa.moves`).  Weights read stored labellings straight from
+their entries and add plain ints as ints, other values by the extended
+rules.
+
+A `Plan` holds what depends only on the source, the query, the names
+of the bound variables and the target: variable and slot orders, lazy
+targets, compiled NFAs with their index keys, and weight and target
+readers.  An `AnswerGraph` binds a plan to input paths and node values.
+An ontology view keeps the plans of its nested queries, so each is
+compiled once per view and bound once per node tuple.
 """
 
 from __future__ import annotations
@@ -60,7 +68,8 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 from typing import (
-    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Collection, Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from .automata import Nfa, compile_regex, eval_node_constraint
@@ -111,26 +120,13 @@ class AGState(NamedTuple):
     env: Tuple[NodeId, ...]
 
 
-class AnswerGraph:
-    """Implicit product of a graph, constraint NFAs and a position counter.
+class Plan:
+    """The part of a product fixed before any value is bound."""
 
-    `source` is a Graph or an ontology-extended view; `bound_paths` binds
-    free path variables to concrete input paths, `bound_nodes` binds free
-    node variables (as when a nested query is evaluated under an outer
-    instantiation), and `target` names a labelling aggregated over some
-    path variables for extremum queries.
-    """
-
-    def __init__(
-        self,
-        source,
-        pra: PraQuery,
-        bound_paths: Optional[Mapping[str, Sequence[NodeId]]] = None,
-        bound_nodes: Optional[Mapping[str, NodeId]] = None,
-        target: Optional[Tuple[str, Tuple[str, ...]]] = None,
-    ):
-        bound_paths = dict(bound_paths or {})
-        bound_nodes = dict(bound_nodes or {})
+    def __init__(self, source, pra: PraQuery,
+                 bound_paths: Collection[str] = (),
+                 bound_nodes: Collection[str] = (),
+                 target: Optional[Tuple[str, Tuple[str, ...]]] = None):
         self.source = source
         self.pra = pra
 
@@ -143,22 +139,10 @@ class AnswerGraph:
 
         # path variables: bound free ones first, then unbound free, then
         # existential (the component order of every state's node tuple)
-        all_paths = query_path_vars(pra)
-        free = [v for v in all_paths if v in pra.match_paths]
-        exist = [v for v in all_paths if v not in pra.match_paths]
-        ordered = [v for v in free if v in bound_paths] \
-            + [v for v in free if v not in bound_paths] + exist
-        self.path_vars: Tuple[str, ...] = tuple(ordered)
+        self.path_vars: Tuple[str, ...] = tuple(sorted(
+            query_path_vars(pra),
+            key=lambda v: (v not in pra.match_paths, v not in bound_paths)))
         self.k = len(self.path_vars)
-        self.bound: List[Optional[Tuple[NodeId, ...]]] = [
-            tuple(bound_paths[v]) if v in bound_paths else None
-            for v in self.path_vars
-        ]
-        for p in self.bound:
-            if p and any(n == SINK for n in p):
-                raise ValueError("input paths range over real nodes only")
-        self.N = max((len(p) for p in self.bound if p is not None), default=0)
-        self.start_pos = 1 if self.N >= 1 else OMEGA
 
         # tracked node variables: free ones, then path-constraint ones
         self.env_vars: Tuple[str, ...] = query_node_vars(pra)
@@ -174,19 +158,19 @@ class AnswerGraph:
                     eager.add(pc.target.name)
         self.lazy_vars = frozenset(targets - eager)
         reals = tuple(source.real_nodes)
-        self._domains = [
-            (bound_nodes[v],) if v in bound_nodes
-            else (UNBOUND,) if v in self.lazy_vars else reals
-            for v in self.env_vars
-        ]
+        # per slot, its domain; a binding sets those of `bound_slots`
+        self.domains = [(UNBOUND,) if v in self.lazy_vars else reals
+                        for v in self.env_vars]
+        self.bound_slots = [(i, v) for i, v in enumerate(self.env_vars)
+                            if v in bound_nodes]
         # a node literal of a path constraint is one more slot, after the
         # variables', whose domain is its one node
         slot = {NodeRef(v): i for i, v in enumerate(self.env_vars)}
         for pc in pra.path_constraints:
             for ref in (pc.source, pc.target):
                 if ref not in slot:
-                    slot[ref] = len(self._domains)
-                    self._domains.append((source.node_id(ref.name),))
+                    slot[ref] = len(self.domains)
+                    self.domains.append((source.node_id(ref.name),))
 
         # per component, the slots its path constraints' endpoints read
         pidx = {v: i for i, v in enumerate(self.path_vars)}
@@ -198,7 +182,7 @@ class AnswerGraph:
         # per component, the lazy target slots its last step binds
         self._binds: List[Tuple[int, Tuple[int, ...]]] = []
         for i, slots in enumerate(self._tgt_slots):
-            lazy = tuple(s for s in slots if self._domains[s] == (UNBOUND,))
+            lazy = tuple(s for s in slots if self.domains[s] == (UNBOUND,))
             if lazy:
                 self._binds.append((i, lazy))
 
@@ -240,29 +224,24 @@ class AnswerGraph:
         self._reals = reals
         self._sinks = (SINK,) * self.k
 
-    # -- start and target states -----------------------------------------
+    def _reader(self, name: str, sel: Tuple[int, ...]):
+        """`name` at the nodes `sel` picks from a node tuple; 0 when all
+        are the sink, as a positionwise sum stops at its longest path.
+        Only a stored labelling of the right arity is read directly."""
+        source, sinks = self.source, (SINK,) * len(sel)
+        lab = source.labellings.get(name)
+        if lab is not None and lab.arity != len(sel):
+            lab = None  # the source raises for it
 
-    def start_states(self):
-        initials = [sorted(nfa.initial) for nfa, _ in self.nfas]
-        for env in itertools.product(*self._domains):
-            choices: List[Tuple[NodeId, ...]] = []
-            for i in range(self.k):
-                p, srcs = self.bound[i], self._src_slots[i]
-                if p is not None:
-                    if srcs and not self._endpoints_ok(i, p, env):
-                        break
-                    choices.append((path_index(p, 1) if self.N >= 1 else SINK,))
-                elif srcs:
-                    starts = {env[s] for s in srcs}
-                    if len(starts) != 1:
-                        break
-                    choices.append(tuple(starts))
-                else:
-                    choices.append(self._reals + (SINK,))
-            else:
-                for nodes in itertools.product(*choices):
-                    for combo in itertools.product(*initials):
-                        yield AGState(tuple(combo), self.start_pos, nodes, env)
+        def read(nodes: Tuple[NodeId, ...]) -> ExtInt:
+            key = tuple([nodes[c] for c in sel])
+            if key == sinks:
+                return 0
+            if lab is None:
+                return source.label_value(name, key)
+            return lab.entries.get(key, lab.default)
+
+        return read
 
     def _endpoints_ok(self, i: int, p: Tuple[NodeId, ...],
                       env: Tuple[NodeId, ...]) -> bool:
@@ -292,19 +271,86 @@ class AnswerGraph:
                     return None
         return env
 
+
+class AnswerGraph:
+    """Implicit product of a graph, constraint NFAs and a position counter:
+    a `Plan` bound to values.
+
+    `source` is a Graph or an ontology-extended view; `bound_paths` binds
+    free path variables to concrete input paths, `bound_nodes` binds free
+    node variables (as when a nested query is evaluated under an outer
+    instantiation), and `target` names a labelling aggregated over some
+    path variables for extremum queries.  `plans` is a dict of plans on
+    `source` with the same step targets, which the build reads and adds to.
+    """
+
+    def __init__(self, source, pra: PraQuery,
+                 bound_paths: Optional[Mapping[str, Sequence[NodeId]]] = None,
+                 bound_nodes: Optional[Mapping[str, NodeId]] = None,
+                 target: Optional[Tuple[str, Tuple[str, ...]]] = None,
+                 plans: Optional[Dict[tuple, Plan]] = None):
+        bound_paths = dict(bound_paths or {})
+        bound_nodes = dict(bound_nodes or {})
+        plans = {} if plans is None else plans
+        # the plan keeps pra alive, so pra's id names it while it is kept
+        key = (id(pra), tuple(bound_paths), tuple(bound_nodes), target)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = Plan(source, pra, bound_paths, bound_nodes,
+                                     target)
+        self.plan = plan
+
+        self.bound: List[Optional[Tuple[NodeId, ...]]] = [
+            tuple(bound_paths[v]) if v in bound_paths else None
+            for v in plan.path_vars
+        ]
+        if any(SINK in p for p in self.bound if p):
+            raise ValueError("input paths range over real nodes only")
+        self.N = max((len(p) for p in self.bound if p is not None), default=0)
+        self.start_pos = 1 if self.N >= 1 else OMEGA
+        self._domains = list(plan.domains)
+        for s, v in plan.bound_slots:
+            self._domains[s] = (bound_nodes[v],)
+
+    # -- start and target states -----------------------------------------
+
+    def start_states(self):
+        plan = self.plan
+        initials = [sorted(nfa.initial) for nfa, _ in plan.nfas]
+        for env in itertools.product(*self._domains):
+            choices: List[Tuple[NodeId, ...]] = []
+            for i in range(plan.k):
+                p, srcs = self.bound[i], plan._src_slots[i]
+                if p is not None:
+                    if srcs and not plan._endpoints_ok(i, p, env):
+                        break
+                    choices.append((path_index(p, 1) if self.N >= 1 else SINK,))
+                elif srcs:
+                    starts = {env[s] for s in srcs}
+                    if len(starts) != 1:
+                        break
+                    choices.append(tuple(starts))
+                else:
+                    choices.append(plan._reals + (SINK,))
+            else:
+                for nodes in itertools.product(*choices):
+                    for combo in itertools.product(*initials):
+                        yield AGState(tuple(combo), self.start_pos, nodes, env)
+
     def is_target(self, st: AGState) -> bool:
-        return st.pos == OMEGA and st.nodes == self._sinks and all(
+        return st.pos == OMEGA and st.nodes == self.plan._sinks and all(
             st.nfa_states[j] in nfa.final
-            for j, (nfa, _) in enumerate(self.nfas))
+            for j, (nfa, _) in enumerate(self.plan.nfas))
 
     # -- transitions --------------------------------------------------------
 
     def successors(self, st: AGState) -> List[AGState]:
+        plan = self.plan
         nxt_pos = st.pos + 1 if st.pos != OMEGA and st.pos < self.N \
             else OMEGA
 
         choices: List[Sequence[NodeId]] = []
-        for i in range(self.k):
+        for i in range(plan.k):
             p = self.bound[i]
             if p is not None:
                 choices.append(
@@ -316,7 +362,7 @@ class AnswerGraph:
                 # real next nodes that can pass a letter into a live state
                 # of each single-component NFA on i (candidate narrowing)
                 narrowed = None
-                for j, keys in self._narrowers[i]:
+                for j, keys in plan._narrowers[i]:
                     lookups = keys[st.nfa_states[j]]
                     if lookups is None:
                         continue  # some letter admits every real node
@@ -324,16 +370,16 @@ class AnswerGraph:
                     for targets in lookups:
                         cands.update(targets.get(st.nodes[i], ()))
                     narrowed = cands if narrowed is None else narrowed & cands
-                reals = self._reals if narrowed is None \
+                reals = plan._reals if narrowed is None \
                     else tuple(sorted(narrowed))
-                if self._can_end(i, st.nodes[i], st.env):
+                if plan._can_end(i, st.nodes[i], st.env):
                     reals += (SINK,)
                 choices.append(reals)
 
         # per NFA: selector, all-sink selection, current nodes, BOTTOM
         # moves once its paths have all terminated (else None), real moves
         nfa_steps = []
-        for (nfa, sel), state in zip(self.nfas, st.nfa_states):
+        for (nfa, sel), state in zip(plan.nfas, st.nfa_states):
             sinks = (SINK,) * len(sel)
             cur = tuple([st.nodes[c] for c in sel])
             bottom, real = nfa.moves[state]
@@ -344,7 +390,7 @@ class AnswerGraph:
         dsts_memo: Dict[Tuple[int, Tuple[NodeId, ...]], List[int]] = {}
         out = set()
         for nodes in itertools.product(*choices):
-            env = self._bind(st.nodes, nodes, st.env)
+            env = plan._bind(st.nodes, nodes, st.env)
             if env is None:
                 continue
             per_nfa = []
@@ -358,7 +404,7 @@ class AnswerGraph:
                         dsts = dsts_memo[j, nxt] = [
                             dst for letter, dst, live in real
                             if (live or closing) and eval_node_constraint(
-                                self.source, letter, cur, nxt)
+                                plan.source, letter, cur, nxt)
                         ]
                 if not dsts:
                     break
@@ -371,25 +417,6 @@ class AnswerGraph:
 
     # -- weights --------------------------------------------------------------
 
-    def _reader(self, name: str, sel: Tuple[int, ...]):
-        """`name` at the nodes `sel` picks from a node tuple; 0 when all
-        are the sink, as a positionwise sum stops at its longest path.
-        Only a stored labelling of the right arity is read directly."""
-        source, sinks = self.source, (SINK,) * len(sel)
-        lab = source.labellings.get(name)
-        if lab is not None and lab.arity != len(sel):
-            lab = None  # the source raises for it
-
-        def read(nodes: Tuple[NodeId, ...]) -> ExtInt:
-            key = tuple([nodes[c] for c in sel])
-            if key == sinks:
-                return 0
-            if lab is None:
-                return source.label_value(name, key)
-            return lab.entries.get(key, lab.default)
-
-        return read
-
     def weight(self, st: AGState) -> Tuple[ExtInt, ...]:
         """Per-constraint contribution of this state's node tuple.
 
@@ -398,7 +425,7 @@ class AnswerGraph:
         int next to an infinity never meets float arithmetic.
         """
         out = []
-        for terms in self._arith:
+        for terms in self.plan._arith:
             total: ExtInt = 0
             for coeff, _, read in terms:
                 v = read(st.nodes)
@@ -410,7 +437,7 @@ class AnswerGraph:
         return tuple(out)
 
     def extremum_weight(self, st: AGState) -> ExtInt:
-        return self.target[1](st.nodes)
+        return self.plan.target[1](st.nodes)
 
     # -- decoding ----------------------------------------------------------------
 
@@ -419,12 +446,12 @@ class AnswerGraph:
         the last state, where every lazy target of a complete path has
         been bound."""
         paths: Dict[str, Tuple[NodeId, ...]] = {}
-        for i, var in enumerate(self.path_vars):
+        for i, var in enumerate(self.plan.path_vars):
             nodes: List[NodeId] = []
             for st in states:
                 if st.nodes[i] == SINK:
                     break
                 nodes.append(st.nodes[i])
             paths[var] = tuple(nodes)
-        env = dict(zip(self.env_vars, states[-1].env)) if states else {}
+        env = dict(zip(self.plan.env_vars, states[-1].env)) if states else {}
         return env, paths

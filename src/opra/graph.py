@@ -9,15 +9,15 @@ mention the sink are never stored and therefore evaluate to the default.
 
 Stored graphs and their labellings are immutable after load and safe to
 share across concurrent evaluations.  An ontology view
-(`ontology.ExtendedGraph`) is a Graph too, but it carries its own memo
-and evaluation depth, so each evaluation makes its own view.  The one
-derived structure is a labelling's index, for any arity: per value and
-tuple of positions, the keys of that value grouped by their nodes at
-those positions, kept with the per-node projections (`targets`) that
-`step_targets` reads to bound the next nodes of a step letter.  Each
-is computed from the immutable entries on first use and never changes
-afterwards; two evaluations that race to build one build the same
-index, so sharing stays safe.
+(`ontology.ExtendedGraph`) is a Graph too, but it carries its own memo,
+the plans of its nested queries and its evaluation depth, so each
+evaluation makes its own view.  The one derived structure is a
+labelling's index, for any arity: per value and tuple of positions, the
+keys of that value grouped by their nodes at those positions, kept with
+the per-node projections (`targets`) that `step_targets` reads to bound
+the next nodes of a step letter.  Each is computed from the immutable
+entries on first use and never changes afterwards; two evaluations that
+race to build one build the same index, so sharing stays safe.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ definitions may reference graph labellings and earlier definitions only
 (validation enforces the ordering).  Tuples that mention the sink short-
 circuit to 0 so that padded positions stay value-neutral.
 
-A view is made for one evaluation, and its memo and its evaluation
-depth are its own: the memo lives exactly as long as the view, and
-labelling names are unique within a view, so a value computed on one
-graph or under one ontology is never read back for another.
+A view is made for one evaluation, and its memo, its plans and its
+evaluation depth are its own: memo and plans live exactly as long as
+the view, and labelling names are unique within a view, so a value or
+plan made on one graph or under one ontology is never read for another.
 
 Term evaluation follows the constructor-by-constructor semantics:
 constants, labelling lookups, 0/1 query indicators, extrema of an
@@ -32,7 +32,8 @@ from the letter's value: some collector value must then pass the
 filter, so the next node is among the filter's entries of value 1.
 Both indexes give way to the scan near `MAX_EVAL_DEPTH`, so that a
 `RecursionDepthExceededError` is raised exactly where the scan raises
-it.
+it; plans built there are kept apart, as they resolve step targets
+again.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class ExtendedGraph(Graph):
         }
         self.solve_config = solve_config or SolveConfig()
         self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
+        self._plans = ({}, {})  # nested plans away from, near the depth limit
         self._depth = 0
 
     def has_labelling(self, name: str) -> bool:
@@ -172,10 +174,11 @@ def _eval(view: ExtendedGraph, term: Term,
         return 1 if eta[term.left] == eta[term.right] else 0
     if isinstance(term, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
         bound = {v: eta[v] for v in term.query.match_nodes}
+        plans = view._plans[view._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN]
         if isinstance(term, IndicatorTerm):
-            ag = AnswerGraph(view, term.query, bound_nodes=bound)
+            ag = AnswerGraph(view, term.query, bound_nodes=bound, plans=plans)
             return 0 if check_empty(ag, cfg=view.solve_config).empty else 1
-        ag = AnswerGraph(view, term.query, bound_nodes=bound,
+        ag = AnswerGraph(view, term.query, bound_nodes=bound, plans=plans,
                          target=(term.labelling, (term.path_var,)))
         mode = MIN if isinstance(term, MinPathTerm) else MAX
         return extremum(ag, mode, cfg=view.solve_config).value

@@ -122,19 +122,20 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
     pinned b2 alone caps the derived b1 at b2 // 2."""
     b1 = cfg.b1
     if b1 is None:
-        n_nodes = len(ag.source.real_nodes) + 1
-        size = n_nodes ** ag.k * (ag.N + 2)
-        for nfa, _ in ag.nfas:
+        plan = ag.plan
+        n_nodes = len(plan.source.real_nodes) + 1
+        size = n_nodes ** plan.k * (ag.N + 2)
+        for nfa, _ in plan.nfas:
             size *= max(nfa.n_states, 1)
         size = min(size, _STATE_CAP)
         w = 1
-        for terms in ag._arith:
+        for terms in plan._arith:
             for coeff, name, _ in terms:
-                bound = max(1, _finite_bound(ag.source, name))
+                bound = max(1, _finite_bound(plan.source, name))
                 w = max(w, abs(coeff) * bound)
-        if ag.target is not None:
-            w = max(w, max(1, _finite_bound(ag.source, ag.target[0])))
-        d = len(ag.bounds) + 1
+        if plan.target is not None:
+            w = max(w, max(1, _finite_bound(plan.source, plan.target[0])))
+        d = len(plan.bounds) + 1
         b1 = min(size * (2 * d * w * size + 1) ** d, _BOUND_CAP)
         if cfg.b2 is not None:
             b1 = min(b1, cfg.b2 // 2)  # as b2 = 2 * b1 when b2 is derived
@@ -164,11 +165,11 @@ def _monotone_components(ag: AnswerGraph) -> Tuple[bool, ...]:
     term's least contribution is finite and >= 0 (all-sink positions
     contribute 0, so 0 is always possible)."""
     def least(coeff: int, name: str) -> ExtInt:
-        lo, hi = _value_range(ag.source, name)
+        lo, hi = _value_range(ag.plan.source, name)
         return ext_mul(coeff, lo if coeff >= 0 else hi)
 
     flags = []
-    for terms in ag._arith:
+    for terms in ag.plan._arith:
         lows = (least(coeff, name) for coeff, name, _ in terms)
         flags.append(all(is_finite(lo) and lo >= 0 for lo in lows))
     return tuple(flags)
@@ -222,7 +223,7 @@ class _Search:
                  tracked: Sequence[int] = (),
                  stats: Optional[SolveStats] = None):
         self.ag = ag
-        self.bounds = ag.bounds
+        self.bounds = ag.plan.bounds
         self.cfg = cfg
         self.with_target = with_target
         self.sign = sign  # -1 turns a maximised target into a minimised one
@@ -456,7 +457,7 @@ def extremum(ag: AnswerGraph, mode: str,
     cycle has no completion is a dead key: no later configuration with
     its state and at least its constraint components is explored.
     """
-    if ag.target is None:
+    if ag.plan.target is None:
         raise ValueError("answer graph was built without a target labelling")
     if mode not in (MIN, MAX):
         raise ValueError("mode must be 'min' or 'max'")
@@ -498,14 +499,13 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
     completions and decode to the same answers.
     """
     cfg = cfg or SolveConfig()
-    n_free_nodes = len(ag.pra.match_nodes)
+    plan = ag.plan
+    n_free_nodes = len(plan.pra.match_nodes)
     if track_all:
-        tracked = range(ag.k)
+        tracked = range(plan.k)
     else:
-        tracked = [
-            i for i, v in enumerate(ag.path_vars)
-            if v in ag.pra.match_paths
-        ]
+        tracked = [i for i, v in enumerate(plan.path_vars)
+                   if v in plan.pra.match_paths]
     search = _Search(ag, cfg, tracked=tracked)
     answers = set()
     for _, key in search.levels(max_len):

@@ -289,30 +289,6 @@ def rand_automaton(rng: random.Random) -> WeightedAutomaton:
     return WeightedAutomaton(states, (states[0],), (states[-1],),
                              tuple(sorted(trans)))
 
-def rand_automaton_with_negative_cycle(rng: random.Random) -> WeightedAutomaton:
-    """Automaton whose transition graph has an all-(-1) cycle within two
-    steps of an initial transition and two steps of a final one, so a
-    route through it exists and pumps the weight down without bound."""
-    n_cycle = rng.randint(2, 4)
-    states = [f"c{i}" for i in range(n_cycle)] + ["in0", "out0"]
-    letters = ["a", "b"][: rng.randint(1, 2)]
-    trans = []
-    for i in range(n_cycle):
-        trans.append((states[i], rng.choice(letters), -1,
-                      states[(i + 1) % n_cycle]))
-    trans.append(("in0", rng.choice(letters), rng.choice([-1, 0, 1]), "c0"))
-    trans.append((states[rng.randrange(n_cycle)], rng.choice(letters),
-                  rng.choice([-1, 0, 1]), "out0"))
-    for _ in range(rng.randint(0, 3)):
-        trans.append((rng.choice(states), rng.choice(letters),
-                      rng.choice([0, 1]), rng.choice(states)))
-    return WeightedAutomaton(
-        states=tuple(states),
-        initial=("in0",),
-        final=("out0",),
-        transitions=tuple(set(trans)),
-    )
-
 
 def rand_dag_automaton(rng: random.Random) -> WeightedAutomaton:
     """Cycle-free automaton: transitions only go forward in state order,
@@ -333,7 +309,7 @@ def rand_dag_automaton(rng: random.Random) -> WeightedAutomaton:
         states=tuple(states),
         initial=(states[0],),
         final=(states[-1],),
-        transitions=tuple(set(trans)),
+        transitions=tuple(dict.fromkeys(trans)),
     )
 
 
@@ -475,7 +451,7 @@ def rand_data_graph(rng: random.Random, letters=("a", "b"),
 
     n = rng.randint(2, max_nodes)
     nodes = tuple(f"v{i}" for i in range(n))
-    edges = tuple(set(
+    edges = tuple(dict.fromkeys(
         (rng.choice(nodes), rng.choice(letters), rng.choice(nodes))
         for _ in range(rng.randint(1, 2 * n))
     ))

@@ -85,6 +85,32 @@ def test_bound_path_fidelity(fig2, node):
         assert paths[0] == bound
 
 
+def test_kept_plans_bind_as_fresh_builds(fig2, node):
+    # one dict of plans serves builds under other bound names, values,
+    # input paths and targets: each binds the plan made for its names and
+    # target, and starts and solves as a fresh build does
+    pra = validate(parse(
+        ROUTE + "MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t "
+        "WHERE route(pi)"), fig2).query.query
+    S, T, W = node("S"), node("T"), node("W")
+    time, attr = ("time", ("pi",)), ("attr", ("pi",))
+    cases = [({}, {"s": S}, None), ({}, {"s": S, "t": T}, None),
+             ({}, {"s": W}, None), ({}, {"t": T}, None),
+             ({}, {"s": W}, time), ({}, {"s": W}, attr),
+             ({}, {}, time), ({"pi": (S, W)}, {}, time),
+             ({"pi": (S, T)}, {}, time)]
+    plans = {}
+    for paths, nodes, target in cases * 2:
+        kept = AnswerGraph(fig2, pra, paths, nodes, target, plans=plans)
+        fresh = AnswerGraph(fig2, pra, paths, nodes, target)
+        assert list(kept.start_states()) == list(fresh.start_states())
+        if target is None:
+            assert check_empty(kept, CFG) == check_empty(fresh, CFG)
+        else:
+            assert extremum(kept, MIN, CFG) == extremum(fresh, MIN, CFG)
+    assert len(plans) == 7
+
+
 def test_successors_from_start(fig2, node):
     ag = AnswerGraph(fig2, route_sp(fig2))
     starts = list(ag.start_states())
@@ -94,11 +120,11 @@ def test_successors_from_start(fig2, node):
     succ = ag.successors(st)
     # successors that keep the route alive (non-accepting NFA states)
     # must follow the edge relation: S reaches exactly T and W
-    nfa = ag.nfas[0][0]
+    nfa = ag.plan.nfas[0][0]
     via_edge = {s.nodes[0] for s in succ if s.nfa_states[0] not in nfa.final}
     assert via_edge == {node("T"), node("W")}
     # structural bound: at most |V|+1 node choices per component here
-    assert len(succ) <= (len(list(fig2.real_nodes)) + 1) * ag.nfas[0][0].n_states
+    assert len(succ) <= (len(list(fig2.real_nodes)) + 1) * ag.plan.nfas[0][0].n_states
     # a real node in a state without real-letter moves is a dead end
     assert all(s.nodes[0] == SINK for s in succ
                if s.nfa_states[0] not in nfa.live)
@@ -139,11 +165,11 @@ def full_scan_moves(ag, st):
     """Successors of a one-component state by definition: every next
     node, each NFA moving by `automata.step`."""
     (u,) = st.nodes
-    nxt = (SINK,) if u == SINK else tuple(ag.source.real_nodes) + (SINK,)
+    nxt = (SINK,) if u == SINK else tuple(ag.plan.source.real_nodes) + (SINK,)
     out = set()
     for v in nxt:
-        per_nfa = [sorted(step(ag.source, nfa, {st.nfa_states[j]}, (u,), (v,)))
-                   for j, (nfa, _) in enumerate(ag.nfas)]
+        per_nfa = [sorted(step(ag.plan.source, nfa, {st.nfa_states[j]}, (u,), (v,)))
+                   for j, (nfa, _) in enumerate(ag.plan.nfas)]
         for combo in itertools.product(*per_nfa):
             out.add(AGState(combo, OMEGA, (v,), st.env))
     return out
@@ -173,7 +199,7 @@ def assert_successors_match_full_scan(sources, shapes):
                         dead = {
                             x for x in want if x.nodes != (SINK,) and any(
                                 x.nfa_states[j] not in nfa.live
-                                for j, (nfa, _) in enumerate(ag.nfas))
+                                for j, (nfa, _) in enumerate(ag.plan.nfas))
                         }
                         assert got == want - dead, (a.text(), st)
                         assert not any(ag.successors(x) for x in dead)
@@ -258,7 +284,7 @@ def test_free_target_starts_unbound():
     # s, not one per (s, t) pair, and the step that ends pi binds t
     g = rand_sparse_graph(random.Random(6), n=20, degree=3)
     ag = AnswerGraph(g, free_pra(g, "s, t", "s -pi-> t"))
-    assert ag.lazy_vars == {"t"}
+    assert ag.plan.lazy_vars == {"t"}
     starts = list(ag.start_states())
     assert sorted(st.env for st in starts) == \
         [(s, UNBOUND) for s in g.real_nodes]
@@ -273,9 +299,9 @@ def test_shared_lazy_target_binds_once(fig2, node):
     ag = AnswerGraph(fig2, free_pra(
         fig2, "s, u, t", "s -pi-> t AND u -rho-> t",
         "route(pi) AND route(rho)"))
-    assert ag.lazy_vars == {"t"}
-    slot = ag.env_vars.index("t")
-    ipi, irho = ag.path_vars.index("pi"), ag.path_vars.index("rho")
+    assert ag.plan.lazy_vars == {"t"}
+    slot = ag.plan.env_vars.index("t")
+    ipi, irho = ag.plan.path_vars.index("pi"), ag.plan.path_vars.index("rho")
     S, T = node("S"), node("T")
 
     def starts(a, b):
@@ -308,13 +334,13 @@ def test_lazy_only_where_nothing_reads_the_target(fig2, node):
     ag = AnswerGraph(fig2, free_pra(
         fig2, "s, t, u", "s -pi-> t AND t -rho-> u",
         "route(pi) AND route(rho)"))
-    assert ag.lazy_vars == {"u"}
+    assert ag.plan.lazy_vars == {"u"}
     assert {st.env for st in ag.start_states()} == {
         (s, t, UNBOUND) for s in fig2.real_nodes for t in fig2.real_nodes}
 
     ag = AnswerGraph(fig2, free_pra(fig2, "s, t", "s -pi-> t"),
                      bound_nodes={"t": node("P")})
-    assert ag.lazy_vars == frozenset()
+    assert ag.plan.lazy_vars == frozenset()
     assert {st.env[1] for st in ag.start_states()} == {node("P")}
 
     pra = validate(parse(
@@ -322,7 +348,7 @@ def test_lazy_only_where_nothing_reads_the_target(fig2, node):
         "WHERE route(pi)"), fig2).query.query
     stp = tuple(node(x) for x in "STP")
     ag = AnswerGraph(fig2, pra, bound_paths={"pi": stp})
-    assert ag.lazy_vars == frozenset()
+    assert ag.plan.lazy_vars == frozenset()
     assert {st.env for st in ag.start_states()} == {(node("S"), node("P"))}
 
 
@@ -351,7 +377,7 @@ def test_bottom_self_loop_state(fig2):
     ag = AnswerGraph(fig2, route_sp(fig2))
     from opra.answer_graph import AGState
 
-    final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.nfas)
+    final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.plan.nfas)
     env = next(iter(ag.start_states())).env
     st = AGState(final, OMEGA, (SINK,), env)
     assert ag.is_target(st)
@@ -363,7 +389,7 @@ def test_is_target_definition(fig2, node):
     for st in ag.start_states():
         assert not ag.is_target(st)  # node component is non-sink
     # assemble a target state by hand: final NFA states, all sink
-    final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.nfas)
+    final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.plan.nfas)
     from opra.answer_graph import AGState
 
     st = AGState(final, OMEGA, (SINK,), next(ag.start_states().__iter__()).env)
@@ -429,7 +455,7 @@ def test_weight_replay_along_paths(fig2):
             acc = tuple(ext_add(a, w) for a, w in zip(acc, ag.weight(nxt)))
             chain.append(nxt)
         _, paths = ag.decode(chain)
-        if any(st.nodes[i] != SINK for i in range(ag.k)
+        if any(st.nodes[i] != SINK for i in range(ag.plan.k)
                for st in (chain[-1],)):
             continue  # only fully decoded tuples replay exactly
         want = (
@@ -457,7 +483,7 @@ def test_desk_scale_equivalence_with_oracle():
                 g, vq.query.query, OracleConfig(max_path_len=3,
                                                 max_paths=2_000_000)):
             nodes = tuple(env[v] for v in vq.query.query.match_nodes)
-            want.add((nodes, tuple(paths[v] for v in ag.path_vars)))
+            want.add((nodes, tuple(paths[v] for v in ag.plan.path_vars)))
         assert got == want, f"trial {trial} diverged"
 
 

@@ -1,11 +1,14 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+import opra.answer_graph
 import opra.ontology
 
 from opra.embedding import data_graph_from_dict, embed
+from opra.answer_graph import AnswerGraph
 from opra.engine import engine_answers, evaluate
 from opra.errors import (
     ArityMismatchError, ForwardOntologyReferenceError, IndeterminateSumError,
@@ -25,7 +28,7 @@ from opra.query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
     MinPathTerm, OntologyEntry, VarEqTerm,
 )
-from opra.solver import SolveConfig
+from opra.solver import MAX, MIN, SolveConfig, check_empty, extremum
 from opra.validate import validate
 
 from gensupport import rand_instance
@@ -219,6 +222,29 @@ def test_extend_crowded_is_all_zero(fig2):
     eg = extend(fig2, vq.query.ontology, solve_config=CFG)
     for v in fig2.real_nodes:
         assert eg.label_value("crowded", (v,)) == 0
+
+
+def test_crowded_compiles_each_nested_regex_once_per_view(fig2, monkeypatch):
+    # crowded(x) is a nested query with two regular constraints: a view
+    # compiles each once, at its first node, and binds the plan to the rest
+    vq = validate(parse(open_text("nested_queries")), fig2)
+    (crowded,) = vq.query.ontology
+    compile_regex = opra.answer_graph.compile_regex
+    compiled = []
+
+    def counting(regex):
+        compiled.append(regex)
+        return compile_regex(regex)
+
+    monkeypatch.setattr(opra.answer_graph, "compile_regex", counting)
+    regexes = [rc.regex for rc in crowded.term.query.regular_constraints]
+    assert len(regexes) == 2
+    for _ in range(2):  # each view compiles for itself
+        eg = extend(fig2, vq.query.ontology, solve_config=CFG)
+        compiled.clear()
+        assert [eg.label_value("crowded", (v,))
+                for v in fig2.real_nodes] == [0] * len(fig2.real_nodes)
+        assert compiled == regexes
 
 
 def open_text(name):
@@ -436,6 +462,112 @@ def test_indexed_aggregate_at_the_depth_limit(monkeypatch):
     assert view.step_targets("hop", 1) == {1: {3}}
     view._depth += 1
     assert view.step_targets("hop", 1) is None
+
+    # a nested query's plan built at a shallow depth is not reused near
+    # the limit: there its product gives the defined letter's step targets
+    # up, as a product built afresh does, and answers as that one does
+    entries = validate(parse(
+        "LET hop(x, y) := agg Max z { U(z) : S(x, z, y) },\n"
+        "    step(x) := [ MATCH NODES (x) SUCH THAT x -r-> y\n"
+        "                 WHERE <hop(@1, @1') = 7> <T>(r) ]\n"
+        "IN MATCH NODES (s)"), g).query.ontology
+    step = entries[1].term
+    built = []
+
+    def spy_build(*args, **kwargs):
+        built.append(AnswerGraph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(opra.ontology, "AnswerGraph", spy_build)
+    shared = extend(g, entries)
+    narrowed, answers = [], []
+    for depth in (0, limit - 3, limit - 2, limit - 1, limit):
+        # share only the plans: a memoised hop value read deeper down
+        # would skip the evaluation that trips the limit
+        shared._memo.clear()
+        runs = []
+        for view in (shared, extend(g, entries)):
+            view._depth = depth  # the product is built one level deeper
+            runs.append(_outcome(lambda: eval_term(view, step, {"x": 1})))
+        assert runs[0] == runs[1], depth
+        kept, fresh = built[-2:]
+        assert kept.plan._narrowers == fresh.plan._narrowers, depth
+        narrowed.append(kept.plan._narrowers[0][0][1][0])
+        answers.append(runs[0])
+    assert narrowed == [({1: {3}},)] * 3 + [None] * 2
+    assert answers[:4] == [1] * 4
+    assert answers[4][0] is RecursionDepthExceededError
+    assert [len(plans) for plans in shared._plans] == [1, 1]
+
+
+NESTED_TEXT = """def route(p) = <adj(@1, @1') = 1>* <T>
+LET adj(x, y) := E(x, y),
+    reach(x, y) := [ MATCH NODES (x, y) SUCH THAT x -r-> y
+                     WHERE route(r) HAVING w0[r] <= 2 ],
+    lo(x, y) := min[w1, r]{ MATCH NODES (x, y), PATHS (r)
+                            SUCH THAT x -r-> y WHERE route(r)
+                            HAVING w0[r] <= 2 },
+    hi(x) := max[w1, r]{ MATCH NODES (x), PATHS (r) SUCH THAT x -r-> y
+                         WHERE route(r) HAVING w1[r] <= 3 }
+IN MATCH NODES (s)"""
+
+
+def _outcome(run):
+    try:
+        return run()
+    except OpraError as e:
+        return type(e), str(e)
+
+
+def test_plan_reuse_is_invisible():
+    # a view builds each nested query's plan once and binds it per node
+    # tuple.  On seeded graphs, with nested indicator, MIN and MAX terms
+    # over defined and stored letters, each lookup on one shared view
+    # gives the value or typed error of a fresh view per lookup, and each
+    # product bound from a kept plan solves with the value, stats and
+    # witness of a product built afresh
+    rng = random.Random(4711)
+    outcomes = set()
+    for _ in range(10):
+        g, q = rand_instance(rng, max_len=5, joint_budget=20_000,
+                             max_nodes=4, n_unary=2)
+        pra = validate(q, g).query.query
+        nodes, ext = pra.match_nodes, replace(pra, match_paths=("p0",))
+        # one query object under two targets
+        entries = validate(parse(NESTED_TEXT), g).query.ontology + (
+            OntologyEntry("ind", nodes, IndicatorTerm(
+                replace(pra, match_paths=()))),
+            OntologyEntry("min", nodes, MinPathTerm("w1", "p0", ext)),
+            OntologyEntry("max", nodes, MaxPathTerm("w0", "p0", ext)),
+        )
+        cfg = SolveConfig(b1=8, b2=16,
+                          visited_budget=rng.choice((10, 30, 100_000)))
+        shared = extend(g, entries, cfg)
+        plans = {}
+        for e in entries[1:]:
+            for key in itertools.product(g.real_nodes, repeat=len(e.params)):
+                got = _outcome(lambda: shared.label_value(e.name, key))
+                assert got == _outcome(lambda: extend(
+                    g, entries, cfg).label_value(e.name, key)), (e, key)
+                outcomes.add(type(got) if type(got) is tuple else got)
+                term, eta = e.term, dict(zip(e.params, key))
+                target = None if isinstance(term, IndicatorTerm) \
+                    else (term.labelling, (term.path_var,))
+                if isinstance(term, IndicatorTerm):
+                    solve = lambda ag: check_empty(ag, cfg)  # noqa: E731
+                else:
+                    mode = MIN if isinstance(term, MinPathTerm) else MAX
+                    solve = lambda ag: extremum(ag, mode, cfg)  # noqa: E731
+                kept = _outcome(lambda: solve(AnswerGraph(
+                    shared, term.query, bound_nodes=eta, target=target,
+                    plans=plans)))
+                assert kept == _outcome(lambda: solve(AnswerGraph(
+                    extend(g, entries, cfg), term.query, bound_nodes=eta,
+                    target=target))), (e, key)
+        assert len(plans) == len(entries) - 1
+    # values of every kind, and budget errors, were compared
+    assert {0, 1, NEG_INF, POS_INF, tuple} <= outcomes
+    assert any(type(v) is int and v not in (0, 1) for v in outcomes)
 
 
 def test_rpq_over_defined_letters_reads_few_label_values(monkeypatch):

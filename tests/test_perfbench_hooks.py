@@ -76,3 +76,24 @@ def test_route_fixed_round_keeps_its_search():
         tr.uninstall()
     assert tr.count("solver.expanded") == 2801
     assert tr.count("solver.enqueued") == 2832
+
+
+def test_ontology_nested_round_keeps_its_search():
+    # seed 1's ontology_nested round: each nested query is compiled once
+    # per view and its plan bound per node tuple, so the round still makes
+    # one product per nested evaluation but compiles only 127 NFAs (531
+    # when every product compiled its own), with the same search
+    case = load_perfbench("workloads").WORKLOADS["ontology_nested"](1)
+    ops = case.ops(case.setup())
+    tr = load_perfbench("tracer").Tracer()
+    tr.install()
+    try:
+        for op in ops:
+            assert op.check(op.run()), op.name
+    finally:
+        tr.uninstall()
+    assert tr.count("solver.expanded") == 2994
+    assert tr.count("solver.enqueued") == 3273
+    totals = tr.totals()
+    assert totals["automata.compile_regex"]["n"] == 127
+    assert totals["answer_graph.build"]["n"] == 487
