@@ -21,7 +21,10 @@ where two of its components end at different nodes is dropped.  This
 is sound because letters and arithmetical terms read path positions
 only, never tracked variables, and a target state has every component
 on the sink, so every lazy target is bound there.  Free `(s, t)`
-queries thus start from n states, not n^2.
+queries thus start from n states, not n^2.  Successors read the env
+only at target slots, lazy ones included, and copy every other slot
+through; a binding's `read_slots` names them, or is None when no other
+slot can vary.
 
 Transitions enforce, in one place, the four consistency rules that make
 product paths encode exactly the constraint-satisfying path tuples:
@@ -185,6 +188,8 @@ class Plan:
             lazy = tuple(s for s in slots if self.domains[s] == (UNBOUND,))
             if lazy:
                 self._binds.append((i, lazy))
+        # the slots `successors` reads: every target slot, lazy ones too
+        self.read_slots = tuple(sorted(set().union(*self._tgt_slots)))
 
         # compiled regular constraints with their component selectors
         self.nfas: List[Tuple[Nfa, Tuple[int, ...]]] = [
@@ -311,6 +316,10 @@ class AnswerGraph:
         self._domains = list(plan.domains)
         for s, v in plan.bound_slots:
             self._domains[s] = (bound_nodes[v],)
+        # the env slots `successors` reads, None when no other slot varies
+        self.read_slots: Optional[Tuple[int, ...]] = None if all(
+            len(d) == 1 for s, d in enumerate(self._domains)
+            if s not in plan.read_slots) else plan.read_slots
 
     # -- start and target states -----------------------------------------
 

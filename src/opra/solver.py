@@ -53,12 +53,14 @@ accumulated vectors sign-normalised so the target is minimised:
 
 Pinned bounds keep the two-bound rule alone.
 
-A search may expand one product state at several weights, so it
-memoises the state's successors with their weight vectors on its first
-expansion and reads them on later ones.  Both depend only on the state
-and the view, and the memo keeps the answer graph's order, so
-generation order, dominance outcomes and witnesses stay the same.  The
-memo belongs to the search object and dies with it.
+A search memoises successors with their weight vectors on what
+`successors` reads: the NFA states, pos, nodes and the env at the answer
+graph's `read_slots` (the state itself when that is None), so a state
+met at another weight, or for another free source, reuses them.  Under
+another env each successor's env is rebuilt by `Plan._bind`; weights
+read nodes only.  The order, (nodes, nfa_states), does not involve the
+env, so generation order, dominance outcomes and witnesses stay the
+same.  The memo belongs to the search object and dies with it.
 """
 
 from __future__ import annotations
@@ -232,8 +234,9 @@ class _Search:
         self.dom = _Dominance()
         self.parent: Dict[_Config, Optional[_Config]] = {}
         self.monotone = _monotone_components(ag)
-        # per expanded state, its successors with their weight vectors
-        self.memo: Dict[AGState, List[Tuple[AGState, tuple]]] = {}
+        # (nfa_states, pos, nodes, env at ag.read_slots), or the state:
+        # (env computed under, [(successor, weight vector)])
+        self.memo: Dict[tuple, Tuple[tuple, List[Tuple[AGState, _Vec]]]] = {}
 
     def weight_vec(self, st: AGState) -> _Vec:
         w = self.ag.weight(st)
@@ -241,14 +244,27 @@ class _Search:
             w = w + (ext_mul(self.sign, self.ag.extremum_weight(st)),)
         return w
 
-    def _expand(self, st: AGState):
+    def _expand(self, st: AGState, mkey: tuple):
         """st's successors with their weight vectors, each weighed when the
-        search reaches it; memoised once all are, never a partial list."""
+        search reaches it; memoised at mkey once all are, never partial."""
         out = []
         for succ in self.ag.successors(st):
             out.append((succ, self.weight_vec(succ)))
             yield out[-1]
-        self.memo[st] = out
+        self.memo[mkey] = (st.env, out)
+
+    def _shared(self, st: AGState, read: Tuple[int, ...]):
+        """st's successors with their weight vectors, memoised at the key
+        projected on `read`; under another env each one's is rebuilt."""
+        mkey = st[:3] + (tuple([st.env[s] for s in read]),)
+        hit = self.memo.get(mkey)
+        if hit is None:
+            return self._expand(st, mkey)
+        if hit[0] == st.env:
+            return hit[1]
+        bind = self.ag.plan._bind
+        return [(AGState(*s[:3], bind(st.nodes, s.nodes, st.env)), w)
+                for s, w in hit[1]]
 
     def prune_monotone(self, acc: _Vec) -> bool:
         for i, mono in enumerate(self.monotone):
@@ -293,6 +309,7 @@ class _Search:
         state is logged at DEBUG on `opra.solver`.
         """
         tracked, stats, memo = self.tracked, self.stats, self.memo
+        read = self.ag.read_slots
         admit, budget = self._admit, self.cfg.visited_budget
         trace = logger.isEnabledFor(logging.DEBUG)
         if _starts is None:
@@ -318,8 +335,12 @@ class _Search:
                 if trace:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
-                moves = memo.get(st)
-                for succ, w in self._expand(st) if moves is None else moves:
+                if read is None:  # the state is its own key
+                    hit = memo.get(st)
+                    moves = self._expand(st, st) if hit is None else hit[1]
+                else:
+                    moves = self._shared(st, read)
+                for succ, w in moves:
                     acc2 = tuple([
                         a + b if type(a) is int and type(b) is int
                         else ext_add(a, b)

@@ -61,11 +61,10 @@ def test_automaton_extrema_round_answers_every_operation():
         assert op.check(op.run()), op.name
 
 
-def test_route_fixed_round_keeps_its_search():
-    # the expanded and enqueued counts of seed 1's route_fixed round pin
-    # its search: memoised successors save successor calls, never a
-    # configuration
-    case = load_perfbench("workloads").WORKLOADS["route_fixed"](1)
+def _traced_round(workload: str):
+    """The tracer after seed 1's round of `workload`, every operation
+    checked."""
+    case = load_perfbench("workloads").WORKLOADS[workload](1)
     ops = case.ops(case.setup())
     tr = load_perfbench("tracer").Tracer()
     tr.install()
@@ -74,26 +73,38 @@ def test_route_fixed_round_keeps_its_search():
             assert op.check(op.run()), op.name
     finally:
         tr.uninstall()
+    return tr
+
+
+def test_route_fixed_round_keeps_its_search():
+    # the expanded and enqueued counts of seed 1's route_fixed round pin
+    # its search: memoised successors save successor calls, never a
+    # configuration
+    tr = _traced_round("route_fixed")
     assert tr.count("solver.expanded") == 2801
     assert tr.count("solver.enqueued") == 2832
+
+
+def test_route_free_round_keeps_its_search():
+    # seed 1's route_free round: the search memo is keyed on what
+    # successors reads, so free sources share their successor work, 312
+    # calls where a key per whole state makes 938, with the same search
+    tr = _traced_round("route_free")
+    assert tr.count("solver.expanded") == 1062
+    assert tr.count("solver.enqueued") == 1468
+    assert tr.count("answer_graph.successor_calls") <= 312
 
 
 def test_ontology_nested_round_keeps_its_search():
     # seed 1's ontology_nested round: each nested query is compiled once
     # per view and its plan bound per node tuple, so the round still makes
     # one product per nested evaluation but compiles only 127 NFAs (531
-    # when every product compiled its own), with the same search
-    case = load_perfbench("workloads").WORKLOADS["ontology_nested"](1)
-    ops = case.ops(case.setup())
-    tr = load_perfbench("tracer").Tracer()
-    tr.install()
-    try:
-        for op in ops:
-            assert op.check(op.run()), op.name
-    finally:
-        tr.uninstall()
+    # when every product compiled its own), with the same search; free
+    # RPQ sources share successor work (1 749 calls, 2 616 unshared)
+    tr = _traced_round("ontology_nested")
     assert tr.count("solver.expanded") == 2994
     assert tr.count("solver.enqueued") == 3273
     totals = tr.totals()
     assert totals["automata.compile_regex"]["n"] == 127
     assert totals["answer_graph.build"]["n"] == 487
+    assert tr.count("answer_graph.successor_calls") <= 1749

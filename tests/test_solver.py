@@ -1,10 +1,12 @@
+import copy
 import random
 from dataclasses import replace
 
 import pytest
 
 from opra.answer_graph import AnswerGraph
-from opra.embedding import WeightedAutomaton, build_automaton_graph
+from opra.embedding import WeightedAutomaton, build_automaton_graph, embed
+from opra.engine import engine_answers
 from opra.errors import IndeterminateSumError, ResourceExceededError
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling, aggregate
@@ -14,16 +16,20 @@ from opra.oracle import (
 )
 from opra.parser import parse
 from opra.query import (
-    ArithConstraint, ArithTerm, ConstAtom, Letter, NodeConstraint,
-    RegularConstraint,
+    ArithConstraint, ArithTerm, ConstAtom, Letter, NodeConstraint, NodeRef,
+    OpraQuery, PathConstraint, PraQuery, RegularConstraint,
 )
 from opra.solver import (
-    MAX, MIN, SolveConfig, _Dominance, check_empty, derive_bounds, extremum,
+    MAX, MIN, SolveConfig, _Dominance, _Search, check_empty, derive_bounds,
+    extremum,
 )
+from opra.solver import enumerate_answers as search_answers
 from opra.validate import validate
 
 from gensupport import (
-    RUN_QUERY, load_perfbench, rand_automaton, rand_instance, rand_timed_graph,
+    RUN_QUERY, load_perfbench, rand_automaton, rand_data_graph,
+    rand_feasible_graph, rand_instance, rand_regex, rand_timed_graph,
+    route_constraint, rpq_query_text,
 )
 
 CFG = SolveConfig(b1=8, b2=16)
@@ -202,6 +208,147 @@ def test_each_state_is_expanded_once_per_search(monkeypatch):
     assert names(res.witness["pi"]) == ["n0", "n30", "n73", "n64", "n86",
                                         "n82", "n57"]
     assert len(calls) == len(set(calls)) == 91
+
+
+FREE_ROUTE = (
+    "def route(p) = <E(@1, @1') = 1>* <T>\n"
+    "MATCH NODES (s, t) SUCH THAT s -pi-> t WHERE route(pi)\n"
+)
+
+
+def _with_state_keys(ag):
+    """The same binding with the search memo keyed on whole states."""
+    ag = copy.copy(ag)
+    ag.read_slots = None
+    return ag
+
+
+def test_free_sources_share_successor_work(monkeypatch):
+    # the enumeration expands 178 configurations over 176 distinct
+    # states, which differ in s; successors read only the env's target
+    # slot, so 57 projected keys make 57 successor calls, and the search
+    # and its answers are those of a memo keyed on whole states
+    g = rand_timed_graph(random.Random(5), n=20, degree=3)
+    ag = AnswerGraph(g, validate(parse(
+        FREE_ROUTE + "HAVING time[pi] <= 12"), g).query.query)
+    assert ag.read_slots == (ag.plan.env_vars.index("t"),)
+    calls = []
+    successors = AnswerGraph.successors
+
+    def counted(ag, st):
+        calls.append(st)
+        return successors(ag, st)
+
+    monkeypatch.setattr(AnswerGraph, "successors", counted)
+    answers, stats = search_answers(ag, max_len=6)
+    keys = {(st.nfa_states, st.pos, st.nodes,
+             tuple([st.env[s] for s in ag.read_slots])) for st in calls}
+    assert (stats.expanded, stats.enqueued) == (178, 178)
+    assert len(calls) == len(keys) == 57
+
+    calls.clear()
+    assert search_answers(_with_state_keys(ag), max_len=6) \
+        == (answers, stats)
+    assert len(calls) == len(set(calls)) == 176
+    assert len(answers) == 87
+
+
+def _checked_replays(monkeypatch):
+    """Make every hit of a projected search memo assert that its list
+    equals the binding's successors with fresh weight vectors; returns
+    the states whose hit read a list computed under another env."""
+    replayed = []
+    shared = _Search._shared
+
+    def checked(search, st, read):
+        out = shared(search, st, read)
+        if isinstance(out, list):
+            assert out == [(succ, search.weight_vec(succ))
+                           for succ in search.ag.successors(st)], st
+            mkey = st[:3] + (tuple([st.env[s] for s in read]),)
+            if search.memo[mkey][0] != st.env:
+                replayed.append(st)
+        return out
+
+    monkeypatch.setattr(_Search, "_shared", checked)
+    return replayed
+
+
+def test_replayed_successors_match_fresh_ones(monkeypatch):
+    # free (s, t) searches of every kind replay successors computed for
+    # another s; each replay equals a fresh computation, and results and
+    # stats equal those of a memo keyed on whole states
+    replayed = _checked_replays(monkeypatch)
+    for seed in range(4):
+        g = rand_timed_graph(random.Random(seed), n=8, degree=2)
+        pra = validate(parse(FREE_ROUTE + "HAVING time[pi] <= 15"),
+                       g).query.query
+        for ag in (AnswerGraph(g, pra),
+                   AnswerGraph(g, pra, target=("time", ("pi",)))):
+            assert ag.read_slots is not None
+            runs = [lambda ag: search_answers(ag, max_len=5)]
+            if ag.plan.target is None:
+                runs.append(lambda ag: check_empty(ag, cfg=CFG))
+            else:
+                runs += [lambda ag, m=m, c=c: extremum(ag, m, cfg=c)
+                         for m in (MIN, MAX) for c in (CFG, None)]
+            for run in runs:
+                assert run(ag) == run(_with_state_keys(ag)), seed
+    assert replayed
+
+    # an RPQ over an embedded data graph: nested searches bind v and key
+    # on whole states, the outer one replays across s
+    replayed.clear()
+    dg = rand_data_graph(random.Random(11), max_nodes=5)
+    g = embed(dg)
+    answers = engine_answers(g, rpq_query_text(("a", "b", "star"),
+                                               ("a", "b")), max_len=5)
+    assert replayed and answers
+
+
+def test_shared_lazy_target_agrees_with_oracle(monkeypatch):
+    # MATCH NODES (s, t) SUCH THAT s -pi-> t AND s -rho-> t: a free source
+    # and one lazy target that both components bind, under random extra
+    # regular and arithmetical constraints
+    replayed = _checked_replays(monkeypatch)
+    rng = random.Random(4471)
+    b = 4
+    cfg = SolveConfig(b1=b, b2=2 * b, visited_budget=2_000_000)
+    ocfg = OracleConfig(max_path_len=2 * b, max_paths=5_000_000)
+    seen_empty = seen_answers = 0
+    for trial in range(24):
+        g = rand_feasible_graph(rng, max_len=2 * b, walk_budget=40,
+                                max_nodes=4, n_unary=1)
+        s, t = NodeRef("s"), NodeRef("t")
+        regular = [route_constraint("pi"), route_constraint("rho")]
+        if rng.random() < 0.7:
+            regular.append(RegularConstraint(
+                rand_regex(rng, 1, ["w0"], depth=2),
+                (rng.choice(["pi", "rho"]),)))
+        arith = tuple(
+            ArithConstraint((ArithTerm(rng.choice([-1, 1]), "w0",
+                                       (rng.choice(["pi", "rho"]),)),),
+                            rng.randint(-3, 4))
+            for _ in range(rng.randint(0, 1)))
+        q = OpraQuery((), PraQuery(
+            match_nodes=("s", "t"), match_paths=(),
+            path_constraints=(PathConstraint(s, "pi", t),
+                              PathConstraint(s, "rho", t)),
+            regular_constraints=tuple(regular), arith_constraints=arith))
+        pra = validate(q, g).query.query
+        ag = AnswerGraph(g, pra)
+        assert ag.plan.lazy_vars == {"t"} and ag.read_slots is not None
+
+        res = check_empty(ag, cfg=cfg)
+        assert res.empty == (not enumerate_answers(g, q, ocfg)), trial
+        if not res.empty:
+            assert (res.env, res.paths) in enumerate_satisfying(
+                g, pra, ocfg), trial
+        want = enumerate_answers(g, q, OracleConfig(max_path_len=b))
+        assert engine_answers(g, q, max_len=b, cfg=cfg) == want, trial
+        seen_empty += res.empty
+        seen_answers += bool(want)
+    assert seen_empty and seen_answers and replayed
 
 
 def _abc_route(g, having):
