@@ -53,14 +53,16 @@ single-component NFAs.  The source answers for stored labellings at
 any value but their default, and an ontology view also for the defined
 shapes `ontology` lists; the lookups are resolved when the plan is
 built.  Any other letter leaves all real nodes as candidates.  Each
-candidate is then tested against its NFA state's entry in the move
-table (`Nfa.moves`).  Weights read stored labellings straight from
+candidate is then tested against its NFA state's entry in the plan's
+move table (`Nfa.moves` with the targets): a stored step letter by
+membership in its targets, which are exact, sink included, and any other
+letter by evaluation.  Weights read stored labellings straight from
 their entries and add plain ints as ints, other values by the extended
 rules.
 
 A `Plan` holds what depends only on the source, the query, the names
 of the bound variables and the target: variable and slot orders, lazy
-targets, compiled NFAs with their index keys, and weight and target
+targets, compiled NFAs with their move tables, and weight and target
 readers.  An `AnswerGraph` binds a plan to input paths and node values.
 An ontology view keeps the plans of its nested queries, so each is
 compiled once per view and bound once per node tuple.
@@ -88,8 +90,9 @@ UNBOUND = -1  # env value of a lazy target before its component ends
 
 # per real node, a set holding every real next node a letter admits
 Targets = Mapping[NodeId, FrozenSet[NodeId]]
-# per NFA state: its letters' targets, or None for a full scan
-StateKeys = List[Optional[Tuple[Targets, ...]]]
+# per NFA state: its BOTTOM destinations, its real moves as (letter, dst,
+# live, exact), and its live letters' targets, or None for a full scan
+MoveTable = List[Tuple[Tuple[int, ...], tuple, Optional[Tuple[Targets, ...]]]]
 _STEP_ARGS = (PosVar(1), PosVar(1, True))
 
 
@@ -108,12 +111,25 @@ def _index_key(letter: NodeConstraint, source) -> Optional[Targets]:
                                lhs.args != _STEP_ARGS)
 
 
-def _state_index_keys(nfa: Nfa, source) -> StateKeys:
-    """Per NFA state, the targets of its letters into live states, or
-    None when one of those letters has none."""
-    keys = [[_index_key(letter, source) for letter, _, live in real if live]
-            for _, real in nfa.moves]
-    return [None if None in k else tuple(k) for k in keys]
+def _move_table(nfa: Nfa, source) -> MoveTable:
+    """`nfa.moves` with its letters' targets.  `exact` holds those of a
+    stored labelling, which the letter meets exactly, sink included; a
+    defined letter's are a superset, so it keeps None, as do the rest."""
+    table = []
+    for bottom, real in nfa.moves:
+        moves, keys = [], []
+        for letter, dst, live in real:
+            targets = _index_key(letter, source)
+            atom = letter.rhs if isinstance(letter.rhs, LabelAtom) \
+                else letter.lhs
+            exact = targets if targets is not None \
+                and atom.labelling in source.labellings else None
+            moves.append((letter, dst, live, exact))
+            if live:
+                keys.append(targets)
+        table.append((bottom, tuple(moves),
+                      None if None in keys else tuple(keys)))
+    return table
 
 
 class AGState(NamedTuple):
@@ -196,14 +212,15 @@ class Plan:
             (compile_regex(rc.regex), tuple(pidx[v] for v in rc.path_vars))
             for rc in pra.regular_constraints
         ]
+        self.tables = [_move_table(nfa, source) for nfa, _ in self.nfas]
         # per component, its single-component NFAs with their index keys
-        self._narrowers: List[List[Tuple[int, StateKeys]]] = [
+        self._narrowers: List[List[Tuple[int, list]]] = [
             [] for _ in range(self.k)
         ]
-        for j, (nfa, sel) in enumerate(self.nfas):
+        for j, (_, sel) in enumerate(self.nfas):
             if len(sel) == 1:
                 self._narrowers[sel[0]].append(
-                    (j, _state_index_keys(nfa, source)))
+                    (j, [keys for _, _, keys in self.tables[j]]))
 
         # arithmetical constraints: (coeff, labelling, reader) terms per
         # row, and the rows' bounds
@@ -388,18 +405,20 @@ class AnswerGraph:
         # per NFA: selector, all-sink selection, current nodes, BOTTOM
         # moves once its paths have all terminated (else None), real moves
         nfa_steps = []
-        for (nfa, sel), state in zip(plan.nfas, st.nfa_states):
+        for (_, sel), table, state in zip(plan.nfas, plan.tables,
+                                          st.nfa_states):
             sinks = (SINK,) * len(sel)
             cur = tuple([st.nodes[c] for c in sel])
-            bottom, real = nfa.moves[state]
+            bottom, real, _ = table[state]
             nfa_steps.append(
                 (sel, sinks, cur, bottom if cur == sinks else None, real))
         # an NFA that reads fewer components than vary meets each of its
         # next-node selections more than once: evaluate its letters once
         dsts_memo: Dict[Tuple[int, Tuple[NodeId, ...]], List[int]] = {}
         out = set()
+        binds = plan._binds
         for nodes in itertools.product(*choices):
-            env = plan._bind(st.nodes, nodes, st.env)
+            env = plan._bind(st.nodes, nodes, st.env) if binds else st.env
             if env is None:
                 continue
             per_nfa = []
@@ -408,12 +427,16 @@ class AnswerGraph:
                     nxt = tuple([nodes[c] for c in sel])
                     dsts = dsts_memo.get((j, nxt))
                     if dsts is None:
-                        # only a closing move may enter a state not live
+                        # only a closing move may enter a state not live;
+                        # a stored step letter holds where its index says
                         closing = nxt == sinks
                         dsts = dsts_memo[j, nxt] = [
-                            dst for letter, dst, live in real
-                            if (live or closing) and eval_node_constraint(
-                                plan.source, letter, cur, nxt)
+                            dst for letter, dst, live, exact in real
+                            if (live or closing) and (
+                                nxt[0] in exact.get(cur[0], ())
+                                if exact is not None
+                                else eval_node_constraint(
+                                    plan.source, letter, cur, nxt))
                         ]
                 if not dsts:
                     break

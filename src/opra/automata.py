@@ -192,9 +192,10 @@ def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
     Builds the letters (p_1[i], p_1[i+1], ..., p_k[i], p_k[i+1]) for i up
     to the longest path's length and simulates the NFA on exactly those.
     Used for differential testing only: the oracle calls `step` as it
-    extends each path prefix, and `AnswerGraph.successors` reads the same
-    `Nfa.moves` table but evaluates the letters itself, with its live-state
-    filter.
+    extends each path prefix.  `AnswerGraph.successors` reads the same
+    `Nfa.moves` through its plan's move table, with its live-state filter,
+    and decides a stored step letter by index membership instead of
+    evaluating it.
     """
     s = max((len(p) for p in paths), default=0)
     states: FrozenSet[int] = nfa.initial

@@ -174,7 +174,9 @@ class Graph:
         holding every real w where the letter holds on the step u -> w
         (a u it does not map has none), or None when no index bounds the
         letter.  A stored labelling answers for any value but its
-        default."""
+        default, and its set is exact: it holds w exactly where the
+        letter holds.  An ontology view's sets for defined letters are
+        supersets."""
         cur, nxt = (1, 0) if reverse else (0, 1)
         return step_candidates(self.labellings.get(name), value, (0, 1),
                                cur, nxt)

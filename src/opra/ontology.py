@@ -113,12 +113,13 @@ class ExtendedGraph(Graph):
 
     def step_targets(self, name: str, value: ExtInt, reverse: bool = False
                      ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
-        """As `Graph.step_targets`; a defined labelling answers in the
+        """As `Graph.step_targets`, for a stored name too, as
+        `label_value` reads it first; a defined labelling answers in the
         two shapes the module docstring lists, read from its stored
         labelling's index, and only where a search at this depth could
         evaluate the letter without tripping the depth limit."""
         entry = self._by_name.get(name)
-        if entry is None:
+        if entry is None or name in self.labellings:
             return super().step_targets(name, value, reverse)
         if len(entry.params) != 2 \
                 or self._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN:

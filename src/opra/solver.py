@@ -162,19 +162,20 @@ def _value_range(source, name: str) -> Tuple[ExtInt, ExtInt]:
     return min(values), max(values)
 
 
-def _monotone_components(ag: AnswerGraph) -> Tuple[bool, ...]:
-    """Components whose per-state contribution is provably >= 0: every
-    term's least contribution is finite and >= 0 (all-sink positions
-    contribute 0, so 0 is always possible)."""
+def _monotone_components(ag: AnswerGraph) -> List[int]:
+    """The components whose per-state contribution is provably >= 0:
+    every term's least contribution is finite and >= 0 (all-sink
+    positions contribute 0, so 0 is always possible)."""
     def least(coeff: int, name: str) -> ExtInt:
         lo, hi = _value_range(ag.plan.source, name)
         return ext_mul(coeff, lo if coeff >= 0 else hi)
 
-    flags = []
-    for terms in ag.plan._arith:
+    out = []
+    for i, terms in enumerate(ag.plan._arith):
         lows = (least(coeff, name) for coeff, name, _ in terms)
-        flags.append(all(is_finite(lo) and lo >= 0 for lo in lows))
-    return tuple(flags)
+        if all(is_finite(lo) and lo >= 0 for lo in lows):
+            out.append(i)
+    return out
 
 
 class _Dominance:
@@ -241,7 +242,8 @@ class _Search:
     def weight_vec(self, st: AGState) -> _Vec:
         w = self.ag.weight(st)
         if self.with_target:
-            w = w + (ext_mul(self.sign, self.ag.extremum_weight(st)),)
+            t = self.ag.extremum_weight(st)
+            w = w + (t if self.sign == 1 else ext_mul(-1, t),)
         return w
 
     def _expand(self, st: AGState, mkey: tuple):
@@ -267,8 +269,8 @@ class _Search:
                 for s, w in hit[1]]
 
     def prune_monotone(self, acc: _Vec) -> bool:
-        for i, mono in enumerate(self.monotone):
-            if mono and acc[i] > self.bounds[i]:
+        for i in self.monotone:
+            if acc[i] > self.bounds[i]:
                 return True
         return False
 

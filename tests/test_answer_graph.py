@@ -10,7 +10,7 @@ from opra.answer_graph import (
 )
 from opra.automata import eval_node_constraint, step
 from opra.engine import engine_answers, evaluate
-from opra.extint import ext_add
+from opra.extint import NEG_INF, POS_INF, ext_add
 from opra.graph import SINK, Graph, Labelling, aggregate
 from opra.ontology import extend
 from opra.oracle import OracleConfig, enumerate_satisfying
@@ -132,8 +132,8 @@ def test_successors_from_start(fig2, node):
 
 def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
     # from a fixed-endpoint start, route(pi) steps only along E, and
-    # closes on the sink only where the path may end; letters are
-    # evaluated on the E-neighbours and the sink alone
+    # closes on the sink only where the path may end; E is decided by its
+    # index, so the one letter evaluated is the closing <T> at the sink
     evals = []
 
     def counted(*args):
@@ -157,8 +157,7 @@ def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
         nxt = [st.nodes[0] for st in ag.successors(start)]
         want = [v for (u, v) in edges if u == s] + ([SINK] if s == t else [])
         assert sorted(nxt) == sorted(want), (s, t)
-        # one E test per neighbour; the sink tests both letters
-        assert len(evals) == len(want) + (1 if s == t else 0)
+        assert len(evals) == (1 if s == t else 0)
 
 
 def full_scan_moves(ag, st):
@@ -270,6 +269,62 @@ def test_successors_match_full_scan_for_every_letter_shape():
                            == (c in indexed) for v in views), letter.text()
                 shapes.append(letter)
     assert_successors_match_full_scan(views, shapes)
+
+
+def table_moves(source, letter):
+    """The real moves of the initial state of `<letter>` on `source`."""
+    pra = PraQuery(regular_constraints=(
+        RegularConstraint(Letter(letter), ("pi",)),))
+    plan = AnswerGraph(source, pra).plan
+    (init,) = plan.nfas[0][0].initial
+    return plan.tables[0][init][1]
+
+
+def test_stored_step_letters_are_decided_by_their_index():
+    # a stored step letter's exact targets hold on exactly the steps where
+    # the letter does, the sink included, in every shape and at every
+    # value but the labelling's default, which keeps evaluation; a defined
+    # letter's targets bound only its real next nodes, so it gets none
+    rng = random.Random(15)
+    values = (0, 1, 2, POS_INF, NEG_INF)
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        labs = [Labelling(name, 2, default, {
+            key: rng.choice(values)
+            for key in itertools.product(range(1, n + 1), repeat=2)
+            if rng.random() < 0.5}) for name, default in
+            (("E", 0), ("F", 2), ("G", NEG_INF))]
+        g = with_ternary(Graph([f"n{i}" for i in range(n)], labs), rng)
+        view = extend(g, [e for e, _ in DEFINED_LETTERS] + [
+            OntologyEntry("adjF", ("x", "y"), LabelTerm("F", ("x", "y")))])
+        # an unvalidated view may define a stored name: lookups read the
+        # stored labelling, and so must its step targets
+        clash = extend(g, [OntologyEntry("E", ("x", "y"),
+                                         LabelTerm("F", ("x", "y")))])
+        nodes = list(g.real_nodes) + [SINK]
+        for source in (g, view, clash):
+            for lab, c in itertools.product(labs, values):
+                for reverse, const_first in itertools.product(
+                        (False, True), repeat=2):
+                    letter = step_letter(lab.name, c, reverse, const_first)
+                    ((_, _, _, exact),) = table_moves(source, letter)
+                    assert (exact is None) == (c == lab.default)
+                    if exact is None:
+                        continue  # the default value keeps evaluation
+                    for u, w in itertools.product(nodes, repeat=2):
+                        assert (w in exact.get(u, ())) == eval_node_constraint(
+                            source, letter, (u,), (w,)), (letter.text(), u, w)
+        for name in ("hop", "adj", "adjF"):
+            assert _index_key(step_letter(name, 1), view) is not None
+            for c, reverse in itertools.product(values, (False, True)):
+                letter = step_letter(name, c, reverse)
+                ((_, _, _, exact),) = table_moves(view, letter)
+                assert exact is None, letter.text()
+        # adjF(u, sink) reads 0, not F's default: its support leaves out
+        # a step the letter takes
+        letter = step_letter("adjF", 0)
+        assert _index_key(letter, view) is not None
+        assert eval_node_constraint(view, letter, (1,), (SINK,))
 
 
 def free_pra(g, nodes, such_that, where="route(pi)", having=""):

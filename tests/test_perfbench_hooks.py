@@ -79,20 +79,31 @@ def _traced_round(workload: str):
 def test_route_fixed_round_keeps_its_search():
     # the expanded and enqueued counts of seed 1's route_fixed round pin
     # its search: memoised successors save successor calls, never a
-    # configuration
+    # configuration; the stored E letter is decided by its index, so the
+    # round evaluates 18 letters where testing each candidate made 5 253
     tr = _traced_round("route_fixed")
     assert tr.count("solver.expanded") == 2801
     assert tr.count("solver.enqueued") == 2832
+    assert tr.count("automata.letter_evals") <= 18
 
 
 def test_route_free_round_keeps_its_search():
     # seed 1's route_free round: the search memo is keyed on what
     # successors reads, so free sources share their successor work, 312
-    # calls where a key per whole state makes 938, with the same search
+    # calls where a key per whole state makes 938, with the same search;
+    # index-decided E letters leave 98 evaluations of 1 162
     tr = _traced_round("route_free")
     assert tr.count("solver.expanded") == 1062
     assert tr.count("solver.enqueued") == 1468
     assert tr.count("answer_graph.successor_calls") <= 312
+    assert tr.count("automata.letter_evals") <= 98
+
+
+def test_automaton_extrema_round_keeps_its_search():
+    # seed 1's automaton_extrema round, pumping searches included
+    tr = _traced_round("automaton_extrema")
+    assert tr.count("solver.expanded") == 2891
+    assert tr.count("solver.enqueued") == 2996
 
 
 def test_ontology_nested_round_keeps_its_search():

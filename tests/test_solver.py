@@ -158,6 +158,42 @@ def test_oracle_agreement_randomized():
             assert got == want, f"trial {trial} {mode}"
 
 
+def test_oracle_agreement_with_free_paths():
+    # trials that may draw a free path variable: emptiness with its
+    # witness, the answer set and both extrema match brute force (20 of
+    # the 40 draw one, 7 of those with answers)
+    rng = random.Random(7)
+    b1, b2 = 5, 10
+    free = answered = 0
+    for trial in range(40):
+        g, q = rand_instance(rng, max_len=b2, joint_budget=10_000,
+                             free_path_p=0.5, max_nodes=4, n_unary=1)
+        vq = validate(q, g)
+        pra = vq.query.query
+        cfg = SolveConfig(b1=b1, b2=b2, visited_budget=2_000_000)
+        ocfg = OracleConfig(max_path_len=b2, max_paths=5_000_000)
+
+        answers = enumerate_answers(g, vq, ocfg)
+        free += bool(pra.match_paths)
+        answered += bool(pra.match_paths and answers)
+        res = check_empty(AnswerGraph(g, pra), cfg=cfg)
+        assert res.empty == (not answers), f"trial {trial} emptiness"
+        if not res.empty:
+            assert (res.env, res.paths) in enumerate_satisfying(
+                oracle_source(g, vq, ocfg), pra, ocfg), f"trial {trial}"
+        assert engine_answers(g, vq, max_len=b2, cfg=cfg) == answers, \
+            f"trial {trial} answers"
+
+        target_var = pra.regular_constraints[0].path_vars[0]
+        ag = AnswerGraph(g, pra, target=("w0", (target_var,)))
+        for mode in (MIN, MAX):
+            got = extremum(ag, mode, cfg=cfg).value
+            want = oracle_two_phase(g, vq, ("w0", (target_var,)), mode,
+                                    b1, b2, max_paths=5_000_000)
+            assert got == want, f"trial {trial} {mode}"
+    assert free >= 15 and answered >= 5
+
+
 def test_free_endpoints_stop_at_first_target():
     # every one-hop route fits the bound: the search expands the n start
     # states, then the first one-hop state, whose step to the sink is
