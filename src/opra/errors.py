@@ -75,6 +75,10 @@ class UnknownVariableError(ValidationError):
     pass
 
 
+class RecursionDepthExceededError(ValidationError):
+    """A definition nests deeper than `MAX_EVAL_DEPTH`."""
+
+
 # --- evaluation --------------------------------------------------------------
 
 class EvalError(OpraError):
@@ -99,7 +103,3 @@ class ResourceExceededError(EvalError):
 
 class EnumerationCapExceededError(EvalError):
     """The brute-force oracle hit its enumeration cap."""
-
-
-class RecursionDepthExceededError(EvalError):
-    """Ontology evaluation nested deeper than the configured limit."""

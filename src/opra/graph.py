@@ -9,9 +9,9 @@ mention the sink are never stored and therefore evaluate to the default.
 
 Stored graphs and their labellings are immutable after load and safe to
 share across concurrent evaluations.  An ontology view
-(`ontology.ExtendedGraph`) is a Graph too, but it carries its own memo,
-the plans of its nested queries and its evaluation depth, so each
-evaluation makes its own view.  The one derived structure is a
+(`ontology.ExtendedGraph`) is a Graph too, with its own memo and the
+plans of its nested queries: caches whose contents its graph, ontology
+and solve configuration fix.  The one derived structure is a
 labelling's index, for any arity: per value and tuple of positions, the
 keys of that value grouped by their nodes at those positions, kept with
 the per-node projections (`targets`) that `step_targets` reads to bound

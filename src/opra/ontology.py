@@ -5,14 +5,15 @@ stored labellings, by reference, and adds an ordered sequence of
 labelling definitions.  Looking up a defined labelling on a node tuple
 evaluates its term under the instantiation mapping the definition's
 parameters to that tuple, with memoization per (labelling, tuple);
-definitions may reference graph labellings and earlier definitions only
-(validation enforces the ordering).  Tuples that mention the sink short-
-circuit to 0 so that padded positions stay value-neutral.
+definitions may reference graph labellings and earlier definitions only,
+and nest no deeper than `MAX_EVAL_DEPTH`: a view checks both when it is
+made (`validate.definition_heights`).  Tuples that mention the sink
+short-circuit to 0 so that padded positions stay value-neutral.
 
-A view is made for one evaluation, and its memo, its plans and its
-evaluation depth are its own: memo and plans live exactly as long as
-the view, and labelling names are unique within a view, so a value or
-plan made on one graph or under one ontology is never read for another.
+A view is made for one evaluation, and its memo and its plans are its
+own: they live exactly as long as the view, and labelling names are
+unique within a view, so a value or plan made on one graph or under one
+ontology is never read for another.
 
 Term evaluation follows the constructor-by-constructor semantics:
 constants, labelling lookups, 0/1 query indicators, extrema of an
@@ -30,22 +31,14 @@ A defined binary labelling also bounds the next nodes of a step letter
 parameters, or such an aggregate whose value on an empty set differs
 from the letter's value: some collector value must then pass the
 filter, so the next node is among the filter's entries of value 1.
-Both indexes give way to the scan near `MAX_EVAL_DEPTH`, so that a
-`RecursionDepthExceededError` is raised exactly where the scan raises
-it; plans built there are kept apart, as they resolve step targets
-again.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .answer_graph import AnswerGraph
-from .errors import (
-    ArityMismatchError,
-    RecursionDepthExceededError,
-    UnknownLabellingError,
-)
+from .answer_graph import AnswerGraph, Plan
+from .errors import ArityMismatchError, UnknownLabellingError
 from .extint import ExtInt, eval_fundamental  # re-exported
 from .graph import SINK, Graph, NodeId, step_candidates
 from .query import (
@@ -53,11 +46,7 @@ from .query import (
     MinPathTerm, OntologyEntry, Term, VarEqTerm,
 )
 from .solver import MAX, MIN, SolveConfig, check_empty, extremum
-
-MAX_EVAL_DEPTH = 64
-# an index read skips evaluations at most this many levels below the
-# current depth, so it is used only while they could not trip the limit
-INDEX_DEPTH_MARGIN = 2
+from .validate import definition_heights
 
 
 class ExtendedGraph(Graph):
@@ -69,14 +58,12 @@ class ExtendedGraph(Graph):
         self.node_names = base.node_names
         self._index = base._index
         self.labellings = base.labellings
-        self.entries: Tuple[OntologyEntry, ...] = tuple(entries)
-        self._by_name: Dict[str, OntologyEntry] = {
-            e.name: e for e in self.entries
-        }
+        self._by_name: Dict[str, OntologyEntry] = {e.name: e for e in entries}
+        # the definitions label_value reads, in first-definition order
+        definition_heights(self._by_name.values(), self.labellings)
         self.solve_config = solve_config or SolveConfig()
         self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
-        self._plans = ({}, {})  # nested plans away from, near the depth limit
-        self._depth = 0
+        self._plans: Dict[tuple, Plan] = {}
 
     def has_labelling(self, name: str) -> bool:
         return name in self.labellings or name in self._by_name
@@ -116,13 +103,11 @@ class ExtendedGraph(Graph):
         """As `Graph.step_targets`, for a stored name too, as
         `label_value` reads it first; a defined labelling answers in the
         two shapes the module docstring lists, read from its stored
-        labelling's index, and only where a search at this depth could
-        evaluate the letter without tripping the depth limit."""
+        labelling's index."""
         entry = self._by_name.get(name)
         if entry is None or name in self.labellings:
             return super().step_targets(name, value, reverse)
-        if len(entry.params) != 2 \
-                or self._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN:
+        if len(entry.params) != 2:
             return None
         cur, nxt = entry.params[::-1] if reverse else entry.params
         term, free = entry.term, ()
@@ -150,21 +135,12 @@ def eval_term(view: ExtendedGraph, term: Term,
     """Value of a term under an instantiation of its node variables.
 
     Nested queries and path extrema run the product engine against the
-    view, under its solve configuration.
+    view, under its solve configuration.  This is the one recursive
+    evaluator: lookups and subterms reach it by its module name, and it
+    counts nothing per call.  Its nesting is bounded by the term's own
+    structure, which the parser caps, and by the heights of the view's
+    definitions, which the view checked when it was made.
     """
-    view._depth += 1
-    try:
-        if view._depth > MAX_EVAL_DEPTH:
-            raise RecursionDepthExceededError(
-                f"term evaluation nested deeper than {MAX_EVAL_DEPTH}"
-            )
-        return _eval(view, term, eta)
-    finally:
-        view._depth -= 1
-
-
-def _eval(view: ExtendedGraph, term: Term,
-          eta: Mapping[str, NodeId]) -> ExtInt:
     if isinstance(term, ConstTerm):
         return term.value
     if isinstance(term, LabelTerm):
@@ -175,12 +151,12 @@ def _eval(view: ExtendedGraph, term: Term,
         return 1 if eta[term.left] == eta[term.right] else 0
     if isinstance(term, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        plans = view._plans[view._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN]
-        if isinstance(term, IndicatorTerm):
-            ag = AnswerGraph(view, term.query, bound_nodes=bound, plans=plans)
+        indicator = isinstance(term, IndicatorTerm)
+        ag = AnswerGraph(view, term.query, bound_nodes=bound,
+                         plans=view._plans, target=None if indicator
+                         else (term.labelling, (term.path_var,)))
+        if indicator:
             return 0 if check_empty(ag, cfg=view.solve_config).empty else 1
-        ag = AnswerGraph(view, term.query, bound_nodes=bound, plans=plans,
-                         target=(term.labelling, (term.path_var,)))
         mode = MIN if isinstance(term, MinPathTerm) else MAX
         return extremum(ag, mode, cfg=view.solve_config).value
     if isinstance(term, ApplyTerm):
@@ -210,8 +186,7 @@ def _passing(view: ExtendedGraph, term: AggTerm,
     values of S's entries of value 1 that agree with the bound variables.
     None where the scan must run instead."""
     f, z = term.filter, term.collector
-    if not isinstance(f, LabelTerm) or z not in f.args \
-            or view._depth >= MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN:
+    if not isinstance(f, LabelTerm) or z not in f.args:
         return None
     lab = view.labellings.get(f.labelling)
     if lab is None or lab.default == 1 or lab.arity != len(f.args):

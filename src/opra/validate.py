@@ -2,16 +2,16 @@
 
 Checks that every labelling reference resolves (graph labelling or an
 earlier ontology entry), arities match, position variables stay inside
-regular constraints and within range, node literals name real nodes, and
-variables are used consistently.  Validation is a pure checking pass:
-the AST itself is already in core form, so downstream consumers derive
-whatever ordering they need from it.
+regular constraints and within range, node literals name real nodes,
+variables are used consistently and no definition nests too deep.
+Validation is a pure checking pass: the AST itself is already in core
+form, so downstream consumers derive whatever ordering they need from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Collection, Container, Dict, FrozenSet, Iterator, Tuple
 
 from .errors import (
     ArityMismatchError,
@@ -19,6 +19,7 @@ from .errors import (
     ForwardOntologyReferenceError,
     PositionVarOutOfRangeError,
     PositionVarOutsideRegexError,
+    RecursionDepthExceededError,
     UnknownLabellingError,
     UnknownVariableError,
     ValidationError,
@@ -27,9 +28,11 @@ from .graph import Graph
 from .query import (
     AGGREGATE_FUNCS, BINARY_FUNCS,
     AggTerm, ApplyTerm, Concat, ConstTerm, IndicatorTerm, LabelAtom,
-    LabelTerm, Letter, MaxPathTerm, MinPathTerm, OpraQuery, PraQuery, Regex,
-    RegularConstraint, Star, Term, Union_, VarEqTerm,
+    LabelTerm, Letter, MaxPathTerm, MinPathTerm, OntologyEntry, OpraQuery,
+    PraQuery, Regex, RegularConstraint, Star, Term, Union_, VarEqTerm,
 )
+
+MAX_EVAL_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,55 @@ def query_path_vars(pra: PraQuery) -> Tuple[str, ...]:
     return free + tuple(sorted(named - set(free)))
 
 
-def _regex_letters(r: Regex):
+def _label_atoms(r: Regex) -> Iterator[LabelAtom]:
     if isinstance(r, Letter):
-        yield r.constraint
+        nc = r.constraint
+        yield from (a for a in (nc.lhs, nc.rhs) if isinstance(a, LabelAtom))
     elif isinstance(r, (Concat, Union_)):
-        yield from _regex_letters(r.left)
-        yield from _regex_letters(r.right)
+        yield from _label_atoms(r.left)
+        yield from _label_atoms(r.right)
     elif isinstance(r, Star):
-        yield from _regex_letters(r.body)
+        yield from _label_atoms(r.body)
+
+
+def definition_heights(entries: Collection[OntologyEntry],
+                       stored: Container[str]) -> Dict[str, int]:
+    """Each definition's static height, in order: how deep term evaluations
+    nest at most below a lookup of it.  A term is 1 plus the highest of its
+    parts and of the labellings it reads itself, in a lookup or in its
+    nested query's letters, HAVING rows and target.  A name in `stored`
+    reads as 0, as a view reads it there first, an entry as its height,
+    above MAX_EVAL_DEPTH until computed, and any other name as 0; the
+    first definition above the limit raises RecursionDepthExceededError.
+    """
+    heights = {e.name: MAX_EVAL_DEPTH + 1 for e in entries}
+
+    def read(name: str) -> int:
+        return 0 if name in stored else heights.get(name, 0)
+
+    def height(t: Term) -> int:
+        if isinstance(t, LabelTerm):
+            return 1 + read(t.labelling)
+        if isinstance(t, ApplyTerm):
+            return 1 + max(map(height, t.args), default=0)
+        if isinstance(t, AggTerm):
+            return 1 + max(height(t.value), height(t.filter))
+        if not isinstance(t, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
+            return 1
+        q = t.query
+        reads = [a.labelling for rc in q.regular_constraints
+                 for a in _label_atoms(rc.regex)]
+        reads += [r.labelling for ac in q.arith_constraints for r in ac.terms]
+        if not isinstance(t, IndicatorTerm):
+            reads.append(t.labelling)
+        return 1 + max(map(read, reads), default=0)
+
+    for e in entries:
+        heights[e.name] = height(e.term)
+        if heights[e.name] > MAX_EVAL_DEPTH:
+            raise RecursionDepthExceededError(
+                f"labelling {e.name!r} nests deeper than {MAX_EVAL_DEPTH}")
+    return heights
 
 
 class _Checker:
@@ -128,16 +172,14 @@ class _Checker:
 
     def check_regular(self, rc: RegularConstraint) -> None:
         k = len(rc.path_vars)
-        for nc in _regex_letters(rc.regex):
-            for atom in (nc.lhs, nc.rhs):
-                if isinstance(atom, LabelAtom):
-                    self.check_arity(atom.labelling, len(atom.args))
-                    for pv in atom.args:
-                        if pv.index < 1 or pv.index > k:
-                            raise PositionVarOutOfRangeError(
-                                f"{pv.text()} out of range for a constraint "
-                                f"over {k} path(s)"
-                            )
+        for atom in _label_atoms(rc.regex):
+            self.check_arity(atom.labelling, len(atom.args))
+            for pv in atom.args:
+                if pv.index < 1 or pv.index > k:
+                    raise PositionVarOutOfRangeError(
+                        f"{pv.text()} out of range for a constraint "
+                        f"over {k} path(s)"
+                    )
 
     # -- terms ------------------------------------------------------------
 
@@ -225,5 +267,6 @@ def validate(q: OpraQuery | ValidatedQuery, g: Graph) -> ValidatedQuery:
             )
         checker.check_term(entry.term, frozenset(entry.params))
         checker.labels[entry.name] = len(entry.params)
+    definition_heights(q.ontology, g.labellings)
     checker.check_pra(q.query)
     return ValidatedQuery(q)

@@ -9,6 +9,7 @@ import pytest
 from opra.cli import main
 from opra.corpus import query_text
 from opra.graph import graph_to_dict
+from opra.validate import MAX_EVAL_DEPTH
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "opra" / "corpus"
 
@@ -289,3 +290,18 @@ def test_check_deep_nesting_exit_2(capsys, qfile):
     assert code == 2
     assert payload["kind"] == "QuerySyntaxError"
     assert payload["error"].endswith("query nested too deeply")
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_definition_above_depth_limit_exit_2(capsys, fig2_path, qfile,
+                                             command):
+    # c0 has height 1 and each link adds 1, so c64 is one above the limit
+    links = "".join(f",\n    c{k}(x) := c{k - 1}(x)"
+                    for k in range(1, MAX_EVAL_DEPTH + 1))
+    text = f"LET c0(x) := time(x){links}\nIN MATCH NODES (s)"
+    code, payload = run_cli(capsys, command, "--graph", fig2_path,
+                            "--query", qfile(text))
+    assert code == 2
+    assert payload["kind"] == "RecursionDepthExceededError"
+    assert payload["error"] == \
+        f"labelling 'c{MAX_EVAL_DEPTH}' nests deeper than {MAX_EVAL_DEPTH}"

@@ -16,10 +16,7 @@ from opra.errors import (
 )
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import SINK, Graph, Labelling
-from opra.ontology import (
-    INDEX_DEPTH_MARGIN, MAX_EVAL_DEPTH, ExtendedGraph, eval_fundamental,
-    eval_term, extend,
-)
+from opra.ontology import ExtendedGraph, eval_fundamental, eval_term, extend
 from opra.oracle import (
     OracleConfig, OracleView, enumerate_answers, oracle_eval_term,
 )
@@ -29,7 +26,7 @@ from opra.query import (
     MinPathTerm, OntologyEntry, VarEqTerm,
 )
 from opra.solver import MAX, MIN, SolveConfig, check_empty, extremum
-from opra.validate import validate
+from opra.validate import MAX_EVAL_DEPTH, definition_heights, validate
 
 from gensupport import rand_instance
 
@@ -414,12 +411,14 @@ def test_indexed_aggregates_match_the_full_scan(monkeypatch):
                for o in outcomes)
 
 
+DEPTH_GRAPH = Graph(["a", "b", "c"], [Labelling("S", 3, 0, {(1, 2, 3): 1}),
+                                      Labelling("U", 1, 0, {(2,): 7})])
+
+
 def test_indexed_aggregate_at_the_depth_limit(monkeypatch):
-    # the index skips the filter's evaluations one level below the
-    # aggregate, so near the limit it gives way to the scan: the depth
-    # error comes where the scan raises it, also where no node passes
-    g = Graph(["a", "b", "c"], [Labelling("S", 3, 0, {(1, 2, 3): 1}),
-                                Labelling("U", 1, 0, {(2,): 7})])
+    # the index serves at any nesting depth and answers as the scan does,
+    # also where no node passes
+    g = DEPTH_GRAPH
     hop = agg("Max", U_Z, "S", "x", "z", "y")
 
     def outcomes():
@@ -429,75 +428,73 @@ def test_indexed_aggregate_at_the_depth_limit(monkeypatch):
             for _ in range(wraps):
                 term = ApplyTerm("+", (term, ConstTerm(0)))
             for eta in ({"x": 1, "y": 3}, {"x": 3, "y": 1}):
-                try:
-                    out.append(eval_term(extend(g), term, eta))
-                except RecursionDepthExceededError:
-                    out.append("too deep")
+                out.append(eval_term(extend(g), term, eta))
         return out
 
-    calls = []  # (depth, whether the index answered)
+    used = []  # whether the index answered
     passing = opra.ontology._passing
 
     def spy(view, term, eta):
         got = passing(view, term, eta)
-        calls.append((view._depth, got is not None))
+        used.append(got is not None)
         return got
 
     monkeypatch.setattr(opra.ontology, "_passing", spy)
     indexed = outcomes()
-    assert eval_term(extend(g), hop, {"x": 1, "y": 3}) == 7
-    # the aggregate runs at depth wraps + 1 and its filter at wraps + 2
-    assert indexed == [7, NEG_INF] * 3 + ["too deep"] * 4
-    limit = MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN
-    assert {d for d, used in calls if used} == {MAX_EVAL_DEPTH - 3, 1}
-    assert {d for d, used in calls if not used} == {limit, limit + 1,
-                                                     limit + 2}
+    assert indexed == [7, NEG_INF] * 5
+    assert used == [True] * 10
     monkeypatch.setattr(opra.ontology, "_passing", lambda *args: None)
     assert indexed == outcomes()
 
-    # the step index of a defined letter gives way at the same depth
-    view = extend(g, [OntologyEntry("hop", ("x", "y"), hop)])
-    assert view.step_targets("hop", 1) == {1: {3}}
-    view._depth = MAX_EVAL_DEPTH - INDEX_DEPTH_MARGIN - 1
-    assert view.step_targets("hop", 1) == {1: {3}}
-    view._depth += 1
-    assert view.step_targets("hop", 1) is None
 
-    # a nested query's plan built at a shallow depth is not reused near
-    # the limit: there its product gives the defined letter's step targets
-    # up, as a product built afresh does, and answers as that one does
-    entries = validate(parse(
-        "LET hop(x, y) := agg Max z { U(z) : S(x, z, y) },\n"
-        "    step(x) := [ MATCH NODES (x) SUCH THAT x -r-> y\n"
-        "                 WHERE <hop(@1, @1') = 7> <T>(r) ]\n"
-        "IN MATCH NODES (s)"), g).query.ontology
-    step = entries[1].term
-    built = []
+def chain_text(links):
+    """hop (height 2) and step (height 3), then c1(x) := step(x) and
+    c{k}(x) := c{k-1}(x) up to c{links}, of height links + 3."""
+    chain = "".join(f",\n    c{k}(x) := c{k - 1}(x)"
+                    for k in range(2, links + 1))
+    return ("LET hop(x, y) := agg Max z { U(z) : S(x, z, y) },\n"
+            "    step(x) := [ MATCH NODES (x) SUCH THAT x -r-> y\n"
+            "                 WHERE <hop(@1, @1') = 7> <T>(r) ],\n"
+            f"    c1(x) := step(x){chain}\nIN MATCH NODES (s)")
 
-    def spy_build(*args, **kwargs):
-        built.append(AnswerGraph(*args, **kwargs))
-        return built[-1]
 
-    monkeypatch.setattr(opra.ontology, "AnswerGraph", spy_build)
-    shared = extend(g, entries)
-    narrowed, answers = [], []
-    for depth in (0, limit - 3, limit - 2, limit - 1, limit):
-        # share only the plans: a memoised hop value read deeper down
-        # would skip the evaluation that trips the limit
-        shared._memo.clear()
-        runs = []
-        for view in (shared, extend(g, entries)):
-            view._depth = depth  # the product is built one level deeper
-            runs.append(_outcome(lambda: eval_term(view, step, {"x": 1})))
-        assert runs[0] == runs[1], depth
-        kept, fresh = built[-2:]
-        assert kept.plan._narrowers == fresh.plan._narrowers, depth
-        narrowed.append(kept.plan._narrowers[0][0][1][0])
-        answers.append(runs[0])
-    assert narrowed == [({1: {3}},)] * 3 + [None] * 2
-    assert answers[:4] == [1] * 4
-    assert answers[4][0] is RecursionDepthExceededError
-    assert [len(plans) for plans in shared._plans] == [1, 1]
+def test_recursion_depth_guard(fig2, monkeypatch):
+    # the limit is a property of the query: a chain of height
+    # MAX_EVAL_DEPTH answers alike on a view that has memoised hop over
+    # every pair of real nodes and on a fresh one
+    g = DEPTH_GRAPH
+    top = f"c{MAX_EVAL_DEPTH - 3}"
+    ontology = validate(parse(chain_text(MAX_EVAL_DEPTH - 3)),
+                        g).query.ontology
+    assert definition_heights(ontology, g.labellings)[top] == MAX_EVAL_DEPTH
+    warm = extend(g, ontology)
+    for key in itertools.product(g.real_nodes, repeat=2):
+        warm.label_value("hop", key)
+    assert warm.label_value(top, (1,)) == 1
+    assert extend(g, ontology).label_value(top, (1,)) == 1
+    assert len(warm._plans) == 1  # step's nested query, compiled once
+
+    # one link more is rejected before anything is evaluated
+    monkeypatch.setattr(opra.ontology, "eval_term", None)
+    too_deep = parse(chain_text(MAX_EVAL_DEPTH - 2))
+    with pytest.raises(RecursionDepthExceededError):
+        validate(too_deep, g)
+    with pytest.raises(RecursionDepthExceededError):
+        extend(g, too_deep.ontology)
+    # so is a raw entry that reads itself, or a later entry
+    loop = OntologyEntry("f", ("x",), LabelTerm("f", ("x",)))
+    with pytest.raises(RecursionDepthExceededError):
+        extend(g, [loop])
+    with pytest.raises(RecursionDepthExceededError):
+        extend(g, [OntologyEntry("e", ("x",), LabelTerm("f", ("x",))),
+                   OntologyEntry("f", ("x",), LabelTerm("U", ("x",)))])
+
+    # a term handed to eval_term is bounded by its own structure alone
+    monkeypatch.undo()
+    deep = ConstTerm(1)
+    for _ in range(100):
+        deep = ApplyTerm("+", (deep, ConstTerm(0)))
+    assert eval_term(extend(fig2), deep, {}) == 1
 
 
 NESTED_TEXT = """def route(p) = <adj(@1, @1') = 1>* <T>
@@ -609,13 +606,66 @@ def test_rpq_over_defined_letters_reads_few_label_values(monkeypatch):
     assert calls[0] <= 10_000
 
 
-def test_recursion_depth_guard(fig2):
-    eg = extend(fig2, solve_config=CFG)
-    deep = ConstTerm(1)
-    for _ in range(100):
-        deep = ApplyTerm("+", (deep, ConstTerm(0)))
-    with pytest.raises(RecursionDepthExceededError):
-        eval_term(eg, deep, {})
+def test_static_heights_bound_the_nesting(fig2, monkeypatch):
+    # the deepest nesting of eval_term below a lookup of a definition, on
+    # every tuple of real nodes and on a fresh view, stays within its
+    # static height, and so does a whole query's within the highest one
+    from opra.corpus import ANSWER_PLANS, load_query
+    from gensupport import RPQ_SHAPES, rand_data_graph, rpq_query_text
+
+    inner = opra.ontology.eval_term
+    depth = [0, 0]  # current, deepest
+
+    def counting(view, term, eta):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return inner(view, term, eta)
+        finally:
+            depth[0] -= 1
+
+    def deepest(run):
+        depth[1] = 0
+        run()
+        return depth[1]
+
+    monkeypatch.setattr(opra.ontology, "eval_term", counting)
+    cases = [(fig2, load_query(name, fig2), bound)
+             for name, bound in ANSWER_PLANS]
+    rng = random.Random(5)
+    for shape in RPQ_SHAPES:
+        g = embed(rand_data_graph(rng))
+        cases.append((g, validate(parse(rpq_query_text(shape, ("a", "b"))),
+                                  g), 5))
+    g, _ = rand_instance(rng, max_len=5, joint_budget=20_000, max_nodes=3,
+                         n_unary=2)
+    cases.append((g, validate(parse(NESTED_TEXT), g), 3))
+    # defined labellings read as a target only, and in HAVING rows only
+    reads = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
+             "LET t1(x) := time(x), t2(x) := t1(x),\n"
+             "    far(x) := max[t2, r]{ MATCH NODES (x), PATHS (r) SUCH THAT "
+             "x -r-> y WHERE route(r) HAVING time[r] <= 300 },\n"
+             "    near(x) := min[time, r]{ MATCH NODES (x), PATHS (r) SUCH "
+             "THAT x -r-> y WHERE route(r) HAVING t2[r] <= 300 }\n"
+             "IN MATCH NODES (s)")
+    cases.append((fig2, validate(parse(reads), fig2), 3))
+    cases.append((DEPTH_GRAPH, validate(parse(chain_text(
+        MAX_EVAL_DEPTH - 3)), DEPTH_GRAPH), 2))
+    reached = {}
+    for g, vq, bound in cases:
+        ontology = vq.query.ontology
+        heights = definition_heights(ontology, g.labellings)
+        for e in ontology:
+            keys = itertools.product(g.real_nodes, repeat=len(e.params))
+            reached[e.name] = deepest(lambda: [
+                extend(g, ontology, CFG).label_value(e.name, key)
+                for key in keys])
+            assert reached[e.name] <= heights[e.name], e.name
+        assert deepest(lambda: engine_answers(g, vq, bound, CFG)) \
+            <= max(heights.values(), default=0)
+    assert reached["far"] == reached["near"] == 3
+    # the chain reaches the limit, so the limit bounds what it did
+    assert reached[f"c{MAX_EVAL_DEPTH - 3}"] == MAX_EVAL_DEPTH
 
 
 def test_oracle_term_eval_agrees(fig2, node):

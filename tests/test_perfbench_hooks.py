@@ -111,10 +111,14 @@ def test_ontology_nested_round_keeps_its_search():
     # per view and its plan bound per node tuple, so the round still makes
     # one product per nested evaluation but compiles only 127 NFAs (531
     # when every product compiled its own), with the same search; free
-    # RPQ sources share successor work (1 749 calls, 2 616 unshared)
+    # RPQ sources share successor work (1 749 calls, 2 616 unshared).
+    # Lookups and memo hits pin how label_value reaches eval_term: the
+    # tracer counts a lookup that calls it as a miss
     tr = _traced_round("ontology_nested")
     assert tr.count("solver.expanded") == 2994
     assert tr.count("solver.enqueued") == 3273
+    assert tr.count("ontology.lookups") == 2095
+    assert tr.count("ontology.memo_hits") == 1019
     totals = tr.totals()
     assert totals["automata.compile_regex"]["n"] == 127
     assert totals["answer_graph.build"]["n"] == 487
