@@ -1,27 +1,28 @@
 """Node-constraint NFAs for regular constraints.
 
-Constraints compile via the Thompson construction followed by epsilon
-elimination.  Letters stay symbolic (NodeConstraint values) and are
-evaluated lazily against node tuples, since the alphabet of possible
-constraints is unbounded.  After compilation every final state carries a
-self-loop on the special letter BOTTOM, which is true exactly when all
-of the constraint's current nodes are the sink, i.e. when every
-constrained path has already terminated.  A simulation step offers
-BOTTOM moves only in that situation and real letters only otherwise, so
-runs read exactly the word induced by the paths and then idle on BOTTOM.
-A state with at least one real-letter move is *live*; the others can
-only idle on BOTTOM, so a run may enter one only on its last real letter.
+A constraint compiles to its position (Glushkov) automaton: the initial
+state plus one state per letter occurrence, with no epsilon moves, which
+is the NFA of linear size that the paper's NL bound uses.  Letters stay
+symbolic (NodeConstraint values) and are evaluated lazily against node
+tuples, since the alphabet of possible constraints is unbounded.  Every
+final state also carries a self-loop on the special letter BOTTOM, which
+is true exactly when all of the constraint's current nodes are the sink,
+i.e. when every constrained path has already terminated.  A simulation
+step offers BOTTOM moves only in that situation and real letters only
+otherwise, so runs read exactly the word induced by the paths and then
+idle on BOTTOM.  A state with at least one real-letter move is *live*;
+the others can only idle on BOTTOM, so a run may enter one only on its
+last real letter.
 
-`compile_regex` also builds each `Nfa`'s move table `moves`, indexed by
-state: the state's BOTTOM destinations, and its real-letter moves as
-(letter, destination, destination is live) in transition order.  A step
-reads one entry per current state instead of scanning the transitions.
+An `Nfa` holds its moves in one table, `moves`, indexed by state: the
+state's BOTTOM destinations, and its real-letter moves as (letter,
+destination, destination is live) in increasing destination order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .extint import ext_compare
 from .graph import SINK, NodeId, path_index
@@ -52,119 +53,68 @@ def eval_node_constraint(source, letter, cur: Sequence[NodeId],
 @dataclass
 class Nfa:
     n_states: int
-    transitions: Tuple[Tuple[int, object, int], ...]  # (src, letter, dst)
     initial: FrozenSet[int]
     final: FrozenSet[int]
-    live: FrozenSet[int]  # states with at least one real-letter move
     moves: Tuple[tuple, ...]  # per state: BOTTOM dsts, (letter, dst, live)
 
     def dump(self) -> str:
-        """Line-based text form: one line per state flag and transition."""
+        """Line-based text form: the state flags, each real-letter move in
+        move-table order, then each final state's BOTTOM self-loop."""
         lines = [f"INITIAL {i}" for i in sorted(self.initial)]
         lines += [f"FINAL {f}" for f in sorted(self.final)]
-        for src, letter, dst in self.transitions:
-            text = "BOT" if letter is BOTTOM else letter.text()
-            lines.append(f"{src} {text} {dst}")
+        lines += [f"{src} {letter.text()} {dst}"
+                  for src, (_, real) in enumerate(self.moves)
+                  for letter, dst, _ in real]
+        lines += [f"{f} BOT {f}" for f in sorted(self.final)]
         return "\n".join(lines)
 
 
-class _Builder:
-    def __init__(self):
-        self.n = 0
-        self.eps: List[Tuple[int, int]] = []
-        self.edges: List[Tuple[int, NodeConstraint, int]] = []
-
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def build(self, r: Regex) -> Tuple[int, int]:
-        if isinstance(r, Epsilon):
-            i, f = self.state(), self.state()
-            self.eps.append((i, f))
-            return i, f
-        if isinstance(r, Letter):
-            i, f = self.state(), self.state()
-            self.edges.append((i, r.constraint, f))
-            return i, f
-        if isinstance(r, Concat):
-            i1, f1 = self.build(r.left)
-            i2, f2 = self.build(r.right)
-            self.eps.append((f1, i2))
-            return i1, f2
-        if isinstance(r, Union_):
-            i, f = self.state(), self.state()
-            i1, f1 = self.build(r.left)
-            i2, f2 = self.build(r.right)
-            self.eps += [(i, i1), (i, i2), (f1, f), (f2, f)]
-            return i, f
-        if isinstance(r, Star):
-            i, f = self.state(), self.state()
-            i1, f1 = self.build(r.body)
-            self.eps += [(i, i1), (i, f), (f1, i1), (f1, f)]
-            return i, f
-        raise TypeError(f"not a regex: {r!r}")
-
-
 def compile_regex(regex: Regex) -> Nfa:
-    """Thompson construction, epsilon elimination, BOTTOM extension."""
-    b = _Builder()
-    init, final = b.build(regex)
+    """Position automaton of `regex`, with a BOTTOM self-loop on each final
+    state.
 
-    eps_out: Dict[int, List[int]] = {}
-    for s, t in b.eps:
-        eps_out.setdefault(s, []).append(t)
+    One pass computes, for every subexpression, whether it accepts the
+    empty word and its first and last positions, and fills each
+    position's follow set.  State 0 is initial and state p is the p-th
+    letter occurrence from the left.  p moves to q on q's letter when q is
+    in follow(p), in increasing q; the final states are the last
+    positions, plus 0 when the empty word is accepted.
+    """
+    letters: List[Optional[NodeConstraint]] = [None]  # state p's letter
+    follow: List[Set[int]] = [set()]
 
-    def closure(s: int) -> FrozenSet[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in eps_out.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return frozenset(seen)
+    def walk(r: Regex) -> Tuple[bool, List[int], List[int]]:
+        if isinstance(r, Epsilon):
+            return True, [], []
+        if isinstance(r, Letter):
+            letters.append(r.constraint)
+            follow.append(set())
+            return False, [len(letters) - 1], [len(letters) - 1]
+        if isinstance(r, Star):
+            _, first, last = walk(r.body)
+            for p in last:
+                follow[p].update(first)
+            return True, first, last
+        if not isinstance(r, (Concat, Union_)):
+            raise TypeError(f"not a regex: {r!r}")
+        empty1, first1, last1 = walk(r.left)
+        empty2, first2, last2 = walk(r.right)
+        if isinstance(r, Union_):
+            return empty1 or empty2, first1 + first2, last1 + last2
+        for p in last1:
+            follow[p].update(first2)
+        return (empty1 and empty2, first1 + first2 if empty1 else first1,
+                last1 + last2 if empty2 else last2)
 
-    closures = [closure(s) for s in range(b.n)]
-    raw_out: Dict[int, List[Tuple[NodeConstraint, int]]] = {}
-    for s, letter, t in b.edges:
-        raw_out.setdefault(s, []).append((letter, t))
-
-    # keep only states reachable from the initial state
-
-    reach = {init}
-    stack = [init]
-    out: Dict[int, List[Tuple[NodeConstraint, int]]] = {}
-    while stack:
-        s = stack.pop()
-        moves: List[Tuple[NodeConstraint, int]] = []
-        for c in sorted(closures[s]):
-            moves.extend(raw_out.get(c, ()))
-        out[s] = moves
-        for _, t in moves:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-
-    order = sorted(reach)
-    renumber = {old: new for new, old in enumerate(order)}
-    finals = frozenset(renumber[s] for s in order if final in closures[s])
+    empty, first, last = walk(regex)
+    follow[0].update(first)
+    finals = frozenset(last + [0] if empty else last)
     moves = tuple(
-        ((new,) if new in finals else (),  # the BOTTOM self-loop
-         tuple((letter, renumber[t], bool(out[t])) for letter, t in out[old]))
-        for new, old in enumerate(order))
-    transitions = [(src, letter, dst) for src, (_, real) in enumerate(moves)
-                   for letter, dst, _ in real]
-    transitions += [(f, BOTTOM, f) for f in sorted(finals)]
-    return Nfa(
-        n_states=len(order),
-        transitions=tuple(transitions),
-        initial=frozenset({renumber[init]}),
-        final=finals,
-        live=frozenset(s for s, (_, real) in enumerate(moves) if real),
-        moves=moves,
-    )
+        ((s,) if s in finals else (),  # the BOTTOM self-loop
+         tuple((letters[q], q, bool(follow[q])) for q in sorted(follow[s])))
+        for s in range(len(letters)))
+    return Nfa(n_states=len(letters), initial=frozenset({0}), final=finals,
+               moves=moves)
 
 
 def step(source, nfa: Nfa, states: Iterable[int], cur: Sequence[NodeId],
@@ -191,11 +141,13 @@ def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
 
     Builds the letters (p_1[i], p_1[i+1], ..., p_k[i], p_k[i+1]) for i up
     to the longest path's length and simulates the NFA on exactly those.
-    Used for differential testing only: the oracle calls `step` as it
-    extends each path prefix.  `AnswerGraph.successors` reads the same
-    `Nfa.moves` through its plan's move table, with its live-state filter,
-    and decides a stored step letter by index membership instead of
-    evaluating it.
+    Tests compare it with `oracle.match_paths_language`, the inductive
+    regex semantics.  Only that comparison can see a fault in the
+    construction, since the oracle itself compiles with `compile_regex`
+    and calls `step` as it extends each path prefix.
+    `AnswerGraph.successors` reads the same `Nfa.moves` through its plan's
+    move table, with its live-state filter, and decides a stored step
+    letter by index membership instead of evaluating it.
     """
     s = max((len(p) for p in paths), default=0)
     states: FrozenSet[int] = nfa.initial

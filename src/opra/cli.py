@@ -21,6 +21,7 @@ import time
 from typing import Optional
 
 from . import corpus as corpus_mod
+from .automata import compile_regex
 from .embedding import embed, load_data_graph
 from .engine import decode_answers, evaluate, evaluate_extremum
 from .errors import EvalError, OpraError
@@ -28,7 +29,7 @@ from .extint import to_json
 from .graph import graph_to_dict, load_graph
 from .oracle import OracleConfig, enumerate_answers
 from .parser import parse
-from .solver import SolveConfig
+from .solver import DEFAULT_BUDGET, SolveConfig
 from .validate import validate
 
 
@@ -44,7 +45,7 @@ def _add_solver(p: argparse.ArgumentParser):
                    help="short-path bound (phase 1)")
     p.add_argument("--bound-b2", type=int, default=None,
                    help="witness bound (phase 2)")
-    p.add_argument("--visited-budget", type=int, default=1_000_000)
+    p.add_argument("--visited-budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trace", action="store_true",
                    help="log each expanded product state to stderr")
 
@@ -111,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force reference evaluation")
     _add_io(p)
-    p.add_argument("--max-path-len", type=int, default=6)
-    p.add_argument("--max-paths", type=int, default=2_000_000)
+    p.add_argument("--max-path-len", type=int,
+                   default=OracleConfig.max_path_len)
+    p.add_argument("--max-paths", type=int, default=OracleConfig.max_paths)
 
     p = sub.add_parser("corpus", help="run the bundled suite against goldens")
     p.add_argument("--pretty", action="store_true")
@@ -221,12 +223,8 @@ def _cmd_check(args) -> int:
         q = validate(q, load_graph(args.graph)).query
     payload = {"outcome": "ok", "ontology_entries": len(q.ontology)}
     if args.dump_nfa:
-        from .automata import compile_regex
-
-        dumps = []
-        for rc in q.query.regular_constraints:
-            dumps.append(compile_regex(rc.regex).dump())
-        payload["nfa_dumps"] = dumps
+        payload["nfa_dumps"] = [compile_regex(rc.regex).dump()
+                                for rc in q.query.regular_constraints]
     _emit(payload, args.pretty)
     return 0
 

@@ -113,14 +113,6 @@ def star(body: Regex) -> Regex:
     return Star(body)
 
 
-def regex_size(r: Regex) -> int:
-    if isinstance(r, (Letter, Epsilon)):
-        return 1
-    if isinstance(r, Star):
-        return 1 + regex_size(r.body)
-    return 1 + regex_size(r.left) + regex_size(r.right)
-
-
 def regex_text(r: Regex) -> str:
     # parenthesization keeps reparsing an exact inverse: the parser is
     # left-associative, so right-nested concats/unions need parens

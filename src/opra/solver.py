@@ -28,8 +28,13 @@ of length at most b1; if any path with length in (b1, b2] beats it, the
 extremum is unbounded (reported as the matching infinity), and if no
 path of length at most b2 satisfies the constraints at all, the result
 is the empty-set convention (+inf for MIN, -inf for MAX).  The default
-bounds grow with a capped product-size estimate and are overridable;
-completeness holds for instances whose witnesses fit under b2.
+bounds grow with a capped product-size estimate and are overridable.
+Emptiness is complete for instances whose witnesses fit under b2;
+extrema are not, since a better path beyond b1 is read as unbounded even
+where no cycle can lower the target.  On a 6-node path a -> ... -> f
+with `E` on each edge and `time` 1 on each node, MIN `time` from "a" to
+"f" reads -inf at bounds (2, 10) and (3, 10), and 6 at (6, 12) or with
+derived bounds (ROADMAP item 12).
 
 Derived bounds run into the thousands or to their cap, too far to walk
 an improving cycle up to them, so when neither bound is pinned the
@@ -128,7 +133,7 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
         n_nodes = len(plan.source.real_nodes) + 1
         size = n_nodes ** plan.k * (ag.N + 2)
         for nfa, _ in plan.nfas:
-            size *= max(nfa.n_states, 1)
+            size *= nfa.n_states
         size = min(size, _STATE_CAP)
         w = 1
         for terms in plan._arith:

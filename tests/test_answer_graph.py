@@ -127,7 +127,7 @@ def test_successors_from_start(fig2, node):
     assert len(succ) <= (len(list(fig2.real_nodes)) + 1) * ag.plan.nfas[0][0].n_states
     # a real node in a state without real-letter moves is a dead end
     assert all(s.nodes[0] == SINK for s in succ
-               if s.nfa_states[0] not in nfa.live)
+               if not nfa.moves[s.nfa_states[0]][1])
 
 
 def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
@@ -197,7 +197,7 @@ def assert_successors_match_full_scan(sources, shapes):
                         want = full_scan_moves(ag, st)
                         dead = {
                             x for x in want if x.nodes != (SINK,) and any(
-                                x.nfa_states[j] not in nfa.live
+                                not nfa.moves[x.nfa_states[j]][1]
                                 for j, (nfa, _) in enumerate(ag.plan.nfas))
                         }
                         assert got == want - dead, (a.text(), st)

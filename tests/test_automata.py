@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from opra.automata import (
     BOTTOM, compile_regex, eval_node_constraint, match_paths, step,
 )
@@ -8,7 +10,7 @@ from opra.oracle import letters_of, match_paths_language, regex_matches
 from opra.parser import parse
 from opra.query import (
     Concat, ConstAtom, Epsilon, LabelAtom, Letter, NodeConstraint, PosVar,
-    Star, TRUE_CONSTRAINT, Union_, regex_size,
+    Star, TRUE_CONSTRAINT, Union_, regex_text,
 )
 
 from gensupport import ROUTE_REGEX, rand_graph, rand_regex, all_paths
@@ -16,6 +18,18 @@ from gensupport import ROUTE_REGEX, rand_graph, rand_regex, all_paths
 E_LETTER = NodeConstraint(
     LabelAtom("E", (PosVar(1), PosVar(1, True))), "=", ConstAtom(1)
 )
+
+
+def occurrences(r):
+    """Letter occurrences in a regex: the states of its position
+    automaton other than the initial one."""
+    if isinstance(r, Letter):
+        return 1
+    if isinstance(r, Epsilon):
+        return 0
+    if isinstance(r, Star):
+        return occurrences(r.body)
+    return occurrences(r.left) + occurrences(r.right)
 
 
 def test_eval_node_constraint(fig2, node):
@@ -36,8 +50,8 @@ def test_compile_star_shape():
     nfa = compile_regex(Star(Letter(E_LETTER)))
     # star of a letter: initial state is accepting and loops
     assert nfa.initial <= nfa.final or nfa.final
-    assert any(letter is BOTTOM for _, letter, _ in nfa.transitions)
-    assert nfa.n_states <= (2 * regex_size(Star(Letter(E_LETTER)))) ** 2
+    assert any(nfa.moves[f][0] == (f,) for f in nfa.final)  # BOTTOM loop
+    assert nfa.n_states == 1 + occurrences(Star(Letter(E_LETTER)))
 
 
 def test_compile_epsilon_accepts_empty_only(fig2):
@@ -108,7 +122,80 @@ def test_nfa_dump_golden():
         "2 BOT 2"
     )
     # the final state can only idle on BOTTOM
-    assert nfa.live == {0, 1}
+    assert {s for s, (_, real) in enumerate(nfa.moves) if real} == {0, 1}
+
+
+def unary(value):
+    return Letter(NodeConstraint(LabelAtom("w0", (PosVar(1),)), "=",
+                                 ConstAtom(value)))
+
+
+def parsed_regex(text, paths="pi"):
+    q = parse(f"MATCH PATHS ({paths}) SUCH THAT x -pi-> y "
+              f"WHERE {text}({paths})")
+    return q.query.regular_constraints[0].regex
+
+
+A, B = unary(1), unary(2)
+RPQ_STEPS = ("<hop_a(@1, @1') = 1>", "<hop_b(@1, @1') = 1>")
+
+# besides ROUTE_REGEX's in test_nfa_dump_golden: state 0 is initial and
+# state p the p-th letter occurrence from the left; each state's moves
+# are (destination, destination has real moves)
+NUMBERING_GOLDEN = {
+    "not_equal": (parsed_regex("<w0(@1) != 3> <T>"), [
+        "INITIAL 0", "FINAL 3",
+        "0 <w0(@1) < 3> 1", "0 <3 < w0(@1)> 2", "1 <0 = 0> 3",
+        "2 <0 = 0> 3", "3 BOT 3",
+    ], [((), [(1, True), (2, True)]), ((), [(3, False)]),
+        ((), [(3, False)]), ((3,), [])]),
+    "eps_in_concat": (Concat(A, Concat(Epsilon(), B)), [
+        "INITIAL 0", "FINAL 2",
+        "0 <w0(@1) = 1> 1", "1 <w0(@1) = 2> 2", "2 BOT 2",
+    ], [((), [(1, True)]), ((), [(2, False)]), ((2,), [])]),
+    "eps_in_union": (Concat(Union_(Epsilon(), A), B), [
+        "INITIAL 0", "FINAL 2",
+        "0 <w0(@1) = 1> 1", "0 <w0(@1) = 2> 2", "1 <w0(@1) = 2> 2",
+        "2 BOT 2",
+    ], [((), [(1, True), (2, False)]), ((), [(2, False)]), ((2,), [])]),
+    "star_eps": (Star(Epsilon()), [
+        "INITIAL 0", "FINAL 0", "0 BOT 0",
+    ], [((0,), [])]),
+    "star_star": (Star(Star(Concat(A, B))), [
+        "INITIAL 0", "FINAL 0", "FINAL 2",
+        "0 <w0(@1) = 1> 1", "1 <w0(@1) = 2> 2", "2 <w0(@1) = 1> 1",
+        "0 BOT 0", "2 BOT 2",
+    ], [((0,), [(1, True)]), ((), [(2, True)]), ((2,), [(1, True)])]),
+    "star_union": (Star(Union_(A, B)), [
+        "INITIAL 0", "FINAL 0", "FINAL 1", "FINAL 2",
+        "0 <w0(@1) = 1> 1", "0 <w0(@1) = 2> 2",
+        "1 <w0(@1) = 1> 1", "1 <w0(@1) = 2> 2",
+        "2 <w0(@1) = 1> 1", "2 <w0(@1) = 2> 2",
+        "0 BOT 0", "1 BOT 1", "2 BOT 2",
+    ], [((0,), [(1, True), (2, True)]), ((1,), [(1, True), (2, True)]),
+        ((2,), [(1, True), (2, True)])]),
+    "two_path": (parsed_regex("<E(@1, @2) = 1>* <T>", "pi, rho"), [
+        "INITIAL 0", "FINAL 2",
+        "0 <E(@1, @2) = 1> 1", "0 <0 = 0> 2",
+        "1 <E(@1, @2) = 1> 1", "1 <0 = 0> 2", "2 BOT 2",
+    ], [((), [(1, True), (2, False)]), ((), [(1, True), (2, False)]),
+        ((2,), [])]),
+    "rpq_union_star": (parsed_regex("({} + {})* <T>".format(*RPQ_STEPS)), [
+        "INITIAL 0", "FINAL 3",
+        *(f"{s} {letter} {d}" for s in range(3)
+          for d, letter in enumerate(RPQ_STEPS + ("<0 = 0>",), 1)),
+        "3 BOT 3",
+    ], [((), [(1, True), (2, True), (3, False)])] * 3 + [((3,), [])]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NUMBERING_GOLDEN))
+def test_nfa_numbering_golden(shape):
+    regex, dump, moves = NUMBERING_GOLDEN[shape]
+    nfa = compile_regex(regex)
+    assert nfa.dump() == "\n".join(dump)
+    assert [(bottom, [(dst, live) for _, dst, live in real])
+            for bottom, real in nfa.moves] == moves
 
 
 def test_nfa_matches_language_semantics_randomized():
@@ -120,7 +207,7 @@ def test_nfa_matches_language_semantics_randomized():
         k = rng.choice([1, 1, 2])
         regex = rand_regex(rng, k, ["w0"], depth=3)
         nfa = compile_regex(regex)
-        assert nfa.n_states <= (2 * regex_size(regex)) ** 2
+        assert nfa.n_states == 1 + occurrences(regex)
         reals = list(g.real_nodes)
         for _ in range(30):
             paths = [
@@ -133,6 +220,44 @@ def test_nfa_matches_language_semantics_randomized():
             if got != want:
                 mismatches += 1
     assert mismatches == 0
+
+
+def rand_eps_regex(rng, k, depth):
+    """A regex in the shapes `rand_regex` never builds: epsilon leaves,
+    Star(eps), Star(Star(r)), and epsilon under a concat or a union."""
+    if depth <= 0 or rng.random() < 0.2:
+        leaf = rng.random()
+        if leaf < 0.25:
+            return Epsilon()
+        if leaf < 0.4:
+            return Star(Epsilon())
+        return rand_regex(rng, k, ["w0"], depth=0)
+    shape = rng.choice(["concat", "union", "star", "star_star"])
+    if shape.startswith("star"):
+        body = Star(rand_eps_regex(rng, k, depth - 1))
+        return Star(body) if shape == "star_star" else body
+    make = Concat if shape == "concat" else Union_
+    return make(rand_eps_regex(rng, k, depth - 1),
+                rand_eps_regex(rng, k, depth - 1))
+
+
+def test_nfa_matches_language_semantics_epsilon_shapes():
+    # the oracle compiles with the same `compile_regex`, so only the
+    # inductive language definition can see a fault in the construction
+    rng = random.Random(20261019)
+    for trial in range(120):
+        g = rand_graph(rng, max_nodes=4, n_unary=1)
+        k = 1 + trial % 2
+        regex = rand_eps_regex(rng, k, depth=4)
+        nfa = compile_regex(regex)
+        assert nfa.n_states == 1 + occurrences(regex)
+        reals = list(g.real_nodes)
+        for _ in range(30):
+            paths = [tuple(rng.choice(reals) for _ in range(rng.randint(0, 4)))
+                     for _ in range(k)]
+            want = match_paths_language(g, regex, paths)
+            assert match_paths(g, nfa, paths) == want, \
+                (regex_text(regex), paths)
 
 
 def test_language_dp_small_cases(fig2, node):

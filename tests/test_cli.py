@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from opra.cli import main
+from opra.cli import build_parser, main
 from opra.corpus import query_text
 from opra.graph import graph_to_dict
+from opra.oracle import OracleConfig
+from opra.solver import SolveConfig
 from opra.validate import MAX_EVAL_DEPTH
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "opra" / "corpus"
@@ -257,6 +259,17 @@ def test_oracle_rejects_solver_flags(capsys, fig2_path, qfile, flag):
         main(["oracle", "--graph", fig2_path, "--query", qfile("q_route_sp"),
               *flag])
     assert exit_.value.code == 2
+
+
+def test_parsed_defaults_are_the_config_defaults():
+    io = ["--graph", "g.json", "--query", "q.opra"]
+    for command in (["eval"], ["extremum", "--target", "time", "--min"]):
+        args = build_parser().parse_args(command + io)
+        assert SolveConfig(b1=args.bound_b1, b2=args.bound_b2,
+                           visited_budget=args.visited_budget) == SolveConfig()
+    args = build_parser().parse_args(["oracle"] + io)
+    assert OracleConfig(max_path_len=args.max_path_len,
+                        max_paths=args.max_paths) == OracleConfig()
 
 
 def test_check_dumps_nfas(capsys, fig2_path, qfile):
