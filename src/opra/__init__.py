@@ -12,7 +12,7 @@ oracle provides independent reference semantics for testing.
 
 from .answer_graph import AGState, AnswerGraph, Plan
 from .automata import (
-    BOTTOM, Nfa, compile_regex, eval_node_constraint, match_paths, step,
+    Nfa, compile_regex, eval_node_constraint, match_paths, step,
 )
 from .embedding import (
     DataGraph, WeightedAutomaton, build_automaton_graph, data_graph_from_dict,

@@ -31,8 +31,9 @@ product paths encode exactly the constraint-satisfying path tuples:
 bound components replay their input path position by position, a
 component that has terminated stays on the sink forever, a component may
 terminate only when its node satisfies its path-constraint targets, and
-every NFA must take an enabled transition (real letters while its own
-paths are alive, the terminated letter afterwards).
+every NFA must take an enabled transition while its own paths are
+alive, and keeps its state afterwards only if that state is final (the
+paper's terminal letter ⊥, here a rule).
 
 Path tuples decode from product paths by truncating each component at
 its first sink; with that convention a product path of length L covers
@@ -90,9 +91,9 @@ UNBOUND = -1  # env value of a lazy target before its component ends
 
 # per real node, a set holding every real next node a letter admits
 Targets = Mapping[NodeId, FrozenSet[NodeId]]
-# per NFA state: its BOTTOM destinations, its real moves as (letter, dst,
-# live, exact), and its live letters' targets, or None for a full scan
-MoveTable = List[Tuple[Tuple[int, ...], tuple, Optional[Tuple[Targets, ...]]]]
+# per NFA state: its real moves as (letter, dst, live, exact), and its live
+# letters' targets, or None for a full scan
+MoveTable = List[Tuple[tuple, Optional[Tuple[Targets, ...]]]]
 _STEP_ARGS = (PosVar(1), PosVar(1, True))
 
 
@@ -116,7 +117,7 @@ def _move_table(nfa: Nfa, source) -> MoveTable:
     stored labelling, which the letter meets exactly, sink included; a
     defined letter's are a superset, so it keeps None, as do the rest."""
     table = []
-    for bottom, real in nfa.moves:
+    for real in nfa.moves:
         moves, keys = [], []
         for letter, dst, live in real:
             targets = _index_key(letter, source)
@@ -127,8 +128,7 @@ def _move_table(nfa: Nfa, source) -> MoveTable:
             moves.append((letter, dst, live, exact))
             if live:
                 keys.append(targets)
-        table.append((bottom, tuple(moves),
-                      None if None in keys else tuple(keys)))
+        table.append((tuple(moves), None if None in keys else tuple(keys)))
     return table
 
 
@@ -213,14 +213,11 @@ class Plan:
             for rc in pra.regular_constraints
         ]
         self.tables = [_move_table(nfa, source) for nfa, _ in self.nfas]
-        # per component, its single-component NFAs with their index keys
-        self._narrowers: List[List[Tuple[int, list]]] = [
-            [] for _ in range(self.k)
-        ]
+        # per component, the indices of its single-component NFAs
+        self._narrowers: List[List[int]] = [[] for _ in range(self.k)]
         for j, (_, sel) in enumerate(self.nfas):
             if len(sel) == 1:
-                self._narrowers[sel[0]].append(
-                    (j, [keys for _, _, keys in self.tables[j]]))
+                self._narrowers[sel[0]].append(j)
 
         # arithmetical constraints: (coeff, labelling, reader) terms per
         # row, and the rows' bounds
@@ -342,7 +339,7 @@ class AnswerGraph:
 
     def start_states(self):
         plan = self.plan
-        initials = [sorted(nfa.initial) for nfa, _ in plan.nfas]
+        initials = (0,) * len(plan.nfas)
         for env in itertools.product(*self._domains):
             choices: List[Tuple[NodeId, ...]] = []
             for i in range(plan.k):
@@ -360,8 +357,7 @@ class AnswerGraph:
                     choices.append(plan._reals + (SINK,))
             else:
                 for nodes in itertools.product(*choices):
-                    for combo in itertools.product(*initials):
-                        yield AGState(tuple(combo), self.start_pos, nodes, env)
+                    yield AGState(initials, self.start_pos, nodes, env)
 
     def is_target(self, st: AGState) -> bool:
         return st.pos == OMEGA and st.nodes == self.plan._sinks and all(
@@ -388,8 +384,8 @@ class AnswerGraph:
                 # real next nodes that can pass a letter into a live state
                 # of each single-component NFA on i (candidate narrowing)
                 narrowed = None
-                for j, keys in plan._narrowers[i]:
-                    lookups = keys[st.nfa_states[j]]
+                for j in plan._narrowers[i]:
+                    lookups = plan.tables[j][st.nfa_states[j]][1]
                     if lookups is None:
                         continue  # some letter admits every real node
                     cands = set()
@@ -402,16 +398,18 @@ class AnswerGraph:
                     reals += (SINK,)
                 choices.append(reals)
 
-        # per NFA: selector, all-sink selection, current nodes, BOTTOM
-        # moves once its paths have all terminated (else None), real moves
+        # per NFA: selector, all-sink selection, current nodes, its next
+        # states once its paths have all terminated (else None), real moves;
+        # terminated, it keeps a final state and loses any other
         nfa_steps = []
-        for (_, sel), table, state in zip(plan.nfas, plan.tables,
-                                          st.nfa_states):
+        for (nfa, sel), table, state in zip(plan.nfas, plan.tables,
+                                            st.nfa_states):
             sinks = (SINK,) * len(sel)
             cur = tuple([st.nodes[c] for c in sel])
-            bottom, real, _ = table[state]
-            nfa_steps.append(
-                (sel, sinks, cur, bottom if cur == sinks else None, real))
+            ended = None
+            if cur == sinks:
+                ended = (state,) if state in nfa.final else ()
+            nfa_steps.append((sel, sinks, cur, ended, table[state][0]))
         # an NFA that reads fewer components than vary meets each of its
         # next-node selections more than once: evaluate its letters once
         dsts_memo: Dict[Tuple[int, Tuple[NodeId, ...]], List[int]] = {}

@@ -1,28 +1,28 @@
 """Node-constraint NFAs for regular constraints.
 
 A constraint compiles to its position (Glushkov) automaton: the initial
-state plus one state per letter occurrence, with no epsilon moves, which
-is the NFA of linear size that the paper's NL bound uses.  Letters stay
-symbolic (NodeConstraint values) and are evaluated lazily against node
-tuples, since the alphabet of possible constraints is unbounded.  Every
-final state also carries a self-loop on the special letter BOTTOM, which
-is true exactly when all of the constraint's current nodes are the sink,
-i.e. when every constrained path has already terminated.  A simulation
-step offers BOTTOM moves only in that situation and real letters only
-otherwise, so runs read exactly the word induced by the paths and then
-idle on BOTTOM.  A state with at least one real-letter move is *live*;
-the others can only idle on BOTTOM, so a run may enter one only on its
-last real letter.
+state 0 plus one state per letter occurrence, with no epsilon moves,
+which is the NFA of linear size that the paper's NL bound uses.
+Letters stay symbolic (NodeConstraint values) and are evaluated lazily
+against node tuples, since the alphabet of possible constraints is
+unbounded.  The paper pads the induced word with a terminal letter ⊥,
+read once every constrained path has ended; here ⊥ is a rule, not a
+letter: a run whose paths have all ended keeps its state if that state
+is final and dies otherwise, and a run reads real letters only before
+that.  So runs read exactly the word induced by the paths and then
+idle.  A state with at least one real-letter move is *live*; the
+others can only idle, so a run may enter one only on its last real
+letter.
 
-An `Nfa` holds its moves in one table, `moves`, indexed by state: the
-state's BOTTOM destinations, and its real-letter moves as (letter,
-destination, destination is live) in increasing destination order.
+An `Nfa` is its final states and its move table, `moves`, indexed by
+state: the state's real-letter moves as (letter, destination,
+destination is live) in increasing destination order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .extint import ext_compare
 from .graph import SINK, NodeId, path_index
@@ -31,47 +31,32 @@ from .query import (
 )
 
 
-class _Bottom:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "BOTTOM"
-
-
-BOTTOM = _Bottom()
-
-
 def eval_node_constraint(source, letter, cur: Sequence[NodeId],
                          nxt: Sequence[NodeId]) -> bool:
     """Evaluate a letter on the current/next node tuples of the k paths."""
-    if letter is BOTTOM:
-        return all(c == SINK for c in cur)
     return ext_compare(letter.op, letter.lhs.read(source, cur, nxt),
                        letter.rhs.read(source, cur, nxt))
 
 
 @dataclass
 class Nfa:
-    n_states: int
-    initial: FrozenSet[int]
+    """State 0 is initial; `moves[s]` holds s's (letter, dst, live)."""
     final: FrozenSet[int]
-    moves: Tuple[tuple, ...]  # per state: BOTTOM dsts, (letter, dst, live)
+    moves: Tuple[tuple, ...]
 
     def dump(self) -> str:
         """Line-based text form: the state flags, each real-letter move in
-        move-table order, then each final state's BOTTOM self-loop."""
-        lines = [f"INITIAL {i}" for i in sorted(self.initial)]
-        lines += [f"FINAL {f}" for f in sorted(self.final)]
+        move-table order, then each final state's ⊥ self-loop."""
+        lines = ["INITIAL 0"] + [f"FINAL {f}" for f in sorted(self.final)]
         lines += [f"{src} {letter.text()} {dst}"
-                  for src, (_, real) in enumerate(self.moves)
+                  for src, real in enumerate(self.moves)
                   for letter, dst, _ in real]
         lines += [f"{f} BOT {f}" for f in sorted(self.final)]
         return "\n".join(lines)
 
 
 def compile_regex(regex: Regex) -> Nfa:
-    """Position automaton of `regex`, with a BOTTOM self-loop on each final
-    state.
+    """Position automaton of `regex`.
 
     One pass computes, for every subexpression, whether it accepts the
     empty word and its first and last positions, and fills each
@@ -109,31 +94,23 @@ def compile_regex(regex: Regex) -> Nfa:
     empty, first, last = walk(regex)
     follow[0].update(first)
     finals = frozenset(last + [0] if empty else last)
-    moves = tuple(
-        ((s,) if s in finals else (),  # the BOTTOM self-loop
-         tuple((letters[q], q, bool(follow[q])) for q in sorted(follow[s])))
-        for s in range(len(letters)))
-    return Nfa(n_states=len(letters), initial=frozenset({0}), final=finals,
-               moves=moves)
+    return Nfa(finals, tuple(
+        tuple((letters[q], q, bool(follow[q])) for q in sorted(follow[s]))
+        for s in range(len(letters))))
 
 
-def step(source, nfa: Nfa, states: Iterable[int], cur: Sequence[NodeId],
+def step(source, nfa: Nfa, states: FrozenSet[int], cur: Sequence[NodeId],
          nxt: Sequence[NodeId]) -> FrozenSet[int]:
     """One simulation step over all states, read from `nfa.moves`.
 
     Once every constrained path has terminated (all current nodes are the
-    sink) only BOTTOM moves are offered; before that, only real letters.
+    sink) the ⊥ rule keeps exactly the final states; before that, the
+    states move on real letters.
     """
-    terminated = all(c == SINK for c in cur)
-    out = set()
-    for s in states:
-        bottom, real = nfa.moves[s]
-        if terminated:
-            out.update(bottom)
-        else:
-            out.update(dst for letter, dst, _ in real
-                       if eval_node_constraint(source, letter, cur, nxt))
-    return frozenset(out)
+    if all(c == SINK for c in cur):
+        return states & nfa.final
+    return frozenset(dst for s in states for letter, dst, _ in nfa.moves[s]
+                     if eval_node_constraint(source, letter, cur, nxt))
 
 
 def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
@@ -150,7 +127,7 @@ def match_paths(source, nfa: Nfa, paths: Sequence[Sequence[NodeId]]) -> bool:
     letter by index membership instead of evaluating it.
     """
     s = max((len(p) for p in paths), default=0)
-    states: FrozenSet[int] = nfa.initial
+    states: FrozenSet[int] = frozenset({0})
     for i in range(1, s + 1):
         cur = tuple(path_index(p, i) for p in paths)
         nxt = tuple(path_index(p, i + 1) for p in paths)

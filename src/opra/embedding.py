@@ -44,17 +44,35 @@ class DataGraph:
                 raise GraphLoadError(f"edge ({u}, {a}, {v}) uses unknown node")
             if a not in self.alphabet:
                 raise GraphLoadError(f"edge ({u}, {a}, {v}) uses unknown symbol")
+        for node, vec in self.labels.items():
+            if node not in self.nodes:
+                raise GraphLoadError(f"label of unknown node {node!r}")
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
+                raise GraphLoadError(f"label of {node!r} must hold ints only")
 
 
 def data_graph_from_dict(data: dict) -> DataGraph:
-    labels = {
-        node: tuple(vec) for node, vec in (data.get("labels") or {}).items()
-    }
+    if not isinstance(data, dict):
+        raise GraphLoadError("data graph file must be an object")
+    for key in ("nodes", "alphabet"):
+        names = data.get(key)
+        if not isinstance(names, list) \
+                or not all(isinstance(n, str) for n in names):
+            raise GraphLoadError(f"{key!r} must be an array of strings")
+    edges = data.get("edges")
+    if not isinstance(edges, list) \
+            or not all(isinstance(e, list) and len(e) == 3 for e in edges):
+        raise GraphLoadError(
+            "'edges' must be an array of [source, symbol, target] arrays")
+    labels = data.get("labels") or {}
+    if not isinstance(labels, dict) \
+            or not all(isinstance(vec, list) for vec in labels.values()):
+        raise GraphLoadError("'labels' must map node names to arrays")
     return DataGraph(
         nodes=tuple(data["nodes"]),
         alphabet=tuple(data["alphabet"]),
-        edges=tuple((u, a, v) for u, a, v in data["edges"]),
-        labels=labels,
+        edges=tuple(tuple(e) for e in edges),
+        labels={node: tuple(vec) for node, vec in labels.items()},
     )
 
 

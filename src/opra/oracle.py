@@ -173,7 +173,7 @@ class _Enumerator:
                 starts.append((required.pop(),) if required else self.reals)
             else:
                 starts.append(self.reals + (SINK,))
-        statesets = tuple(nfa.initial for nfa, _ in self.nfas)
+        statesets = (frozenset({0}),) * len(self.nfas)
         for cur in itertools.product(*starts):
             paths = tuple((c,) if c != SINK else () for c in cur)
             yield from self._extend(env, cur, paths, statesets, 1)

@@ -133,7 +133,7 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
         n_nodes = len(plan.source.real_nodes) + 1
         size = n_nodes ** plan.k * (ag.N + 2)
         for nfa, _ in plan.nfas:
-            size *= nfa.n_states
+            size *= len(nfa.moves)
         size = min(size, _STATE_CAP)
         w = 1
         for terms in plan._arith:

@@ -458,6 +458,19 @@ def rand_data_graph(rng: random.Random, letters=("a", "b"),
     return DataGraph(nodes, letters, edges, {})
 
 
+_DG = {"nodes": ["a", "b"], "alphabet": ["x"], "edges": [["a", "x", "b"]]}
+# data-graph JSON that loading must reject with GraphLoadError
+BAD_DATA_GRAPHS = {
+    "no_nodes": {"alphabet": []},
+    "not_an_object": [1, 2],
+    "label_not_array": {**_DG, "labels": {"a": 5}},
+    "short_edge": {**_DG, "edges": [["a", "x"]]},
+    "label_not_int": {**_DG, "labels": {"a": ["q", True]}},
+    "label_bool": {**_DG, "labels": {"a": [1, True]}},
+    "label_unknown_node": {**_DG, "labels": {"zz": [3]}},
+}
+
+
 # -- misc -------------------------------------------------------------------------------
 
 def all_paths(nodes: Sequence[int], max_len: int):

@@ -124,10 +124,10 @@ def test_successors_from_start(fig2, node):
     via_edge = {s.nodes[0] for s in succ if s.nfa_states[0] not in nfa.final}
     assert via_edge == {node("T"), node("W")}
     # structural bound: at most |V|+1 node choices per component here
-    assert len(succ) <= (len(list(fig2.real_nodes)) + 1) * ag.plan.nfas[0][0].n_states
+    assert len(succ) <= (len(list(fig2.real_nodes)) + 1) * len(nfa.moves)
     # a real node in a state without real-letter moves is a dead end
     assert all(s.nodes[0] == SINK for s in succ
-               if not nfa.moves[s.nfa_states[0]][1])
+               if not nfa.moves[s.nfa_states[0]])
 
 
 def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
@@ -197,7 +197,7 @@ def assert_successors_match_full_scan(sources, shapes):
                         want = full_scan_moves(ag, st)
                         dead = {
                             x for x in want if x.nodes != (SINK,) and any(
-                                not nfa.moves[x.nfa_states[j]][1]
+                                not nfa.moves[x.nfa_states[j]]
                                 for j, (nfa, _) in enumerate(ag.plan.nfas))
                         }
                         assert got == want - dead, (a.text(), st)
@@ -272,12 +272,10 @@ def test_successors_match_full_scan_for_every_letter_shape():
 
 
 def table_moves(source, letter):
-    """The real moves of the initial state of `<letter>` on `source`."""
+    """The real moves of the initial state 0 of `<letter>` on `source`."""
     pra = PraQuery(regular_constraints=(
         RegularConstraint(Letter(letter), ("pi",)),))
-    plan = AnswerGraph(source, pra).plan
-    (init,) = plan.nfas[0][0].initial
-    return plan.tables[0][init][1]
+    return AnswerGraph(source, pra).plan.tables[0][0][0]
 
 
 def test_stored_step_letters_are_decided_by_their_index():
@@ -428,7 +426,8 @@ def test_witness_env_names_every_free_node(fig2):
 
 def test_bottom_self_loop_state(fig2):
     # a state where every path has terminated and every NFA accepts
-    # keeps itself among its successors via the terminated-letter loops
+    # keeps itself among its successors; with an NFA in a state that is
+    # not final it has no successors and is no target
     ag = AnswerGraph(fig2, route_sp(fig2))
     from opra.answer_graph import AGState
 
@@ -437,6 +436,12 @@ def test_bottom_self_loop_state(fig2):
     st = AGState(final, OMEGA, (SINK,), env)
     assert ag.is_target(st)
     assert st in ag.successors(st)
+    for j, (nfa, _) in enumerate(ag.plan.nfas):
+        for s in set(range(len(nfa.moves))) - nfa.final:
+            dead = AGState(final[:j] + (s,) + final[j + 1:], OMEGA, (SINK,),
+                           env)
+            assert not ag.is_target(dead)
+            assert ag.successors(dead) == []
 
 
 def test_is_target_definition(fig2, node):

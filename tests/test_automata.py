@@ -3,7 +3,7 @@ import random
 import pytest
 
 from opra.automata import (
-    BOTTOM, compile_regex, eval_node_constraint, match_paths, step,
+    compile_regex, eval_node_constraint, match_paths, step,
 )
 from opra.graph import SINK
 from opra.oracle import letters_of, match_paths_language, regex_matches
@@ -37,8 +37,6 @@ def test_eval_node_constraint(fig2, node):
     assert eval_node_constraint(fig2, E_LETTER, cur, nxt)
     assert not eval_node_constraint(fig2, E_LETTER, (node("S"),), (node("P"),))
     assert eval_node_constraint(fig2, TRUE_CONSTRAINT, cur, nxt)
-    assert eval_node_constraint(fig2, BOTTOM, (SINK,), (SINK,))
-    assert not eval_node_constraint(fig2, BOTTOM, (node("S"),), (SINK,))
     # primed variables read the next tuple
     nc = NodeConstraint(
         LabelAtom("time", (PosVar(1, True),)), "=", ConstAtom(10)
@@ -48,10 +46,25 @@ def test_eval_node_constraint(fig2, node):
 
 def test_compile_star_shape():
     nfa = compile_regex(Star(Letter(E_LETTER)))
-    # star of a letter: initial state is accepting and loops
-    assert nfa.initial <= nfa.final or nfa.final
-    assert any(nfa.moves[f][0] == (f,) for f in nfa.final)  # BOTTOM loop
-    assert nfa.n_states == 1 + occurrences(Star(Letter(E_LETTER)))
+    # star of a letter: the initial state 0 is accepting
+    assert 0 in nfa.final
+    assert len(nfa.moves) == 1 + occurrences(Star(Letter(E_LETTER)))
+
+
+def test_terminated_step_keeps_exactly_the_final_states(fig2, node):
+    # once every path has ended, a step keeps the final members of a state
+    # set and drops the rest; while a path is alive, real letters move
+    nfa = compile_regex(ROUTE_REGEX)
+    assert nfa.final == {2}
+    mixed = frozenset({0, 1, 2})
+    assert step(fig2, nfa, mixed, (SINK,), (SINK,)) == {2}
+    assert step(fig2, nfa, frozenset({0, 1}), (SINK,), (SINK,)) == set()
+    assert step(fig2, nfa, mixed, (node("S"),), (node("T"),)) == {1, 2}
+    two = compile_regex(parsed_regex("<E(@1, @2) = 1>* <T>", "pi, rho"))
+    assert step(fig2, two, mixed, (SINK, SINK), (SINK, SINK)) == {2}
+    # one live path is enough for real letters: 1 closes on <T>
+    assert step(fig2, two, frozenset({1}), (SINK, node("S")),
+                (SINK, SINK)) == {2}
 
 
 def test_compile_epsilon_accepts_empty_only(fig2):
@@ -101,7 +114,7 @@ def test_bottom_extension_keeps_accepting(fig2, node):
     # once a tuple is accepted, trailing all-sink letters stay accepted
     nfa = compile_regex(ROUTE_REGEX)
     paths = [tuple(node(n) for n in "STP")]
-    states = nfa.initial
+    states = frozenset({0})
     for cur, nxt in letters_of(paths):
         states = step(fig2, nfa, states, cur, nxt)
     assert states & nfa.final
@@ -121,8 +134,8 @@ def test_nfa_dump_golden():
         "1 <0 = 0> 2\n"
         "2 BOT 2"
     )
-    # the final state can only idle on BOTTOM
-    assert {s for s, (_, real) in enumerate(nfa.moves) if real} == {0, 1}
+    # the final state can only idle
+    assert {s for s, real in enumerate(nfa.moves) if real} == {0, 1}
 
 
 def unary(value):
@@ -140,52 +153,52 @@ A, B = unary(1), unary(2)
 RPQ_STEPS = ("<hop_a(@1, @1') = 1>", "<hop_b(@1, @1') = 1>")
 
 # besides ROUTE_REGEX's in test_nfa_dump_golden: state 0 is initial and
-# state p the p-th letter occurrence from the left; each state's moves
-# are (destination, destination has real moves)
+# state p the p-th letter occurrence from the left; each state is
+# (final, its moves as (destination, destination has real moves))
 NUMBERING_GOLDEN = {
     "not_equal": (parsed_regex("<w0(@1) != 3> <T>"), [
         "INITIAL 0", "FINAL 3",
         "0 <w0(@1) < 3> 1", "0 <3 < w0(@1)> 2", "1 <0 = 0> 3",
         "2 <0 = 0> 3", "3 BOT 3",
-    ], [((), [(1, True), (2, True)]), ((), [(3, False)]),
-        ((), [(3, False)]), ((3,), [])]),
+    ], [(False, [(1, True), (2, True)]), (False, [(3, False)]),
+        (False, [(3, False)]), (True, [])]),
     "eps_in_concat": (Concat(A, Concat(Epsilon(), B)), [
         "INITIAL 0", "FINAL 2",
         "0 <w0(@1) = 1> 1", "1 <w0(@1) = 2> 2", "2 BOT 2",
-    ], [((), [(1, True)]), ((), [(2, False)]), ((2,), [])]),
+    ], [(False, [(1, True)]), (False, [(2, False)]), (True, [])]),
     "eps_in_union": (Concat(Union_(Epsilon(), A), B), [
         "INITIAL 0", "FINAL 2",
         "0 <w0(@1) = 1> 1", "0 <w0(@1) = 2> 2", "1 <w0(@1) = 2> 2",
         "2 BOT 2",
-    ], [((), [(1, True), (2, False)]), ((), [(2, False)]), ((2,), [])]),
+    ], [(False, [(1, True), (2, False)]), (False, [(2, False)]), (True, [])]),
     "star_eps": (Star(Epsilon()), [
         "INITIAL 0", "FINAL 0", "0 BOT 0",
-    ], [((0,), [])]),
+    ], [(True, [])]),
     "star_star": (Star(Star(Concat(A, B))), [
         "INITIAL 0", "FINAL 0", "FINAL 2",
         "0 <w0(@1) = 1> 1", "1 <w0(@1) = 2> 2", "2 <w0(@1) = 1> 1",
         "0 BOT 0", "2 BOT 2",
-    ], [((0,), [(1, True)]), ((), [(2, True)]), ((2,), [(1, True)])]),
+    ], [(True, [(1, True)]), (False, [(2, True)]), (True, [(1, True)])]),
     "star_union": (Star(Union_(A, B)), [
         "INITIAL 0", "FINAL 0", "FINAL 1", "FINAL 2",
         "0 <w0(@1) = 1> 1", "0 <w0(@1) = 2> 2",
         "1 <w0(@1) = 1> 1", "1 <w0(@1) = 2> 2",
         "2 <w0(@1) = 1> 1", "2 <w0(@1) = 2> 2",
         "0 BOT 0", "1 BOT 1", "2 BOT 2",
-    ], [((0,), [(1, True), (2, True)]), ((1,), [(1, True), (2, True)]),
-        ((2,), [(1, True), (2, True)])]),
+    ], [(True, [(1, True), (2, True)]), (True, [(1, True), (2, True)]),
+        (True, [(1, True), (2, True)])]),
     "two_path": (parsed_regex("<E(@1, @2) = 1>* <T>", "pi, rho"), [
         "INITIAL 0", "FINAL 2",
         "0 <E(@1, @2) = 1> 1", "0 <0 = 0> 2",
         "1 <E(@1, @2) = 1> 1", "1 <0 = 0> 2", "2 BOT 2",
-    ], [((), [(1, True), (2, False)]), ((), [(1, True), (2, False)]),
-        ((2,), [])]),
+    ], [(False, [(1, True), (2, False)]), (False, [(1, True), (2, False)]),
+        (True, [])]),
     "rpq_union_star": (parsed_regex("({} + {})* <T>".format(*RPQ_STEPS)), [
         "INITIAL 0", "FINAL 3",
         *(f"{s} {letter} {d}" for s in range(3)
           for d, letter in enumerate(RPQ_STEPS + ("<0 = 0>",), 1)),
         "3 BOT 3",
-    ], [((), [(1, True), (2, True), (3, False)])] * 3 + [((3,), [])]),
+    ], [(False, [(1, True), (2, True), (3, False)])] * 3 + [(True, [])]),
 }
 
 
@@ -194,8 +207,8 @@ def test_nfa_numbering_golden(shape):
     regex, dump, moves = NUMBERING_GOLDEN[shape]
     nfa = compile_regex(regex)
     assert nfa.dump() == "\n".join(dump)
-    assert [(bottom, [(dst, live) for _, dst, live in real])
-            for bottom, real in nfa.moves] == moves
+    assert [(s in nfa.final, [(dst, live) for _, dst, live in real])
+            for s, real in enumerate(nfa.moves)] == moves
 
 
 def test_nfa_matches_language_semantics_randomized():
@@ -207,7 +220,7 @@ def test_nfa_matches_language_semantics_randomized():
         k = rng.choice([1, 1, 2])
         regex = rand_regex(rng, k, ["w0"], depth=3)
         nfa = compile_regex(regex)
-        assert nfa.n_states == 1 + occurrences(regex)
+        assert len(nfa.moves) == 1 + occurrences(regex)
         reals = list(g.real_nodes)
         for _ in range(30):
             paths = [
@@ -250,7 +263,7 @@ def test_nfa_matches_language_semantics_epsilon_shapes():
         k = 1 + trial % 2
         regex = rand_eps_regex(rng, k, depth=4)
         nfa = compile_regex(regex)
-        assert nfa.n_states == 1 + occurrences(regex)
+        assert len(nfa.moves) == 1 + occurrences(regex)
         reals = list(g.real_nodes)
         for _ in range(30):
             paths = [tuple(rng.choice(reals) for _ in range(rng.randint(0, 4)))

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,10 @@ from opra.oracle import OracleConfig
 from opra.solver import SolveConfig
 from opra.validate import MAX_EVAL_DEPTH
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "opra" / "corpus"
+from gensupport import BAD_DATA_GRAPHS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC / "opra" / "corpus"
 
 
 @pytest.fixture
@@ -190,6 +194,18 @@ def test_embed_round_trip(capsys, tmp_path):
     assert ["u", "sigma:a", "v", 1] in payload["labellings"]["E3"]["entries"]
 
 
+@pytest.mark.parametrize("case", sorted(BAD_DATA_GRAPHS))
+def test_embed_bad_data_exit_2(capsys, tmp_path, case):
+    src = tmp_path / "dg.json"
+    src.write_text(json.dumps(BAD_DATA_GRAPHS[case]), encoding="utf-8")
+    out = tmp_path / "embedded.json"
+    code, payload = run_cli(capsys, "embed", "--data", str(src),
+                            "--output", str(out))
+    assert code == 2
+    assert payload["kind"] == "GraphLoadError"
+    assert not out.exists()
+
+
 def test_missing_file_exit_2(capsys, fig2_path):
     code, payload = run_cli(capsys, "eval", "--graph", fig2_path,
                             "--query", "/nonexistent.opra")
@@ -204,22 +220,26 @@ def test_corpus_subcommand(capsys):
     assert "FAIL" not in out
 
 
+def run_python(*argv):
+    """`python argv` in a child process that imports opra from `SRC`."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), path] if path else [str(SRC)]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+
+
 def test_console_entry_point_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "opra.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "opra.cli", "--help")
     assert proc.returncode == 0
     assert "eval" in proc.stdout
 
 
 def test_query_file_is_closed(fig2_path, qfile):
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::ResourceWarning", "-m", "opra.cli",
-         "eval", "--graph", fig2_path, "--query", qfile("q_route_sp"),
-         "--bound-b1", "8", "--bound-b2", "16"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-W", "error::ResourceWarning", "-m", "opra.cli",
+                      "eval", "--graph", fig2_path, "--query",
+                      qfile("q_route_sp"), "--bound-b1", "8",
+                      "--bound-b2", "16")
     assert proc.returncode == 0
     assert "unclosed file" not in proc.stderr
 

@@ -5,8 +5,8 @@ import pytest
 
 from opra.answer_graph import AnswerGraph
 from opra.embedding import (
-    DataGraph, WeightedAutomaton, build_automaton_graph, embed, embed_path,
-    symbol_node,
+    DataGraph, WeightedAutomaton, build_automaton_graph, data_graph_from_dict,
+    embed, embed_path, symbol_node,
 )
 from opra.errors import GraphLoadError, NameCollisionError
 from opra.extint import NEG_INF
@@ -16,7 +16,7 @@ from opra.solver import MIN, SolveConfig, extremum
 from opra.validate import validate
 
 from gensupport import (
-    RUN_QUERY, automaton_graph_has_pumpable_negative_cycle,
+    BAD_DATA_GRAPHS, RUN_QUERY, automaton_graph_has_pumpable_negative_cycle,
     rand_dag_automaton,
 )
 
@@ -67,6 +67,9 @@ def test_embed_rejects_bad_data():
         DataGraph(("u",), ("a",), (("u", "a", "z"),), {})
     with pytest.raises(GraphLoadError):
         DataGraph(("u",), ("a",), (("u", "c", "u"),), {})
+    for data in BAD_DATA_GRAPHS.values():
+        with pytest.raises(GraphLoadError):
+            data_graph_from_dict(data)
 
 
 def test_automaton_graph_single_transition():
