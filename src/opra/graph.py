@@ -8,14 +8,19 @@ sparsely with an explicit default, which makes lookup total; tuples that
 mention the sink are never stored and therefore evaluate to the default.
 
 Stored graphs and their labellings are immutable after load and safe to
-share across concurrent evaluations.  An ontology view
-(`ontology.ExtendedGraph`) is a Graph too, with its own memo and the
-plans of its nested queries: caches whose contents its graph, ontology
-and solve configuration fix.  The one derived structure is a
-labelling's index, for any arity: per value and tuple of positions, the
-keys of that value grouped by their nodes at those positions, kept with
-the per-node projections (`targets`) that `step_targets` reads to bound
-the next nodes of a step letter.  Each is computed from the immutable
+share across concurrent evaluations.  A `View` is a Graph too: it adds
+labelling definitions to a base graph and looks them up on demand, with
+one memo per view.  Its two kinds differ only in how a definition's
+term evaluates: the engine's `ontology.ExtendedGraph`, which also keeps
+the plans of its nested queries, and the oracle's `oracle.OracleView`.
+Their caches hold what the graph, the ontology and the evaluation
+settings fix, and live as long as the view.
+
+The one derived structure of a stored graph is a labelling's index, for
+any arity: per value and tuple of positions, the keys of that value
+grouped by their nodes at those positions, kept with the per-node
+projections (`targets`) that `step_targets` reads to bound the next
+nodes of a step letter.  Each is computed from the immutable
 entries on first use and never changes afterwards; two evaluations that
 race to build one build the same index, so sharing stays safe.
 """
@@ -115,15 +120,15 @@ class Graph:
     """Immutable labelled graph with interned node ids (0 is the sink)."""
 
     def __init__(self, node_names: Sequence[str], labellings: Iterable[Labelling]):
-        names = [SINK_NAME]
-        seen = {SINK_NAME}
-        for n in node_names:
-            if n in seen:
+        if SINK_NAME in node_names:
+            raise NameCollisionError(
+                f"node name {SINK_NAME!r} is reserved for the sink")
+        self.node_names: Tuple[str, ...] = (SINK_NAME, *node_names)
+        self._index: Dict[str, int] = {}
+        for i, n in enumerate(self.node_names):
+            if n in self._index:
                 raise NameCollisionError(f"duplicate node name {n!r}")
-            seen.add(n)
-            names.append(n)
-        self.node_names: Tuple[str, ...] = tuple(names)
-        self._index: Dict[str, int] = {n: i for i, n in enumerate(self.node_names)}
+            self._index[n] = i
         self.labellings: Dict[str, Labelling] = {}
         for lab in labellings:
             if lab.name in self.labellings:
@@ -180,6 +185,63 @@ class Graph:
         cur, nxt = (1, 0) if reverse else (0, 1)
         return step_candidates(self.labellings.get(name), value, (0, 1),
                                cur, nxt)
+
+
+class View(Graph):
+    """A graph with on-demand labellings: it shares its base graph's
+    nodes and stored labellings, by reference, and adds labelling
+    definitions (name, params, term).  A stored name reads as in the
+    base; a defined one evaluates its term, by `term_value`, under the
+    instantiation mapping its parameters to the node tuple, once per
+    (labelling, tuple) for the view's lifetime.  Tuples that mention the
+    sink read 0, so that padded positions stay value-neutral."""
+
+    def __init__(self, base: Graph, entries: Iterable = ()):
+        self.base = base
+        self.node_names = base.node_names
+        self._index = base._index
+        self.labellings = base.labellings
+        # the definitions label_value reads, in first-definition order
+        self._by_name = {e.name: e for e in entries}
+        self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
+
+    def term_value(self, term, eta: Mapping[str, NodeId]) -> ExtInt:
+        """Value of a definition's term under `eta`; each view evaluates
+        terms its own way."""
+        raise NotImplementedError
+
+    def has_labelling(self, name: str) -> bool:
+        return name in self.labellings or name in self._by_name
+
+    def _entry(self, name: str):
+        entry = self._by_name.get(name)
+        if entry is None:
+            raise UnknownLabellingError(f"unknown labelling {name!r}")
+        return entry
+
+    def arity(self, name: str) -> int:
+        if name in self.labellings:
+            return super().arity(name)
+        return len(self._entry(name).params)
+
+    def label_value(self, name: str, key: Tuple[NodeId, ...]) -> ExtInt:
+        if name in self.labellings:
+            return super().label_value(name, key)
+        entry = self._entry(name)
+        if len(key) != len(entry.params):
+            raise ArityMismatchError(
+                f"labelling {name!r} has arity {len(entry.params)}, "
+                f"got {len(key)} nodes"
+            )
+        if SINK in key:
+            return 0
+        memo_key = (name, key)
+        cached = self._memo.get(memo_key)
+        if cached is not None:
+            return cached
+        value = self.term_value(entry.term, dict(zip(entry.params, key)))
+        self._memo[memo_key] = value
+        return value
 
 
 def step_candidates(lab: Optional[Labelling], value: ExtInt,
@@ -242,8 +304,6 @@ def graph_from_dict(data: dict) -> Graph:
     names = data["nodes"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise GraphLoadError("'nodes' must be an array of strings")
-    if SINK_NAME in names:
-        raise NameCollisionError(f"node name {SINK_NAME!r} is reserved for the sink")
     index = {n: i + 1 for i, n in enumerate(names)}
     if len(index) != len(names):
         raise NameCollisionError("duplicate node name in 'nodes'")

@@ -1,14 +1,11 @@
 """On-demand auxiliary labellings and term evaluation.
 
-An ExtendedGraph is a Graph: it shares its base graph's nodes and
-stored labellings, by reference, and adds an ordered sequence of
-labelling definitions.  Looking up a defined labelling on a node tuple
-evaluates its term under the instantiation mapping the definition's
-parameters to that tuple, with memoization per (labelling, tuple);
-definitions may reference graph labellings and earlier definitions only,
-and nest no deeper than `MAX_EVAL_DEPTH`: a view checks both when it is
-made (`validate.definition_heights`).  Tuples that mention the sink
-short-circuit to 0 so that padded positions stay value-neutral.
+An ExtendedGraph is the engine's `graph.View`: the view looks up a
+defined labelling on demand, and this module evaluates its term, with
+nested queries solved by the product engine.  Definitions may reference
+graph labellings and earlier definitions only, and nest no deeper than
+`MAX_EVAL_DEPTH`: a view checks both when it is made
+(`validate.definition_heights`).
 
 A view is made for one evaluation, and its memo and its plans are its
 own: they live exactly as long as the view, and labelling names are
@@ -35,12 +32,11 @@ filter, so the next node is among the filter's entries of value 1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
 
 from .answer_graph import AnswerGraph, Plan
-from .errors import ArityMismatchError, UnknownLabellingError
 from .extint import ExtInt, eval_fundamental  # re-exported
-from .graph import SINK, Graph, NodeId, step_candidates
+from .graph import Graph, NodeId, View, step_candidates
 from .query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
     MinPathTerm, OntologyEntry, Term, VarEqTerm,
@@ -49,54 +45,18 @@ from .solver import MAX, MIN, SolveConfig, check_empty, extremum
 from .validate import definition_heights
 
 
-class ExtendedGraph(Graph):
+class ExtendedGraph(View):
     """A graph whose ontology labellings are computed on demand."""
 
     def __init__(self, base: Graph, entries: Iterable[OntologyEntry] = (),
                  solve_config: Optional[SolveConfig] = None):
-        self.base = base
-        self.node_names = base.node_names
-        self._index = base._index
-        self.labellings = base.labellings
-        self._by_name: Dict[str, OntologyEntry] = {e.name: e for e in entries}
-        # the definitions label_value reads, in first-definition order
+        super().__init__(base, entries)
         definition_heights(self._by_name.values(), self.labellings)
         self.solve_config = solve_config or SolveConfig()
-        self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
         self._plans: Dict[tuple, Plan] = {}
 
-    def has_labelling(self, name: str) -> bool:
-        return name in self.labellings or name in self._by_name
-
-    def _entry(self, name: str) -> OntologyEntry:
-        entry = self._by_name.get(name)
-        if entry is None:
-            raise UnknownLabellingError(f"unknown labelling {name!r}")
-        return entry
-
-    def arity(self, name: str) -> int:
-        if name in self.labellings:
-            return super().arity(name)
-        return len(self._entry(name).params)
-
-    def label_value(self, name: str, key: Tuple[NodeId, ...]) -> ExtInt:
-        if name in self.labellings:
-            return super().label_value(name, key)
-        entry = self._entry(name)
-        if len(key) != len(entry.params):
-            raise ArityMismatchError(
-                f"labelling {name!r} has arity {len(entry.params)}, "
-                f"got {len(key)} nodes"
-            )
-        if any(n == SINK for n in key):
-            return 0  # padding stays value-neutral
-        memo_key = (name, key)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        value = eval_term(self, entry.term, dict(zip(entry.params, key)))
-        self._memo[memo_key] = value
-        return value
+    def term_value(self, term: Term, eta: Mapping[str, NodeId]) -> ExtInt:
+        return eval_term(self, term, eta)
 
     def step_targets(self, name: str, value: ExtInt, reverse: bool = False
                      ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:

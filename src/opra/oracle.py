@@ -25,15 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .automata import Nfa, compile_regex, eval_node_constraint, step
-from .errors import (
-    ArityMismatchError,
-    EnumerationCapExceededError,
-    UnknownLabellingError,
-)
+from .errors import EnumerationCapExceededError
 from .extint import (
     NEG_INF, POS_INF, ExtInt, eval_fundamental, ext_add, ext_mul,
 )
-from .graph import SINK, Graph, NodeId, aggregate, path_index
+from .graph import SINK, Graph, NodeId, View, aggregate, path_index
 from .query import (
     AggTerm, ApplyTerm, Concat, ConstTerm, Epsilon, IndicatorTerm, LabelTerm,
     Letter, MaxPathTerm, MinPathTerm, OntologyEntry, OpraQuery, PraQuery,
@@ -248,49 +244,17 @@ def enumerate_satisfying(source, pra: PraQuery, cfg: OracleConfig,
 
 # -- ontology labellings by direct recursion ------------------------------------
 
-class OracleView(Graph):
-    """A graph whose ontology labellings evaluate by enumeration; it
-    shares its base graph's nodes and stored labellings."""
+class OracleView(View):
+    """The oracle's `graph.View`: a defined labelling's term evaluates by
+    `oracle_eval_term`, with nested queries answered by enumeration."""
 
     def __init__(self, base: Graph, entries: Sequence[OntologyEntry],
                  cfg: OracleConfig):
-        self.node_names = base.node_names
-        self._index = base._index
-        self.labellings = base.labellings
-        self.entries = tuple(entries)
-        self._by_name = {e.name: e for e in self.entries}
+        super().__init__(base, entries)
         self.cfg = cfg
-        self._memo: Dict[Tuple[str, Tuple[NodeId, ...]], ExtInt] = {}
 
-    def has_labelling(self, name):
-        return name in self.labellings or name in self._by_name
-
-    def arity(self, name):
-        if name in self.labellings:
-            return super().arity(name)
-        if name in self._by_name:
-            return len(self._by_name[name].params)
-        raise UnknownLabellingError(f"unknown labelling {name!r}")
-
-    def label_value(self, name, key):
-        if name in self.labellings:
-            return super().label_value(name, key)
-        entry = self._by_name.get(name)
-        if entry is None:
-            raise UnknownLabellingError(f"unknown labelling {name!r}")
-        if len(key) != len(entry.params):
-            raise ArityMismatchError(
-                f"labelling {name!r} has arity {len(entry.params)}, "
-                f"got {len(key)} nodes"
-            )
-        if any(n == SINK for n in key):
-            return 0
-        memo_key = (name, key)
-        if memo_key not in self._memo:
-            self._memo[memo_key] = oracle_eval_term(
-                self, entry.term, dict(zip(entry.params, key))
-            )
-        return self._memo[memo_key]
+    def term_value(self, term: Term, eta: Mapping[str, NodeId]) -> ExtInt:
+        return oracle_eval_term(self, term, eta)
 
 
 def oracle_eval_term(view: OracleView, term: Term,

@@ -17,6 +17,10 @@ or a double-quoted node name on one line.  Spaces, tabs, carriage
 returns and newlines separate tokens, and `#` starts a comment that runs
 to the end of the line.
 
+A regex or term may be at most `MAX_TREE_DEPTH` deep, however its
+operators build it, and nesting that the recursive descent itself cannot
+follow is rejected too; both fail as "query nested too deeply".
+
 The parser reduces all sugar to the core AST in query.py:
 
   * `>=`, `>`, `!=` in node constraints become the core {<=, <, =}
@@ -41,7 +45,7 @@ from .query import (
     AggTerm, ApplyTerm, ArithConstraint, ArithTerm, ConstAtom, ConstTerm,
     Concat, IndicatorTerm, LabelAtom, LabelTerm, Letter, MaxPathTerm,
     MinPathTerm, NodeConstraint, NodeRef, OntologyEntry, OpraQuery,
-    PathConstraint, PosVar, PraQuery, Regex, RegularConstraint, star,
+    PathConstraint, PosVar, PraQuery, Regex, RegularConstraint, Star, star,
     Term, Union_, VarEqTerm, term_free_vars,
 )
 
@@ -61,6 +65,11 @@ _TOKEN = re.compile(r"""
   | (?P<posvar>@\d+'?) | (?P<string>"[^"\n]*") | (?P<int>\d+) | (?P<word>\w+)
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
+
+# the deepest regex or term tree a query may hold: the printer, validation,
+# NFA compilation and both term evaluators recurse a few frames per level,
+# so a tree this deep stays well inside Python's default recursion limit
+MAX_TREE_DEPTH = 200
 
 _BAD_START = MappingProxyType({"@": "expected digits after '@'",
                                '"': "unterminated string literal"})
@@ -132,6 +141,21 @@ def _negate(t: Term) -> Term:
     return ApplyTerm("-", (ConstTerm(1), t))
 
 
+def _subtrees(node) -> tuple:
+    """The regexes or terms a regex or term is built from; a nested
+    query's trees are bounded on their own."""
+    kind = type(node)
+    if kind is ApplyTerm:
+        return node.args
+    if kind is Concat or kind is Union_:
+        return (node.left, node.right)
+    if kind is Star:
+        return (node.body,)
+    if kind is AggTerm:
+        return (node.value, node.filter)
+    return ()
+
+
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -141,6 +165,9 @@ class Parser:
         # ontology entries in definition order; an auxiliary entry that a
         # HAVING term synthesizes precedes the entry whose term holds it
         self._entries: List[OntologyEntry] = []
+        # id -> (tree, depth) of each composite regex or term measured; the
+        # tree is kept so that its id names no other object while parsing
+        self._depths: Dict[int, Tuple[object, int]] = {}
 
     # -- token plumbing ---------------------------------------------------
 
@@ -212,6 +239,28 @@ class Parser:
         while self.accept(separator):
             items.append(item())
         return items
+
+    def _bounded(self, tree):
+        """`tree`, unless it is deeper than MAX_TREE_DEPTH.  Each
+        operator that can nest without starting a new term (the binary
+        operators, star, comparisons, `!`, unary `-` and `=>`) passes its
+        tree here as it builds it, and so does each whole term, so a tree
+        fails where it grows too deep, however it was built."""
+        if self._depth(tree) > MAX_TREE_DEPTH:
+            self.error("query nested too deeply")
+        return tree
+
+    def _depth(self, tree) -> int:
+        """Depth of a regex or term; a leaf is 1 deep, and a composite's
+        depth is kept, so each is measured once."""
+        kept = self._depths.get(id(tree))
+        if kept is None:
+            parts = _subtrees(tree)
+            if not parts:
+                return 1
+            kept = self._depths[id(tree)] = (
+                tree, 1 + max(map(self._depth, parts)))
+        return kept[1]
 
     def enclosed(self, open_: str, item, close: str):
         self.expect_op(open_)
@@ -341,19 +390,19 @@ class Parser:
     def parse_regex(self) -> Regex:
         left = self.parse_concat()
         while self.accept("+"):
-            left = Union_(left, self.parse_concat())
+            left = self._bounded(Union_(left, self.parse_concat()))
         return left
 
     def parse_concat(self) -> Regex:
         left = self.parse_postfix()
         while self.accept(".") or self._starts_regex_primary():
-            left = Concat(left, self.parse_postfix())
+            left = self._bounded(Concat(left, self.parse_postfix()))
         return left
 
     def parse_postfix(self) -> Regex:
         r = self.parse_regex_primary()
         while self.accept("*"):
-            r = star(r)
+            r = self._bounded(star(r))
         return r
 
     def parse_regex_primary(self) -> Regex:
@@ -502,7 +551,7 @@ class Parser:
             return 0, (sign, "agg", (name, tuple(vars_)))
         # comparisons bind at the HAVING level, so terms here parse at the
         # additive level; parenthesize to use a full term
-        term = self._as_value(self._parse_binary(_ADDITIVE))
+        term = self._bounded(self._as_value(self._parse_binary(_ADDITIVE)))
         return 0, (sign, "term", term)
 
     def _auxiliary_for_term(self, term, path_constraints, regular_constraints):
@@ -531,14 +580,15 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        return self._as_value(self._parse_term_impl())
+        return self._bounded(self._as_value(self._parse_term_impl()))
 
     def _parse_term_impl(self):
         left = self._parse_binary(0)
         if self.accept("=>"):
             right = self._parse_term_impl()
             left = self._as_value(left)
-            return ApplyTerm("Max", (_negate(left), self._as_value(right)))
+            return self._bounded(
+                ApplyTerm("Max", (_negate(left), self._as_value(right))))
         return left
 
     def _parse_binary(self, level: int):
@@ -551,11 +601,12 @@ class Parser:
             op = self._take_op(_TERM_COMPARISONS)
             if op is None:
                 return left
-            return self._comparison(op, left, self._parse_binary(level + 1))
+            return self._bounded(
+                self._comparison(op, left, self._parse_binary(level + 1)))
         while (op := self._take_op(ops)) is not None:
             right = self._parse_binary(level + 1)
-            left = ApplyTerm(ops[op], (self._as_value(left),
-                                       self._as_value(right)))
+            left = self._bounded(ApplyTerm(ops[op], (
+                self._as_value(left), self._as_value(right))))
         return left
 
     def _comparison(self, op: str, left, right) -> Term:
@@ -592,12 +643,13 @@ class Parser:
     def _parse_term_unary(self):
         t = self.peek()
         if self.accept("!"):
-            return _negate(self._as_value(self._parse_term_unary()))
+            return self._bounded(
+                _negate(self._as_value(self._parse_term_unary())))
         if self.accept("-"):
             if self.peek().kind == "int":
                 return ConstTerm(-self.next().value)
             body = self._as_value(self._parse_term_unary())
-            return ApplyTerm("-", (ConstTerm(0), body))
+            return self._bounded(ApplyTerm("-", (ConstTerm(0), body)))
         if t.kind == "int":
             return ConstTerm(self.next().value)
         if t.kind == "posvar":

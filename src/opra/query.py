@@ -5,7 +5,9 @@ connectives and general terms inside HAVING clauses are reduced by the
 parser, so everything downstream sees only the constructs below.
 
 The printer emits canonical text that reparses to an equal AST
-(parse . print == identity on ASTs).
+(parse . print == identity on ASTs).  Left-associative chains print
+flat; a right-nested term prints one parenthesis or call per level, so
+past about a hundred levels its text is deeper than the parser follows.
 """
 
 from __future__ import annotations
@@ -318,8 +320,7 @@ def term_text(t: Term) -> str:
         return f"({t.left} = {t.right})"
     if isinstance(t, ApplyTerm):
         if t.func in BINARY_FUNCS and len(t.args) == 2:
-            a, b = (term_text(x) for x in t.args)
-            return f"({a} {t.func} {b})"
+            return f"({_binary_text(t)})"
         return f"{t.func}({', '.join(term_text(x) for x in t.args)})"
     if isinstance(t, AggTerm):
         return (
@@ -327,6 +328,23 @@ def term_text(t: Term) -> str:
             f"{{ {term_text(t.value)} : {term_text(t.filter)} }}"
         )
     raise TypeError(f"not a term: {t!r}")
+
+
+# the printed binary operators that share a left-associative parser level
+_CHAINED = (("+", "-"), ("*",))
+
+
+def _binary_text(t: ApplyTerm) -> str:
+    # the parser's `+ -` and `*` are left-associative, so a left operand at
+    # its parent's level needs no parentheses; a long chain then reads back
+    # in a loop, not in one nested parenthesis per operand
+    left, right = t.args
+    if isinstance(left, ApplyTerm) and len(left.args) == 2 and any(
+            t.func in ops and left.func in ops for ops in _CHAINED):
+        a = _binary_text(left)
+    else:
+        a = term_text(left)
+    return f"{a} {t.func} {term_text(right)}"
 
 
 def term_free_vars(t: Term) -> Tuple[str, ...]:

@@ -480,6 +480,19 @@ def all_paths(nodes: Sequence[int], max_len: int):
         yield from itertools.product(nodes, repeat=length)
 
 
+CHAIN_SHAPES = ("concat", "union", "+", "&&")
+
+
+def chain_query(shape: str, n: int) -> str:
+    """A query holding a chain of n operands of one binary operator:
+    concatenation or union in a regex, `+` or `&&` in a term."""
+    if shape in ("concat", "union"):
+        sep = " " if shape == "concat" else " + "
+        return "MATCH PATHS (p) WHERE " + sep.join(["<T>"] * n) + " (p)"
+    return ("LET f(x) := " + f" {shape} ".join(["1"] * n)
+            + "\nIN MATCH NODES (s) SUCH THAT s -p-> s")
+
+
 # -- the benchmark's own modules ------------------------------------------------------
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -14,7 +14,7 @@ from opra.oracle import OracleConfig
 from opra.solver import SolveConfig
 from opra.validate import MAX_EVAL_DEPTH
 
-from gensupport import BAD_DATA_GRAPHS
+from gensupport import BAD_DATA_GRAPHS, CHAIN_SHAPES, chain_query
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "opra" / "corpus"
@@ -206,6 +206,23 @@ def test_embed_bad_data_exit_2(capsys, tmp_path, case):
     assert not out.exists()
 
 
+def test_reserved_sink_node_name_exit_2(capsys, tmp_path, qfile):
+    message = "node name '<sink>' is reserved for the sink"
+    data = tmp_path / "dg.json"
+    data.write_text(json.dumps({"nodes": ["<sink>"], "alphabet": [],
+                                "edges": []}), encoding="utf-8")
+    code, payload = run_cli(capsys, "embed", "--data", str(data),
+                            "--output", str(tmp_path / "embedded.json"))
+    assert (code, payload["kind"], payload["error"]) == \
+        (2, "NameCollisionError", message)
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"nodes": ["S", "<sink>"]}), encoding="utf-8")
+    code, payload = run_cli(capsys, "eval", "--graph", str(graph),
+                            "--query", qfile("MATCH NODES (s)"))
+    assert (code, payload["kind"], payload["error"]) == \
+        (2, "NameCollisionError", message)
+
+
 def test_missing_file_exit_2(capsys, fig2_path):
     code, payload = run_cli(capsys, "eval", "--graph", fig2_path,
                             "--query", "/nonexistent.opra")
@@ -320,6 +337,16 @@ def test_check_deep_nesting_exit_2(capsys, qfile):
     text = "LET f(x) := " + "Max(" * 120 + "1" + ")" * 120 \
         + "\nIN MATCH NODES (s)"
     code, payload = run_cli(capsys, "check", "--query", qfile(text))
+    assert code == 2
+    assert payload["kind"] == "QuerySyntaxError"
+    assert payload["error"].endswith("query nested too deeply")
+
+
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_long_chain_exit_2(capsys, fig2_path, qfile, shape, command):
+    code, payload = run_cli(capsys, command, "--graph", fig2_path,
+                            "--query", qfile(chain_query(shape, 2000)))
     assert code == 2
     assert payload["kind"] == "QuerySyntaxError"
     assert payload["error"].endswith("query nested too deeply")

@@ -43,6 +43,14 @@ def test_embed_name_collision():
         embed(dg)
 
 
+def test_embed_reserved_sink_name():
+    dg = data_graph_from_dict({"nodes": ["<sink>"], "alphabet": [],
+                               "edges": []})
+    with pytest.raises(NameCollisionError,
+                       match="^node name '<sink>' is reserved for the sink$"):
+        embed(dg)
+
+
 def test_embed_path_correspondence():
     rng = random.Random(99)
     for _ in range(20):

@@ -135,6 +135,9 @@ def test_load_errors():
         graph_from_dict(unknown)
     with pytest.raises(NameCollisionError):
         graph_from_dict({"nodes": ["a", "a"]})
+    with pytest.raises(NameCollisionError,
+                       match="^node name '<sink>' is reserved for the sink$"):
+        graph_from_dict({"nodes": ["a", "<sink>"]})
     inf = dict(base, labellings={
         "w": {"arity": 1, "default": "+inf", "entries": [["a", "-inf"]]}
     })

@@ -702,3 +702,88 @@ def test_oracle_nested_extrema_agree(fig2, kind, having):
             values.append(eval_term(eg, term, eta))
             assert values[-1] == oracle_eval_term(view, term, eta)
     assert (NEG_INF in values) == (kind == "max")
+
+
+# -- the shared on-demand view ------------------------------------------------
+
+VIEWS = {
+    "engine": lambda g, entries: extend(g, entries, solve_config=CFG),
+    "oracle": lambda g, entries: OracleView(g, entries, OracleConfig()),
+}
+
+
+@pytest.mark.parametrize("kind", VIEWS)
+def test_view_lookup(fig2, node, kind):
+    entries = validate(parse("LET slow(x) := 2 * time(x) IN MATCH NODES (s)"),
+                       fig2).query.ontology
+    make = VIEWS[kind]
+    view = make(fig2, entries)
+    s = node("S")
+    assert view.has_labelling("time") and view.has_labelling("slow")
+    assert not view.has_labelling("fast")
+    assert (view.arity("time"), view.arity("slow"), view.arity("E")) \
+        == (1, 1, 2)
+    assert view.label_value("time", (s,)) == 10
+    assert view.label_value("slow", (s,)) == 20
+    assert view.label_value("slow", (SINK,)) == 0
+    with pytest.raises(UnknownLabellingError,
+                       match="^unknown labelling 'fast'$"):
+        view.label_value("fast", (s,))
+    with pytest.raises(UnknownLabellingError):
+        view.arity("fast")
+    with pytest.raises(ArityMismatchError,
+                       match="^labelling 'slow' has arity 1, got 2 nodes$"):
+        view.label_value("slow", (s, s))
+    with pytest.raises(ArityMismatchError,
+                       match="^labelling 'time' has arity 1, got 2 nodes$"):
+        view.label_value("time", (s, s))
+
+    # one evaluation per (labelling, tuple) and view; none for the sink
+    # or a stored name; a second view of the same graph keeps its own
+    evaluated = []
+
+    def counting(v):
+        term_value = v.term_value
+
+        def wrapper(term, eta):
+            evaluated.append((v, dict(eta)))
+            return term_value(term, eta)
+
+        v.term_value = wrapper
+        return v
+
+    first = counting(make(fig2, entries))
+    second = counting(make(fig2, entries))
+    for v in (first, first, second, second):
+        assert v.label_value("slow", (s,)) == 20
+        assert v.label_value("slow", (SINK,)) == 0
+        assert v.label_value("time", (s,)) == 10
+    assert evaluated == [(first, {"x": s}), (second, {"x": s})]
+
+
+HAVING_ROUTE = """def route(p) = <E(@1, @1') = 1>* <T>
+{let}MATCH NODES (s, t), PATHS (pi)
+SUCH THAT s -pi-> t
+WHERE route(pi)
+HAVING {having}"""
+
+
+@pytest.mark.parametrize("let, having, count", [
+    # a labelling term over a node variable, with a coefficient
+    ("", "time[pi] <= 2 * time(t)", 12),
+    # a variable-free term: one unused existential parameter
+    ("", "time[pi] <= (30 + 40)", 8),
+    # an aggregate over a bound node variable
+    ("", "time[pi] <= agg Max z { time(z) : E(s, z) }", 5),
+    # variable equality
+    ("", "time[pi] <= 30 + 40 * (t = t)", 8),
+    # '<' and '>' comparisons in terms, and unary minus on a non-constant
+    ("LET f(x) := time(x) < 20 IN\n", "f[pi] >= 2", 15),
+    ("LET f(x) := time(x) > 20 IN\n", "f[pi] >= 2", 7),
+    ("LET f(x) := -time(x) IN\n", "f[pi] >= -30", 5),
+])
+def test_having_terms_engine_vs_oracle(fig2, let, having, count):
+    q = validate(parse(HAVING_ROUTE.format(let=let, having=having)), fig2)
+    got = engine_answers(fig2, q, max_len=4, cfg=SolveConfig(b1=4, b2=8))
+    assert got == enumerate_answers(fig2, q, OracleConfig(max_path_len=4))
+    assert len(got) == count

@@ -2,9 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opra.automata import compile_regex
 from opra.corpus import QUERY_NAMES, query_text
-from opra.errors import QuerySyntaxError
-from opra.parser import parse
+from opra.errors import QuerySyntaxError, RecursionDepthExceededError
+from opra.graph import SINK
+from opra.ontology import eval_term, extend
+from opra.oracle import (
+    OracleConfig, OracleView, enumerate_answers, oracle_eval_term,
+    regex_matches,
+)
+from opra.parser import MAX_TREE_DEPTH, parse
 from opra.query import (
     AggTerm, ApplyTerm, ArithConstraint, ArithTerm, Concat, ConstAtom,
     ConstTerm, Epsilon, IndicatorTerm, LabelAtom, LabelTerm, Letter,
@@ -12,6 +19,9 @@ from opra.query import (
     OpraQuery, PathConstraint, PosVar, PraQuery, RegularConstraint, Star,
     TRUE_CONSTRAINT, Union_, VarEqTerm, star, to_text,
 )
+from opra.validate import validate
+
+from gensupport import CHAIN_SHAPES, chain_query
 
 ROUTE = """
 def route(p) = <E(@1, @1') = 1>* <T>
@@ -367,6 +377,20 @@ def test_parse_print_round_trip(q):
     assert parse(to_text(q)) == q
 
 
+@pytest.mark.parametrize("term, printed", [
+    ("1 - 2 + 3", "(1 - 2 + 3)"),
+    ("1 - (2 - 3)", "(1 - (2 - 3))"),
+    ("1 * 2 * (3 + 4) - 5", "((1 * 2 * (3 + 4)) - 5)"),
+    ("1 && 2 && 3", "(1 * 2 * 3)"),
+    ("(1 <= 2) <= 3", "((1 <= 2) <= 3)"),
+])
+def test_left_operand_of_its_own_level_prints_bare(term, printed):
+    # left-associative chains print flat, so they read back in a loop
+    q = parse(f"LET f(x) := {term} IN MATCH NODES (s)")
+    assert to_text(q).splitlines()[0] == f"LET f(x) := {printed}"
+    assert parse(to_text(q)) == q
+
+
 @settings(max_examples=60, deadline=None)
 @given(regexes)
 def test_regex_round_trip(r):
@@ -391,3 +415,56 @@ def test_deep_nesting_is_syntax_error(text, at):
         parse(text)
     assert str(err.value).endswith(": query nested too deeply")
     assert text[err.value.column - 1:].startswith(at)
+
+
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+def test_long_chain_is_syntax_error(shape):
+    # loops build these chains, so the parser's own recursion never
+    # grows; the tree's depth is what the limit bounds
+    text = chain_query(shape, 2000)
+    with pytest.raises(QuerySyntaxError) as err:
+        parse(text)
+    assert str(err.value).endswith(": query nested too deeply")
+    # the error points just past the operand that makes the tree too deep
+    before = text[:err.value.column - 1]
+    operand = "<T>" if shape in ("concat", "union") else "1"
+    assert before.count(operand) == MAX_TREE_DEPTH + 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: "MATCH PATHS (p) WHERE (" + " ".join(["<T>"] * n) + ")* (p)",
+    lambda n: "LET f(x) := " + "!" * n + "1 IN MATCH NODES (s)",
+    lambda n: "LET f(x) := " + " => ".join(["1"] * n) + " IN MATCH NODES (s)",
+    # the nested query's clauses are read inside the term's chain
+    lambda n: "LET f(x) := " + "1 + " * (n - 10)
+    + "[MATCH NODES (x) SUCH THAT x -p-> x WHERE <T>(p)]" + " + 1" * 10
+    + " IN MATCH NODES (s)",
+], ids=["star", "not", "implies", "nested-query"])
+def test_depth_limit_counts_every_operator(build):
+    # at n = MAX_TREE_DEPTH - 1 each builds a tree exactly at the limit
+    parse(build(MAX_TREE_DEPTH - 1))
+    with pytest.raises(QuerySyntaxError, match="query nested too deeply"):
+        parse(build(MAX_TREE_DEPTH))
+
+
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+def test_chain_at_depth_limit_runs_every_stage(fig2, shape):
+    q = parse(chain_query(shape, MAX_TREE_DEPTH))
+    assert parse(to_text(q)) == q
+    if shape in ("concat", "union"):
+        regex = q.query.regular_constraints[0].regex
+        nfa = compile_regex(regex)
+        assert len(nfa.moves) == MAX_TREE_DEPTH + 1
+        validate(q, fig2)
+        word = [((1,), (SINK,))]  # one path of one node
+        assert regex_matches(fig2, regex, word) == (shape == "union")
+        answers = enumerate_answers(fig2, q, OracleConfig(max_path_len=2))
+        assert bool(answers) == (shape == "union")
+        return
+    with pytest.raises(RecursionDepthExceededError):
+        validate(q, fig2)
+    term = q.ontology[0].term
+    expected = MAX_TREE_DEPTH if shape == "+" else 1
+    assert eval_term(extend(fig2), term, {"x": 1}) == expected
+    view = OracleView(fig2, (), OracleConfig())
+    assert oracle_eval_term(view, term, {"x": 1}) == expected
