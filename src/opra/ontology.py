@@ -38,10 +38,10 @@ from .answer_graph import AnswerGraph, Plan
 from .extint import ExtInt, eval_fundamental  # re-exported
 from .graph import Graph, NodeId, View, step_candidates
 from .query import (
-    AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
-    MinPathTerm, OntologyEntry, Term, VarEqTerm,
+    AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, OntologyEntry,
+    PathExtremumTerm, Term, VarEqTerm,
 )
-from .solver import MAX, MIN, SolveConfig, check_empty, extremum
+from .solver import SolveConfig, check_empty, extremum
 from .validate import definition_heights
 
 
@@ -109,7 +109,7 @@ def eval_term(view: ExtendedGraph, term: Term,
         )
     if isinstance(term, VarEqTerm):
         return 1 if eta[term.left] == eta[term.right] else 0
-    if isinstance(term, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
+    if isinstance(term, (IndicatorTerm, PathExtremumTerm)):
         bound = {v: eta[v] for v in term.query.match_nodes}
         indicator = isinstance(term, IndicatorTerm)
         ag = AnswerGraph(view, term.query, bound_nodes=bound,
@@ -117,8 +117,7 @@ def eval_term(view: ExtendedGraph, term: Term,
                          else (term.labelling, (term.path_var,)))
         if indicator:
             return 0 if check_empty(ag, cfg=view.solve_config).empty else 1
-        mode = MIN if isinstance(term, MinPathTerm) else MAX
-        return extremum(ag, mode, cfg=view.solve_config).value
+        return extremum(ag, term.mode, cfg=view.solve_config).value
     if isinstance(term, ApplyTerm):
         args = [eval_term(view, a, eta) for a in term.args]
         return eval_fundamental(term.func, args)

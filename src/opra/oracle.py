@@ -32,8 +32,8 @@ from .extint import (
 from .graph import SINK, Graph, NodeId, View, aggregate, path_index
 from .query import (
     AggTerm, ApplyTerm, Concat, ConstTerm, Epsilon, IndicatorTerm, LabelTerm,
-    Letter, MaxPathTerm, MinPathTerm, OntologyEntry, OpraQuery, PraQuery,
-    Regex, Star, Term, Union_, VarEqTerm,
+    Letter, OntologyEntry, OpraQuery, PathExtremumTerm, PraQuery, Regex,
+    Star, Term, Union_, VarEqTerm,
 )
 from .parser import parse
 from .validate import (
@@ -273,22 +273,10 @@ def oracle_eval_term(view: OracleView, term: Term,
                                       bound_nodes=bound):
             return 1
         return 0
-    if isinstance(term, (MinPathTerm, MaxPathTerm)):
+    if isinstance(term, PathExtremumTerm):
         bound = {v: eta[v] for v in term.query.match_nodes}
-        best: Optional[ExtInt] = None
-        for _, paths in enumerate_satisfying(view, term.query, view.cfg,
-                                             bound_nodes=bound):
-            value = aggregate(view, term.labelling,
-                              [paths[term.path_var]])
-            if best is None:
-                best = value
-            elif isinstance(term, MinPathTerm):
-                best = min(best, value)
-            else:
-                best = max(best, value)
-        if best is None:
-            return POS_INF if isinstance(term, MinPathTerm) else NEG_INF
-        return best
+        return _best(view, term.query, (term.labelling, (term.path_var,)),
+                     term.mode, view.cfg, bound)
     if isinstance(term, ApplyTerm):
         args = [oracle_eval_term(view, a, eta) for a in term.args]
         return eval_fundamental(term.func, args)
@@ -344,20 +332,22 @@ def brute_extremum(g: Graph, q, target: Tuple[str, Tuple[str, ...]],
     """Min or max of the target aggregate over all satisfying assignments
     within the length bound; empty set gives +inf (min) / -inf (max)."""
     opra = _unwrap(g, q)
-    view = oracle_source(g, opra, cfg)
+    return _best(oracle_source(g, opra, cfg), opra.query, target, mode, cfg,
+                 bound_nodes)
+
+
+def _best(view: OracleView, pra: PraQuery,
+          target: Tuple[str, Tuple[str, ...]], mode: str, cfg: OracleConfig,
+          bound_nodes=None) -> ExtInt:
+    """The least (mode "min") or else the greatest target aggregate over
+    every satisfying assignment; +inf (min) / -inf (max) over none."""
     name, path_sel = target
-    best: Optional[ExtInt] = None
-    for _, paths in enumerate_satisfying(view, opra.query, cfg, bound_nodes):
-        value = aggregate(view, name, [paths[v] for v in path_sel])
-        if best is None:
-            best = value
-        elif mode == "min":
-            best = min(best, value)
-        else:
-            best = max(best, value)
-    if best is None:
-        return POS_INF if mode == "min" else NEG_INF
-    return best
+    values = (aggregate(view, name, [paths[v] for v in path_sel])
+              for _, paths in enumerate_satisfying(view, pra, cfg,
+                                                   bound_nodes))
+    if mode == "min":
+        return min(values, default=POS_INF)
+    return max(values, default=NEG_INF)
 
 
 def oracle_two_phase(g: Graph, q, target: Tuple[str, Tuple[str, ...]],

@@ -41,12 +41,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import QuerySyntaxError
 from .query import (
-    AGGREGATE_FUNCS, EPSILON, TRUE_CONSTRAINT,
+    AGGREGATE_FUNCS, EPSILON, PATH_EXTREMA, TRUE_CONSTRAINT,
     AggTerm, ApplyTerm, ArithConstraint, ArithTerm, ConstAtom, ConstTerm,
-    Concat, IndicatorTerm, LabelAtom, LabelTerm, Letter, MaxPathTerm,
-    MinPathTerm, NodeConstraint, NodeRef, OntologyEntry, OpraQuery,
-    PathConstraint, PosVar, PraQuery, Regex, RegularConstraint, Star, star,
-    Term, Union_, VarEqTerm, term_free_vars,
+    Concat, IndicatorTerm, LabelAtom, LabelTerm, Letter, NodeConstraint,
+    NodeRef, OntologyEntry, OpraQuery, PathConstraint, PathExtremumTerm,
+    PosVar, PraQuery, Regex, RegularConstraint, Star, star, Term, Union_,
+    VarEqTerm, term_free_vars,
 )
 
 KEYWORDS = frozenset({
@@ -660,15 +660,15 @@ class Parser:
             return inner
         if self.at_op("["):
             return IndicatorTerm(self.enclosed("[", self.parse_pra, "]"))
-        if t.kind == "kw" and t.value in ("min", "max"):
-            cls = MinPathTerm if self.next().value == "min" else MaxPathTerm
+        if t.kind == "kw" and t.value in PATH_EXTREMA:
+            mode = self.next().value
             self.expect_op("[")
             labelling = self.expect_ident("labelling name")
             self.expect_op(",")
             path_var = self.expect_ident("path variable")
             self.expect_op("]")
-            return cls(labelling, path_var,
-                       self.enclosed("{", self.parse_pra, "}"))
+            return PathExtremumTerm(mode, labelling, path_var,
+                                    self.enclosed("{", self.parse_pra, "}"))
         if self.accept("agg"):
             func = self.expect_ident("aggregate function")
             if func not in AGGREGATE_FUNCS:

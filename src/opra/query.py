@@ -5,15 +5,15 @@ connectives and general terms inside HAVING clauses are reduced by the
 parser, so everything downstream sees only the constructs below.
 
 The printer emits canonical text that reparses to an equal AST
-(parse . print == identity on ASTs).  Left-associative chains print
-flat; a right-nested term prints one parenthesis or call per level, so
-past about a hundred levels its text is deeper than the parser follows.
+(parse . print == identity on ASTs).  A chain prints the way the
+parser reads it, in a loop or one frame per link, so a term the parser
+accepts prints as text it can read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 # -- node constraints (the letter alphabet of regular constraints) -------------
 
@@ -239,7 +239,7 @@ class PraQuery:
         return "\n".join(lines)
 
 
-# -- terms (the eight core constructors) ----------------------------------------
+# -- terms (the seven core constructors) ----------------------------------------
 
 @dataclass(frozen=True)
 class ConstTerm:
@@ -260,14 +260,11 @@ class IndicatorTerm:
 
 
 @dataclass(frozen=True)
-class MinPathTerm:
-    labelling: str
-    path_var: str
-    query: PraQuery
+class PathExtremumTerm:
+    """mode[L, p]{Q} — the least (mode "min") or greatest (mode "max")
+    L-aggregate over the paths p of the answers to Q."""
 
-
-@dataclass(frozen=True)
-class MaxPathTerm:
+    mode: str
     labelling: str
     path_var: str
     query: PraQuery
@@ -297,12 +294,13 @@ class AggTerm:
 
 
 Term = Union[
-    ConstTerm, LabelTerm, IndicatorTerm, MinPathTerm, MaxPathTerm,
-    VarEqTerm, ApplyTerm, AggTerm,
+    ConstTerm, LabelTerm, IndicatorTerm, PathExtremumTerm, VarEqTerm,
+    ApplyTerm, AggTerm,
 ]
 
 BINARY_FUNCS = ("+", "-", "*", "<=")
 AGGREGATE_FUNCS = ("Max", "Min", "Count", "Sum")
+PATH_EXTREMA = ("min", "max")
 
 
 def term_text(t: Term) -> str:
@@ -312,13 +310,15 @@ def term_text(t: Term) -> str:
         return f"{t.labelling}({', '.join(t.args)})"
     if isinstance(t, IndicatorTerm):
         return f"[ {t.query.text()} ]"
-    if isinstance(t, MinPathTerm):
-        return f"min[{t.labelling}, {t.path_var}]{{ {t.query.text()} }}"
-    if isinstance(t, MaxPathTerm):
-        return f"max[{t.labelling}, {t.path_var}]{{ {t.query.text()} }}"
+    if isinstance(t, PathExtremumTerm):
+        return (f"{t.mode}[{t.labelling}, {t.path_var}]"
+                f"{{ {t.query.text()} }}")
     if isinstance(t, VarEqTerm):
         return f"({t.left} = {t.right})"
     if isinstance(t, ApplyTerm):
+        chain = _chain_text(t)
+        if chain is not None:
+            return chain
         if t.func in BINARY_FUNCS and len(t.args) == 2:
             return f"({_binary_text(t)})"
         return f"{t.func}({', '.join(term_text(x) for x in t.args)})"
@@ -347,6 +347,56 @@ def _binary_text(t: ApplyTerm) -> str:
     return f"{a} {t.func} {term_text(right)}"
 
 
+def _pair(t: Term, func: str) -> bool:
+    return isinstance(t, ApplyTerm) and t.func == func and len(t.args) == 2
+
+
+def _prefix(t: Term) -> Optional[str]:
+    """`!` where t is 1 - x and `-` where t is 0 - x: the prefix that
+    reads as t."""
+    if _pair(t, "-") and isinstance(t.args[0], ConstTerm) \
+            and t.args[0].value in (0, 1):
+        return "-!"[t.args[0].value]
+    return None
+
+
+def _implied(t: Term) -> Optional[Term]:
+    """a where t is Max(1 - a, b), the tree that `a => b` reads as."""
+    if _pair(t, "Max") and _prefix(t.args[0]) == "!":
+        return t.args[0].args[1]
+    return None
+
+
+def _chain_text(t: ApplyTerm) -> Optional[str]:
+    """t as the chain the parser reads it from, where its operand continues
+    the chain: a left-nested two-argument Max as `a || b || c`, a
+    right-nested Max(1 - a, ...) as `a => b => c`, and nested 1 - x and
+    0 - x as a run of `!` and `-`, such as `!!x` or `-!x`; None
+    elsewhere.  The parser reads a chain in a loop or in one frame per
+    link, but a call or parenthesis per level in about ten frames."""
+    if _pair(t, "Max") and _pair(t.args[0], "Max"):
+        operands = []
+        while _pair(t, "Max"):
+            operands.append(t.args[1])
+            t = t.args[0]
+        operands.append(t)
+        return f"({' || '.join(map(term_text, reversed(operands)))})"
+    if _implied(t) is not None and _implied(t.args[1]) is not None:
+        operands = []
+        while (a := _implied(t)) is not None:
+            operands.append(a)
+            t = t.args[1]
+        operands.append(t)
+        return f"({' => '.join(map(term_text, operands))})"
+    if _prefix(t) is None or _prefix(t.args[1]) is None:
+        return None
+    ops = ""
+    while (op := _prefix(t)) is not None:
+        ops, t = ops + op, t.args[1]
+    # `-` before a digit would read as a negative constant
+    return ops + (f"({t.value})" if isinstance(t, ConstTerm) else term_text(t))
+
+
 def term_free_vars(t: Term) -> Tuple[str, ...]:
     """Free node variables of a term, in first-appearance order."""
     seen: list[str] = []
@@ -360,7 +410,7 @@ def term_free_vars(t: Term) -> Tuple[str, ...]:
             for a in t.args:
                 if a not in bound:
                     add(a)
-        elif isinstance(t, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
+        elif isinstance(t, (IndicatorTerm, PathExtremumTerm)):
             for v in t.query.match_nodes:
                 if v not in bound:
                     add(v)

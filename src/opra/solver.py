@@ -342,7 +342,13 @@ class _Search:
                 if trace:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
-                if read is None:  # the state is its own key
+                if read is None:
+                    # the state is its own key: projecting every key as
+                    # `_shared` does cost 4-7 % (four alternating 6 s
+                    # pairs, seed 1, 2-core Xeon: route_fixed
+                    # 151.7/151.3/150.5/151.7 -> 145.4/145.4/145.4/145.2
+                    # ops/s, automaton_extrema 839.9/830.4/848.4/822.1 ->
+                    # 776.3/782.8/776.3/778.0 ops/s)
                     hit = memo.get(st)
                     moves = self._expand(st, st) if hit is None else hit[1]
                 else:
@@ -514,26 +520,20 @@ def extremum(ag: AnswerGraph, mode: str,
 
 
 def enumerate_answers(ag: AnswerGraph, max_len: int,
-                      cfg: Optional[SolveConfig] = None,
-                      track_all: bool = False):
+                      cfg: Optional[SolveConfig] = None):
     """All decoded answers whose product paths have at most max_len steps.
 
-    An answer is (free-node assignment, free-path tuple); with track_all
-    every path variable's component is reported instead, which is what
-    the engine/oracle equivalence tests compare.  The search carries each
-    reported component's prefix in its configurations, so dominance and
-    monotone pruning apply as for emptiness without losing an answer:
+    An answer is (free-node assignment, free-path tuple).  The search
+    carries each free path's prefix in its configurations, so dominance
+    and monotone pruning apply as for emptiness without losing an answer:
     configurations with the same state and prefixes have the same
     completions and decode to the same answers.
     """
     cfg = cfg or SolveConfig()
     plan = ag.plan
     n_free_nodes = len(plan.pra.match_nodes)
-    if track_all:
-        tracked = range(plan.k)
-    else:
-        tracked = [i for i, v in enumerate(plan.path_vars)
-                   if v in plan.pra.match_paths]
+    tracked = [i for i, v in enumerate(plan.path_vars)
+               if v in plan.pra.match_paths]
     search = _Search(ag, cfg, tracked=tracked)
     answers = set()
     for _, key in search.levels(max_len):

@@ -26,10 +26,10 @@ from .errors import (
 )
 from .graph import Graph
 from .query import (
-    AGGREGATE_FUNCS, BINARY_FUNCS,
+    AGGREGATE_FUNCS, BINARY_FUNCS, PATH_EXTREMA,
     AggTerm, ApplyTerm, Concat, ConstTerm, IndicatorTerm, LabelAtom,
-    LabelTerm, Letter, MaxPathTerm, MinPathTerm, OntologyEntry, OpraQuery,
-    PraQuery, Regex, RegularConstraint, Star, Term, Union_, VarEqTerm,
+    LabelTerm, Letter, OntologyEntry, OpraQuery, PathExtremumTerm, PraQuery,
+    Regex, RegularConstraint, Star, Term, Union_, VarEqTerm,
 )
 
 MAX_EVAL_DEPTH = 64
@@ -93,7 +93,7 @@ def definition_heights(entries: Collection[OntologyEntry],
             return 1 + max(map(height, t.args), default=0)
         if isinstance(t, AggTerm):
             return 1 + max(height(t.value), height(t.filter))
-        if not isinstance(t, (IndicatorTerm, MinPathTerm, MaxPathTerm)):
+        if not isinstance(t, (IndicatorTerm, PathExtremumTerm)):
             return 1
         q = t.query
         reads = [a.labelling for rc in q.regular_constraints
@@ -164,11 +164,6 @@ class _Checker:
         for ac in pra.arith_constraints:
             for t in ac.terms:
                 self.check_arity(t.labelling, len(t.path_vars))
-                for v in t.path_vars:
-                    if v not in path_vars:
-                        raise UnknownVariableError(
-                            f"unknown path variable {v!r} in HAVING"
-                        )
 
     def check_regular(self, rc: RegularConstraint) -> None:
         k = len(rc.path_vars)
@@ -195,22 +190,21 @@ class _Checker:
             self._check_var(term.left, scope)
             self._check_var(term.right, scope)
             return
-        if isinstance(term, IndicatorTerm):
-            if term.query.match_paths:
-                raise ValidationError(
-                    "a query indicator takes node variables only"
-                )
-            for v in term.query.match_nodes:
-                self._check_var(v, scope)
-            self.check_pra(term.query)
-            return
-        if isinstance(term, (MinPathTerm, MaxPathTerm)):
-            self.check_arity(term.labelling, 1)
-            if term.query.match_paths != (term.path_var,):
-                raise ValidationError(
-                    "the extremum path variable must be the query's only "
-                    "free path variable"
-                )
+        if isinstance(term, (IndicatorTerm, PathExtremumTerm)):
+            if isinstance(term, IndicatorTerm):
+                if term.query.match_paths:
+                    raise ValidationError(
+                        "a query indicator takes node variables only"
+                    )
+            elif term.mode not in PATH_EXTREMA:
+                raise ValidationError(f"unknown path extremum {term.mode!r}")
+            else:
+                self.check_arity(term.labelling, 1)
+                if term.query.match_paths != (term.path_var,):
+                    raise ValidationError(
+                        "the extremum path variable must be the query's "
+                        "only free path variable"
+                    )
             for v in term.query.match_nodes:
                 self._check_var(v, scope)
             self.check_pra(term.query)

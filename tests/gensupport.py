@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from opra.embedding import WeightedAutomaton
+from opra.errors import DuplicateLabellingNameError, ValidationError
 from opra.graph import Graph, Labelling
 from opra.query import (
     ArithConstraint, ArithTerm, ConstAtom, LabelAtom, Letter, NodeConstraint,
@@ -469,6 +470,16 @@ BAD_DATA_GRAPHS = {
     "label_bool": {**_DG, "labels": {"a": [1, True]}},
     "label_unknown_node": {**_DG, "labels": {"zz": [3]}},
 }
+
+
+# queries that parse but fail validation on any graph, each with its error
+INVALID_QUERIES = (
+    ("MATCH NODES (s, s)", ValidationError),
+    ("MATCH PATHS (p, p)", ValidationError),
+    ("LET f(x) := 1, f(y) := 2 IN MATCH NODES (s)",
+     DuplicateLabellingNameError),
+    ("LET f(x, x) := 1 IN MATCH NODES (s)", ValidationError),
+)
 
 
 # -- misc -------------------------------------------------------------------------------

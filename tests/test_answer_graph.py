@@ -24,7 +24,7 @@ from opra.query import (
 from opra.solver import (
     MIN, SolveConfig, check_empty, enumerate_answers, extremum,
 )
-from opra.validate import validate
+from opra.validate import query_path_vars, validate
 
 from gensupport import (
     BINARY, BINARY_DEFAULT, BINARY_VALUES, rand_feasible_graph, rand_graph, rand_query, rand_sparse_graph,
@@ -535,14 +535,15 @@ def test_desk_scale_equivalence_with_oracle():
                                 max_nodes=3, n_unary=1)
         q = rand_query(rng, g)
         vq = validate(q, g)
-        ag = AnswerGraph(g, vq.query.query)
-        got, _ = enumerate_answers(ag, max_len=3, track_all=True,
+        # every path variable free, so each one's component is reported
+        pra = vq.query.query
+        ag = AnswerGraph(g, replace(pra, match_paths=query_path_vars(pra)))
+        got, _ = enumerate_answers(ag, max_len=3,
                                    cfg=SolveConfig(visited_budget=2_000_000))
         want = set()
         for env, paths in enumerate_satisfying(
-                g, vq.query.query, OracleConfig(max_path_len=3,
-                                                max_paths=2_000_000)):
-            nodes = tuple(env[v] for v in vq.query.query.match_nodes)
+                g, pra, OracleConfig(max_path_len=3, max_paths=2_000_000)):
+            nodes = tuple(env[v] for v in pra.match_nodes)
             want.add((nodes, tuple(paths[v] for v in ag.plan.path_vars)))
         assert got == want, f"trial {trial} diverged"
 

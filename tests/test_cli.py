@@ -14,7 +14,9 @@ from opra.oracle import OracleConfig
 from opra.solver import SolveConfig
 from opra.validate import MAX_EVAL_DEPTH
 
-from gensupport import BAD_DATA_GRAPHS, CHAIN_SHAPES, chain_query
+from gensupport import (
+    BAD_DATA_GRAPHS, CHAIN_SHAPES, INVALID_QUERIES, chain_query,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "opra" / "corpus"
@@ -122,6 +124,17 @@ def test_check_malformed_exit_2(capsys, tmp_path):
     code, payload = run_cli(capsys, "check", "--query", str(bad))
     assert code == 2
     assert payload["kind"] == "QuerySyntaxError"
+
+
+@pytest.mark.parametrize("text, error", INVALID_QUERIES)
+def test_check_invalid_query_exit_2(capsys, fig2_path, tmp_path, text,
+                                   error):
+    q = tmp_path / "q.opra"
+    q.write_text(text, encoding="utf-8")
+    code, payload = run_cli(capsys, "check", "--query", str(q),
+                            "--graph", fig2_path)
+    assert code == 2
+    assert payload["kind"] == error.__name__
 
 
 def test_check_validates_against_graph(capsys, fig2_path, tmp_path):

@@ -22,10 +22,10 @@ from opra.oracle import (
 )
 from opra.parser import parse
 from opra.query import (
-    AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, MaxPathTerm,
-    MinPathTerm, OntologyEntry, VarEqTerm,
+    AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, OntologyEntry,
+    PathExtremumTerm, VarEqTerm,
 )
-from opra.solver import MAX, MIN, SolveConfig, check_empty, extremum
+from opra.solver import SolveConfig, check_empty, extremum
 from opra.validate import MAX_EVAL_DEPTH, definition_heights, validate
 
 from gensupport import rand_instance
@@ -124,7 +124,7 @@ def test_rule_min_max_over_paths(fig2, node):
     eta = {"x": node("S"), "y": node("P")}
     assert eval_term(eg, term, eta) == 80
     assert eval_term(eg, term, {"x": node("W"), "y": node("T")}) == 195
-    worst = MaxPathTerm(term.labelling, term.path_var, term.query)
+    worst = replace(term, mode="max")
     assert eval_term(eg, worst, eta) == POS_INF  # pumpable cycle
     # under derived bounds the nested search recognises the cycle itself
     derived = extend(fig2, solve_config=SolveConfig(visited_budget=2_000))
@@ -136,8 +136,7 @@ def test_rule_min_max_over_paths(fig2, node):
                   "HAVING time[p] <= 5 } IN MATCH NODES (s)")
     empty_term = entry_term(fig2, empty_text, "best")
     assert eval_term(eg, empty_term, eta) == POS_INF
-    empty_max = MaxPathTerm(empty_term.labelling, empty_term.path_var,
-                            empty_term.query)
+    empty_max = replace(empty_term, mode="max")
     assert eval_term(eg, empty_max, eta) == NEG_INF
 
 
@@ -534,8 +533,10 @@ def test_plan_reuse_is_invisible():
         entries = validate(parse(NESTED_TEXT), g).query.ontology + (
             OntologyEntry("ind", nodes, IndicatorTerm(
                 replace(pra, match_paths=()))),
-            OntologyEntry("min", nodes, MinPathTerm("w1", "p0", ext)),
-            OntologyEntry("max", nodes, MaxPathTerm("w0", "p0", ext)),
+            OntologyEntry("min", nodes,
+                          PathExtremumTerm("min", "w1", "p0", ext)),
+            OntologyEntry("max", nodes,
+                          PathExtremumTerm("max", "w0", "p0", ext)),
         )
         cfg = SolveConfig(b1=8, b2=16,
                           visited_budget=rng.choice((10, 30, 100_000)))
@@ -553,8 +554,8 @@ def test_plan_reuse_is_invisible():
                 if isinstance(term, IndicatorTerm):
                     solve = lambda ag: check_empty(ag, cfg)  # noqa: E731
                 else:
-                    mode = MIN if isinstance(term, MinPathTerm) else MAX
-                    solve = lambda ag: extremum(ag, mode, cfg)  # noqa: E731
+                    solve = lambda ag: extremum(  # noqa: E731
+                        ag, term.mode, cfg)
                 kept = _outcome(lambda: solve(AnswerGraph(
                     shared, term.query, bound_nodes=eta, target=target,
                     plans=plans)))

@@ -15,13 +15,13 @@ from opra.parser import MAX_TREE_DEPTH, parse
 from opra.query import (
     AggTerm, ApplyTerm, ArithConstraint, ArithTerm, Concat, ConstAtom,
     ConstTerm, Epsilon, IndicatorTerm, LabelAtom, LabelTerm, Letter,
-    MaxPathTerm, MinPathTerm, NodeConstraint, NodeRef, OntologyEntry,
-    OpraQuery, PathConstraint, PosVar, PraQuery, RegularConstraint, Star,
+    NodeConstraint, NodeRef, OntologyEntry, OpraQuery, PathConstraint,
+    PathExtremumTerm, PosVar, PraQuery, RegularConstraint, Star,
     TRUE_CONSTRAINT, Union_, VarEqTerm, star, to_text,
 )
 from opra.validate import validate
 
-from gensupport import CHAIN_SHAPES, chain_query
+from gensupport import CHAIN_SHAPES, chain_query, load_perfbench
 
 ROUTE = """
 def route(p) = <E(@1, @1') = 1>* <T>
@@ -111,7 +111,8 @@ def test_having_term_desugars_to_auxiliary_labelling():
     assert len(q.ontology) == 1
     entry = q.ontology[0]
     assert entry.params == ("s", "t")
-    assert isinstance(entry.term, MinPathTerm)
+    assert isinstance(entry.term, PathExtremumTerm)
+    assert entry.term.mode == "min"
     # the auxiliary labelling is aggregated over fresh length-1 paths
     (ac1, ac2) = q.query.arith_constraints
     aux_terms = {t.labelling for t in ac1.terms} - {"time"}
@@ -340,10 +341,8 @@ terms = st.recursive(
                   st.lists(IDENTS, min_size=1, max_size=2).map(tuple)),
         st.builds(VarEqTerm, IDENTS, IDENTS),
         st.builds(IndicatorTerm, inner_queries),
-        st.builds(MinPathTerm, LABELS, st.just("rr"),
-                  _min_max_queries("rr")),
-        st.builds(MaxPathTerm, LABELS, st.just("rr"),
-                  _min_max_queries("rr")),
+        st.builds(PathExtremumTerm, st.sampled_from(["min", "max"]), LABELS,
+                  st.just("rr"), _min_max_queries("rr")),
     ),
     lambda children: st.one_of(
         st.builds(lambda f, a, b: ApplyTerm(f, (a, b)),
@@ -389,6 +388,54 @@ def test_left_operand_of_its_own_level_prints_bare(term, printed):
     q = parse(f"LET f(x) := {term} IN MATCH NODES (s)")
     assert to_text(q).splitlines()[0] == f"LET f(x) := {printed}"
     assert parse(to_text(q)) == q
+
+
+@pytest.mark.parametrize("term, printed", [
+    ("1 || 2", "Max(1, 2)"),
+    ("1 || 2 || 3", "(1 || 2 || 3)"),
+    ("1 => 2", "Max((1 - 1), 2)"),
+    ("1 => 2 => 3", "(1 => 2 => 3)"),
+    ("!time(x)", "(1 - time(x))"),
+    ("!!time(x)", "!!time(x)"),
+    ("!-time(x)", "!-time(x)"),
+    ("-(-(5))", "--(5)"),
+    ("-(-(-5))", "--(-5)"),
+])
+def test_chain_prints_as_the_parser_reads_it(term, printed):
+    # a link prints as an operator only where its operand continues the
+    # chain, and a constant after a prefix keeps its parentheses
+    q = parse(f"LET f(x) := {term} IN MATCH NODES (s)")
+    assert to_text(q).splitlines()[0] == f"LET f(x) := {printed}"
+    assert parse(to_text(q)) == q
+
+
+@pytest.mark.parametrize("chain, n", [
+    (lambda n: " || ".join(["time(x)"] * n), MAX_TREE_DEPTH),
+    (lambda n: " => ".join(["time(x)"] * n), MAX_TREE_DEPTH - 1),
+    (lambda n: "!" * n + "time(x)", MAX_TREE_DEPTH - 1),
+    (lambda n: "-" * n + "time(x)", MAX_TREE_DEPTH - 1),
+    (lambda n: ("!-" * n)[:n] + "time(x)", MAX_TREE_DEPTH - 1),
+], ids=["or", "implies", "not", "minus", "mixed"])
+def test_longest_accepted_chain_round_trips(chain, n):
+    def text(k):
+        return f"LET f(x) := {chain(k)} IN MATCH NODES (s)"
+
+    with pytest.raises(QuerySyntaxError, match="query nested too deeply"):
+        parse(text(n + 1))
+    q = parse(text(n))
+    assert parse(to_text(q)) == q
+
+
+def test_corpus_and_benchmark_queries_round_trip():
+    wl = load_perfbench("workloads")
+    texts = [query_text(name) for name in QUERY_NAMES] + [
+        wl.FIXED_QUERY.format(s=0, t=1, bound=wl.FIXED_BOUND),
+        wl.FREE_QUERY.format(bound=wl.FREE_BOUND),
+        wl.RUN_QUERY,
+    ] + [wl.rpq_text(regex) for _, regex, _ in wl.RPQ_SHAPES]
+    for text in texts:
+        q = parse(text)
+        assert parse(to_text(q)) == q, text
 
 
 @settings(max_examples=60, deadline=None)

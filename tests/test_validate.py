@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
 from opra.corpus import QUERY_NAMES, query_text
+from opra.engine import engine_answers
 from opra.errors import (
     ArityMismatchError, DuplicateLabellingNameError,
     ForwardOntologyReferenceError, PositionVarOutOfRangeError,
     PositionVarOutsideRegexError, UnknownLabellingError, UnknownNodeError,
     UnknownVariableError, ValidationError,
 )
+from opra.oracle import OracleConfig, enumerate_answers
 from opra.parser import parse
 from opra.validate import validate
+
+from gensupport import INVALID_QUERIES
 
 
 def v(text, g):
@@ -102,3 +108,31 @@ def test_extremum_path_var_shape(fig2):
            "SUCH THAT x -q-> x } IN MATCH NODES (s)")
     with pytest.raises(ValidationError):
         v(bad, fig2)
+
+
+def test_extremum_mode_must_be_min_or_max(fig2):
+    q = parse("LET f(x) := min[time, p]{ MATCH NODES (x), PATHS (p) "
+              "SUCH THAT x -p-> x } IN MATCH NODES (s)")
+    validate(q, fig2)
+    entry = q.ontology[0]
+    mean = replace(entry, term=replace(entry.term, mode="mean"))
+    with pytest.raises(ValidationError, match="unknown path extremum 'mean'"):
+        validate(replace(q, ontology=(mean,)), fig2)
+
+
+@pytest.mark.parametrize("text, error", INVALID_QUERIES)
+def test_invalid_query_raises_its_error(fig2, text, error):
+    with pytest.raises(ValidationError) as err:
+        v(text, fig2)
+    assert type(err.value) is error
+
+
+def test_path_variable_only_in_having(fig2):
+    # zz is an existential path that only HAVING names: any one-node path
+    text = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
+            'MATCH NODES (s) SUCH THAT "S" -pi-> s WHERE route(pi) '
+            "HAVING time[zz] <= 3")
+    vq = v(text, fig2)
+    got = engine_answers(fig2, vq, max_len=3)
+    assert got == enumerate_answers(fig2, vq, OracleConfig(max_path_len=3))
+    assert len(got) == 4
