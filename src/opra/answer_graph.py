@@ -66,7 +66,9 @@ of the bound variables and the target: variable and slot orders, lazy
 targets, compiled NFAs with their move tables, and weight and target
 readers.  An `AnswerGraph` binds a plan to input paths and node values.
 An ontology view keeps the plans of its nested queries, so each is
-compiled once per view and bound once per node tuple.
+compiled once per view and bound once per node tuple, or once per value
+tuple of its eager variables where one search answers every value of
+its lazy targets (`lazy_targets`, `solver.answer_table`).
 """
 
 from __future__ import annotations
@@ -132,6 +134,23 @@ def _move_table(nfa: Nfa, source) -> MoveTable:
     return table
 
 
+def lazy_targets(pra: PraQuery, bound_paths: Collection[str] = (),
+                 bound_nodes: Collection[str] = ()) -> FrozenSet[str]:
+    """The node variables a plan binds lazily: path-constraint targets
+    that nothing fixes up front, being no path constraint's source, not
+    in `bound_nodes` and no target of a path in `bound_paths`."""
+    eager = set(bound_nodes)
+    targets = set()
+    for pc in pra.path_constraints:
+        if not pc.source.literal:
+            eager.add(pc.source.name)
+        if not pc.target.literal:
+            targets.add(pc.target.name)
+            if pc.path_var in bound_paths:
+                eager.add(pc.target.name)
+    return frozenset(targets - eager)
+
+
 class AGState(NamedTuple):
     nfa_states: Tuple[int, ...]
     pos: int
@@ -165,17 +184,7 @@ class Plan:
 
         # tracked node variables: free ones, then path-constraint ones
         self.env_vars: Tuple[str, ...] = query_node_vars(pra)
-        # lazy targets: path-constraint targets that nothing fixes up front
-        eager = set(bound_nodes)
-        targets = set()
-        for pc in pra.path_constraints:
-            if not pc.source.literal:
-                eager.add(pc.source.name)
-            if not pc.target.literal:
-                targets.add(pc.target.name)
-                if pc.path_var in bound_paths:
-                    eager.add(pc.target.name)
-        self.lazy_vars = frozenset(targets - eager)
+        self.lazy_vars = lazy_targets(pra, bound_paths, bound_nodes)
         reals = tuple(source.real_nodes)
         # per slot, its domain; a binding sets those of `bound_slots`
         self.domains = [(UNBOUND,) if v in self.lazy_vars else reals

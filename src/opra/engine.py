@@ -28,7 +28,7 @@ def prepare(g: Graph, q,
     if isinstance(q, str):
         q = parse(q)
     vq = validate(q, g)
-    return extend(g, vq.query.ontology, solve_config=cfg), vq.query.query
+    return extend(g, vq, solve_config=cfg), vq.query.query
 
 
 def _ids_for(g: Graph, bound_nodes, bound_paths):

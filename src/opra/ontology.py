@@ -5,12 +5,32 @@ defined labelling on demand, and this module evaluates its term, with
 nested queries solved by the product engine.  Definitions may reference
 graph labellings and earlier definitions only, and nest no deeper than
 `MAX_EVAL_DEPTH`: a view checks both when it is made
-(`validate.definition_heights`).
+(`validate.definition_heights`), or, made from a validated query, reads
+the heights `validate` computed for it.
 
-A view is made for one evaluation, and its memo and its plans are its
-own: they live exactly as long as the view, and labelling names are
-unique within a view, so a value or plan made on one graph or under one
-ontology is never read for another.
+A view is made for one evaluation, and its memo, its plans and its
+answer tables are its own: they live exactly as long as the view, and
+labelling names are unique within a view, so a value, plan or table
+made on one graph or under one ontology is never read for another.
+
+A nested indicator or path extremum whose query has lazy targets among
+its free node variables (`answer_graph.lazy_targets`: path-constraint
+targets that are no path's source) is answered set-at-a-time.  The
+view binds only the eager free variables from the instantiation and
+runs one search to its end (`solver.answer_table`), which answers the
+term for every value of the lazy ones; the table is kept per term and
+eager values.  The answers are the per-tuple ones: letters and rows
+read path positions, never tracked variables, so the search admits at
+real nodes the configurations of each per-tuple search, and its closing
+step binds each lazy target to the node its path ends at.  It also does
+at least each per-tuple search's work, so where it finishes, none of
+those would have failed.  A term is solved per tuple, as before, where
+it has no lazy free variable, where `answer_table` gives no table (an
+extremum under derived bounds, whose pumping is per search, or an
+indicator under derived bounds with a non-monotone HAVING row, whose
+frontier need not die out), and where the set search raised an
+`OpraError`: that failure is kept, so that the search is not run again,
+and each lookup then answers or fails alone.
 
 Term evaluation follows the constructor-by-constructor semantics:
 constants, labelling lookups, 0/1 query indicators, extrema of an
@@ -32,28 +52,45 @@ filter, so the next node is among the filter's entries of value 1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Union
 
-from .answer_graph import AnswerGraph, Plan
+from .answer_graph import AnswerGraph, Plan, lazy_targets
+from .errors import OpraError
 from .extint import ExtInt, eval_fundamental  # re-exported
 from .graph import Graph, NodeId, View, step_candidates
 from .query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, OntologyEntry,
     PathExtremumTerm, Term, VarEqTerm,
 )
-from .solver import SolveConfig, check_empty, extremum
-from .validate import definition_heights
+from .solver import (
+    AnswerTable, SolveConfig, answer_table, check_empty, extremum,
+)
+from .validate import ValidatedQuery, definition_heights
 
 
 class ExtendedGraph(View):
-    """A graph whose ontology labellings are computed on demand."""
+    """A graph whose ontology labellings are computed on demand.
 
-    def __init__(self, base: Graph, entries: Iterable[OntologyEntry] = (),
+    `entries` are the definitions, or a query that `validate` checked
+    against `base`, whose ontology the view then reads with the heights
+    `validate` computed for it.  `heights` holds each definition's static
+    height."""
+
+    def __init__(self, base: Graph,
+                 entries: Union[Iterable[OntologyEntry], ValidatedQuery] = (),
                  solve_config: Optional[SolveConfig] = None):
-        super().__init__(base, entries)
-        definition_heights(self._by_name.values(), self.labellings)
+        if isinstance(entries, ValidatedQuery):
+            super().__init__(base, entries.query.ontology)
+            self.heights = entries.heights
+        else:
+            super().__init__(base, entries)
+            self.heights = definition_heights(self._by_name.values(),
+                                              self.labellings)
         self.solve_config = solve_config or SolveConfig()
         self._plans: Dict[tuple, Plan] = {}
+        # (id(term), eager values): the term, kept alive so that its id
+        # names it, and its answer table, or None where there is none
+        self._tables: Dict[tuple, tuple] = {}
 
     def term_value(self, term: Term, eta: Mapping[str, NodeId]) -> ExtInt:
         return eval_term(self, term, eta)
@@ -84,9 +121,11 @@ class ExtendedGraph(View):
                                term.args, cur, nxt)
 
 
-def extend(g: Graph, entries: Iterable[OntologyEntry] = (),
+def extend(g: Graph,
+           entries: Union[Iterable[OntologyEntry], ValidatedQuery] = (),
            solve_config: Optional[SolveConfig] = None) -> ExtendedGraph:
-    """Graph view where the given labelling definitions resolve on demand."""
+    """Graph view where the given labelling definitions, or those of a
+    query validated against g, resolve on demand."""
     return ExtendedGraph(g, entries, solve_config)
 
 
@@ -99,7 +138,7 @@ def eval_term(view: ExtendedGraph, term: Term,
     evaluator: lookups and subterms reach it by its module name, and it
     counts nothing per call.  Its nesting is bounded by the term's own
     structure, which the parser caps, and by the heights of the view's
-    definitions, which the view checked when it was made.
+    definitions, checked by `validate` or when the view was made.
     """
     if isinstance(term, ConstTerm):
         return term.value
@@ -110,14 +149,7 @@ def eval_term(view: ExtendedGraph, term: Term,
     if isinstance(term, VarEqTerm):
         return 1 if eta[term.left] == eta[term.right] else 0
     if isinstance(term, (IndicatorTerm, PathExtremumTerm)):
-        bound = {v: eta[v] for v in term.query.match_nodes}
-        indicator = isinstance(term, IndicatorTerm)
-        ag = AnswerGraph(view, term.query, bound_nodes=bound,
-                         plans=view._plans, target=None if indicator
-                         else (term.labelling, (term.path_var,)))
-        if indicator:
-            return 0 if check_empty(ag, cfg=view.solve_config).empty else 1
-        return extremum(ag, term.mode, cfg=view.solve_config).value
+        return _nested(view, term, eta)
     if isinstance(term, ApplyTerm):
         args = [eval_term(view, a, eta) for a in term.args]
         return eval_fundamental(term.func, args)
@@ -135,6 +167,50 @@ def eval_term(view: ExtendedGraph, term: Term,
                     values.append(eval_term(view, term.value, {z: v}))
         return eval_fundamental(term.func, values)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _nested(view: ExtendedGraph, term: Term,
+            eta: Mapping[str, NodeId]) -> ExtInt:
+    """A nested indicator or path extremum under `eta`: read from the
+    view's answer table for the term and its eager match variables'
+    values, which one search makes on first use, or else solved for
+    `eta` alone (module docstring)."""
+    q = term.query
+    # mode None: an indicator, 1 where the query has an answer
+    mode, target = (None, None) if isinstance(term, IndicatorTerm) \
+        else (term.mode, (term.labelling, (term.path_var,)))
+    lazy = lazy_targets(q)
+    if not lazy.isdisjoint(q.match_nodes):
+        table = _table(view, term, mode, target, {
+            v: eta[v] for v in q.match_nodes if v not in lazy})
+        if table is not None:
+            return table.values.get(
+                tuple([eta[v] for v in q.match_nodes if v in lazy]),
+                table.default)
+    ag = AnswerGraph(view, q, bound_nodes={v: eta[v] for v in q.match_nodes},
+                     plans=view._plans, target=target)
+    if mode is None:
+        return 0 if check_empty(ag, cfg=view.solve_config).empty else 1
+    return extremum(ag, mode, cfg=view.solve_config).value
+
+
+def _table(view: ExtendedGraph, term: Term, mode: Optional[str], target,
+           eager: Dict[str, NodeId]) -> Optional[AnswerTable]:
+    """The view's answer table for the term under the eager values, made
+    once: None where `answer_table` gives none or raised, as a set search
+    may fail where the per-tuple ones would not."""
+    key = (id(term), tuple(eager.values()))
+    kept = view._tables.get(key)
+    if kept is None:
+        try:
+            table = answer_table(
+                AnswerGraph(view, term.query, bound_nodes=eager,
+                            plans=view._plans, target=target),
+                mode, view.solve_config)
+        except OpraError:
+            table = None
+        kept = view._tables[key] = (term, table)
+    return kept[1]
 
 
 def _passing(view: ExtendedGraph, term: AggTerm,

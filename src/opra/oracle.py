@@ -37,7 +37,8 @@ from .query import (
 )
 from .parser import parse
 from .validate import (
-    ValidatedQuery, query_node_vars, query_path_vars, validate,
+    ValidatedQuery, check_extremum_mode, query_node_vars, query_path_vars,
+    validate,
 )
 
 
@@ -339,8 +340,10 @@ def brute_extremum(g: Graph, q, target: Tuple[str, Tuple[str, ...]],
 def _best(view: OracleView, pra: PraQuery,
           target: Tuple[str, Tuple[str, ...]], mode: str, cfg: OracleConfig,
           bound_nodes=None) -> ExtInt:
-    """The least (mode "min") or else the greatest target aggregate over
-    every satisfying assignment; +inf (min) / -inf (max) over none."""
+    """The least (mode "min") or the greatest (mode "max") target
+    aggregate over every satisfying assignment; +inf (min) / -inf (max)
+    over none.  Any other mode raises ValidationError."""
+    check_extremum_mode(mode)
     name, path_sel = target
     values = (aggregate(view, name, [paths[v] for v in path_sel])
               for _, paths in enumerate_satisfying(view, pra, cfg,

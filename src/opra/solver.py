@@ -58,6 +58,19 @@ accumulated vectors sign-normalised so the target is minimised:
 
 Pinned bounds keep the two-bound rule alone.
 
+`answer_table` answers emptiness or an extremum for every value tuple
+of a query's free lazy targets (`Plan.lazy_vars`) with one search, as
+an ontology view asks for a nested term at many tuples.  It runs the
+search to its end and keeps, per tuple of the lazy values a target
+configuration was bound with, what `check_empty` or `extremum` would
+stop at for that tuple: the first target that meets the bounds, or the
+best value within b1 until a better one is admitted beyond it.  Lazy
+targets are read by nothing but the step that binds them, so each
+tuple's configurations are admitted as in its own search.  Where the
+stopping rule is a property of the whole search it gives no table: an
+extremum under derived bounds (pumping), and emptiness under derived
+bounds with a non-monotone HAVING row, whose frontier need not die out.
+
 A search memoises successors with their weight vectors on what
 `successors` reads: the NFA states, pos, nodes and the env at the answer
 graph's `read_slots` (the state itself when that is None), so a state
@@ -79,6 +92,7 @@ from .answer_graph import AGState, AnswerGraph
 from .errors import ResourceExceededError
 from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul, is_finite
 from .graph import SINK, NodeId
+from .validate import check_extremum_mode
 
 logger = logging.getLogger(__name__)
 
@@ -493,8 +507,7 @@ def extremum(ag: AnswerGraph, mode: str,
     """
     if ag.plan.target is None:
         raise ValueError("answer graph was built without a target labelling")
-    if mode not in (MIN, MAX):
-        raise ValueError("mode must be 'min' or 'max'")
+    check_extremum_mode(mode)
     cfg = cfg or SolveConfig()
     b1, b2 = derive_bounds(ag, cfg)
     sign = 1 if mode == MIN else -1
@@ -517,6 +530,64 @@ def extremum(ag: AnswerGraph, mode: str,
         return ExtremumResult(ext_mul(sign, POS_INF), stats=search.stats)
     env, paths = search.reconstruct(best_key)
     return ExtremumResult(ext_mul(sign, best), env, paths, search.stats)
+
+
+@dataclass
+class AnswerTable:
+    """Answers per value tuple of a query's free lazy targets, in MATCH
+    order; a tuple with no satisfying path is not in `values` and reads
+    `default`."""
+    values: Dict[Tuple[NodeId, ...], ExtInt]
+    default: ExtInt
+    stats: SolveStats
+
+
+def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
+                 cfg: Optional[SolveConfig] = None) -> Optional[AnswerTable]:
+    """Emptiness as 1 or 0 (mode None), or the `mode` extremum, for every
+    value tuple of the query's free lazy targets at once: one search,
+    run to its end, with those targets bound where their paths end.
+
+    Each tuple's answer is the one `check_empty` or `extremum` gives with
+    the tuple bound: 1 where an admitted target with those values meets
+    every bound; for an extremum, the best such value within b1, or the
+    matching infinity once a better one is admitted beyond b1, or the
+    empty-set value where there is none.  None where one search cannot
+    stand for the per-tuple ones: an extremum under derived bounds, whose
+    pump rule is per search, and emptiness under derived bounds with a
+    non-monotone HAVING row, whose frontier need not die out.
+    """
+    cfg = cfg or SolveConfig()
+    if mode is not None:
+        check_extremum_mode(mode)
+    plan = ag.plan
+    if cfg.b1 is None and cfg.b2 is None and (
+            mode is not None
+            or len(_monotone_components(ag)) < len(plan.bounds)):
+        return None
+    b1, b2 = derive_bounds(ag, cfg)
+    slots = [plan.env_vars.index(v) for v in plan.pra.match_nodes
+             if v in plan.lazy_vars]
+    sign = -1 if mode == MAX else 1
+    search = _Search(ag, cfg, with_target=mode is not None, sign=sign)
+    best: Dict[Tuple[NodeId, ...], ExtInt] = {}
+    for depth, key in search.levels(b2):
+        if not search.meets(key):
+            continue
+        env = key[0].env
+        lazy = tuple([env[s] for s in slots])
+        if mode is None:
+            best[lazy] = 1
+            continue
+        value, short = key[2][-1], best.get(lazy)
+        if short is None or value < short:
+            # beyond b1, a path that beats every short one: unbounded,
+            # and no later value is lower
+            best[lazy] = NEG_INF if depth > b1 else value
+    if mode is None:
+        return AnswerTable(best, 0, search.stats)
+    return AnswerTable({k: ext_mul(sign, v) for k, v in best.items()},
+                       ext_mul(sign, POS_INF), search.stats)
 
 
 def enumerate_answers(ag: AnswerGraph, max_len: int,

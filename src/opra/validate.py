@@ -10,8 +10,10 @@ form, so downstream consumers derive whatever ordering they need from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Container, Dict, FrozenSet, Iterator, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Collection, Container, Dict, FrozenSet, Iterator, Mapping, Tuple,
+)
 
 from .errors import (
     ArityMismatchError,
@@ -37,9 +39,20 @@ MAX_EVAL_DEPTH = 64
 
 @dataclass(frozen=True)
 class ValidatedQuery:
-    """A query that passed validation."""
+    """A query that passed validation, with the static height of each of
+    its definitions (`definition_heights`), which an ontology view made
+    from it reads instead of computing them again."""
 
     query: OpraQuery
+    heights: Mapping[str, int] = field(compare=False)
+
+
+def check_extremum_mode(mode: str) -> None:
+    """Raise ValidationError unless `mode` names a path extremum, "min"
+    or "max": the one check of a hand-built term, of the engine's
+    `extremum` and of the oracle's."""
+    if mode not in PATH_EXTREMA:
+        raise ValidationError(f"unknown path extremum {mode!r}")
 
 
 def query_node_vars(pra: PraQuery) -> Tuple[str, ...]:
@@ -196,9 +209,8 @@ class _Checker:
                     raise ValidationError(
                         "a query indicator takes node variables only"
                     )
-            elif term.mode not in PATH_EXTREMA:
-                raise ValidationError(f"unknown path extremum {term.mode!r}")
             else:
+                check_extremum_mode(term.mode)
                 self.check_arity(term.labelling, 1)
                 if term.query.match_paths != (term.path_var,):
                     raise ValidationError(
@@ -261,6 +273,6 @@ def validate(q: OpraQuery | ValidatedQuery, g: Graph) -> ValidatedQuery:
             )
         checker.check_term(entry.term, frozenset(entry.params))
         checker.labels[entry.name] = len(entry.params)
-    definition_heights(q.ontology, g.labellings)
+    heights = definition_heights(q.ontology, g.labellings)
     checker.check_pra(q.query)
-    return ValidatedQuery(q)
+    return ValidatedQuery(q, heights)

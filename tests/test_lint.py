@@ -105,3 +105,50 @@ def test_unreferenced_private_helpers_flags_only_dead_ones():
         "x = _Box() if _used() else None\n")
     assert unreferenced_private_helpers(tree) == [(2, "_dead"),
                                                   (6, "_idle")]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(tree: ast.Module):
+    """(line, name) of each `_`-prefixed name, or name in a `_`-prefixed
+    module, that a module imports from another `opra` module, by a
+    relative import or one from `opra.`: a private name is its module's
+    own, and what another module needs of it is public."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "opra":
+                continue
+            inner = any(map(_private, parts))
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if inner or _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "opra"
+                      and any(map(_private, alias.name.split(".")))]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert private_imports(tree) == []
+
+
+def test_private_imports_flags_only_private_names_of_opra():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .solver import _Search, extremum as _extremum\n"
+        "from opra.graph import SINK, _hidden\n"
+        "from ._impl import helper\n"
+        "from . import __version__, _state\n"
+        "import opra._impl, opra.graph\n"
+        "from collections import _chain_map\n"
+        "import _thread\n")
+    assert private_imports(tree) == [
+        (2, "_Search"), (3, "_hidden"), (4, "helper"), (5, "_state"),
+        (6, "opra._impl")]

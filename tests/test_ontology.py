@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from dataclasses import replace
@@ -9,7 +10,7 @@ import opra.ontology
 
 from opra.embedding import data_graph_from_dict, embed
 from opra.answer_graph import AnswerGraph
-from opra.engine import engine_answers, evaluate
+from opra.engine import engine_answers, evaluate, prepare
 from opra.errors import (
     ArityMismatchError, ForwardOntologyReferenceError, IndeterminateSumError,
     OpraError, RecursionDepthExceededError, UnknownLabellingError,
@@ -494,6 +495,29 @@ def test_recursion_depth_guard(fig2, monkeypatch):
     for _ in range(100):
         deep = ApplyTerm("+", (deep, ConstTerm(0)))
     assert eval_term(extend(fig2), deep, {}) == 1
+
+
+def test_prepared_view_reads_the_validated_heights(fig2, monkeypatch):
+    # prepare computes the heights once, in validate, and hands them to
+    # its view; a view of raw entries computes its own
+    from opra.corpus import query_text
+
+    validate_module = importlib.import_module("opra.validate")
+    calls = []
+    inner = validate_module.definition_heights
+
+    def counting(entries, stored):
+        calls.append(len(entries))
+        return inner(entries, stored)
+
+    monkeypatch.setattr(validate_module, "definition_heights", counting)
+    monkeypatch.setattr(opra.ontology, "definition_heights", counting)
+    view, _ = prepare(fig2, query_text("path_lengths"), CFG)
+    assert calls == [2]
+    raw = extend(fig2, view._by_name.values(), CFG)
+    assert calls == [2, 2] and raw.heights == view.heights
+    s, t = fig2.node_id("S"), fig2.node_id("T")
+    assert [v.label_value("_aux1", (s, t)) for v in (view, raw)] == [20, 20]
 
 
 NESTED_TEXT = """def route(p) = <adj(@1, @1') = 1>* <T>

@@ -7,7 +7,9 @@ import pytest
 from opra.answer_graph import AnswerGraph
 from opra.embedding import WeightedAutomaton, build_automaton_graph, embed
 from opra.engine import engine_answers
-from opra.errors import IndeterminateSumError, ResourceExceededError
+from opra.errors import (
+    IndeterminateSumError, ResourceExceededError, ValidationError,
+)
 from opra.extint import NEG_INF, POS_INF
 from opra.graph import Graph, Labelling, aggregate
 from opra.oracle import (
@@ -20,8 +22,8 @@ from opra.query import (
     OpraQuery, PathConstraint, PraQuery, RegularConstraint,
 )
 from opra.solver import (
-    MAX, MIN, SolveConfig, _Dominance, _Search, check_empty, derive_bounds,
-    extremum,
+    MAX, MIN, SolveConfig, _Dominance, _Search, answer_table, check_empty,
+    derive_bounds, extremum,
 )
 from opra.solver import enumerate_answers as search_answers
 from opra.validate import validate
@@ -96,6 +98,25 @@ def test_extremum_empty_set_conventions(fig2):
     ag = AnswerGraph(fig2, pra, target=("time", ("pi",)))
     assert extremum(ag, MIN, cfg=CFG).value == POS_INF
     assert extremum(ag, MAX, cfg=CFG).value == NEG_INF
+
+
+def test_unknown_extremum_mode_is_one_validation_error(fig2):
+    # the engine and the oracle reject a mode other than min and max with
+    # the error validate gives a hand-built term of that mode
+    pra = _route_sp(fig2)
+    ag = AnswerGraph(fig2, pra, target=("time", ("pi",)))
+    text = ("def route(p) = <E(@1, @1') = 1>* <T>\n"
+            'MATCH PATHS (pi) SUCH THAT "S" -pi-> "P" WHERE route(pi)')
+    message = "^unknown path extremum 'mean'$"
+    with pytest.raises(ValidationError, match=message):
+        extremum(ag, "mean", cfg=CFG)
+    with pytest.raises(ValidationError, match=message):
+        answer_table(ag, "mean", cfg=CFG)
+    with pytest.raises(ValidationError, match=message):
+        brute_extremum(fig2, validate(parse(text), fig2),
+                       ("time", ("pi",)), "mean", OracleConfig())
+    with pytest.raises(ValidationError, match=message):
+        oracle_two_phase(fig2, text, ("time", ("pi",)), "mean", 8, 16)
 
 
 def test_consistency_coupling(fig2):
