@@ -57,9 +57,18 @@ built.  Any other letter leaves all real nodes as candidates.  Each
 candidate is then tested against its NFA state's entry in the plan's
 move table (`Nfa.moves` with the targets): a stored step letter by
 membership in its targets, which are exact, sink included, and any other
-letter by evaluation.  Weights read stored labellings straight from
-their entries and add plain ints as ints, other values by the extended
-rules.
+letter by evaluation.
+
+A step pays for the states it returns: an NFA whose paths have all
+ended in a state that is not final gives no successor at once, each NFA
+memoises its destinations per next node (or next-node tuple) for the
+call, and the states are sorted in one list with no dedupe, as none can
+repeat (`successors`).
+
+Weights read stored labellings straight from their entries and add
+plain ints as ints, other values by the extended rules.  A row of one
+term skips the sum, and a target that is such a row with coefficient 1
+takes its value, so a state reads each term once.
 
 A `Plan` holds what depends only on the source, the query, the names
 of the bound variables and the target: variable and slot orders, lazy
@@ -81,10 +90,12 @@ from typing import (
 )
 
 from .automata import Nfa, compile_regex, eval_node_constraint
+from .errors import ValidationError
 from .extint import ExtInt, ext_add, ext_mul
 from .graph import SINK, NodeId, path_index
 from .query import (
-    ConstAtom, LabelAtom, NodeConstraint, NodeRef, PosVar, PraQuery,
+    ArithTerm, ConstAtom, LabelAtom, NodeConstraint, NodeRef, PosVar,
+    PraQuery,
 )
 from .validate import query_node_vars, query_path_vars
 
@@ -168,12 +179,12 @@ class Plan:
         self.source = source
         self.pra = pra
 
-        for v in bound_paths:
-            if v not in pra.match_paths:
-                raise ValueError(f"cannot bind non-free path variable {v!r}")
-        for v in bound_nodes:
-            if v not in pra.match_nodes:
-                raise ValueError(f"cannot bind non-free node variable {v!r}")
+        for kind, names, free in (("path", bound_paths, pra.match_paths),
+                                  ("node", bound_nodes, pra.match_nodes)):
+            for v in names:
+                if v not in free:
+                    raise ValidationError(
+                        f"cannot bind non-free {kind} variable {v!r}")
 
         # path variables: bound free ones first, then unbound free, then
         # existential (the component order of every state's node tuple)
@@ -222,6 +233,12 @@ class Plan:
             for rc in pra.regular_constraints
         ]
         self.tables = [_move_table(nfa, source) for nfa, _ in self.nfas]
+        # per NFA, what a step reads: final states, the component it reads
+        # alone (else None), selector, all-sink selection and move table
+        self._steps = [
+            (nfa.final, sel[0] if len(sel) == 1 else None, sel,
+             (SINK,) * len(sel), table)
+            for (nfa, sel), table in zip(self.nfas, self.tables)]
         # per component, the indices of its single-component NFAs
         self._narrowers: List[List[int]] = [[] for _ in range(self.k)]
         for j, (_, sel) in enumerate(self.nfas):
@@ -240,14 +257,20 @@ class Plan:
             ac.bound for ac in pra.arith_constraints
         )
 
-        self.target = None  # (labelling, reader)
+        # (labelling, reader), and the HAVING row that is the target alone
+        # with coefficient 1, whose value a state's target then takes
+        self.target = self._target_row = None
         if target is not None:
             name, path_sel = target
             for v in path_sel:
                 if v not in pidx:
-                    raise ValueError(f"unknown target path variable {v!r}")
+                    raise ValidationError(
+                        f"unknown target path variable {v!r}")
             self.target = (name, self._reader(
                 name, tuple(pidx[v] for v in path_sel)))
+            alone = (ArithTerm(1, name, tuple(path_sel)),)
+            self._target_row = next((r for r, ac in enumerate(
+                pra.arith_constraints) if ac.terms == alone), None)
 
         self._reals = reals
         self._sinks = (SINK,) * self.k
@@ -333,7 +356,7 @@ class AnswerGraph:
             for v in plan.path_vars
         ]
         if any(SINK in p for p in self.bound if p):
-            raise ValueError("input paths range over real nodes only")
+            raise ValidationError("input paths range over real nodes only")
         self.N = max((len(p) for p in self.bound if p is not None), default=0)
         self.start_pos = 1 if self.N >= 1 else OMEGA
         self._domains = list(plan.domains)
@@ -377,102 +400,122 @@ class AnswerGraph:
 
     def successors(self, st: AGState) -> List[AGState]:
         plan = self.plan
+        cur_nodes, nfa_states = st.nodes, st.nfa_states
+        # per NFA: what `Plan._steps` holds for it, its current nodes, its
+        # state's real moves and its destinations per next node (or
+        # next-node tuple), memoised for this call, as an NFA that reads
+        # fewer components than vary meets each selection more than once
+        nfa_steps = []
+        for (final, one, sel, sinks, table), state in zip(plan._steps,
+                                                          nfa_states):
+            cur = tuple([cur_nodes[c] for c in sel])
+            memo: Dict[object, List[int]] = {}
+            if cur == sinks:
+                # its paths have all ended and stay on the sink: it keeps
+                # a final state, and from any other there is no successor
+                if state not in final:
+                    return []
+                memo[sinks if one is None else SINK] = [state]
+            nfa_steps.append((one, sel, sinks, cur, table[state][0], memo))
+
         nxt_pos = st.pos + 1 if st.pos != OMEGA and st.pos < self.N \
             else OMEGA
-
         choices: List[Sequence[NodeId]] = []
         for i in range(plan.k):
-            p = self.bound[i]
+            p, u = self.bound[i], cur_nodes[i]
             if p is not None:
                 choices.append(
                     (SINK,) if nxt_pos == OMEGA else (path_index(p, nxt_pos),)
                 )
-            elif st.nodes[i] == SINK:
+            elif u == SINK:
                 choices.append((SINK,))
             else:
                 # real next nodes that can pass a letter into a live state
-                # of each single-component NFA on i (candidate narrowing)
+                # of each single-component NFA on i (candidate narrowing);
+                # one lookup is read as it is
                 narrowed = None
                 for j in plan._narrowers[i]:
-                    lookups = plan.tables[j][st.nfa_states[j]][1]
+                    lookups = plan.tables[j][nfa_states[j]][1]
                     if lookups is None:
                         continue  # some letter admits every real node
-                    cands = set()
-                    for targets in lookups:
-                        cands.update(targets.get(st.nodes[i], ()))
-                    narrowed = cands if narrowed is None else narrowed & cands
+                    cands = lookups[0].get(u, ()) if len(lookups) == 1 \
+                        else set().union(*[t.get(u, ()) for t in lookups])
+                    narrowed = cands if narrowed is None \
+                        else [v for v in narrowed if v in cands]
                 reals = plan._reals if narrowed is None \
                     else tuple(sorted(narrowed))
-                if plan._can_end(i, st.nodes[i], st.env):
+                if plan._can_end(i, u, st.env):
                     reals += (SINK,)
                 choices.append(reals)
 
-        # per NFA: selector, all-sink selection, current nodes, its next
-        # states once its paths have all terminated (else None), real moves;
-        # terminated, it keeps a final state and loses any other
-        nfa_steps = []
-        for (nfa, sel), table, state in zip(plan.nfas, plan.tables,
-                                            st.nfa_states):
-            sinks = (SINK,) * len(sel)
-            cur = tuple([st.nodes[c] for c in sel])
-            ended = None
-            if cur == sinks:
-                ended = (state,) if state in nfa.final else ()
-            nfa_steps.append((sel, sinks, cur, ended, table[state][0]))
-        # an NFA that reads fewer components than vary meets each of its
-        # next-node selections more than once: evaluate its letters once
-        dsts_memo: Dict[Tuple[int, Tuple[NodeId, ...]], List[int]] = {}
-        out = set()
-        binds = plan._binds
+        # no state repeats, so the list needs no dedupe: next-node tuples
+        # differ between combinations, and the moves out of a position
+        # automaton's state have distinct destinations
+        out: List[AGState] = []
+        source, binds, new = plan.source, plan._binds, tuple.__new__
         for nodes in itertools.product(*choices):
-            env = plan._bind(st.nodes, nodes, st.env) if binds else st.env
+            env = plan._bind(cur_nodes, nodes, st.env) if binds else st.env
             if env is None:
                 continue
             per_nfa = []
-            for j, (sel, sinks, cur, dsts, real) in enumerate(nfa_steps):
+            for one, sel, sinks, cur, real, memo in nfa_steps:
+                key = tuple([nodes[c] for c in sel]) if one is None \
+                    else nodes[one]
+                dsts = memo.get(key)
                 if dsts is None:
-                    nxt = tuple([nodes[c] for c in sel])
-                    dsts = dsts_memo.get((j, nxt))
-                    if dsts is None:
-                        # only a closing move may enter a state not live;
-                        # a stored step letter holds where its index says
-                        closing = nxt == sinks
-                        dsts = dsts_memo[j, nxt] = [
-                            dst for letter, dst, live, exact in real
-                            if (live or closing) and (
-                                nxt[0] in exact.get(cur[0], ())
-                                if exact is not None
-                                else eval_node_constraint(
-                                    plan.source, letter, cur, nxt))
-                        ]
+                    nxt = key if one is None else (key,)
+                    # only a closing move may enter a state not live;
+                    # a stored step letter holds where its index says
+                    closing = nxt == sinks
+                    dsts = memo[key] = [
+                        dst for letter, dst, live, exact in real
+                        if (live or closing) and (
+                            nxt[0] in exact.get(cur[0], ())
+                            if exact is not None
+                            else eval_node_constraint(
+                                source, letter, cur, nxt))
+                    ]
                 if not dsts:
                     break
                 per_nfa.append(dsts)
             else:
-                out.update(AGState(combo, nxt_pos, nodes, env)
-                           for combo in itertools.product(*per_nfa))
+                for combo in itertools.product(*per_nfa):
+                    out.append(new(AGState, (combo, nxt_pos, nodes, env)))
         # pos is the same for all and env follows from nodes
-        return sorted(out, key=itemgetter(2, 0))  # (nodes, nfa_states)
+        out.sort(key=itemgetter(2, 0))  # (nodes, nfa_states)
+        return out
 
     # -- weights --------------------------------------------------------------
 
-    def weight(self, st: AGState) -> Tuple[ExtInt, ...]:
-        """Per-constraint contribution of this state's node tuple.
+    def weight(self, st: AGState, sign: int = 0) -> Tuple[ExtInt, ...]:
+        """Per-constraint contribution of this state's node tuple, then,
+        for a sign of 1 or -1, the target's value times the sign.
 
         Plain ints add and multiply as ints; any other value takes the
         extended-integer rules, so opposite infinities raise and a huge
-        int next to an infinity never meets float arithmetic.
+        int next to an infinity never meets float arithmetic.  Each term
+        is read once: a target equal to a one-term row takes its value.
         """
+        plan, nodes = self.plan, st.nodes
         out = []
-        for terms in self.plan._arith:
+        for terms in plan._arith:
+            if len(terms) == 1:
+                coeff, _, read = terms[0]
+                v = read(nodes)
+                out.append(coeff * v if type(v) is int else ext_mul(coeff, v))
+                continue
             total: ExtInt = 0
             for coeff, _, read in terms:
-                v = read(st.nodes)
+                v = read(nodes)
                 if type(v) is int and type(total) is int:
                     total += coeff * v
                 else:
                     total = ext_add(total, ext_mul(coeff, v))
             out.append(total)
+        if sign:
+            row = plan._target_row
+            t = plan.target[1](nodes) if row is None else out[row]
+            out.append(t if sign == 1 else ext_mul(-1, t))
         return tuple(out)
 
     def extremum_weight(self, st: AGState) -> ExtInt:

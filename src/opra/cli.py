@@ -242,7 +242,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return handlers[args.command](args)
     except (OpraError, OSError, ValueError) as e:
-        # a ValueError is an argument the API rejects, such as bad bounds
+        # a ValueError is input the API rejects untyped, such as bad JSON
         if isinstance(e, OpraError):
             kind = type(e).__name__
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from .answer_graph import AnswerGraph
+from .errors import ValidationError
 from .graph import Graph
 from .ontology import ExtendedGraph, extend
 from .parser import parse
@@ -54,7 +55,7 @@ def build_answer_graph(g: Graph, q, cfg: Optional[SolveConfig] = None,
         if over is None:
             over = pra.match_paths
             if not over:
-                raise ValueError(
+                raise ValidationError(
                     "the query has no free path variable to aggregate over; "
                     "pass target_paths explicitly"
                 )

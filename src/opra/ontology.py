@@ -25,10 +25,11 @@ real nodes the configurations of each per-tuple search, and its closing
 step binds each lazy target to the node its path ends at.  It also does
 at least each per-tuple search's work, so where it finishes, none of
 those would have failed.  A term is solved per tuple, as before, where
-it has no lazy free variable, where `answer_table` gives no table (an
-extremum under derived bounds, whose pumping is per search, or an
-indicator under derived bounds with a non-monotone HAVING row, whose
-frontier need not die out), and where the set search raised an
+it has no lazy free variable, where no table applies (an extremum
+under derived bounds, whose pumping is per search, or an indicator
+under derived bounds with a non-monotone HAVING row, whose frontier
+need not die out; `solver.table_applies` decides this from the query,
+before a plan is built), and where the set search raised an
 `OpraError`: that failure is kept, so that the search is not run again,
 and each lookup then answers or fails alone.
 
@@ -64,6 +65,7 @@ from .query import (
 )
 from .solver import (
     AnswerTable, SolveConfig, answer_table, check_empty, extremum,
+    table_applies,
 )
 from .validate import ValidatedQuery, definition_heights
 
@@ -202,13 +204,17 @@ def _table(view: ExtendedGraph, term: Term, mode: Optional[str], target,
     key = (id(term), tuple(eager.values()))
     kept = view._tables.get(key)
     if kept is None:
-        try:
-            table = answer_table(
-                AnswerGraph(view, term.query, bound_nodes=eager,
-                            plans=view._plans, target=target),
-                mode, view.solve_config)
-        except OpraError:
-            table = None
+        table = None
+        # decided first, so that no plan is built for a table that none
+        # of the lookups reads
+        if table_applies(view, term.query, mode, view.solve_config):
+            try:
+                table = answer_table(
+                    AnswerGraph(view, term.query, bound_nodes=eager,
+                                plans=view._plans, target=target),
+                    mode, view.solve_config)
+            except OpraError:
+                pass
         kept = view._tables[key] = (term, table)
     return kept[1]
 

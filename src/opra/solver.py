@@ -34,7 +34,7 @@ extrema are not, since a better path beyond b1 is read as unbounded even
 where no cycle can lower the target.  On a 6-node path a -> ... -> f
 with `E` on each edge and `time` 1 on each node, MIN `time` from "a" to
 "f" reads -inf at bounds (2, 10) and (3, 10), and 6 at (6, 12) or with
-derived bounds (ROADMAP item 12).
+derived bounds (ROADMAP items 14 and 16).
 
 Derived bounds run into the thousands or to their cap, too far to walk
 an improving cycle up to them, so when neither bound is pinned the
@@ -89,9 +89,10 @@ from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .answer_graph import AGState, AnswerGraph
-from .errors import ResourceExceededError
+from .errors import ResourceExceededError, ValidationError
 from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul, is_finite
 from .graph import SINK, NodeId
+from .query import ArithTerm, PraQuery
 from .validate import check_extremum_mode
 
 logger = logging.getLogger(__name__)
@@ -162,7 +163,7 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
             b1 = min(b1, cfg.b2 // 2)  # as b2 = 2 * b1 when b2 is derived
     b2 = cfg.b2 if cfg.b2 is not None else 2 * b1
     if not 0 < b1 < b2:
-        raise ValueError("bounds must satisfy 0 < b1 < b2")
+        raise ValidationError("bounds must satisfy 0 < b1 < b2")
     return b1, b2
 
 
@@ -181,18 +182,17 @@ def _value_range(source, name: str) -> Tuple[ExtInt, ExtInt]:
     return min(values), max(values)
 
 
-def _monotone_components(ag: AnswerGraph) -> List[int]:
-    """The components whose per-state contribution is provably >= 0:
-    every term's least contribution is finite and >= 0 (all-sink
-    positions contribute 0, so 0 is always possible)."""
-    def least(coeff: int, name: str) -> ExtInt:
-        lo, hi = _value_range(ag.plan.source, name)
-        return ext_mul(coeff, lo if coeff >= 0 else hi)
+def _monotone_components(source, pra: PraQuery) -> List[int]:
+    """The HAVING rows of pra whose per-state contribution on source is
+    provably >= 0: every term's least contribution is finite and >= 0
+    (all-sink positions contribute 0, so 0 is always possible)."""
+    def least(t: ArithTerm) -> ExtInt:
+        lo, hi = _value_range(source, t.labelling)
+        return ext_mul(t.coeff, lo if t.coeff >= 0 else hi)
 
     out = []
-    for i, terms in enumerate(ag.plan._arith):
-        lows = (least(coeff, name) for coeff, name, _ in terms)
-        if all(is_finite(lo) and lo >= 0 for lo in lows):
+    for i, ac in enumerate(pra.arith_constraints):
+        if all(is_finite(lo) and lo >= 0 for lo in map(least, ac.terms)):
             out.append(i)
     return out
 
@@ -253,17 +253,13 @@ class _Search:
         self.stats = SolveStats() if stats is None else stats
         self.dom = _Dominance()
         self.parent: Dict[_Config, Optional[_Config]] = {}
-        self.monotone = _monotone_components(ag)
+        self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
         # (nfa_states, pos, nodes, env at ag.read_slots), or the state:
         # (env computed under, [(successor, weight vector)])
         self.memo: Dict[tuple, Tuple[tuple, List[Tuple[AGState, _Vec]]]] = {}
 
     def weight_vec(self, st: AGState) -> _Vec:
-        w = self.ag.weight(st)
-        if self.with_target:
-            t = self.ag.extremum_weight(st)
-            w = w + (t if self.sign == 1 else ext_mul(-1, t),)
-        return w
+        return self.ag.weight(st, self.sign if self.with_target else 0)
 
     def _expand(self, st: AGState, mkey: tuple):
         """st's successors with their weight vectors, each weighed when the
@@ -506,7 +502,8 @@ def extremum(ag: AnswerGraph, mode: str,
     its state and at least its constraint components is explored.
     """
     if ag.plan.target is None:
-        raise ValueError("answer graph was built without a target labelling")
+        raise ValidationError(
+            "answer graph was built without a target labelling")
     check_extremum_mode(mode)
     cfg = cfg or SolveConfig()
     b1, b2 = derive_bounds(ag, cfg)
@@ -542,6 +539,16 @@ class AnswerTable:
     stats: SolveStats
 
 
+def table_applies(source, pra: PraQuery, mode: Optional[str],
+                  cfg: SolveConfig) -> bool:
+    """Does `answer_table` give a table for pra on source?  Not under
+    derived bounds for an extremum, whose pump rule is per search, nor
+    for emptiness with a non-monotone HAVING row, whose frontier need
+    not die out.  Decided from the query, so no plan is built for it."""
+    return cfg.b1 is not None or cfg.b2 is not None or mode is None and \
+        len(_monotone_components(source, pra)) == len(pra.arith_constraints)
+
+
 def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
                  cfg: Optional[SolveConfig] = None) -> Optional[AnswerTable]:
     """Emptiness as 1 or 0 (mode None), or the `mode` extremum, for every
@@ -553,17 +560,13 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
     every bound; for an extremum, the best such value within b1, or the
     matching infinity once a better one is admitted beyond b1, or the
     empty-set value where there is none.  None where one search cannot
-    stand for the per-tuple ones: an extremum under derived bounds, whose
-    pump rule is per search, and emptiness under derived bounds with a
-    non-monotone HAVING row, whose frontier need not die out.
+    stand for the per-tuple ones (`table_applies`).
     """
     cfg = cfg or SolveConfig()
     if mode is not None:
         check_extremum_mode(mode)
     plan = ag.plan
-    if cfg.b1 is None and cfg.b2 is None and (
-            mode is not None
-            or len(_monotone_components(ag)) < len(plan.bounds)):
+    if not table_applies(plan.source, plan.pra, mode, cfg):
         return None
     b1, b2 = derive_bounds(ag, cfg)
     slots = [plan.env_vars.index(v) for v in plan.pra.match_nodes

@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import replace
+from operator import lt
 
 import pytest
 
@@ -193,7 +194,11 @@ def assert_successors_match_full_scan(sources, shapes):
                 for _ in range(3):
                     nxt = set()
                     for st in level:
-                        got = set(ag.successors(st))
+                        listed = ag.successors(st)
+                        # strictly increasing, so no successor repeats
+                        keys = [(x.nodes, x.nfa_states) for x in listed]
+                        assert all(map(lt, keys, keys[1:])), st
+                        got = set(listed)
                         want = full_scan_moves(ag, st)
                         dead = {
                             x for x in want if x.nodes != (SINK,) and any(

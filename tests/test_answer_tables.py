@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import opra.answer_graph
 import opra.ontology
 from opra.answer_graph import AnswerGraph
 from opra.corpus import CORPUS_CONFIG, QUERY_NAMES, load_query
@@ -100,6 +101,26 @@ def test_set_answers_equal_per_tuple_answers(fig2, monkeypatch):
     assert set(reach.values()) == {1} and len(reach) == 25
     values = {v for lookups in with_tables for v in lookups.values()}
     assert {0, 1, POS_INF} <= values
+
+
+def test_no_plan_is_built_for_a_table_that_does_not_apply(fig2, monkeypatch):
+    # path_lengths' extrema under derived bounds pump per search, so no
+    # table applies: the view decides that from the query and builds only
+    # the per-tuple plan, compiling its one regex once
+    compiled = []
+    compile_regex = opra.answer_graph.compile_regex
+
+    def counting(regex):
+        compiled.append(regex)
+        return compile_regex(regex)
+
+    monkeypatch.setattr(opra.answer_graph, "compile_regex", counting)
+    view = opra.ontology.extend(fig2, load_query("path_lengths", fig2),
+                                SolveConfig(visited_budget=20000))
+    for key in itertools.product(fig2.real_nodes, repeat=2):
+        view.label_value("_aux0", key)
+    assert len(compiled) == 1
+    assert len(view._plans) == 1
 
 
 def test_answer_table_is_the_per_tuple_rule():

@@ -211,6 +211,15 @@ def test_nfa_numbering_golden(shape):
             for s, real in enumerate(nfa.moves)] == moves
 
 
+def assert_distinct_destinations(nfa):
+    # a position automaton enters state q only on q's own letter, so the
+    # moves out of one state never share a destination: the product step
+    # relies on this to emit each successor once without a dedupe
+    for s, real in enumerate(nfa.moves):
+        dsts = [dst for _, dst, _ in real]
+        assert len(set(dsts)) == len(dsts), (s, dsts)
+
+
 def test_nfa_matches_language_semantics_randomized():
     # the compiled NFA and the inductive language definition must agree
     rng = random.Random(20260810)
@@ -221,6 +230,7 @@ def test_nfa_matches_language_semantics_randomized():
         regex = rand_regex(rng, k, ["w0"], depth=3)
         nfa = compile_regex(regex)
         assert len(nfa.moves) == 1 + occurrences(regex)
+        assert_distinct_destinations(nfa)
         reals = list(g.real_nodes)
         for _ in range(30):
             paths = [
@@ -264,6 +274,7 @@ def test_nfa_matches_language_semantics_epsilon_shapes():
         regex = rand_eps_regex(rng, k, depth=4)
         nfa = compile_regex(regex)
         assert len(nfa.moves) == 1 + occurrences(regex)
+        assert_distinct_destinations(nfa)
         reals = list(g.real_nodes)
         for _ in range(30):
             paths = [tuple(rng.choice(reals) for _ in range(rng.randint(0, 4)))

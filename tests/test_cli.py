@@ -297,7 +297,7 @@ def test_invalid_arguments_exit_2(capsys, fig2_path, qfile, argv, error):
     code, payload = run_cli(capsys, *argv, "--graph", fig2_path)
     assert code == 2
     assert payload == {"outcome": "error", "error": error,
-                       "kind": "ValueError"}
+                       "kind": "ValidationError"}
 
 
 @pytest.mark.parametrize("flag", [

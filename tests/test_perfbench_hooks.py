@@ -80,11 +80,15 @@ def test_route_fixed_round_keeps_its_search():
     # the expanded and enqueued counts of seed 1's route_fixed round pin
     # its search: memoised successors save successor calls, never a
     # configuration; the stored E letter is decided by its index, so the
-    # round evaluates 18 letters where testing each candidate made 5 253
+    # round evaluates 18 letters where testing each candidate made 5 253.
+    # The MIN target is the one-term HAVING row time[pi], whose value it
+    # takes, so each of the 5 235 weighed states makes one weight call
+    # (7 872 when the target was read again)
     tr = _traced_round("route_fixed")
     assert tr.count("solver.expanded") == 2801
     assert tr.count("solver.enqueued") == 2832
     assert tr.count("automata.letter_evals") <= 18
+    assert tr.count("answer_graph.weight_calls") <= 5235
 
 
 def test_route_free_round_keeps_its_search():

@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from opra.answer_graph import AnswerGraph
+import opra
+from opra.answer_graph import OMEGA, AGState, AnswerGraph
 from opra.embedding import WeightedAutomaton, build_automaton_graph, embed
 from opra.engine import engine_answers
 from opra.errors import (
     IndeterminateSumError, ResourceExceededError, ValidationError,
 )
-from opra.extint import NEG_INF, POS_INF
-from opra.graph import Graph, Labelling, aggregate
+from opra.extint import NEG_INF, POS_INF, ext_mul, ext_sum, is_finite
+from opra.graph import SINK, Graph, Labelling, aggregate
 from opra.oracle import (
     OracleConfig, brute_extremum, enumerate_answers, enumerate_satisfying,
     oracle_source, oracle_two_phase,
@@ -35,15 +36,14 @@ from gensupport import (
 )
 
 CFG = SolveConfig(b1=8, b2=16)
+ROUTE_SP_TEXT = (
+    "def route(p) = <E(@1, @1') = 1>* <T>\n"
+    'MATCH PATHS (pi) SUCH THAT "S" -pi-> "P" WHERE route(pi)'
+)
 
 
 def _route_sp(fig2, having=""):
-    text = (
-        "def route(p) = <E(@1, @1') = 1>* <T>\n"
-        'MATCH PATHS (pi) SUCH THAT "S" -pi-> "P" WHERE route(pi)'
-        + having
-    )
-    return validate(parse(text), fig2).query.query
+    return validate(parse(ROUTE_SP_TEXT + having), fig2).query.query
 
 
 def test_check_empty_sums_witness(fig2):
@@ -144,10 +144,98 @@ def test_default_bounds_shape(fig2):
     ag = AnswerGraph(fig2, pra)
     b1, b2 = derive_bounds(ag, SolveConfig())
     assert 0 < b1 < b2 == 2 * b1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         derive_bounds(ag, SolveConfig(b1=5, b2=5))
     # a pinned b2 alone halves into b1, as a derived b2 doubles b1
     assert derive_bounds(ag, SolveConfig(b2=40)) == (20, 40)
+
+
+@pytest.mark.parametrize("cfg", [
+    SolveConfig(b1=16, b2=8), SolveConfig(b1=0), SolveConfig(b2=1),
+])
+def test_invalid_bounds_are_a_validation_error(fig2, cfg):
+    # b1 = 0 alone derives b2 = 0, and b2 = 1 alone derives b1 = 0
+    text = ROUTE_SP_TEXT + "\nHAVING time[pi] <= 360"
+    with pytest.raises(ValidationError,
+                       match="^bounds must satisfy 0 < b1 < b2$"):
+        opra.evaluate(fig2, text, cfg)
+
+
+def test_invalid_solve_arguments_are_validation_errors(fig2):
+    with pytest.raises(ValidationError,
+                       match="^unknown target path variable 'nope'$"):
+        opra.evaluate_extremum(fig2, ROUTE_SP_TEXT, "time", MIN, CFG,
+                               target_paths=["nope"])
+    with pytest.raises(ValidationError, match="no free path variable"):
+        opra.evaluate_extremum(fig2, "MATCH NODES (s) SUCH THAT s -pi-> s "
+                               "WHERE <T>(pi)", "time", MIN, CFG)
+    with pytest.raises(ValidationError, match="without a target labelling"):
+        extremum(AnswerGraph(fig2, _route_sp(fig2)), MIN, CFG)
+
+
+def test_weight_vec_is_the_rows_then_the_target_read_alone():
+    # a state's weights read each term once, and a target equal to a
+    # one-term row with coefficient 1 takes that row's value: the search's
+    # vector must still be the rows' weights followed by the target read
+    # on its own and sign-normalised, infinities and raises included, and
+    # the rows' weights the sums of their terms read from the labellings
+    rng = random.Random(2310)
+    values = (-3, -1, 0, 2, 5, POS_INF, NEG_INF)
+    sels = (("pi",), ("rho",))
+    reused = covered = 0
+    for trial in range(200):
+        g = Graph(["a", "b", "c"], [
+            Labelling(name, 1, rng.choice(values),
+                      {(v,): rng.choice(values) for v in (1, 2, 3)
+                       if rng.random() < 0.7})
+            for name in ("u", "w")] + [
+            Labelling("e", 2, 0, {(u, v): rng.choice(values)
+                                  for u in (1, 2, 3) for v in (1, 2, 3)
+                                  if rng.random() < 0.5})])
+
+        def term(coeff):
+            if rng.random() < 0.2:
+                return ArithTerm(coeff, "e", ("pi", "rho"))
+            return ArithTerm(coeff, rng.choice("uw"), rng.choice(sels))
+
+        def read(t, st):
+            key = tuple(st.nodes[0 if v == "pi" else 1] for v in t.path_vars)
+            if set(key) == {SINK}:
+                return 0
+            return g.labellings[t.labelling].value(key)
+
+        rows = [ArithConstraint(tuple(
+                    term(rng.choice((1, 1, -1, 2, -3)))
+                    for _ in range(rng.randint(1, 3))), 0)
+                for _ in range(rng.randint(0, 3))]
+        target = term(1)
+        if trial % 2:
+            # the target as a one-term row, at a random place
+            rows.insert(rng.randint(0, len(rows)),
+                        ArithConstraint((target,), rng.randint(-5, 5)))
+        pra = PraQuery(match_paths=("pi", "rho"),
+                       arith_constraints=tuple(rows))
+        ag = AnswerGraph(g, pra,
+                         target=(target.labelling, target.path_vars))
+        reused += ag.plan._target_row is not None
+        for mode, sign in ((MIN, 1), (MAX, -1)):
+            search = _Search(ag, CFG, with_target=True, sign=sign)
+            for _ in range(5):
+                st = AGState((), OMEGA, tuple(rng.choice((SINK, 1, 2, 3))
+                                              for _ in range(2)), ())
+                try:
+                    sums = tuple(ext_sum(ext_mul(t.coeff, read(t, st))
+                                         for t in row.terms) for row in rows)
+                except IndeterminateSumError:
+                    for weigh in (ag.weight, search.weight_vec):
+                        with pytest.raises(IndeterminateSumError):
+                            weigh(st)
+                    continue
+                assert ag.weight(st) == sums, (rows, st)
+                want = sums + (ext_mul(sign, ag.extremum_weight(st)),)
+                assert search.weight_vec(st) == want, (mode, rows, st)
+                covered += not all(map(is_finite, want))
+    assert reused >= 100 and covered > 50
 
 
 def test_oracle_agreement_randomized():
