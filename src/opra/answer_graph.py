@@ -33,7 +33,13 @@ component that has terminated stays on the sink forever, a component may
 terminate only when its node satisfies its path-constraint targets, and
 every NFA must take an enabled transition while its own paths are
 alive, and keeps its state afterwards only if that state is final (the
-paper's terminal letter ⊥, here a rule).
+paper's terminal letter ⊥, here a rule).  So the move that ends an
+NFA's paths, the one whose selected next nodes are all the sink, enters
+only a final state: from any other, ⊥ leaves no run, and the state
+would have no successor and be no target.  Start states obey the same
+rule: one where an NFA's components all start on the sink is made only
+when state 0 is final.  No state is generated that has no way on for
+this reason (a trim product, one step deep).
 
 Path tuples decode from product paths by truncating each component at
 its first sink; with that convention a product path of length L covers
@@ -42,8 +48,9 @@ exactly the tuples whose longest component has length L.
 Where letters allow, successors come from labelling indexes rather than
 a scan of every node, under two rules that drop only states with no way
 on.  The closing-move rule: an NFA may move into a state with no
-real-letter move (not live) only when all its selected next nodes are
-the sink, because from there a real node could never take another step.
+real-letter move (not live) only on the move that ends its paths, and
+then only into a final state, because from there a real node could
+never take another step.
 Candidate narrowing: for an NFA whose selector is one component at a
 real node u, every real next node must pass a letter into a live state;
 when each such letter reads `L(@1, @1') = c` or `L(@1', @1) = c` (or
@@ -59,16 +66,18 @@ move table (`Nfa.moves` with the targets): a stored step letter by
 membership in its targets, which are exact, sink included, and any other
 letter by evaluation.
 
-A step pays for the states it returns: an NFA whose paths have all
-ended in a state that is not final gives no successor at once, each NFA
-memoises its destinations per next node (or next-node tuple) for the
-call, and the states are sorted in one list with no dedupe, as none can
-repeat (`successors`).
+A step pays for the states it returns: a state handed in from outside
+in which an NFA whose paths have all ended sits in a state that is not
+final gives no successor at once, each NFA memoises its destinations
+per next node (or next-node tuple) for the call, and the states are
+sorted in one list with no dedupe, as none can repeat (`successors`).
 
-Weights read stored labellings straight from their entries and add
-plain ints as ints, other values by the extended rules.  A row of one
-term skips the sum, and a target that is such a row with coefficient 1
-takes its value, so a state reads each term once.
+Weights read stored labellings straight from their entries, a unary
+one with a default of 0 in one lookup (no key with the sink is stored,
+so the sink reads 0 unchecked), and add plain ints as ints, other
+values by the extended rules.  A row of one term skips the sum, and a
+target that is such a row with coefficient 1 takes its value, so a
+state reads each term once.
 
 A `Plan` holds what depends only on the source, the query, the names
 of the bound variables and the target: variable and slot orders, lazy
@@ -278,21 +287,29 @@ class Plan:
     def _reader(self, name: str, sel: Tuple[int, ...]):
         """`name` at the nodes `sel` picks from a node tuple; 0 when all
         are the sink, as a positionwise sum stops at its longest path.
-        Only a stored labelling of the right arity is read directly."""
+        Only a stored labelling of the right arity is read directly, from
+        its live entries.  No key with the sink is stored, so one
+        component over a default of 0 is one lookup, unchecked."""
         source, sinks = self.source, (SINK,) * len(sel)
         lab = source.labellings.get(name)
-        if lab is not None and lab.arity != len(sel):
-            lab = None  # the source raises for it
+        if lab is None or lab.arity != len(sel):
+            # the source evaluates it, or raises for a wrong arity
+            def read(nodes: Tuple[NodeId, ...]) -> ExtInt:
+                key = tuple([nodes[c] for c in sel])
+                return 0 if key == sinks else source.label_value(name, key)
+            return read
+        default, get = lab.default, lab.entries.get
+        if len(sel) == 1:
+            (c,) = sel
+            if default == 0:
+                return lambda nodes: get((nodes[c],), 0)
+            return lambda nodes: 0 if nodes[c] == SINK \
+                else get((nodes[c],), default)
 
-        def read(nodes: Tuple[NodeId, ...]) -> ExtInt:
+        def read_sel(nodes: Tuple[NodeId, ...]) -> ExtInt:
             key = tuple([nodes[c] for c in sel])
-            if key == sinks:
-                return 0
-            if lab is None:
-                return source.label_value(name, key)
-            return lab.entries.get(key, lab.default)
-
-        return read
+            return 0 if key == sinks else get(key, default)
+        return read_sel
 
     def _endpoints_ok(self, i: int, p: Tuple[NodeId, ...],
                       env: Tuple[NodeId, ...]) -> bool:
@@ -372,6 +389,10 @@ class AnswerGraph:
     def start_states(self):
         plan = self.plan
         initials = (0,) * len(plan.nfas)
+        # the selections of NFAs whose state 0 is not final: a start state
+        # where one of them has all its components on the sink is dead
+        ended = [sel for final, _, sel, _, _ in plan._steps
+                 if 0 not in final]
         for env in itertools.product(*self._domains):
             choices: List[Tuple[NodeId, ...]] = []
             for i in range(plan.k):
@@ -389,7 +410,9 @@ class AnswerGraph:
                     choices.append(plan._reals + (SINK,))
             else:
                 for nodes in itertools.product(*choices):
-                    yield AGState(initials, self.start_pos, nodes, env)
+                    if not any(all(nodes[c] == SINK for c in sel)
+                               for sel in ended):
+                        yield AGState(initials, self.start_pos, nodes, env)
 
     def is_target(self, st: AGState) -> bool:
         return st.pos == OMEGA and st.nodes == self.plan._sinks and all(
@@ -412,11 +435,13 @@ class AnswerGraph:
             memo: Dict[object, List[int]] = {}
             if cur == sinks:
                 # its paths have all ended and stay on the sink: it keeps
-                # a final state, and from any other there is no successor
+                # a final state, and from any other, which only a state
+                # handed in from outside can hold, there is no successor
                 if state not in final:
                     return []
                 memo[sinks if one is None else SINK] = [state]
-            nfa_steps.append((one, sel, sinks, cur, table[state][0], memo))
+            nfa_steps.append((final, one, sel, sinks, cur, table[state][0],
+                              memo))
 
         nxt_pos = st.pos + 1 if st.pos != OMEGA and st.pos < self.N \
             else OMEGA
@@ -458,18 +483,19 @@ class AnswerGraph:
             if env is None:
                 continue
             per_nfa = []
-            for one, sel, sinks, cur, real, memo in nfa_steps:
+            for final, one, sel, sinks, cur, real, memo in nfa_steps:
                 key = tuple([nodes[c] for c in sel]) if one is None \
                     else nodes[one]
                 dsts = memo.get(key)
                 if dsts is None:
                     nxt = key if one is None else (key,)
-                    # only a closing move may enter a state not live;
-                    # a stored step letter holds where its index says
+                    # the move that ends the NFA's paths enters only a
+                    # final state, any other only a live one; a stored
+                    # step letter holds where its index says
                     closing = nxt == sinks
                     dsts = memo[key] = [
                         dst for letter, dst, live, exact in real
-                        if (live or closing) and (
+                        if (dst in final if closing else live) and (
                             nxt[0] in exact.get(cur[0], ())
                             if exact is not None
                             else eval_node_constraint(

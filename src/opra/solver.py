@@ -79,6 +79,13 @@ another env each successor's env is rebuilt by `Plan._bind`; weights
 read nodes only.  The order, (nodes, nfa_states), does not involve the
 env, so generation order, dominance outcomes and witnesses stay the
 same.  The memo belongs to the search object and dies with it.
+
+A configuration admitted costs one probe of the dominance store, keyed
+by the product state alone when no prefixes are tracked, and its list
+updated in place.  Weights read nodes only, so a search weighs each
+node tuple once.  A configuration carries the one it was generated
+from, so a witness and a pump's ancestors are read back along that
+chain, and no map from configurations is kept.
 """
 
 from __future__ import annotations
@@ -103,16 +110,35 @@ _STATE_CAP = 10_000  # cap on the product-size estimate in derived bounds
 
 _Prefixes = Tuple[Tuple[NodeId, ...], ...]
 _Vec = Tuple[ExtInt, ...]
-_Config = Tuple[AGState, _Prefixes, _Vec]
+# (state, prefixes, acc, parent): the configuration it was generated
+# from, None for a start configuration
+_Config = Tuple[AGState, _Prefixes, _Vec, Optional[tuple]]
 # the stored vectors an admitted configuration replaced, None if refused
 _Admitted = Optional[Sequence[_Vec]]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class SolveConfig:
+    """Search limits.  A pinned bound is an int (`derive_bounds` checks
+    0 < b1 < b2), and the budget an int >= 1; anything else raises
+    `ValidationError` here."""
     b1: Optional[int] = None          # short-path bound (phase 1)
     b2: Optional[int] = None          # witness bound (phase 2), b1 < b2
     visited_budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        for name in ("b1", "b2"):
+            v = getattr(self, name)
+            if v is not None and not _is_int(v):
+                raise ValidationError(f"bound {name} must be an int, "
+                                      f"not {v!r}")
+        if not _is_int(self.visited_budget) or self.visited_budget < 1:
+            raise ValidationError("visited budget must be an int >= 1, "
+                                  f"not {self.visited_budget!r}")
 
 
 @dataclass
@@ -198,19 +224,19 @@ def _monotone_components(source, pra: PraQuery) -> List[int]:
 
 
 class _Dominance:
-    """Antichains of componentwise-minimal weight vectors, one per
-    (state, prefixes) pair."""
+    """Antichains of componentwise-minimal weight vectors, one per key:
+    the product state, or (state, prefixes) where prefixes are tracked.
+    A key's list is updated in place, so an admit hashes its key once."""
 
     def __init__(self):
-        self.store: Dict[Tuple[AGState, _Prefixes], List[_Vec]] = {}
+        self.store: Dict[object, List[_Vec]] = {}
 
-    def admit(self, state: Tuple[AGState, _Prefixes],
-              acc: _Vec) -> _Admitted:
-        """None when a stored vector of state is <= acc.  Otherwise store
+    def admit(self, key, acc: _Vec) -> _Admitted:
+        """None when a stored vector of key is <= acc.  Otherwise store
         acc and return the stored vectors it replaced, those >= acc."""
-        vecs = self.store.get(state)
-        if vecs is None:
-            self.store[state] = [acc]
+        new = [acc]
+        vecs = self.store.setdefault(key, new)
+        if vecs is new:
             return ()
         kept, replaced = [], []
         for v in vecs:
@@ -218,7 +244,7 @@ class _Dominance:
                 return None
             (replaced if _le(acc, v) else kept).append(v)
         kept.append(acc)
-        self.store[state] = kept
+        vecs[:] = kept
         return replaced
 
 
@@ -230,12 +256,16 @@ def _le(u: Sequence[ExtInt], v: Sequence[ExtInt]) -> bool:
 
 
 class _Search:
-    """Breadth-first search over configurations (state, prefixes, acc).
+    """Breadth-first search over configurations (state, prefixes, acc,
+    parent).
 
     `prefixes` holds, per tracked path component, the nodes it has
     walked so far (bound components report their whole input path); it
     stays () when nothing is tracked.  Dominance compares configurations
-    with the same state and the same prefixes.
+    with the same state and the same prefixes.  `parent` is the
+    configuration it was generated from, None at a start.  `weight_vec`
+    keeps each node tuple's vector for the search's lifetime; a read that
+    raises keeps nothing, and raises again when repeated.
     """
 
     unbounded = False  # set by a search that recognises an unbounded value
@@ -252,14 +282,18 @@ class _Search:
         self.tracked = tuple(tracked)
         self.stats = SolveStats() if stats is None else stats
         self.dom = _Dominance()
-        self.parent: Dict[_Config, Optional[_Config]] = {}
         self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
+        self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
         # (nfa_states, pos, nodes, env at ag.read_slots), or the state:
         # (env computed under, [(successor, weight vector)])
         self.memo: Dict[tuple, Tuple[tuple, List[Tuple[AGState, _Vec]]]] = {}
 
     def weight_vec(self, st: AGState) -> _Vec:
-        return self.ag.weight(st, self.sign if self.with_target else 0)
+        w = self.weights.get(st.nodes)
+        if w is None:
+            w = self.weights[st.nodes] = self.ag.weight(
+                st, self.sign if self.with_target else 0)
+        return w
 
     def _expand(self, st: AGState, mkey: tuple):
         """st's successors with their weight vectors, each weighed when the
@@ -283,12 +317,6 @@ class _Search:
         return [(AGState(*s[:3], bind(st.nodes, s.nodes, st.env)), w)
                 for s, w in hit[1]]
 
-    def prune_monotone(self, acc: _Vec) -> bool:
-        for i in self.monotone:
-            if acc[i] > self.bounds[i]:
-                return True
-        return False
-
     def prefixes(self, st: AGState, prev: _Prefixes) -> _Prefixes:
         out = []
         for slot, i in enumerate(self.tracked):
@@ -304,15 +332,17 @@ class _Search:
         """Is the configuration a target within every bound?"""
         return self.ag.is_target(key[0]) and _le(key[2], self.bounds)
 
-    def _admit(self, key: _Config, parent: Optional[_Config]) -> _Admitted:
+    def _admit(self, key: _Config) -> _Admitted:
         """The vectors key replaced in the dominance store, or None when
-        it is not admitted."""
-        st, pre, acc = key
-        if self.prune_monotone(acc):
-            return None
-        replaced = self.dom.admit((st, pre), acc)
+        it is not admitted: it is above the bound of a monotone row, or
+        dominated."""
+        st, pre, acc, _ = key
+        bounds = self.bounds
+        for i in self.monotone:
+            if acc[i] > bounds[i]:
+                return None
+        replaced = self.dom.admit((st, pre) if self.tracked else st, acc)
         if replaced is not None:
-            self.parent[key] = parent
             self.stats.enqueued += 1
         return replaced
 
@@ -331,18 +361,18 @@ class _Search:
         trace = logger.isEnabledFor(logging.DEBUG)
         if _starts is None:
             empty = tuple(() for _ in tracked)
-            _starts = ((st, self.prefixes(st, empty), self.weight_vec(st))
-                       for st in self.ag.start_states())
+            _starts = ((st, self.prefixes(st, empty), self.weight_vec(st),
+                        None) for st in self.ag.start_states())
         level = []
         for key in _starts:
-            if admit(key, None) is not None:
+            if admit(key) is not None:
                 level.append(key)
                 yield 0, key
         depth = 0
         while level and depth < max_depth:
             nxt = []
             for conf in level:
-                st, pre, acc = conf
+                st, pre, acc, _ = conf
                 stats.expanded += 1
                 if stats.enqueued > budget:
                     raise ResourceExceededError(
@@ -370,8 +400,8 @@ class _Search:
                         for a, b in zip(acc, w)
                     ])
                     pre2 = self.prefixes(succ, pre) if tracked else ()
-                    key = (succ, pre2, acc2)
-                    if admit(key, conf) is not None:
+                    key = (succ, pre2, acc2, conf)
+                    if admit(key) is not None:
                         nxt.append(key)
                         yield depth + 1, key
             depth += 1
@@ -381,7 +411,7 @@ class _Search:
         chain = []
         while key is not None:
             chain.append(key[0])
-            key = self.parent[key]
+            key = key[3]
         chain.reverse()
         return self.ag.decode(chain)
 
@@ -403,30 +433,30 @@ class _Completion(_Search):
     normalisation is not entered: a path through it has value +inf
     however often the cycle is pumped."""
 
-    def _admit(self, key: _Config, parent: Optional[_Config]) -> _Admitted:
+    def _admit(self, key: _Config) -> _Admitted:
         if ext_mul(self.sign, self.ag.extremum_weight(key[0])) == POS_INF:
             return None
-        return super()._admit(key, parent)
+        return super()._admit(key)
 
 
 class _PumpSearch(_Search):
     """The extremum search under derived bounds: the pump and dead-key
-    rules of the module docstring on top of dominance."""
+    rules of the module docstring on top of dominance.  It tracks no
+    prefixes, so a dead key is a product state."""
 
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int,
                  b2: int):
         super().__init__(ag, cfg, with_target=True, sign=sign)
         self.b2 = b2
-        self.dead: Dict[Tuple[AGState, _Prefixes], List[_Vec]] = {}
+        self.dead: Dict[AGState, List[_Vec]] = {}
 
     def _dead(self, key: _Config) -> bool:
-        st, pre, acc = key
-        return any(_le(d, acc) for d in self.dead.get((st, pre), ()))
+        return any(_le(d, key[2]) for d in self.dead.get(key[0], ()))
 
-    def _admit(self, key: _Config, parent: Optional[_Config]) -> _Admitted:
+    def _admit(self, key: _Config) -> _Admitted:
         if self._dead(key):
             return None
-        replaced = super()._admit(key, parent)
+        replaced = super()._admit(key)
         # acc replaced a stored vector with a higher target
         if replaced and any(key[2][-1] < v[-1] for v in replaced):
             self.unbounded = self._pumps(key)
@@ -436,29 +466,28 @@ class _PumpSearch(_Search):
         """Does an ancestor c1 of c2 close a pumpable cycle with a
         completion?  Each c1 searched from without one becomes a dead
         key."""
-        st, pre, a2 = c2
+        st, _, a2, key = c2
         # an infinite component stays infinite along a path, so a finite
         # a2 has finite ancestors
         if not all(is_finite(x) for x in a2):
             return False
         chain = []
-        key = self.parent[c2]
         while key is not None:
             chain.append(key)
-            key = self.parent[key]
+            key = key[3]
         for i, c1 in enumerate(chain):
-            st1, pre1, a1 = c1
+            st1, pre, a1, _ = c1
             # an ancestor a dead key covers is not searched from again
-            if st1 != st or pre1 != pre or not a2[-1] < a1[-1] \
+            if st1 != st or not a2[-1] < a1[-1] \
                     or not _le(a2, a1) or self._dead(c1):
                 continue
-            start = (st, pre, a1[:-1])
+            start = (st, pre, a1[:-1], None)
             depth = len(chain) - 1 - i
             comp = _Completion(self.ag, self.cfg, sign=self.sign,
                                stats=self.stats)
             if _first_target(comp, self.b2 - depth, [start]) is not None:
                 return True
-            self.dead.setdefault((st, pre), []).append(start[2])
+            self.dead.setdefault(st, []).append(start[2])
         return False
 
 
@@ -601,8 +630,11 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
     carries each free path's prefix in its configurations, so dominance
     and monotone pruning apply as for emptiness without losing an answer:
     configurations with the same state and prefixes have the same
-    completions and decode to the same answers.
+    completions and decode to the same answers.  A max_len that is not
+    an int >= 0 raises `ValidationError`.
     """
+    if not _is_int(max_len) or max_len < 0:
+        raise ValidationError(f"max_len must be an int >= 0, not {max_len!r}")
     cfg = cfg or SolveConfig()
     plan = ag.plan
     n_free_nodes = len(plan.pra.match_nodes)

@@ -178,7 +178,8 @@ def full_scan_moves(ag, st):
 def assert_successors_match_full_scan(sources, shapes):
     # index narrowing and the closing-move rule drop exactly the states
     # where a real node sits in an NFA state without real-letter moves,
-    # which have no successors: every other full-scan move is kept
+    # or the sink in a state that is not final, which have no successors
+    # and are no targets: every other full-scan move is kept
     def closed(letter):
         return Concat(Star(Letter(letter)), Letter(TRUE_CONSTRAINT))
 
@@ -201,12 +202,15 @@ def assert_successors_match_full_scan(sources, shapes):
                         got = set(listed)
                         want = full_scan_moves(ag, st)
                         dead = {
-                            x for x in want if x.nodes != (SINK,) and any(
-                                not nfa.moves[x.nfa_states[j]]
+                            x for x in want if any(
+                                x.nfa_states[j] not in nfa.final
+                                if x.nodes == (SINK,)
+                                else not nfa.moves[x.nfa_states[j]]
                                 for j, (nfa, _) in enumerate(ag.plan.nfas))
                         }
                         assert got == want - dead, (a.text(), st)
                         assert not any(ag.successors(x) for x in dead)
+                        assert not any(map(ag.is_target, dead))
                         nxt |= got
                     level = nxt
 
@@ -477,6 +481,36 @@ def test_weight_vector(fig2, node):
 
     sink_state = AGState(start.nfa_states, OMEGA, (SINK,), start.env)
     assert ag.weight(sink_state) == (0,)
+
+
+def test_readers_match_label_value():
+    # a reader of a stored labelling reads its entries directly, a unary
+    # one over a default of 0 in one lookup; it must read what the
+    # source's label_value reads on every node tuple but the all-sink
+    # one, defaults of every kind included, and 0 there, as must a
+    # defined labelling's reader
+    rng = random.Random(24)
+    values = (-2, 0, 3, POS_INF, NEG_INF)
+    for _ in range(10):
+        g = Graph(["a", "b", "c"], [
+            Labelling(name, arity, rng.choice(values), {
+                key: rng.choice(values)
+                for key in itertools.product((1, 2, 3), repeat=arity)
+                if rng.random() < 0.6})
+            for name, arity in (("u", 1), ("e", 2))])
+        view = extend(g, [OntologyEntry("d", ("x",), LabelTerm("u", ("x",)))])
+        plan = AnswerGraph(view, PraQuery(regular_constraints=(
+            RegularConstraint(Letter(TRUE_CONSTRAINT), ("pi", "rho")),
+        ))).plan
+        nodes = (SINK, 1, 2, 3)
+        for name, sel in (("u", (0,)), ("u", (1,)), ("d", (1,)),
+                          ("e", (0, 1)), ("e", (1, 0))):
+            read = plan._reader(name, sel)
+            for tup in itertools.product(nodes, repeat=2):
+                key = tuple(tup[c] for c in sel)
+                want = 0 if set(key) == {SINK} \
+                    else view.label_value(name, key)
+                assert read(tup) == want, (name, sel, tup)
 
 
 def test_weight_normalized_inequality(fig2, node):

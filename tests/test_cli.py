@@ -300,6 +300,18 @@ def test_invalid_arguments_exit_2(capsys, fig2_path, qfile, argv, error):
                        "kind": "ValidationError"}
 
 
+@pytest.mark.parametrize("budget", ["-3", "0"])
+def test_invalid_visited_budget_exit_2(capsys, fig2_path, qfile, budget):
+    code, payload = run_cli(
+        capsys, "eval", "--graph", fig2_path, "--query", qfile("q_route_sp"),
+        "--visited-budget", budget,
+    )
+    assert code == 2
+    assert payload == {
+        "outcome": "error", "kind": "ValidationError",
+        "error": f"visited budget must be an int >= 1, not {budget}"}
+
+
 @pytest.mark.parametrize("flag", [
     ["--trace"], ["--bound-b1", "8"], ["--bound-b2", "16"],
     ["--visited-budget", "10"], ["--json"],

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -159,6 +160,29 @@ def test_invalid_bounds_are_a_validation_error(fig2, cfg):
     with pytest.raises(ValidationError,
                        match="^bounds must satisfy 0 < b1 < b2$"):
         opra.evaluate(fig2, text, cfg)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"visited_budget": -3}, "visited budget must be an int >= 1, not -3"),
+    ({"visited_budget": 0}, "visited budget must be an int >= 1, not 0"),
+    ({"visited_budget": None},
+     "visited budget must be an int >= 1, not None"),
+    ({"visited_budget": True},
+     "visited budget must be an int >= 1, not True"),
+    ({"b1": 2.5, "b2": 10}, "bound b1 must be an int, not 2.5"),
+    ({"b1": True, "b2": 10}, "bound b1 must be an int, not True"),
+    ({"b2": "16"}, "bound b2 must be an int, not '16'"),
+])
+def test_invalid_search_limits_are_validation_errors(kwargs, error):
+    with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+        SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize("max_len", [-1, 1.5, True])
+def test_invalid_max_len_is_a_validation_error(fig2, max_len):
+    with pytest.raises(ValidationError, match="^max_len must be an int >= 0"):
+        engine_answers(fig2, ROUTE_SP_TEXT, max_len=max_len, cfg=CFG)
+    assert engine_answers(fig2, ROUTE_SP_TEXT, max_len=0, cfg=CFG) == set()
 
 
 def test_invalid_solve_arguments_are_validation_errors(fig2):
@@ -616,21 +640,21 @@ def _run_extremum(g, mode: str, having: str = "", target: str = "weight",
 @pytest.mark.parametrize("mode, states, transitions, want, expanded", [
     # a -1 loop on q0 before the step into q1
     (MIN, ("q0", "q1"), (("q0", "a", -1, "q0"), ("q0", "a", 0, "q1")),
-     NEG_INF, 50),
+     NEG_INF, 37),
     (MAX, ("q0", "q1"), (("q0", "a", 1, "q0"), ("q0", "b", 0, "q1")),
-     POS_INF, 50),
+     POS_INF, 37),
     # the loop, plus 0-weight detours through q1 and q2 that widen every
     # level after the first
     (MIN, ("q0", "q1", "q2", "q3"), (
         ("q0", "a", -1, "q0"), ("q0", "b", 0, "q1"), ("q1", "a", 0, "q1"),
         ("q1", "b", 1, "q2"), ("q2", "a", 0, "q2"), ("q2", "b", 0, "q3"),
-        ("q0", "a", 0, "q3")), NEG_INF, 108),
+        ("q0", "a", 0, "q3")), NEG_INF, 95),
 ])
 def test_pinned_bounds_stop_at_the_first_better_long_path(
         mode, states, transitions, want, expanded):
     # the two-bound rule returns at the first configuration beyond b1 that
     # beats the best short one, before the rest of depth b1 is expanded:
-    # building that whole level first takes 51, 51 and 114 expansions
+    # building that whole level first takes 38, 38 and 101 expansions
     g = _automaton(states, transitions)
     pra = validate(parse(RUN_QUERY), g).query.query
     ag = AnswerGraph(g, pra, target=("weight", ("pi",)))
@@ -752,3 +776,44 @@ def test_derived_bounds_match_bellman_ford_on_random_automata():
             want = reference.automaton_extremum(
                 wa.initial, wa.final, wa.transitions, mode)
             assert got == want, f"trial {trial} {mode}: {wa}"
+
+
+def test_searches_admit_no_dead_state(monkeypatch):
+    # a state in which an NFA's components are all on the sink while its
+    # state is not final has no successor and is no target, so no search
+    # admits one, start states included: random instances under pinned
+    # bounds (emptiness, both extrema, answer sets) and automaton graphs
+    # under derived bounds, pumping and completion searches included
+    admitted = []
+    admit = _Search._admit
+
+    def spy(self, key):
+        got = admit(self, key)
+        if got is not None:
+            admitted.append((self.ag.plan.nfas, key[0]))
+        return got
+
+    monkeypatch.setattr(_Search, "_admit", spy)
+    rng = random.Random(2024)
+    cfg = SolveConfig(b1=4, b2=8, visited_budget=200_000)
+    for _ in range(12):
+        g, q = rand_instance(rng, max_len=8, joint_budget=20_000,
+                             free_path_p=0.5, max_nodes=4, n_unary=1)
+        pra = validate(q, g).query.query
+        check_empty(AnswerGraph(g, pra), cfg=cfg)
+        search_answers(AnswerGraph(g, pra), 8, cfg)
+        target_var = pra.regular_constraints[0].path_vars[0]
+        ag = AnswerGraph(g, pra, target=("w0", (target_var,)))
+        for mode in (MIN, MAX):
+            extremum(ag, mode, cfg=cfg)
+    for _ in range(12):
+        g = build_automaton_graph(rand_automaton(rng))
+        for mode in (MIN, MAX):
+            _run_extremum(g, mode, budget=5_000)
+    ended = 0
+    for nfas, st in admitted:
+        for j, (nfa, sel) in enumerate(nfas):
+            if all(st.nodes[c] == SINK for c in sel):
+                assert st.nfa_states[j] in nfa.final, st
+                ended += 1
+    assert len(admitted) > 1_500 and ended > 500
