@@ -76,8 +76,9 @@ Weights read stored labellings straight from their entries, a unary
 one with a default of 0 in one lookup (no key with the sink is stored,
 so the sink reads 0 unchecked), and add plain ints as ints, other
 values by the extended rules.  A row of one term skips the sum, and a
-target that is such a row with coefficient 1 takes its value, so a
-state reads each term once.
+target that is such a row with coefficient 1 reads it, so a state
+reads each term once: a MIN target is that row's column, with no column
+of its own, and a MAX target negates its value.
 
 A `Plan` holds what depends only on the source, the query, the names
 of the bound variables and the target: variable and slot orders, lazy
@@ -283,6 +284,18 @@ class Plan:
 
         self._reals = reals
         self._sinks = (SINK,) * self.k
+
+    def layout(self, sign: int) -> Tuple[int, Optional[int]]:
+        """(length, target column) of a weight vector under `sign`: the
+        HAVING rows, then for a sign of 1 or -1 the sign-normalised
+        target, and no target for 0.  A MIN target that is a HAVING row
+        alone is that row's column and adds none, the two being one sum."""
+        n = len(self._arith)
+        if not sign:
+            return n, None
+        if sign == 1 and self._target_row is not None:
+            return n, self._target_row
+        return n + 1, n
 
     def _reader(self, name: str, sel: Tuple[int, ...]):
         """`name` at the nodes `sel` picks from a node tuple; 0 when all
@@ -515,12 +528,15 @@ class AnswerGraph:
 
     def weight(self, st: AGState, sign: int = 0) -> Tuple[ExtInt, ...]:
         """Per-constraint contribution of this state's node tuple, then,
-        for a sign of 1 or -1, the target's value times the sign.
+        for a sign of 1 or -1, the target's value times the sign.  For
+        MIN (sign 1) with a HAVING row that is the target alone, that row
+        is the target's column and none is added (`Plan.layout`).
 
         Plain ints add and multiply as ints; any other value takes the
         extended-integer rules, so opposite infinities raise and a huge
         int next to an infinity never meets float arithmetic.  Each term
-        is read once: a target equal to a one-term row takes its value.
+        is read once: a MAX target equal to a one-term row negates its
+        value.
         """
         plan, nodes = self.plan, st.nodes
         out = []
@@ -538,7 +554,7 @@ class AnswerGraph:
                 else:
                     total = ext_add(total, ext_mul(coeff, v))
             out.append(total)
-        if sign:
+        if len(out) < plan.layout(sign)[0]:
             row = plan._target_row
             t = plan.target[1](nodes) if row is None else out[row]
             out.append(t if sign == 1 else ext_mul(-1, t))

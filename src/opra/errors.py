@@ -7,6 +7,8 @@ pipeline stages: loading, parsing, validation, evaluation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class OpraError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,6 +47,16 @@ class QuerySyntaxError(OpraError):
 
 class ValidationError(OpraError):
     """Base class for semantic errors found before evaluation."""
+
+
+def check_int(what: str, value, least: Optional[int] = None) -> None:
+    """Raise `ValidationError` unless value is an int, not a bool, and
+    >= least where least is given."""
+    if isinstance(value, int) and not isinstance(value, bool) \
+            and (least is None or value >= least):
+        return
+    at_least = "" if least is None else f" >= {least}"
+    raise ValidationError(f"{what} must be an int{at_least}, not {value!r}")
 
 
 class UnknownLabellingError(ValidationError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .automata import Nfa, compile_regex, eval_node_constraint, step
-from .errors import EnumerationCapExceededError
+from .errors import EnumerationCapExceededError, check_int
 from .extint import (
     NEG_INF, POS_INF, ExtInt, eval_fundamental, ext_add, ext_mul,
 )
@@ -44,8 +44,14 @@ from .validate import (
 
 @dataclass
 class OracleConfig:
+    """Enumeration limits: a max_path_len that is not an int >= 0, or a
+    max_paths that is not an int >= 1, raises `ValidationError` here."""
     max_path_len: int = 6
     max_paths: int = 2_000_000  # cap on visited enumeration-tree nodes
+
+    def __post_init__(self):
+        check_int("max_path_len", self.max_path_len, 0)
+        check_int("max_paths", self.max_paths, 1)
 
 
 # -- direct regex-language membership (independent of the NFA) -----------------

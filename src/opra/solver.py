@@ -81,22 +81,28 @@ env, so generation order, dominance outcomes and witnesses stay the
 same.  The memo belongs to the search object and dies with it.
 
 A configuration admitted costs one probe of the dominance store, keyed
-by the product state alone when no prefixes are tracked, and its list
-updated in place.  Weights read nodes only, so a search weighs each
-node tuple once.  A configuration carries the one it was generated
-from, so a witness and a pump's ancestors are read back along that
-chain, and no map from configurations is kept.
+by the product state alone when no prefixes are tracked.  The store is
+shaped by the length of the search's weight vectors (`_Dominance`): one
+minimum per key for one, a staircase decided by one bisect for two, and
+a list otherwise.  A MIN target that is a HAVING row alone is read from
+that row, with no column of its own (`Plan.layout`): the vectors (t, t)
+and (t', t') it would give compare as t and t' do, so dominance
+outcomes are the same with one component fewer.  Weights read nodes
+only, so a search weighs each node tuple once.  A configuration carries
+the one it was generated from, so a witness and a pump's ancestors are
+read back along that chain, and no map from configurations is kept.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .answer_graph import AGState, AnswerGraph
-from .errors import ResourceExceededError, ValidationError
+from .errors import ResourceExceededError, ValidationError, check_int
 from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul, is_finite
 from .graph import SINK, NodeId
 from .query import ArithTerm, PraQuery
@@ -117,10 +123,6 @@ _Config = Tuple[AGState, _Prefixes, _Vec, Optional[tuple]]
 _Admitted = Optional[Sequence[_Vec]]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass
 class SolveConfig:
     """Search limits.  A pinned bound is an int (`derive_bounds` checks
@@ -133,12 +135,9 @@ class SolveConfig:
     def __post_init__(self):
         for name in ("b1", "b2"):
             v = getattr(self, name)
-            if v is not None and not _is_int(v):
-                raise ValidationError(f"bound {name} must be an int, "
-                                      f"not {v!r}")
-        if not _is_int(self.visited_budget) or self.visited_budget < 1:
-            raise ValidationError("visited budget must be an int >= 1, "
-                                  f"not {self.visited_budget!r}")
+            if v is not None:
+                check_int(f"bound {name}", v)
+        check_int("visited budget", self.visited_budget, 1)
 
 
 @dataclass
@@ -226,14 +225,70 @@ def _monotone_components(source, pra: PraQuery) -> List[int]:
 class _Dominance:
     """Antichains of componentwise-minimal weight vectors, one per key:
     the product state, or (state, prefixes) where prefixes are tracked.
-    A key's list is updated in place, so an admit hashes its key once."""
+    A search's vectors all have one length, `Plan.layout`'s: its HAVING
+    rows, then the sign-normalised target, which has no column of its own
+    where it is a MIN target read from a row.  The store is shaped by
+    that length, chosen once per search, so an admit compares few
+    vectors:
 
-    def __init__(self):
-        self.store: Dict[object, List[_Vec]] = {}
+      * 1: one minimum per key, one lookup and one compare (every admit
+        of the route workloads and `automaton_extrema`, half of
+        `route_fixed`'s only once its MIN target is read from its row);
+      * 2: a staircase, sorted on the first component with the second
+        strictly descending (Kung, Luccio & Preparata, JACM 1975).  The
+        stored vector with the largest first component <= acc's has the
+        least second among them, so one bisect decides dominance, and
+        those acc replaces are one run from the same index on;
+      * 0, 3 and more: a list, scanned whole.  With no component a key
+        holds one (), which dominates every later ().
+    """
 
-    def admit(self, key, acc: _Vec) -> _Admitted:
-        """None when a stored vector of key is <= acc.  Otherwise store
-        acc and return the stored vectors it replaced, those >= acc."""
+    def __init__(self, dim: int):
+        self.store: Dict[object, object] = {}
+        self.admit = {1: self._admit_min, 2: self._admit_stair}.get(
+            dim, self._admit_list)
+
+    def vectors(self, key) -> List[_Vec]:
+        """The vectors stored for key."""
+        got = self.store.get(key)
+        if got is None:
+            return []
+        return [got] if type(got) is tuple else list(got)
+
+    # each admit: None when a stored vector of key is <= acc; otherwise
+    # store acc and return the stored vectors it replaced, those >= acc
+
+    def _admit_min(self, key, acc: _Vec) -> _Admitted:
+        store = self.store
+        old = store.get(key)
+        if old is None:
+            store[key] = acc
+            return ()
+        if old[0] <= acc[0]:
+            return None
+        store[key] = acc
+        return (old,)
+
+    def _admit_stair(self, key, acc: _Vec) -> _Admitted:
+        new = [acc]
+        stair = self.store.setdefault(key, new)
+        if stair is new:
+            return ()
+        # lexicographic order is the order on the first component, as no
+        # two stored vectors share it: past i the first component is
+        # >= acc's, and before it < acc's, or equal with a second <= acc's
+        i = bisect_right(stair, acc)
+        y = acc[1]
+        if i and stair[i - 1][1] <= y:
+            return None
+        j, n = i, len(stair)
+        while j < n and stair[j][1] >= y:
+            j += 1
+        replaced = stair[i:j]
+        stair[i:j] = new
+        return replaced
+
+    def _admit_list(self, key, acc: _Vec) -> _Admitted:
         new = [acc]
         vecs = self.store.setdefault(key, new)
         if vecs is new:
@@ -277,11 +332,12 @@ class _Search:
         self.ag = ag
         self.bounds = ag.plan.bounds
         self.cfg = cfg
-        self.with_target = with_target
         self.sign = sign  # -1 turns a maximised target into a minimised one
+        self.weigh_sign = sign if with_target else 0  # 0: no target column
         self.tracked = tuple(tracked)
         self.stats = SolveStats() if stats is None else stats
-        self.dom = _Dominance()
+        dim, self.target_col = ag.plan.layout(self.weigh_sign)
+        self.dom = _Dominance(dim)
         self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
         self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
         # (nfa_states, pos, nodes, env at ag.read_slots), or the state:
@@ -291,8 +347,7 @@ class _Search:
     def weight_vec(self, st: AGState) -> _Vec:
         w = self.weights.get(st.nodes)
         if w is None:
-            w = self.weights[st.nodes] = self.ag.weight(
-                st, self.sign if self.with_target else 0)
+            w = self.weights[st.nodes] = self.ag.weight(st, self.weigh_sign)
         return w
 
     def _expand(self, st: AGState, mkey: tuple):
@@ -428,10 +483,10 @@ def _first_target(search: _Search, max_depth: int,
 
 
 class _Completion(_Search):
-    """Search from a pumped prefix for a completion that meets the
-    constraint components.  A state whose target term is +inf after sign
-    normalisation is not entered: a path through it has value +inf
-    however often the cycle is pumped."""
+    """Search from a pumped prefix, started on its constraint components,
+    for a completion that meets them.  A state whose target term is +inf
+    after sign normalisation is not entered: a path through it has value
+    +inf however often the cycle is pumped."""
 
     def _admit(self, key: _Config) -> _Admitted:
         if ext_mul(self.sign, self.ag.extremum_weight(key[0])) == POS_INF:
@@ -458,7 +513,8 @@ class _PumpSearch(_Search):
             return None
         replaced = super()._admit(key)
         # acc replaced a stored vector with a higher target
-        if replaced and any(key[2][-1] < v[-1] for v in replaced):
+        col = self.target_col
+        if replaced and any(key[2][col] < v[col] for v in replaced):
             self.unbounded = self._pumps(key)
         return replaced
 
@@ -467,6 +523,7 @@ class _PumpSearch(_Search):
         completion?  Each c1 searched from without one becomes a dead
         key."""
         st, _, a2, key = c2
+        col, n = self.target_col, len(self.bounds)
         # an infinite component stays infinite along a path, so a finite
         # a2 has finite ancestors
         if not all(is_finite(x) for x in a2):
@@ -478,10 +535,10 @@ class _PumpSearch(_Search):
         for i, c1 in enumerate(chain):
             st1, pre, a1, _ = c1
             # an ancestor a dead key covers is not searched from again
-            if st1 != st or not a2[-1] < a1[-1] \
+            if st1 != st or not a2[col] < a1[col] \
                     or not _le(a2, a1) or self._dead(c1):
                 continue
-            start = (st, pre, a1[:-1], None)
+            start = (st, pre, a1[:n], None)
             depth = len(chain) - 1 - i
             comp = _Completion(self.ag, self.cfg, sign=self.sign,
                                stats=self.stats)
@@ -544,8 +601,9 @@ def extremum(ag: AnswerGraph, mode: str,
 
     best: Optional[ExtInt] = None
     best_key = None
+    col = search.target_col
     for depth, key in search.levels(b2):
-        value = key[2][-1]
+        value = key[2][col]
         better = search.meets(key) and (best is None or value < best)
         if search.unbounded or better and depth > b1:
             # a pumpable cycle, or a longer path that beats every short one
@@ -603,6 +661,7 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
     sign = -1 if mode == MAX else 1
     search = _Search(ag, cfg, with_target=mode is not None, sign=sign)
     best: Dict[Tuple[NodeId, ...], ExtInt] = {}
+    col = search.target_col
     for depth, key in search.levels(b2):
         if not search.meets(key):
             continue
@@ -611,7 +670,7 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
         if mode is None:
             best[lazy] = 1
             continue
-        value, short = key[2][-1], best.get(lazy)
+        value, short = key[2][col], best.get(lazy)
         if short is None or value < short:
             # beyond b1, a path that beats every short one: unbounded,
             # and no later value is lower
@@ -633,8 +692,7 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
     completions and decode to the same answers.  A max_len that is not
     an int >= 0 raises `ValidationError`.
     """
-    if not _is_int(max_len) or max_len < 0:
-        raise ValidationError(f"max_len must be an int >= 0, not {max_len!r}")
+    check_int("max_len", max_len, 0)
     cfg = cfg or SolveConfig()
     plan = ag.plan
     n_free_nodes = len(plan.pra.match_nodes)

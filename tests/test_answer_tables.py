@@ -126,23 +126,29 @@ def test_no_plan_is_built_for_a_table_that_does_not_apply(fig2, monkeypatch):
 def test_answer_table_is_the_per_tuple_rule():
     # a -> c is the short path; a -> b -> d -> c, beyond b1 = 2, has the
     # same time and a lower w, so both are admitted: an equal value beyond
-    # b1 is not a better one, while a lower one is
-    g = Graph(list("abcd"), [
-        Labelling("E", 2, 0, {(1, 3): 1, (1, 2): 1, (2, 4): 1, (4, 3): 1}),
-        Labelling("time", 1, 0, {(1,): 1, (3,): 1}),
-        Labelling("w", 1, 0, {(2,): -1, (4,): -1})])
-    vq = validate(parse(
+    # b1 is not a better one, while a lower one is.  A graph per time(d),
+    # as stored labellings do not change after load
+    def graph(time_d):
+        return Graph(list("abcd"), [
+            Labelling("E", 2, 0,
+                      {(1, 3): 1, (1, 2): 1, (2, 4): 1, (4, 3): 1}),
+            Labelling("time", 1, 0, {(1,): 1, (3,): 1, (4,): time_d}),
+            Labelling("w", 1, 0, {(2,): -1, (4,): -1})])
+
+    text = (
         "def route(p) = <E(@1, @1') = 1>* <T>\n"
         "LET f(x, y) := min[time, p]{ MATCH NODES (x, y), PATHS (p) "
         "SUCH THAT x -p-> y WHERE route(p) HAVING w[p] <= 0 },\n"
         "    r(x, y) := [ MATCH NODES (x, y) SUCH THAT x -p-> y "
         "WHERE route(p) HAVING w[p] <= -1 ],\n"
         "    n(x, y) := [ MATCH NODES (x, y) SUCH THAT x -p-> y "
-        "WHERE route(p) HAVING time[p] <= 1 ] IN MATCH NODES (s)"), g)
-    f, r, n = (e.term for e in vq.query.ontology)
-    cases = ((f, "min"), (f, "max"), (r, None), (n, None))
+        "WHERE route(p) HAVING time[p] <= 1 ] IN MATCH NODES (s)")
 
-    def table(term, mode, cfg):
+    def cases(g):
+        f, r, n = (e.term for e in validate(parse(text), g).query.ontology)
+        return ((f, "min"), (f, "max"), (r, None), (n, None))
+
+    def table(g, term, mode, cfg):
         target = None if mode is None else ("time", ("p",))
         return answer_table(AnswerGraph(g, term.query, {}, {"x": 1}, target),
                             mode, cfg)
@@ -150,9 +156,9 @@ def test_answer_table_is_the_per_tuple_rule():
     cfg = SolveConfig(b1=2, b2=8)
     to_c = {}
     for time in (0, -1):
-        g.labellings["time"].entries[(4,)] = time
-        for term, mode in cases:
-            got = table(term, mode, cfg)
+        g = graph(time)
+        for term, mode in cases(g):
+            got = table(g, term, mode, cfg)
             values = [got.values.get((y,), got.default)
                       for y in g.real_nodes]
             target = None if mode is None else ("time", ("p",))
@@ -172,10 +178,10 @@ def test_answer_table_is_the_per_tuple_rule():
     # under derived bounds only the indicator whose rows are monotone has
     # a table: an extremum pumps per search, and a row that w lowers
     # leaves the frontier free to grow
-    g.labellings["time"].entries[(4,)] = 0
+    g = graph(0)
     derived = SolveConfig()
-    assert [table(term, mode, derived) is None for term, mode in cases] \
-        == [True, True, True, False]
+    assert [table(g, term, mode, derived) is None
+            for term, mode in cases(g)] == [True, True, True, False]
 
 
 def test_no_value_depends_on_the_first_tuple_asked(fig2):

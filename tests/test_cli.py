@@ -312,6 +312,23 @@ def test_invalid_visited_budget_exit_2(capsys, fig2_path, qfile, budget):
         "error": f"visited budget must be an int >= 1, not {budget}"}
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--max-path-len", "-1", 0), ("--max-paths", "0", 1),
+    ("--max-paths", "-5", 1),
+])
+def test_invalid_oracle_limits_exit_2(capsys, fig2_path, qfile, flag, value,
+                                      least):
+    code, payload = run_cli(
+        capsys, "oracle", "--graph", fig2_path, "--query",
+        qfile("q_route_sp"), flag, value,
+    )
+    assert code == 2
+    name = flag[2:].replace("-", "_")
+    assert payload == {
+        "outcome": "error", "kind": "ValidationError",
+        "error": f"{name} must be an int >= {least}, not {value}"}
+
+
 @pytest.mark.parametrize("flag", [
     ["--trace"], ["--bound-b1", "8"], ["--bound-b2", "16"],
     ["--visited-budget", "10"], ["--json"],

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import opra.oracle
-from opra.errors import EnumerationCapExceededError
+from opra.errors import EnumerationCapExceededError, ValidationError
 from opra.extint import NEG_INF, POS_INF
 from opra.oracle import (
     OracleConfig, brute_extremum, enumerate_answers, enumerate_satisfying,
@@ -85,6 +85,16 @@ def test_enumeration_cap(fig2):
     vq = validate(parse(ROUTE_ST), fig2)
     with pytest.raises(EnumerationCapExceededError):
         enumerate_answers(fig2, vq, OracleConfig(max_path_len=8, max_paths=10))
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_path_len": -1}, {"max_path_len": 2.0}, {"max_path_len": True},
+    {"max_paths": 0}, {"max_paths": "10"}, {"max_paths": False},
+])
+def test_invalid_limits_raise_validation_error(limits):
+    with pytest.raises(ValidationError, match="must be an int >= "):
+        OracleConfig(**limits)
+    assert OracleConfig(max_path_len=0, max_paths=1).max_path_len == 0
 
 
 def test_bound_paths_and_nodes(fig2, node):

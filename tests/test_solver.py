@@ -200,9 +200,10 @@ def test_invalid_solve_arguments_are_validation_errors(fig2):
 def test_weight_vec_is_the_rows_then_the_target_read_alone():
     # a state's weights read each term once, and a target equal to a
     # one-term row with coefficient 1 takes that row's value: the search's
-    # vector must still be the rows' weights followed by the target read
-    # on its own and sign-normalised, infinities and raises included, and
-    # the rows' weights the sums of their terms read from the labellings
+    # vector must be the rows' weights, the sums of their terms read from
+    # the labellings, followed by the target read on its own and
+    # sign-normalised, infinities and raises included; except that a MIN
+    # target equal to a row is that row's column and adds none
     rng = random.Random(2310)
     values = (-3, -1, 0, 2, 5, POS_INF, NEG_INF)
     sels = (("pi",), ("rho",))
@@ -256,8 +257,12 @@ def test_weight_vec_is_the_rows_then_the_target_read_alone():
                             weigh(st)
                     continue
                 assert ag.weight(st) == sums, (rows, st)
-                want = sums + (ext_mul(sign, ag.extremum_weight(st)),)
-                assert search.weight_vec(st) == want, (mode, rows, st)
+                t = ext_mul(sign, ag.extremum_weight(st))
+                folded = mode == MIN and ag.plan._target_row is not None
+                want = sums if folded else sums + (t,)
+                got = search.weight_vec(st)
+                assert got == want, (mode, rows, st)
+                assert got[search.target_col] == t, (mode, rows, st)
                 covered += not all(map(is_finite, want))
     assert reused >= 100 and covered > 50
 
@@ -580,18 +585,38 @@ def _minimal(vecs):
     return {v for v in vecs if not any(_leq(u, v) and u != v for u in vecs)}
 
 
-@pytest.mark.parametrize("dim", range(4))
-def test_dominance_admit_matches_brute_force_antichain(dim):
-    # every vector offered to a key so far is kept in `offered`; the store
-    # must hold exactly their distinct minimal elements
+def _dominance_streams(dim):
+    """Streams of (key, vector) offers: random ones over values with both
+    infinities, and for dimension 2 an anti-diagonal, in which every
+    vector is incomparable with every other, and one whose first
+    components tie, on the infinities too."""
     rng = random.Random(20171012 + dim)
     values = (NEG_INF, -2, -1, 0, 1, 2, POS_INF)
     for _ in range(30):
-        dom = _Dominance()
+        yield [(rng.randrange(3), tuple(rng.choice(values)
+                                        for _ in range(dim)))
+               for _ in range(80)]
+    if dim != 2:
+        return
+    for _ in range(10):
+        diagonal = [(NEG_INF, POS_INF), (POS_INF, NEG_INF)] + [
+            (i, -i) for i in range(-20, 21)]
+        rng.shuffle(diagonal)
+        yield [(0, v) for v in diagonal]
+        yield [(rng.randrange(2), (rng.choice((NEG_INF, 0, POS_INF)),
+                                   rng.choice(values)))
+               for _ in range(80)]
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_dominance_admit_matches_brute_force_antichain(dim):
+    # every vector offered to a key so far is kept in `offered`; the store,
+    # shaped by the dimension, must hold exactly their distinct minimal
+    # elements, and each admit return the ones it replaced
+    for stream in _dominance_streams(dim):
+        dom = _Dominance(dim)
         offered = {}
-        for _ in range(80):
-            key = rng.randrange(3)
-            acc = tuple(rng.choice(values) for _ in range(dim))
+        for key, acc in stream:
             stored = _minimal(offered.setdefault(key, []))
             got = dom.admit(key, acc)
             offered[key].append(acc)
@@ -601,11 +626,12 @@ def test_dominance_admit_matches_brute_force_antichain(dim):
                 assert sorted(got) == sorted(v for v in stored
                                              if _leq(acc, v))
         for key, vecs in offered.items():
-            kept = dom.store[key]
+            kept = dom.vectors(key)
             assert len(kept) == len(set(kept))
             assert set(kept) == _minimal(vecs)
             assert not any(_leq(u, v) for u in kept for v in kept
                            if u is not v)
+        assert dom.vectors(3) == []
 
 
 def test_extremum_witness_replays_value(fig2):
@@ -724,6 +750,48 @@ def test_cycle_keeping_the_target_is_not_pumped():
         ("u", "a", 1, "f")))
     with pytest.raises(ResourceExceededError):
         _run_extremum(g, MIN, "HAVING letter[pi] >= 3", budget=2_000)
+
+
+@pytest.mark.parametrize(
+    "mode, states, transitions, having, pinned, expanded", [
+    # q1 -b/-1-> q1 lowers the weight toward the bound -2, where it stops:
+    # the minimum is -2
+    (MIN, ("q0", "q1"), (
+        ("q0", "a", 1, "q1"), ("q0", "b", 0, "q0"), ("q0", "b", 1, "q0"),
+        ("q1", "a", 1, "q0"), ("q1", "b", -1, "q1")),
+     "HAVING weight[pi] >= -2", -2, 4994),
+    # no run reaches the final q2, so the maximum is -inf
+    (MAX, ("q0", "q1", "q2"), (
+        ("q0", "a", 0, "q0"), ("q0", "b", -1, "q1"), ("q1", "b", 1, "q0"),
+        ("q1", "b", 1, "q1"), ("q2", "b", 0, "q2")),
+     "HAVING weight[pi] <= -2", NEG_INF, 4999),
+], ids=[MIN, MAX])
+def test_cycle_trading_the_target_for_a_row_runs_out_of_budget(
+        monkeypatch, mode, states, transitions, having, pinned, expanded):
+    # each lap of a cycle lowers the target and raises the one HAVING row,
+    # so every key gains one incomparable two-component vector per lap:
+    # such a cycle is not recognised, and under derived bounds the search
+    # runs out of budget, its store a staircase that admits each vector
+    # with one bisect; pinned bounds answer
+    g = _automaton(states, transitions)
+    calls = [0]
+    le = opra.solver._le
+
+    def counted(u, v):
+        calls[0] += 1
+        return le(u, v)
+
+    monkeypatch.setattr(opra.solver, "_le", counted)
+    with pytest.raises(ResourceExceededError) as err:
+        _run_extremum(g, mode, having, budget=5_000)
+    assert err.value.expanded == expanded
+    # a scan of each key's antichain per admit makes over 10 million
+    # componentwise comparisons here; the staircase makes none, and the
+    # goal and pump tests under a thousand
+    assert calls[0] < 10_000
+    pra = validate(parse(RUN_QUERY + having), g).query.query
+    ag = AnswerGraph(g, pra, target=("weight", ("pi",)))
+    assert extremum(ag, mode, SolveConfig(b1=12, b2=24)).value == pinned
 
 
 def test_pump_needs_a_completion_with_a_finite_target():
