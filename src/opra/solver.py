@@ -5,11 +5,9 @@ over configurations (product state, tracked path prefixes, accumulated
 weight vector), explored by one breadth-first search.  The search
 yields each configuration with its depth as it is admitted, in
 generation order, and expands a level only once the previous one has
-been consumed, so a caller stops it at any configuration: emptiness at
-the first admitted target that meets every bound, an extremum at the
-first configuration beyond b1 that beats the best short one.  The
-prefixes are only tracked when enumerating answers; otherwise they stay
-empty.  The search applies two sound prunings:
+been consumed, so a caller stops it at any configuration.  The prefixes
+are only tracked when enumerating answers; otherwise they stay empty.
+The search applies two sound prunings:
 
   * dominance: a configuration is dropped when an already-seen
     configuration with the same product state and the same prefixes has
@@ -23,18 +21,22 @@ empty.  The search applies two sound prunings:
     constraint component is nonnegative, configurations already above
     that component's bound can never come back and are dropped.
 
-Extrema follow a two-bound rule: take the best value over product paths
-of length at most b1; if any path with length in (b1, b2] beats it, the
-extremum is unbounded (reported as the matching infinity), and if no
-path of length at most b2 satisfies the constraints at all, the result
-is the empty-set convention (+inf for MIN, -inf for MAX).  The default
-bounds grow with a capped product-size estimate and are overridable.
+One rule reads every answer off the search (`_fold`).  Over the
+admitted targets that meet every bound within b2, in generation order,
+the answer is the first one, replaced by each strictly better one within
+b1; a better one beyond b1 makes it unbounded, reported as the matching
+infinity with no witness; no target at all gives the empty-set
+convention (+inf for MIN, -inf for MAX).  Emptiness is the rule with
+b1 = b2 and no target value, so it stops at its first target; an
+extremum stops once it is unbounded.  The default bounds grow with a
+capped product-size estimate and are overridable.
+
 Emptiness is complete for instances whose witnesses fit under b2;
-extrema are not, since a better path beyond b1 is read as unbounded even
-where no cycle can lower the target.  On a 6-node path a -> ... -> f
-with `E` on each edge and `time` 1 on each node, MIN `time` from "a" to
-"f" reads -inf at bounds (2, 10) and (3, 10), and 6 at (6, 12) or with
-derived bounds (ROADMAP items 14 and 16).
+extrema are not, since a better path beyond b1 is read as unbounded
+even where no cycle can lower the target.  On a 6-node path
+a -> ... -> f with `E` on each edge and `time` 1 on each node, MIN
+`time` from "a" to "f" reads -inf at bounds (2, 10) and (3, 10), and 6
+at (6, 12) or with derived bounds (ROADMAP items 14 and 16).
 
 Derived bounds run into the thousands or to their cap, too far to walk
 an improving cycle up to them, so when neither bound is pinned the
@@ -56,20 +58,18 @@ accumulated vectors sign-normalised so the target is minimised:
     constraint part is >= it is not admitted: breadth-first order puts
     it at depth >= depth(c1), so it has no completion within b2 either.
 
-Pinned bounds keep the two-bound rule alone.
+Pinned bounds keep the answer rule alone.
 
 `answer_table` answers emptiness or an extremum for every value tuple
 of a query's free lazy targets (`Plan.lazy_vars`) with one search, as
 an ontology view asks for a nested term at many tuples.  It runs the
-search to its end and keeps, per tuple of the lazy values a target
-configuration was bound with, what `check_empty` or `extremum` would
-stop at for that tuple: the first target that meets the bounds, or the
-best value within b1 until a better one is admitted beyond it.  Lazy
-targets are read by nothing but the step that binds them, so each
-tuple's configurations are admitted as in its own search.  Where the
-stopping rule is a property of the whole search it gives no table: an
-extremum under derived bounds (pumping), and emptiness under derived
-bounds with a non-monotone HAVING row, whose frontier need not die out.
+search to its end and applies the answer rule per tuple of the lazy
+values a target configuration was bound with.  Lazy targets are read by
+nothing but the step that binds them, so each tuple's configurations
+are admitted as in its own search.  Where the stopping rule is a
+property of the whole search it gives no table: an extremum under
+derived bounds (pumping), and emptiness under derived bounds with a
+non-monotone HAVING row, whose frontier need not die out.
 
 A search memoises successors with their weight vectors on what
 `successors` reads: the NFA states, pos, nodes and the env at the answer
@@ -325,18 +325,17 @@ class _Search:
 
     unbounded = False  # set by a search that recognises an unbounded value
 
-    def __init__(self, ag: AnswerGraph, cfg: SolveConfig,
-                 with_target: bool = False, sign: int = 1,
+    def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int = 0,
                  tracked: Sequence[int] = (),
                  stats: Optional[SolveStats] = None):
         self.ag = ag
         self.bounds = ag.plan.bounds
         self.cfg = cfg
-        self.sign = sign  # -1 turns a maximised target into a minimised one
-        self.weigh_sign = sign if with_target else 0  # 0: no target column
+        # 1 minimises the target, -1 maximises it, 0: no target column
+        self.sign = sign
         self.tracked = tuple(tracked)
         self.stats = SolveStats() if stats is None else stats
-        dim, self.target_col = ag.plan.layout(self.weigh_sign)
+        dim, self.target_col = ag.plan.layout(sign)
         self.dom = _Dominance(dim)
         self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
         self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
@@ -347,7 +346,7 @@ class _Search:
     def weight_vec(self, st: AGState) -> _Vec:
         w = self.weights.get(st.nodes)
         if w is None:
-            w = self.weights[st.nodes] = self.ag.weight(st, self.weigh_sign)
+            w = self.weights[st.nodes] = self.ag.weight(st, self.sign)
         return w
 
     def _expand(self, st: AGState, mkey: tuple):
@@ -471,25 +470,51 @@ class _Search:
         return self.ag.decode(chain)
 
 
-def _first_target(search: _Search, max_depth: int,
-                  starts: Optional[Iterable[_Config]] = None
-                  ) -> Optional[_Config]:
-    """The first admitted target that meets every bound within max_depth,
-    in generation order, or None."""
-    for _, key in search.levels(max_depth, starts):
-        if search.meets(key):
-            return key
-    return None
+def _fold(search: _Search, b1: int, b2: int,
+          slots: Optional[Sequence[int]] = None,
+          starts: Optional[Iterable[_Config]] = None
+          ) -> Dict[Tuple[NodeId, ...], Tuple[ExtInt, Optional[_Config]]]:
+    """The answer rule of the module docstring.  Per tuple of the env at
+    `slots` (the key () without slots), over the admitted targets that
+    meet every bound within b2: (value, configuration) of the first one,
+    then of each strictly better one within b1, or (-inf, None) for a
+    better one beyond b1.  A value is the sign-normalised target, or 0
+    without a target column.  {(): (-inf, None)} once the search is
+    `unbounded` (a pump).  `starts` replaces the answer graph's start
+    configurations.  Without slots the search stops once its one answer
+    is decided: at the first target without a target column, at -inf
+    otherwise."""
+    col, meets = search.target_col, search.meets
+    out: Dict[Tuple[NodeId, ...], Tuple[ExtInt, Optional[_Config]]] = {}
+    for depth, key in search.levels(b2, starts):
+        if search.unbounded:
+            return {(): (NEG_INF, None)}
+        if not meets(key):
+            continue
+        at = () if slots is None else tuple([key[0].env[s] for s in slots])
+        value = 0 if col is None else key[2][col]
+        old = out.get(at)
+        if old is None or value < old[0]:
+            out[at] = (NEG_INF, None) if depth > b1 else (value, key)
+            if slots is None and (col is None or depth > b1):
+                break
+    return out
 
 
 class _Completion(_Search):
     """Search from a pumped prefix, started on its constraint components,
     for a completion that meets them.  A state whose target term is +inf
     after sign normalisation is not entered: a path through it has value
-    +inf however often the cycle is pumped."""
+    +inf however often the cycle is pumped.  It has no target column."""
+
+    def __init__(self, ag: AnswerGraph, cfg: SolveConfig, pump_sign: int,
+                 stats: SolveStats):
+        super().__init__(ag, cfg, stats=stats)
+        self.pump_sign = pump_sign
 
     def _admit(self, key: _Config) -> _Admitted:
-        if ext_mul(self.sign, self.ag.extremum_weight(key[0])) == POS_INF:
+        target = self.ag.extremum_weight(key[0])
+        if ext_mul(self.pump_sign, target) == POS_INF:
             return None
         return super()._admit(key)
 
@@ -501,7 +526,7 @@ class _PumpSearch(_Search):
 
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int,
                  b2: int):
-        super().__init__(ag, cfg, with_target=True, sign=sign)
+        super().__init__(ag, cfg, sign)
         self.b2 = b2
         self.dead: Dict[AGState, List[_Vec]] = {}
 
@@ -539,10 +564,9 @@ class _PumpSearch(_Search):
                     or not _le(a2, a1) or self._dead(c1):
                 continue
             start = (st, pre, a1[:n], None)
-            depth = len(chain) - 1 - i
-            comp = _Completion(self.ag, self.cfg, sign=self.sign,
-                               stats=self.stats)
-            if _first_target(comp, self.b2 - depth, [start]) is not None:
+            left = self.b2 - (len(chain) - 1 - i)
+            comp = _Completion(self.ag, self.cfg, self.sign, self.stats)
+            if _fold(comp, left, left, starts=[start]):
                 return True
             self.dead.setdefault(st, []).append(start[2])
         return False
@@ -559,25 +583,31 @@ def check_empty(ag: AnswerGraph,
     cfg = cfg or SolveConfig()
     _, b2 = derive_bounds(ag, cfg)
     search = _Search(ag, cfg)
-    hit = _first_target(search, b2)
-    if hit is None:
-        return EmptinessResult(True, stats=search.stats)
-    env, paths = search.reconstruct(hit)
-    return EmptinessResult(False, env, paths, search.stats)
+    _, key = _fold(search, b2, b2).get((), (0, None))
+    env, paths = (None, None) if key is None else search.reconstruct(key)
+    return EmptinessResult(key is None, env, paths, search.stats)
 
 
 MIN = "min"
 MAX = "max"
 
 
+def _sign(ag: AnswerGraph, mode: str) -> int:
+    """1 for MIN, -1 for MAX; `ValidationError` for another mode or an
+    answer graph without a target."""
+    if ag.plan.target is None:
+        raise ValidationError(
+            "answer graph was built without a target labelling")
+    check_extremum_mode(mode)
+    return 1 if mode == MIN else -1
+
+
 def extremum(ag: AnswerGraph, mode: str,
              cfg: Optional[SolveConfig] = None) -> ExtremumResult:
-    """Minimum (or maximum) of the target aggregate over satisfying paths.
-
-    Phase 1 takes the best value over paths of length <= b1; any strictly
-    better path with length in (b1, b2] makes the result -inf (MIN) or
-    +inf (MAX), as soon as the first one is admitted; no satisfying path
-    at all gives the empty-set convention.
+    """Minimum (or maximum) of the target aggregate over satisfying paths,
+    by the answer rule of the module docstring (`_fold`): -inf (MIN)
+    or +inf (MAX) for an unbounded one, with no witness, and the
+    empty-set convention where no path satisfies the query.
 
     When neither bound is pinned, a cycle that lowers the sign-normalised
     target and raises no constraint component, followed by a completion
@@ -587,33 +617,16 @@ def extremum(ag: AnswerGraph, mode: str,
     cycle has no completion is a dead key: no later configuration with
     its state and at least its constraint components is explored.
     """
-    if ag.plan.target is None:
-        raise ValidationError(
-            "answer graph was built without a target labelling")
-    check_extremum_mode(mode)
+    sign = _sign(ag, mode)
     cfg = cfg or SolveConfig()
     b1, b2 = derive_bounds(ag, cfg)
-    sign = 1 if mode == MIN else -1
     if cfg.b1 is None and cfg.b2 is None:
         search = _PumpSearch(ag, cfg, sign, b2)
     else:
-        search = _Search(ag, cfg, with_target=True, sign=sign)
-
-    best: Optional[ExtInt] = None
-    best_key = None
-    col = search.target_col
-    for depth, key in search.levels(b2):
-        value = key[2][col]
-        better = search.meets(key) and (best is None or value < best)
-        if search.unbounded or better and depth > b1:
-            # a pumpable cycle, or a longer path that beats every short one
-            return ExtremumResult(ext_mul(sign, NEG_INF), stats=search.stats)
-        if better:
-            best, best_key = value, key
-    if best is None:
-        return ExtremumResult(ext_mul(sign, POS_INF), stats=search.stats)
-    env, paths = search.reconstruct(best_key)
-    return ExtremumResult(ext_mul(sign, best), env, paths, search.stats)
+        search = _Search(ag, cfg, sign)
+    value, key = _fold(search, b1, b2).get((), (POS_INF, None))
+    env, paths = (None, None) if key is None else search.reconstruct(key)
+    return ExtremumResult(ext_mul(sign, value), env, paths, search.stats)
 
 
 @dataclass
@@ -643,41 +656,25 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
     run to its end, with those targets bound where their paths end.
 
     Each tuple's answer is the one `check_empty` or `extremum` gives with
-    the tuple bound: 1 where an admitted target with those values meets
-    every bound; for an extremum, the best such value within b1, or the
-    matching infinity once a better one is admitted beyond b1, or the
-    empty-set value where there is none.  None where one search cannot
-    stand for the per-tuple ones (`table_applies`).
+    the tuple bound, by the rule of `_fold`; a tuple with no satisfying
+    path reads 0 or the empty-set value.  None where one search cannot
+    stand for the per-tuple ones (`table_applies`).  Arguments are
+    checked as `extremum` checks them.
     """
+    sign = 0 if mode is None else _sign(ag, mode)
     cfg = cfg or SolveConfig()
-    if mode is not None:
-        check_extremum_mode(mode)
     plan = ag.plan
     if not table_applies(plan.source, plan.pra, mode, cfg):
         return None
     b1, b2 = derive_bounds(ag, cfg)
     slots = [plan.env_vars.index(v) for v in plan.pra.match_nodes
              if v in plan.lazy_vars]
-    sign = -1 if mode == MAX else 1
-    search = _Search(ag, cfg, with_target=mode is not None, sign=sign)
-    best: Dict[Tuple[NodeId, ...], ExtInt] = {}
-    col = search.target_col
-    for depth, key in search.levels(b2):
-        if not search.meets(key):
-            continue
-        env = key[0].env
-        lazy = tuple([env[s] for s in slots])
-        if mode is None:
-            best[lazy] = 1
-            continue
-        value, short = key[2][col], best.get(lazy)
-        if short is None or value < short:
-            # beyond b1, a path that beats every short one: unbounded,
-            # and no later value is lower
-            best[lazy] = NEG_INF if depth > b1 else value
+    search = _Search(ag, cfg, sign)
     if mode is None:
-        return AnswerTable(best, 0, search.stats)
-    return AnswerTable({k: ext_mul(sign, v) for k, v in best.items()},
+        found = _fold(search, b2, b2, slots)
+        return AnswerTable(dict.fromkeys(found, 1), 0, search.stats)
+    found = _fold(search, b1, b2, slots)
+    return AnswerTable({k: ext_mul(sign, v) for k, (v, _) in found.items()},
                        ext_mul(sign, POS_INF), search.stats)
 
 

@@ -47,6 +47,14 @@ def _route_sp(fig2, having=""):
     return validate(parse(ROUTE_SP_TEXT + having), fig2).query.query
 
 
+def _path_graph() -> Graph:
+    """The solver docstring's 6-node path a -> ... -> f, with `E` on each
+    edge and `time` 1 on each node."""
+    return Graph(list("abcdef"), [
+        Labelling("E", 2, 0, {(i, i + 1): 1 for i in range(1, 6)}),
+        Labelling("time", 1, 0, {(i,): 1 for i in range(1, 7)})])
+
+
 def test_check_empty_sums_witness(fig2):
     pra = _route_sp(fig2, "\nHAVING time[pi] <= 360 AND attr[pi] >= 101")
     res = check_empty(AnswerGraph(fig2, pra), cfg=CFG)
@@ -54,6 +62,15 @@ def test_check_empty_sums_witness(fig2):
     pi = res.paths["pi"]
     assert aggregate(fig2, "time", [pi]) <= 360
     assert aggregate(fig2, "attr", [pi]) >= 101
+    # a witness longer than a pinned b1: emptiness reads b2 alone
+    g = _path_graph()
+    pra = validate(parse(
+        "def route(p) = <E(@1, @1') = 1>* <T>\n"
+        'MATCH NODES (t) SUCH THAT "a" -pi-> t WHERE route(pi)\n'
+        "HAVING time[pi] >= 6"), g).query.query
+    res = check_empty(AnswerGraph(g, pra), cfg=SolveConfig(b1=2, b2=10))
+    assert (res.empty, res.env) == (False, {"t": g.node_id("f")})
+    assert res.paths["pi"] == tuple(g.real_nodes)
 
 
 def test_check_empty_tight_time_bound(fig2):
@@ -195,6 +212,8 @@ def test_invalid_solve_arguments_are_validation_errors(fig2):
                                "WHERE <T>(pi)", "time", MIN, CFG)
     with pytest.raises(ValidationError, match="without a target labelling"):
         extremum(AnswerGraph(fig2, _route_sp(fig2)), MIN, CFG)
+    with pytest.raises(ValidationError, match="without a target labelling"):
+        answer_table(AnswerGraph(fig2, _route_sp(fig2)), MIN, CFG)
 
 
 def test_weight_vec_is_the_rows_then_the_target_read_alone():
@@ -244,7 +263,7 @@ def test_weight_vec_is_the_rows_then_the_target_read_alone():
                          target=(target.labelling, target.path_vars))
         reused += ag.plan._target_row is not None
         for mode, sign in ((MIN, 1), (MAX, -1)):
-            search = _Search(ag, CFG, with_target=True, sign=sign)
+            search = _Search(ag, CFG, sign)
             for _ in range(5):
                 st = AGState((), OMEGA, tuple(rng.choice((SINK, 1, 2, 3))
                                               for _ in range(2)), ())
