@@ -438,11 +438,12 @@ class _Search:
                                  depth, st.pos, st.nodes, st.nfa_states)
                 if read is None:
                     # the state is its own key: projecting every key as
-                    # `_shared` does cost 4-7 % (four alternating 6 s
+                    # `_shared` does cost 7-9 % (six alternating 10 s
                     # pairs, seed 1, 2-core Xeon: route_fixed
-                    # 151.7/151.3/150.5/151.7 -> 145.4/145.4/145.4/145.2
-                    # ops/s, automaton_extrema 839.9/830.4/848.4/822.1 ->
-                    # 776.3/782.8/776.3/778.0 ops/s)
+                    # 333.7/338.0/335.8/353.9/336.9/350.7 ->
+                    # 315.9/311.6/309.0/318.7/310.9/311.4 ops/s,
+                    # automaton_extrema 1487/1483/1463/1449/1467/1465 ->
+                    # 1348/1342/1350/1353/1366/1354 ops/s)
                     hit = memo.get(st)
                     moves = self._expand(st, st) if hit is None else hit[1]
                 else:

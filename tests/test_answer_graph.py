@@ -28,8 +28,9 @@ from opra.solver import (
 from opra.validate import query_path_vars, validate
 
 from gensupport import (
-    BINARY, BINARY_DEFAULT, BINARY_VALUES, rand_feasible_graph, rand_graph, rand_query, rand_sparse_graph,
-    route_constraint, step_letters,
+    BINARY, BINARY_DEFAULT, BINARY_VALUES, rand_feasible_graph, rand_graph,
+    rand_query, rand_regex, rand_sparse_graph, route_constraint,
+    step_letters,
 )
 
 CFG = SolveConfig(b1=8, b2=16)
@@ -162,38 +163,65 @@ def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
 
 
 def full_scan_moves(ag, st):
-    """Successors of a one-component state by definition: every next
-    node, each NFA moving by `automata.step`."""
-    (u,) = st.nodes
-    nxt = (SINK,) if u == SINK else tuple(ag.plan.source.real_nodes) + (SINK,)
+    """Successors of a state without env slots by definition: every next
+    node per component, the sink alone after the sink, each NFA moving by
+    `automata.step` on its selection."""
+    source = ag.plan.source
+    reals = tuple(source.real_nodes)
     out = set()
-    for v in nxt:
-        per_nfa = [sorted(step(ag.plan.source, nfa, {st.nfa_states[j]}, (u,), (v,)))
-                   for j, (nfa, _) in enumerate(ag.plan.nfas)]
+    for v in itertools.product(*[(SINK,) if u == SINK else reals + (SINK,)
+                                 for u in st.nodes]):
+        per_nfa = [sorted(step(source, nfa, {st.nfa_states[j]},
+                               tuple(st.nodes[c] for c in sel),
+                               tuple(v[c] for c in sel)))
+                   for j, (nfa, sel) in enumerate(ag.plan.nfas)]
         for combo in itertools.product(*per_nfa):
-            out.add(AGState(combo, OMEGA, (v,), st.env))
+            out.add(AGState(combo, OMEGA, v, st.env))
     return out
+
+
+def on_second(letter):
+    """`letter` with every position variable moved to the second path."""
+    def moved(atom):
+        if not isinstance(atom, LabelAtom):
+            return atom
+        return LabelAtom(atom.labelling,
+                         tuple(PosVar(2, a.primed) for a in atom.args))
+    return NodeConstraint(moved(letter.lhs), letter.op, moved(letter.rhs))
 
 
 def assert_successors_match_full_scan(sources, shapes):
     # index narrowing and the closing-move rule drop exactly the states
     # where a real node sits in an NFA state without real-letter moves,
-    # or the sink in a state that is not final, which have no successors
-    # and are no targets: every other full-scan move is kept
+    # or an NFA whose selection is all on the sink sits in a state that is
+    # not final, which have no successors and are no targets: every other
+    # full-scan move is kept.  Over two paths, NFAs over (pi,) and (rho,)
+    # memoise their destinations per next node, one over (pi, rho) reads
+    # node tuples, and the states still come in (nodes, nfa_states) order
     def closed(letter):
         return Concat(Star(Letter(letter)), Letter(TRUE_CONSTRAINT))
 
-    for a, b in zip(shapes, shapes[1:] + shapes[:1]):
-        for regexes in ([closed(a)],
-                        [closed(shapes[0]), closed(a)],
-                        [Star(Union_(Letter(a), Letter(b))), closed(b)]):
+    pi, rho, both = ("pi",), ("rho",), ("pi", "rho")
+    for n, (a, b) in enumerate(zip(shapes, shapes[1:] + shapes[:1])):
+        one_path = [
+            [(closed(a), pi)],
+            [(closed(shapes[0]), pi), (closed(a), pi)],
+            [(Star(Union_(Letter(a), Letter(b))), pi), (closed(b), pi)]]
+        # every third pair over two paths, whose levels are larger
+        two_paths = [
+            [(closed(a), pi), (closed(b), rho)],
+            [(closed(b), rho), (Star(Union_(
+                Letter(a), Letter(on_second(b)))), both)],
+            [(closed(a), pi), (Concat(Letter(on_second(a)), closed(b)),
+                               both), (closed(shapes[0]), rho)]]
+        for constraints in one_path + (two_paths if n % 3 == 0 else []):
             pra = PraQuery(regular_constraints=tuple(
-                RegularConstraint(r, ("pi",)) for r in regexes))
+                RegularConstraint(r, sel) for r, sel in constraints))
             for g in sources:
                 ag = AnswerGraph(g, pra)
                 level = set(ag.start_states())
-                for _ in range(3):
-                    nxt = set()
+                for _ in range(3 if ag.plan.k == 1 else 2):
+                    nxt, dead = set(), set()
                     for st in level:
                         listed = ag.successors(st)
                         # strictly increasing, so no successor repeats
@@ -201,17 +229,18 @@ def assert_successors_match_full_scan(sources, shapes):
                         assert all(map(lt, keys, keys[1:])), st
                         got = set(listed)
                         want = full_scan_moves(ag, st)
-                        dead = {
+                        dropped = {
                             x for x in want if any(
                                 x.nfa_states[j] not in nfa.final
-                                if x.nodes == (SINK,)
+                                if all(x.nodes[c] == SINK for c in sel)
                                 else not nfa.moves[x.nfa_states[j]]
-                                for j, (nfa, _) in enumerate(ag.plan.nfas))
+                                for j, (nfa, sel) in enumerate(ag.plan.nfas))
                         }
-                        assert got == want - dead, (a.text(), st)
-                        assert not any(ag.successors(x) for x in dead)
-                        assert not any(map(ag.is_target, dead))
+                        assert got == want - dropped, (a.text(), st)
                         nxt |= got
+                        dead |= dropped
+                    assert not any(ag.successors(x) for x in dead)
+                    assert not any(map(ag.is_target, dead))
                     level = nxt
 
 
@@ -281,10 +310,14 @@ def test_successors_match_full_scan_for_every_letter_shape():
 
 
 def table_moves(source, letter):
-    """The real moves of the initial state 0 of `<letter>` on `source`."""
+    """The real moves of the initial state 0 of `<letter>` on `source`:
+    its one move enters a final state with no move on, so it is in the
+    closing row alone."""
     pra = PraQuery(regular_constraints=(
         RegularConstraint(Letter(letter), ("pi",)),))
-    return AnswerGraph(source, pra).plan.tables[0][0][0]
+    live, closing, _ = AnswerGraph(source, pra).plan.tables[0][0]
+    assert live == ()
+    return closing
 
 
 def test_stored_step_letters_are_decided_by_their_index():
@@ -314,7 +347,7 @@ def test_stored_step_letters_are_decided_by_their_index():
                 for reverse, const_first in itertools.product(
                         (False, True), repeat=2):
                     letter = step_letter(lab.name, c, reverse, const_first)
-                    ((_, _, _, exact),) = table_moves(source, letter)
+                    ((_, _, exact),) = table_moves(source, letter)
                     assert (exact is None) == (c == lab.default)
                     if exact is None:
                         continue  # the default value keeps evaluation
@@ -325,13 +358,39 @@ def test_stored_step_letters_are_decided_by_their_index():
             assert _index_key(step_letter(name, 1), view) is not None
             for c, reverse in itertools.product(values, (False, True)):
                 letter = step_letter(name, c, reverse)
-                ((_, _, _, exact),) = table_moves(view, letter)
+                ((_, _, exact),) = table_moves(view, letter)
                 assert exact is None, letter.text()
         # adjF(u, sink) reads 0, not F's default: its support leaves out
         # a step the letter takes
         letter = step_letter("adjF", 0)
         assert _index_key(letter, view) is not None
         assert eval_node_constraint(view, letter, (1,), (SINK,))
+
+
+def test_move_table_rows_are_split_and_ordered():
+    # what lets a step skip the sort and the dedupe: in every row of a
+    # random regex's move table the destinations strictly increase, the
+    # live row holds exactly the moves into states with a real-letter
+    # move and the closing row exactly those into final states, each in
+    # the NFA's move order; the targets, where kept, are the live letters'
+    rng = random.Random(27)
+    for _ in range(80):
+        k = rng.randint(1, 2)
+        g = rand_graph(rng, max_nodes=4, n_unary=1)
+        pra = PraQuery(regular_constraints=(RegularConstraint(
+            rand_regex(rng, k, ["w0"]), ("pi", "rho")[:k]),))
+        plan = AnswerGraph(g, pra).plan
+        ((nfa, _),) = plan.nfas
+        for s, (live, closing, targets) in enumerate(plan.tables[0]):
+            for row in (live, closing):
+                dsts = [dst for _, dst, _ in row]
+                assert all(map(lt, dsts, dsts[1:])), (s, dsts)
+            moves = [(letter, dst) for letter, dst, _ in nfa.moves[s]]
+            assert [(letter, dst) for letter, dst, _ in live] \
+                == [(letter, dst) for letter, dst in moves if nfa.moves[dst]]
+            assert [(letter, dst) for letter, dst, _ in closing] \
+                == [(letter, dst) for letter, dst in moves if dst in nfa.final]
+            assert targets is None or len(targets) == len(live)
 
 
 def free_pra(g, nodes, such_that, where="route(pi)", having=""):
