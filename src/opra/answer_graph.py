@@ -3,16 +3,16 @@
 A state couples one NFA state per regular constraint, a position index
 into the bound input paths (a counter that jumps to omega past their
 end, or is omega throughout when nothing is bound), one graph node per
-path variable, and an assignment of the tracked node variables.  A
+path variable, and the values of the tracked slots a step reads.  A
 node literal of a path constraint is one more tracked slot, after the
 variables', whose domain is its one node, so every endpoint check
 reads a slot.  A state is an `AGState` named tuple, so hashing and
 equality run in C.  States are never materialized globally; the solver
 asks for start states, successors, weights and target-ness on demand.
 
-Most tracked node variables are fixed in the start state, one start
-state per value.  A lazy target is bound later instead: a variable
-that is not given in `bound_nodes`, is the source of no path
+Most tracked node variables are fixed at the start, one start per
+value.  A lazy target is bound later instead: a variable that is not
+given in `bound_nodes`, is the source of no path
 constraint, and is the target only of components without a bound
 input path (t in `s -pi-> t`).  It starts UNBOUND, any node may end a
 component it targets while it is unbound, and the step that moves such
@@ -21,10 +21,14 @@ where two of its components end at different nodes is dropped.  This
 is sound because letters and arithmetical terms read path positions
 only, never tracked variables, and a target state has every component
 on the sink, so every lazy target is bound there.  Free `(s, t)`
-queries thus start from n states, not n^2.  Successors read the env
-only at target slots, lazy ones included, and copy every other slot
-through; a binding's `read_slots` names them, or is None when no other
-slot can vary.
+queries thus start from n states, not n^2.
+
+A state's env holds the read slots alone (`Plan.read_slots`): every
+target slot, lazy ones included, the only slots a step reads or binds.
+The rest are carried (`Plan.carried_slots`): free sources, free node
+variables no path constraint names, and source literals.  Read only to
+pick first nodes, they are yielded beside each start state, and
+`decode` rebuilds the full env from both.
 
 Transitions enforce, in one place, the four consistency rules that make
 product paths encode exactly the constraint-satisfying path tuples:
@@ -74,6 +78,8 @@ no move.  Each component's choices increase, the sink (0) first, and a
 row's destinations are distinct and increase, as the moves out of a
 position automaton's state are, so the states come out of the product
 in (nodes, nfa_states) order, none repeated, with no sort and no dedupe.
+A node's targets keep their increasing order beside their set
+(`Labelling.targets`), so one lookup narrows with no sort either.
 An NFA memoises its destinations per next selection for the call only
 where a selection can repeat, when it reads fewer components than the
 plan has, and one that reads one component compares nodes, not
@@ -110,7 +116,7 @@ from typing import (
 from .automata import Nfa, compile_regex, eval_node_constraint
 from .errors import ValidationError
 from .extint import ExtInt, ext_add, ext_mul
-from .graph import SINK, NodeId, path_index
+from .graph import NO_TARGETS, SINK, NodeId, NodeTargets, path_index
 from .query import (
     ArithTerm, ConstAtom, LabelAtom, NodeConstraint, NodeRef, PosVar,
     PraQuery,
@@ -121,7 +127,7 @@ OMEGA = -1  # position index once past the bound input paths
 UNBOUND = -1  # env value of a lazy target before its component ends
 
 # per real node, a set holding every real next node a letter admits
-Targets = Mapping[NodeId, FrozenSet[NodeId]]
+Targets = Mapping[NodeId, NodeTargets]
 # per NFA state: its live row and its closing row, the real moves into a
 # live and into a final state, each as (letter, dst, exact) in increasing
 # dst order, and its live letters' targets, or None for a full scan
@@ -238,18 +244,24 @@ class Plan:
         # per component, the slots its path constraints' endpoints read
         pidx = {v: i for i, v in enumerate(self.path_vars)}
         self._src_slots: List[List[int]] = [[] for _ in range(self.k)]
-        self._tgt_slots: List[List[int]] = [[] for _ in range(self.k)]
+        tgt_slots: List[List[int]] = [[] for _ in range(self.k)]
         for pc in pra.path_constraints:
             self._src_slots[pidx[pc.path_var]].append(slot[pc.source])
-            self._tgt_slots[pidx[pc.path_var]].append(slot[pc.target])
-        # per component, the lazy target slots its last step binds
-        self._binds: List[Tuple[int, Tuple[int, ...]]] = []
-        for i, slots in enumerate(self._tgt_slots):
-            lazy = tuple(s for s in slots if self.domains[s] == (UNBOUND,))
-            if lazy:
-                self._binds.append((i, lazy))
-        # the slots `successors` reads: every target slot, lazy ones too
-        self.read_slots = tuple(sorted(set().union(*self._tgt_slots)))
+            tgt_slots[pidx[pc.path_var]].append(slot[pc.target])
+        # a state's env: every target slot, lazy ones too, in slot order;
+        # the other slots are carried beside it from the start
+        self.read_slots = tuple(sorted(set().union(*tgt_slots)))
+        self.carried_slots = tuple(s for s in range(len(self.domains))
+                                   if s not in self.read_slots)
+        split = self.carried_slots + self.read_slots
+        self._unsplit = tuple(split.index(s) for s in range(len(split)))
+        at = {s: i for i, s in enumerate(self.read_slots)}
+        # per component, its targets' positions in a state's env, and the
+        # lazy ones its last step binds
+        self._tgt_slots = [[at[s] for s in slots] for slots in tgt_slots]
+        self._binds = [(i, lazy) for i, lazy in enumerate(
+            tuple(at[s] for s in slots if self.domains[s] == (UNBOUND,))
+            for slots in tgt_slots) if lazy]
 
         # compiled regular constraints with their component selectors
         self.nfas: List[Tuple[Nfa, Tuple[int, ...]]] = [
@@ -343,11 +355,11 @@ class Plan:
             return 0 if key == sinks else get(key, default)
         return read_sel
 
-    def _endpoints_ok(self, i: int, p: Tuple[NodeId, ...],
-                      env: Tuple[NodeId, ...]) -> bool:
-        # a path constraint needs a first and last node
-        return bool(p) and all(env[s] == p[0] for s in self._src_slots[i]) \
-            and self._can_end(i, p[-1], env)
+    def full_env(self, carried: Tuple[NodeId, ...],
+                 env: Tuple[NodeId, ...]) -> Tuple[NodeId, ...]:
+        """Every slot's value, from carried values and a state's env."""
+        both = carried + env
+        return tuple([both[i] for i in self._unsplit])
 
     def _can_end(self, i: int, node: NodeId, env: Tuple[NodeId, ...]) -> bool:
         for s in self._tgt_slots[i]:
@@ -411,40 +423,46 @@ class AnswerGraph:
         self._domains = list(plan.domains)
         for s, v in plan.bound_slots:
             self._domains[s] = (bound_nodes[v],)
-        # the env slots `successors` reads, None when no other slot varies
-        self.read_slots: Optional[Tuple[int, ...]] = None if all(
-            len(d) == 1 for s, d in enumerate(self._domains)
-            if s not in plan.read_slots) else plan.read_slots
+        # do start states differ in their carried values?
+        self.carried_vary = any(len(self._domains[s]) > 1
+                                for s in plan.carried_slots)
 
     # -- start and target states -----------------------------------------
 
     def start_states(self):
+        """(state, carried values) per value of every slot, in slot order,
+        and choice of first nodes."""
         plan = self.plan
         initials = (0,) * len(plan.nfas)
         # the selections of NFAs whose state 0 is not final: a start state
         # where one of them has all its components on the sink is dead
         ended = [sel for final, _, sel, _, _, _ in plan._steps
                  if 0 not in final]
-        for env in itertools.product(*self._domains):
+        for full in itertools.product(*self._domains):
+            env = tuple([full[s] for s in plan.read_slots])
             choices: List[Tuple[NodeId, ...]] = []
             for i in range(plan.k):
                 p, srcs = self.bound[i], plan._src_slots[i]
                 if p is not None:
-                    if srcs and not plan._endpoints_ok(i, p, env):
+                    # a path constraint needs a first and last node
+                    if srcs and not (p and all(full[s] == p[0] for s in srcs)
+                                     and plan._can_end(i, p[-1], env)):
                         break
                     choices.append((path_index(p, 1) if self.N >= 1 else SINK,))
                 elif srcs:
-                    starts = {env[s] for s in srcs}
+                    starts = {full[s] for s in srcs}
                     if len(starts) != 1:
                         break
                     choices.append(tuple(starts))
                 else:
                     choices.append(plan._reals + (SINK,))
             else:
+                carried = tuple([full[s] for s in plan.carried_slots])
                 for nodes in itertools.product(*choices):
                     if not any(all(nodes[c] == SINK for c in sel)
                                for sel in ended):
-                        yield AGState(initials, self.start_pos, nodes, env)
+                        yield (AGState(initials, self.start_pos, nodes, env),
+                               carried)
 
     def is_target(self, st: AGState) -> bool:
         return st.pos == OMEGA and st.nodes == self.plan._sinks and all(
@@ -492,19 +510,22 @@ class AnswerGraph:
                 choices.append((SINK,))
             else:
                 # real next nodes that can pass a letter into a live state
-                # of each single-component NFA on i (candidate narrowing);
-                # one lookup is read as it is
+                # of each single-component NFA on i (candidate narrowing),
+                # in increasing order: one lookup's are read as they are
                 narrowed = None
                 for j in plan._narrowers[i]:
                     lookups = plan.tables[j][nfa_states[j]][2]
                     if lookups is None:
                         continue  # some letter admits every real node
-                    cands = lookups[0].get(u, ()) if len(lookups) == 1 \
-                        else set().union(*[t.get(u, ()) for t in lookups])
-                    narrowed = cands if narrowed is None \
-                        else [v for v in narrowed if v in cands]
-                reals = plan._reals if narrowed is None \
-                    else tuple(sorted(narrowed))
+                    if len(lookups) == 1:
+                        cands, order = lookups[0].get(u, NO_TARGETS)
+                    else:
+                        cands = set().union(*[t.get(u, NO_TARGETS)[0]
+                                              for t in lookups])
+                        order = tuple(sorted(cands))
+                    narrowed = order if narrowed is None \
+                        else tuple([v for v in narrowed if v in cands])
+                reals = plan._reals if narrowed is None else narrowed
                 choices.append((SINK,) + reals if plan._can_end(i, u, st.env)
                                else reals)
 
@@ -535,7 +556,8 @@ class AnswerGraph:
                     dsts = []
                     for letter, dst, exact in closing if nxt == end \
                             else live:
-                        if v in exact.get(u, ()) if exact is not None \
+                        if v in exact.get(u, NO_TARGETS)[0] \
+                                if exact is not None \
                                 else eval_node_constraint(
                                     source, letter, cur,
                                     nxt if one is None else (nxt,)):
@@ -597,10 +619,10 @@ class AnswerGraph:
 
     # -- decoding ----------------------------------------------------------------
 
-    def decode(self, states: Sequence[AGState]):
+    def decode(self, states: Sequence[AGState], carried: Tuple[NodeId, ...]):
         """Truncate each component at its first sink; report the env of
-        the last state, where every lazy target of a complete path has
-        been bound."""
+        the last state under the carried values the chain started with,
+        where every lazy target of a complete path has been bound."""
         paths: Dict[str, Tuple[NodeId, ...]] = {}
         for i, var in enumerate(self.plan.path_vars):
             nodes: List[NodeId] = []
@@ -609,5 +631,6 @@ class AnswerGraph:
                     break
                 nodes.append(st.nodes[i])
             paths[var] = tuple(nodes)
-        env = dict(zip(self.plan.env_vars, states[-1].env)) if states else {}
+        env = dict(zip(self.plan.env_vars, self.plan.full_env(
+            carried, states[-1].env))) if states else {}
         return env, paths

@@ -20,7 +20,8 @@ The one derived structure of a stored graph is a labelling's index, for
 any arity: per value and tuple of positions, the keys of that value
 grouped by their nodes at those positions, kept with the per-node
 projections (`targets`) that `step_targets` reads to bound the next
-nodes of a step letter.  Each is computed from the immutable
+nodes of a step letter, each a set for membership beside the same nodes
+in increasing order, sorted once.  Each is computed from the immutable
 entries on first use and never changes afterwards; two evaluations that
 race to build one build the same index, so sharing stays safe.
 """
@@ -48,6 +49,9 @@ SINK = 0
 SINK_NAME = "<sink>"
 
 NodeId = int
+# a node's targets: a set for membership, and its nodes in increasing order
+NodeTargets = Tuple[FrozenSet[NodeId], Tuple[NodeId, ...]]
+NO_TARGETS: NodeTargets = (frozenset(), ())
 Path = Tuple[NodeId, ...]
 
 
@@ -89,21 +93,22 @@ class Labelling:
         return {}  # (value, by) -> index, (value, by, at) -> targets
 
     def targets(self, value: ExtInt, by: Tuple[int, ...],
-                at: int) -> Mapping[NodeId, FrozenSet[NodeId]]:
+                at: int) -> Mapping[NodeId, NodeTargets]:
         """Per node u, the nodes at position `at` of the entries of
-        `value` that hold u at each of the positions `by` (at least one).
-        Read from `index` and kept with it."""
+        `value` that hold u at each of the positions `by` (at least one),
+        as a set and as a tuple in increasing order.  Read from `index`
+        and kept with it."""
         targets = self._indexes.get((value, by, at))
         if targets is None:
             if not 0 <= at < self.arity:
                 raise ArityMismatchError(
                     f"labelling {self.name!r} has arity {self.arity}, "
                     f"no position {at}")
-            targets = {
-                g[0]: frozenset([key[at] for key in keys])
-                for g, keys in self.index(value, by).items()
-                if g.count(g[0]) == len(g)
-            }
+            targets = {}
+            for g, keys in self.index(value, by).items():
+                if g.count(g[0]) == len(g):
+                    nodes = frozenset([key[at] for key in keys])
+                    targets[g[0]] = (nodes, tuple(sorted(nodes)))
             self._indexes[value, by, at] = targets
         return targets
 
@@ -173,15 +178,15 @@ class Graph:
         return lab.value(key)
 
     def step_targets(self, name: str, value: ExtInt, reverse: bool = False
-                     ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
+                     ) -> Optional[Mapping[NodeId, NodeTargets]]:
         """Next-node candidates of the step letter `name(@1, @1') = value`,
         or `name(@1', @1) = value` when `reverse`: per real node u, a set
-        holding every real w where the letter holds on the step u -> w
-        (a u it does not map has none), or None when no index bounds the
-        letter.  A stored labelling answers for any value but its
-        default, and its set is exact: it holds w exactly where the
-        letter holds.  An ontology view's sets for defined letters are
-        supersets."""
+        holding every real w where the letter holds on the step u -> w,
+        with its nodes in increasing order (a u it does not map has
+        none, `NO_TARGETS`), or None when no index bounds the letter.  A
+        stored labelling answers for any value but its default, and its
+        set is exact: it holds w exactly where the letter holds.  An
+        ontology view's sets for defined letters are supersets."""
         cur, nxt = (1, 0) if reverse else (0, 1)
         return step_candidates(self.labellings.get(name), value, (0, 1),
                                cur, nxt)
@@ -246,12 +251,13 @@ class View(Graph):
 
 def step_candidates(lab: Optional[Labelling], value: ExtInt,
                     args: Sequence[object], cur: object, nxt: object
-                    ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
+                    ) -> Optional[Mapping[NodeId, NodeTargets]]:
     """Per node u, the nodes w such that `lab` applied to `args` has an
     entry of `value` that reads u wherever `args` holds `cur` and w where
-    it first holds `nxt`, whatever it reads elsewhere.  None when no
-    stored `lab` of that arity bounds the step: `value` is its default,
-    or `args` lacks `cur` or `nxt`."""
+    it first holds `nxt`, whatever it reads elsewhere, as
+    `Labelling.targets` gives them.  None when no stored `lab` of that
+    arity bounds the step: `value` is its default, or `args` lacks `cur`
+    or `nxt`."""
     if lab is None or lab.arity != len(args) or value == lab.default \
             or cur not in args or nxt not in args:
         return None

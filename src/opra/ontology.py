@@ -53,12 +53,12 @@ filter, so the next node is among the filter's entries of value 1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from .answer_graph import AnswerGraph, Plan, lazy_targets
 from .errors import OpraError
 from .extint import ExtInt, eval_fundamental  # re-exported
-from .graph import Graph, NodeId, View, step_candidates
+from .graph import Graph, NodeId, NodeTargets, View, step_candidates
 from .query import (
     AggTerm, ApplyTerm, ConstTerm, IndicatorTerm, LabelTerm, OntologyEntry,
     PathExtremumTerm, Term, VarEqTerm,
@@ -98,7 +98,7 @@ class ExtendedGraph(View):
         return eval_term(self, term, eta)
 
     def step_targets(self, name: str, value: ExtInt, reverse: bool = False
-                     ) -> Optional[Mapping[NodeId, FrozenSet[NodeId]]]:
+                     ) -> Optional[Mapping[NodeId, NodeTargets]]:
         """As `Graph.step_targets`, for a stored name too, as
         `label_value` reads it first; a defined labelling answers in the
         two shapes the module docstring lists, read from its stored

@@ -1,8 +1,10 @@
 """Bounded search over answer graphs.
 
 Emptiness, extremum and answer-set queries all reduce to reachability
-over configurations (product state, tracked path prefixes, accumulated
-weight vector), explored by one breadth-first search.  The search
+over configurations (product state, context, accumulated weight
+vector), explored by one breadth-first search.  The context is the
+carried values of the start (`Plan.carried_slots`), which no step reads
+and so stay as they started, and the tracked path prefixes.  The search
 yields each configuration with its depth as it is admitted, in
 generation order, and expands a level only once the previous one has
 been consumed, so a caller stops it at any configuration.  The prefixes
@@ -10,7 +12,7 @@ are only tracked when enumerating answers; otherwise they stay empty.
 The search applies two sound prunings:
 
   * dominance: a configuration is dropped when an already-seen
-    configuration with the same product state and the same prefixes has
+    configuration with the same product state and the same context has
     componentwise smaller or equal accumulated weights (after sign
     normalization everything is minimized).  Both configurations have the
     same completions, which decode to the same answers; the kept one
@@ -44,17 +46,17 @@ extremum search also recognises the cycle itself (Karp-Miller
 acceleration in the direction where satisfaction is monotone).  With
 accumulated vectors sign-normalised so the target is minimised:
 
-  * pump: a newly admitted c2 = (st, pre, a') with an ancestor
-    c1 = (st, pre, a), both finite, a' <= a componentwise and a' < a on
+  * pump: a newly admitted c2 = (st, ctx, a') with an ancestor
+    c1 = (st, ctx, a), both finite, a' <= a componentwise and a' < a on
     the target, closes a cycle that keeps every constraint component no
     larger and lowers the target.  If a search from c1 over the
     constraint components finds a completion d within b2 - depth(c1)
     whose target is not +inf, the extremum is unbounded: a + k(a' - a) + d
     <= a + d meets every bound for every k.  The ancestor chain is only
-    walked when a' replaces a stored vector of (st, pre) with a higher
+    walked when a' replaces a stored vector of (st, ctx) with a higher
     target, so searches that do not pump pay nothing for it;
   * dead key: when that search finds nothing, a's constraint part
-    is recorded for (st, pre), and a later configuration there whose
+    is recorded for (st, ctx), and a later configuration there whose
     constraint part is >= it is not admitted: breadth-first order puts
     it at depth >= depth(c1), so it has no completion within b2 either.
 
@@ -71,17 +73,14 @@ property of the whole search it gives no table: an extremum under
 derived bounds (pumping), and emptiness under derived bounds with a
 non-monotone HAVING row, whose frontier need not die out.
 
-A search memoises successors with their weight vectors on what
-`successors` reads: the NFA states, pos, nodes and the env at the answer
-graph's `read_slots` (the state itself when that is None), so a state
-met at another weight, or for another free source, reuses them.  Under
-another env each successor's env is rebuilt by `Plan._bind`; weights
-read nodes only.  The order, (nodes, nfa_states), does not involve the
-env, so generation order, dominance outcomes and witnesses stay the
-same.  The memo belongs to the search object and dies with it.
+A search memoises successors with their weight vectors on the state,
+which holds all that `successors` reads, so a state met at another
+weight, or under other carried values such as another free source,
+reuses them as they are.  The memo belongs to the search object and
+dies with it.
 
 A configuration admitted costs one probe of the dominance store, keyed
-by the product state alone when no prefixes are tracked.  The store is
+by the product state alone where all contexts are one.  The store is
 shaped by the length of the search's weight vectors (`_Dominance`): one
 minimum per key for one, a staircase decided by one bisect for two, and
 a list otherwise.  A MIN target that is a HAVING row alone is read from
@@ -98,7 +97,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import le
+from operator import itemgetter, le
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .answer_graph import AGState, AnswerGraph
@@ -116,9 +115,11 @@ _STATE_CAP = 10_000  # cap on the product-size estimate in derived bounds
 
 _Prefixes = Tuple[Tuple[NodeId, ...], ...]
 _Vec = Tuple[ExtInt, ...]
-# (state, prefixes, acc, parent): the configuration it was generated
+# a start's carried values (`Plan.carried_slots`) and the tracked prefixes
+_Context = Tuple[Tuple[NodeId, ...], _Prefixes]
+# (state, context, acc, parent): the configuration it was generated
 # from, None for a start configuration
-_Config = Tuple[AGState, _Prefixes, _Vec, Optional[tuple]]
+_Config = Tuple[AGState, _Context, _Vec, Optional[tuple]]
 # the stored vectors an admitted configuration replaced, None if refused
 _Admitted = Optional[Sequence[_Vec]]
 
@@ -224,7 +225,7 @@ def _monotone_components(source, pra: PraQuery) -> List[int]:
 
 class _Dominance:
     """Antichains of componentwise-minimal weight vectors, one per key:
-    the product state, or (state, prefixes) where prefixes are tracked.
+    the product state, or (state, context) where contexts can differ.
     A search's vectors all have one length, `Plan.layout`'s: its HAVING
     rows, then the sign-normalised target, which has no column of its own
     where it is a MIN target read from a row.  The store is shaped by
@@ -311,16 +312,17 @@ def _le(u: Sequence[ExtInt], v: Sequence[ExtInt]) -> bool:
 
 
 class _Search:
-    """Breadth-first search over configurations (state, prefixes, acc,
+    """Breadth-first search over configurations (state, context, acc,
     parent).
 
-    `prefixes` holds, per tracked path component, the nodes it has
-    walked so far (bound components report their whole input path); it
-    stays () when nothing is tracked.  Dominance compares configurations
-    with the same state and the same prefixes.  `parent` is the
-    configuration it was generated from, None at a start.  `weight_vec`
-    keeps each node tuple's vector for the search's lifetime; a read that
-    raises keeps nothing, and raises again when repeated.
+    The context is (carried, prefixes): the carried values its start
+    came with, and per tracked path component the nodes it has walked so
+    far (bound components report their whole input path), () when
+    nothing is tracked.  Dominance compares configurations with the same
+    state and context (`dom_key`).  `parent` is the configuration it was
+    generated from, None at a start.  `weight_vec` keeps each node
+    tuple's vector for the search's lifetime; a read that raises keeps
+    nothing, and raises again when repeated.
     """
 
     unbounded = False  # set by a search that recognises an unbounded value
@@ -334,14 +336,16 @@ class _Search:
         # 1 minimises the target, -1 maximises it, 0: no target column
         self.sign = sign
         self.tracked = tuple(tracked)
+        # dominance keys on (state, context) where contexts can differ
+        self.dom_key = itemgetter(
+            slice(2) if self.tracked or ag.carried_vary else 0)
         self.stats = SolveStats() if stats is None else stats
         dim, self.target_col = ag.plan.layout(sign)
         self.dom = _Dominance(dim)
         self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
         self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
-        # (nfa_states, pos, nodes, env at ag.read_slots), or the state:
-        # (env computed under, [(successor, weight vector)])
-        self.memo: Dict[tuple, Tuple[tuple, List[Tuple[AGState, _Vec]]]] = {}
+        # per state, its successors with their weight vectors
+        self.memo: Dict[AGState, List[Tuple[AGState, _Vec]]] = {}
 
     def weight_vec(self, st: AGState) -> _Vec:
         w = self.weights.get(st.nodes)
@@ -349,27 +353,14 @@ class _Search:
             w = self.weights[st.nodes] = self.ag.weight(st, self.sign)
         return w
 
-    def _expand(self, st: AGState, mkey: tuple):
+    def _expand(self, st: AGState):
         """st's successors with their weight vectors, each weighed when the
-        search reaches it; memoised at mkey once all are, never partial."""
+        search reaches it; memoised once all are, never partial."""
         out = []
         for succ in self.ag.successors(st):
             out.append((succ, self.weight_vec(succ)))
             yield out[-1]
-        self.memo[mkey] = (st.env, out)
-
-    def _shared(self, st: AGState, read: Tuple[int, ...]):
-        """st's successors with their weight vectors, memoised at the key
-        projected on `read`; under another env each one's is rebuilt."""
-        mkey = st[:3] + (tuple([st.env[s] for s in read]),)
-        hit = self.memo.get(mkey)
-        if hit is None:
-            return self._expand(st, mkey)
-        if hit[0] == st.env:
-            return hit[1]
-        bind = self.ag.plan._bind
-        return [(AGState(*s[:3], bind(st.nodes, s.nodes, st.env)), w)
-                for s, w in hit[1]]
+        self.memo[st] = out
 
     def prefixes(self, st: AGState, prev: _Prefixes) -> _Prefixes:
         out = []
@@ -390,12 +381,11 @@ class _Search:
         """The vectors key replaced in the dominance store, or None when
         it is not admitted: it is above the bound of a monotone row, or
         dominated."""
-        st, pre, acc, _ = key
-        bounds = self.bounds
+        acc, bounds = key[2], self.bounds
         for i in self.monotone:
             if acc[i] > bounds[i]:
                 return None
-        replaced = self.dom.admit((st, pre) if self.tracked else st, acc)
+        replaced = self.dom.admit(self.dom_key(key), acc)
         if replaced is not None:
             self.stats.enqueued += 1
         return replaced
@@ -410,13 +400,13 @@ class _Search:
         state is logged at DEBUG on `opra.solver`.
         """
         tracked, stats, memo = self.tracked, self.stats, self.memo
-        read = self.ag.read_slots
         admit, budget = self._admit, self.cfg.visited_budget
         trace = logger.isEnabledFor(logging.DEBUG)
         if _starts is None:
             empty = tuple(() for _ in tracked)
-            _starts = ((st, self.prefixes(st, empty), self.weight_vec(st),
-                        None) for st in self.ag.start_states())
+            _starts = ((st, (carried, self.prefixes(st, empty)),
+                        self.weight_vec(st), None)
+                       for st, carried in self.ag.start_states())
         level = []
         for key in _starts:
             if admit(key) is not None:
@@ -426,7 +416,7 @@ class _Search:
         while level and depth < max_depth:
             nxt = []
             for conf in level:
-                st, pre, acc, _ = conf
+                st, ctx, acc, _ = conf
                 stats.expanded += 1
                 if stats.enqueued > budget:
                     raise ResourceExceededError(
@@ -436,26 +426,16 @@ class _Search:
                 if trace:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
-                if read is None:
-                    # the state is its own key: projecting every key as
-                    # `_shared` does cost 7-9 % (six alternating 10 s
-                    # pairs, seed 1, 2-core Xeon: route_fixed
-                    # 333.7/338.0/335.8/353.9/336.9/350.7 ->
-                    # 315.9/311.6/309.0/318.7/310.9/311.4 ops/s,
-                    # automaton_extrema 1487/1483/1463/1449/1467/1465 ->
-                    # 1348/1342/1350/1353/1366/1354 ops/s)
-                    hit = memo.get(st)
-                    moves = self._expand(st, st) if hit is None else hit[1]
-                else:
-                    moves = self._shared(st, read)
-                for succ, w in moves:
+                moves = memo.get(st)
+                for succ, w in self._expand(st) if moves is None else moves:
                     acc2 = tuple([
                         a + b if type(a) is int and type(b) is int
                         else ext_add(a, b)
                         for a, b in zip(acc, w)
                     ])
-                    pre2 = self.prefixes(succ, pre) if tracked else ()
-                    key = (succ, pre2, acc2, conf)
+                    ctx2 = (ctx[0], self.prefixes(succ, ctx[1])) \
+                        if tracked else ctx
+                    key = (succ, ctx2, acc2, conf)
                     if admit(key) is not None:
                         nxt.append(key)
                         yield depth + 1, key
@@ -463,12 +443,12 @@ class _Search:
             level = nxt
 
     def reconstruct(self, key: _Config):
-        chain = []
+        carried, chain = key[1][0], []
         while key is not None:
             chain.append(key[0])
             key = key[3]
         chain.reverse()
-        return self.ag.decode(chain)
+        return self.ag.decode(chain, carried)
 
 
 def _fold(search: _Search, b1: int, b2: int,
@@ -522,17 +502,18 @@ class _Completion(_Search):
 
 class _PumpSearch(_Search):
     """The extremum search under derived bounds: the pump and dead-key
-    rules of the module docstring on top of dominance.  It tracks no
-    prefixes, so a dead key is a product state."""
+    rules of the module docstring on top of dominance.  A dead key is a
+    dominance key (`dom_key`)."""
 
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int,
                  b2: int):
         super().__init__(ag, cfg, sign)
         self.b2 = b2
-        self.dead: Dict[AGState, List[_Vec]] = {}
+        self.dead: Dict[object, List[_Vec]] = {}
 
     def _dead(self, key: _Config) -> bool:
-        return any(_le(d, key[2]) for d in self.dead.get(key[0], ()))
+        return any(_le(d, key[2])
+                   for d in self.dead.get(self.dom_key(key), ()))
 
     def _admit(self, key: _Config) -> _Admitted:
         if self._dead(key):
@@ -559,17 +540,17 @@ class _PumpSearch(_Search):
             chain.append(key)
             key = key[3]
         for i, c1 in enumerate(chain):
-            st1, pre, a1, _ = c1
+            st1, ctx, a1, _ = c1
             # an ancestor a dead key covers is not searched from again
             if st1 != st or not a2[col] < a1[col] \
                     or not _le(a2, a1) or self._dead(c1):
                 continue
-            start = (st, pre, a1[:n], None)
+            start = (st, ctx, a1[:n], None)
             left = self.b2 - (len(chain) - 1 - i)
             comp = _Completion(self.ag, self.cfg, self.sign, self.stats)
             if _fold(comp, left, left, starts=[start]):
                 return True
-            self.dead.setdefault(st, []).append(start[2])
+            self.dead.setdefault(self.dom_key(start), []).append(start[2])
         return False
 
 
@@ -668,8 +649,9 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
     if not table_applies(plan.source, plan.pra, mode, cfg):
         return None
     b1, b2 = derive_bounds(ag, cfg)
-    slots = [plan.env_vars.index(v) for v in plan.pra.match_nodes
-             if v in plan.lazy_vars]
+    # lazy targets are read slots, so their values are in a state's env
+    slots = [plan.read_slots.index(plan.env_vars.index(v))
+             for v in plan.pra.match_nodes if v in plan.lazy_vars]
     search = _Search(ag, cfg, sign)
     if mode is None:
         found = _fold(search, b2, b2, slots)
@@ -700,5 +682,6 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
     answers = set()
     for _, key in search.levels(max_len):
         if search.meets(key):
-            answers.add((key[0].env[:n_free_nodes], key[1]))
+            (carried, pre), env = key[1], key[0].env
+            answers.add((plan.full_env(carried, env)[:n_free_nodes], pre))
     return answers, search.stats

@@ -12,7 +12,7 @@ from opra.answer_graph import (
 from opra.automata import eval_node_constraint, step
 from opra.engine import engine_answers, evaluate
 from opra.extint import NEG_INF, POS_INF, ext_add
-from opra.graph import SINK, Graph, Labelling, aggregate
+from opra.graph import NO_TARGETS, SINK, Graph, Labelling, aggregate
 from opra.ontology import extend
 from opra.oracle import OracleConfig, enumerate_satisfying
 from opra.oracle import enumerate_answers as oracle_answers
@@ -23,14 +23,14 @@ from opra.query import (
     PraQuery, RegularConstraint, Star, TRUE_CONSTRAINT, Union_,
 )
 from opra.solver import (
-    MIN, SolveConfig, check_empty, enumerate_answers, extremum,
+    MIN, SolveConfig, _Search, check_empty, enumerate_answers, extremum,
 )
 from opra.validate import query_path_vars, validate
 
 from gensupport import (
     BINARY, BINARY_DEFAULT, BINARY_VALUES, rand_feasible_graph, rand_graph,
-    rand_query, rand_regex, rand_sparse_graph, route_constraint,
-    step_letters,
+    rand_instance, rand_query, rand_regex, rand_sparse_graph,
+    route_constraint, step_letters,
 )
 
 CFG = SolveConfig(b1=8, b2=16)
@@ -117,8 +117,11 @@ def test_successors_from_start(fig2, node):
     ag = AnswerGraph(fig2, route_sp(fig2))
     starts = list(ag.start_states())
     assert len(starts) == 1  # literal endpoints pin the single start
-    (st,) = starts
+    ((st, carried),) = starts
     assert st.pos == OMEGA and st.nodes == (node("S"),)
+    # the target literal is read by the step that ends pi; the source
+    # literal only picks the first node, so it is carried
+    assert (st.env, carried) == ((node("P"),), (node("S"),))
     succ = ag.successors(st)
     # successors that keep the route alive (non-accepting NFA states)
     # must follow the edge relation: S reaches exactly T and W
@@ -154,7 +157,7 @@ def test_successors_are_edge_neighbours_on_sparse_graph(monkeypatch):
             f'"{g.node_name(t)}" WHERE route(pi)'
         ), g).query.query
         ag = AnswerGraph(g, pra)
-        (start,) = ag.start_states()
+        ((start, _),) = ag.start_states()
         evals.clear()
         nxt = [st.nodes[0] for st in ag.successors(start)]
         want = [v for (u, v) in edges if u == s] + ([SINK] if s == t else [])
@@ -219,7 +222,7 @@ def assert_successors_match_full_scan(sources, shapes):
                 RegularConstraint(r, sel) for r, sel in constraints))
             for g in sources:
                 ag = AnswerGraph(g, pra)
-                level = set(ag.start_states())
+                level = {st for st, _ in ag.start_states()}
                 for _ in range(3 if ag.plan.k == 1 else 2):
                     nxt, dead = set(), set()
                     for st in level:
@@ -352,7 +355,8 @@ def test_stored_step_letters_are_decided_by_their_index():
                     if exact is None:
                         continue  # the default value keeps evaluation
                     for u, w in itertools.product(nodes, repeat=2):
-                        assert (w in exact.get(u, ())) == eval_node_constraint(
+                        held = w in exact.get(u, NO_TARGETS)[0]
+                        assert held == eval_node_constraint(
                             source, letter, (u,), (w,)), (letter.text(), u, w)
         for name in ("hop", "adj", "adjF"):
             assert _index_key(step_letter(name, 1), view) is not None
@@ -407,12 +411,14 @@ def test_free_target_starts_unbound():
     ag = AnswerGraph(g, free_pra(g, "s, t", "s -pi-> t"))
     assert ag.plan.lazy_vars == {"t"}
     starts = list(ag.start_states())
-    assert sorted(st.env for st in starts) == \
+    full_env = ag.plan.full_env
+    assert sorted(full_env(c, st.env) for st, c in starts) == \
         [(s, UNBOUND) for s in g.real_nodes]
-    for st in starts:
+    for st, carried in starts:
         succ = ag.successors(st)
         ends = [x for x in succ if x.nodes == (SINK,)]
-        assert ends and all(x.env == (st.nodes[0],) * 2 for x in ends)
+        assert ends and all(full_env(carried, x.env) == (st.nodes[0],) * 2
+                            for x in ends)
         assert all(x.env == st.env for x in succ if x.nodes != (SINK,))
 
 
@@ -421,12 +427,13 @@ def test_shared_lazy_target_binds_once(fig2, node):
         fig2, "s, u, t", "s -pi-> t AND u -rho-> t",
         "route(pi) AND route(rho)"))
     assert ag.plan.lazy_vars == {"t"}
-    slot = ag.plan.env_vars.index("t")
+    # t's position in a state's env, which holds the read slots alone
+    slot = ag.plan.read_slots.index(ag.plan.env_vars.index("t"))
     ipi, irho = ag.plan.path_vars.index("pi"), ag.plan.path_vars.index("rho")
     S, T = node("S"), node("T")
 
     def starts(a, b):
-        return [st for st in ag.start_states()
+        return [st for st, _ in ag.start_states()
                 if (st.nodes[ipi], st.nodes[irho]) == (a, b)]
 
     # at different nodes the two paths cannot end in one step; each may
@@ -449,6 +456,11 @@ def test_shared_lazy_target_binds_once(fig2, node):
         assert both and all(x.env[slot] == S for x in both)
 
 
+def start_envs(ag):
+    """Every start's full env, rebuilt from its state and carried values."""
+    return {ag.plan.full_env(c, st.env) for st, c in ag.start_states()}
+
+
 def test_lazy_only_where_nothing_reads_the_target(fig2, node):
     # a path source, a given node and the target of a bound path are read
     # before their component ends, so they keep one start per value
@@ -456,13 +468,13 @@ def test_lazy_only_where_nothing_reads_the_target(fig2, node):
         fig2, "s, t, u", "s -pi-> t AND t -rho-> u",
         "route(pi) AND route(rho)"))
     assert ag.plan.lazy_vars == {"u"}
-    assert {st.env for st in ag.start_states()} == {
+    assert start_envs(ag) == {
         (s, t, UNBOUND) for s in fig2.real_nodes for t in fig2.real_nodes}
 
     ag = AnswerGraph(fig2, free_pra(fig2, "s, t", "s -pi-> t"),
                      bound_nodes={"t": node("P")})
     assert ag.plan.lazy_vars == frozenset()
-    assert {st.env[1] for st in ag.start_states()} == {node("P")}
+    assert {env[1] for env in start_envs(ag)} == {node("P")}
 
     pra = validate(parse(
         ROUTE + "MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t "
@@ -470,7 +482,7 @@ def test_lazy_only_where_nothing_reads_the_target(fig2, node):
     stp = tuple(node(x) for x in "STP")
     ag = AnswerGraph(fig2, pra, bound_paths={"pi": stp})
     assert ag.plan.lazy_vars == frozenset()
-    assert {st.env for st in ag.start_states()} == {(node("S"), node("P"))}
+    assert start_envs(ag) == {(node("S"), node("P"))}
 
 
 def test_witness_env_names_every_free_node(fig2):
@@ -492,6 +504,55 @@ def test_witness_env_names_every_free_node(fig2):
     assert res.paths["pi"][-1] == res.paths["rho"][-1]
 
 
+def test_states_hold_the_read_slots_and_chains_keep_their_carried_values():
+    # random route queries with free, lazy and bound node variables, and
+    # at times a free one that no constraint names: every state's env
+    # holds the read slots alone, every configuration carries the values
+    # its start came with, the bound ones among them, and the envs of
+    # answers and witnesses name every free node at a real node
+    rng = random.Random(2801)
+    b = 4
+    cfg = SolveConfig(b1=b, b2=2 * b, visited_budget=2_000_000)
+    ocfg = OracleConfig(max_path_len=2 * b, max_paths=5_000_000)
+    kinds = set()
+    for trial in range(30):
+        g, q = rand_instance(rng, max_len=2 * b, joint_budget=20_000,
+                             max_nodes=3, n_unary=1)
+        pra = validate(q, g).query.query
+        if rng.random() < 0.3:
+            pra = replace(pra, match_nodes=pra.match_nodes + ("z",))
+        bound = {v: rng.choice(g.real_nodes) for v in pra.match_nodes
+                 if rng.random() < 0.3}
+        ag = AnswerGraph(g, pra, bound_nodes=bound)
+        plan = ag.plan
+        kinds |= {"lazy" for v in pra.match_nodes if v in plan.lazy_vars}
+        kinds |= {"bound"} if bound else set()
+        kinds |= {"carried"} if ag.carried_vary else set()
+
+        search = _Search(ag, cfg)
+        for _, (st, (carried, _), _, parent) in search.levels(2 * b):
+            assert len(st.env) == len(plan.read_slots), trial
+            assert len(carried) == len(plan.carried_slots), trial
+            assert parent is None or parent[1][0] == carried, trial
+            full = plan.full_env(carried, st.env)
+            assert all(full[plan.env_vars.index(v)] == x
+                       for v, x in bound.items()), trial
+
+        res = check_empty(ag, cfg=cfg)
+        sat = list(enumerate_satisfying(g, pra, ocfg, bound))
+        assert res.empty == (not sat), trial
+        if not res.empty:
+            assert (res.env, res.paths) in sat, trial
+            assert set(pra.match_nodes) <= set(res.env), trial
+        got, _ = enumerate_answers(ag, max_len=b, cfg=cfg)
+        assert got == oracle_answers(g, replace(q, query=pra),
+                                     OracleConfig(max_path_len=b), bound), \
+            trial
+        assert all(len(nodes) == len(pra.match_nodes)
+                   and UNBOUND not in nodes for nodes, _ in got), trial
+    assert kinds == {"lazy", "bound", "carried"}
+
+
 def test_bottom_self_loop_state(fig2):
     # a state where every path has terminated and every NFA accepts
     # keeps itself among its successors; with an NFA in a state that is
@@ -500,7 +561,7 @@ def test_bottom_self_loop_state(fig2):
     from opra.answer_graph import AGState
 
     final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.plan.nfas)
-    env = next(iter(ag.start_states())).env
+    env = next(iter(ag.start_states()))[0].env
     st = AGState(final, OMEGA, (SINK,), env)
     assert ag.is_target(st)
     assert st in ag.successors(st)
@@ -514,13 +575,13 @@ def test_bottom_self_loop_state(fig2):
 
 def test_is_target_definition(fig2, node):
     ag = AnswerGraph(fig2, route_sp(fig2))
-    for st in ag.start_states():
+    for st, _ in ag.start_states():
         assert not ag.is_target(st)  # node component is non-sink
     # assemble a target state by hand: final NFA states, all sink
     final = tuple(sorted(nfa.final)[0] for nfa, _ in ag.plan.nfas)
     from opra.answer_graph import AGState
 
-    st = AGState(final, OMEGA, (SINK,), next(ag.start_states().__iter__()).env)
+    st = AGState(final, OMEGA, (SINK,), next(ag.start_states())[0].env)
     assert ag.is_target(st)
 
 
@@ -532,7 +593,7 @@ def test_weight_vector(fig2, node):
     )
     pra = validate(parse(text), fig2).query.query
     ag = AnswerGraph(fig2, pra)
-    (start,) = list(ag.start_states())
+    ((start, _),) = ag.start_states()
     at_t = [s for s in ag.successors(start) if s.nodes[0] == node("T")]
     assert all(ag.weight(s) == (10,) for s in at_t)
     assert ag.weight(start) == (10,)  # S also has time 10
@@ -583,7 +644,7 @@ def test_weight_normalized_inequality(fig2, node):
         (ArithTerm(-1, "attr", ("pi",)), ArithTerm(4, "time", ("pi",))), 0
     ),)
     ag = AnswerGraph(fig2, pra)
-    (start,) = list(ag.start_states())
+    ((start, _),) = ag.start_states()
     at_p = [
         s for s in ag.successors(ag.successors(start)[0])
         if s.nodes[0] == node("P")
@@ -602,7 +663,7 @@ def test_weight_replay_along_paths(fig2):
     pra = validate(parse(text), fig2).query.query
     ag = AnswerGraph(fig2, pra)
     rng = random.Random(3)
-    for st in ag.start_states():
+    for st, carried in ag.start_states():
         acc = ag.weight(st)
         chain = [st]
         for _ in range(rng.randint(1, 6)):
@@ -612,7 +673,7 @@ def test_weight_replay_along_paths(fig2):
             nxt = rng.choice(succ)
             acc = tuple(ext_add(a, w) for a, w in zip(acc, ag.weight(nxt)))
             chain.append(nxt)
-        _, paths = ag.decode(chain)
+        _, paths = ag.decode(chain, carried)
         if any(st.nodes[i] != SINK for i in range(ag.plan.k)
                for st in (chain[-1],)):
             continue  # only fully decoded tuples replay exactly

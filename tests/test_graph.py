@@ -45,19 +45,29 @@ def test_label_values(fig2, node):
         fig2.label_value("time", (node("S"), node("T")))
 
 
+def sets(targets):
+    """Each node's targets as a set, having checked that its ordered
+    nodes are the set's in increasing order."""
+    for nodes, order in targets.values():
+        assert order == tuple(sorted(nodes))
+    return {u: nodes for u, (nodes, _) in targets.items()}
+
+
 def test_binary_index_targets(fig2, node):
     lab = Labelling("F", 2, 2, {(1, 2): 0, (1, 3): 0, (1, 4): 5, (2, 1): 0})
     assert "_indexes" not in vars(lab)  # built on first use only
-    assert lab.targets(0, (0,), 1) == {1: {2, 3}, 2: {1}}
-    assert lab.targets(5, (0,), 1) == {1: {4}}
-    assert lab.targets(0, (1,), 0) == {1: {2}, 2: {1}, 3: {1}}
+    assert sets(lab.targets(0, (0,), 1)) == {1: {2, 3}, 2: {1}}
+    assert sets(lab.targets(5, (0,), 1)) == {1: {4}}
+    assert sets(lab.targets(0, (1,), 0)) == {1: {2}, 2: {1}, 3: {1}}
     assert lab.targets(2, (0,), 1) == {}  # the default is never stored
     assert lab.targets(0, (0,), 1) is lab.targets(0, (0,), 1)
     assert {(0, (0,)), (5, (0,)), (0, (1,)), (2, (0,))} \
         <= set(vars(lab)["_indexes"])
     edges = fig2.labellings["E"]
-    assert edges.targets(1, (0,), 1)[node("S")] == {node("T"), node("W")}
-    assert fig2.step_targets("E", 1, reverse=True)[node("T")] == {node("S")}
+    assert sets(edges.targets(1, (0,), 1))[node("S")] \
+        == {node("T"), node("W")}
+    assert sets(fig2.step_targets("E", 1, reverse=True))[node("T")] \
+        == {node("S")}
     assert fig2.step_targets("E", 0) is None  # E's default
     assert fig2.step_targets("time", 10) is None  # not binary
     with pytest.raises(ArityMismatchError):
@@ -74,7 +84,7 @@ def test_index_groups_keys_of_any_arity():
                                      (3, 1, 1))}
     assert lab.index(1, (0, 2)) is lab.index(1, (0, 2))
     # u at both positions 1 and 2: (2, 2, 2) and (3, 1, 1), not (1, 2, 3)
-    assert lab.targets(1, (1, 2), 0) == {2: {2}, 1: {3}}
+    assert sets(lab.targets(1, (1, 2), 0)) == {2: {2}, 1: {3}}
     with pytest.raises(ArityMismatchError):
         lab.index(1, (3,))
 

@@ -92,11 +92,12 @@ def test_route_fixed_round_keeps_its_search():
 
 
 def test_route_free_round_keeps_its_search():
-    # seed 1's route_free round: the search memo is keyed on what
-    # successors reads, so free sources share their successor work, 312
-    # calls where a key per whole state makes 938, with the same search;
-    # index-decided E letters leave 98 evaluations of 1 162, and weighing
-    # each node tuple once per search 180 weight calls of 1 092
+    # seed 1's route_free round: the search memo is keyed on the state,
+    # which holds only what successors reads, so free sources share their
+    # successor work, 312 calls where a key per (state, source) makes 938,
+    # with the same search; index-decided E letters leave 98 evaluations
+    # of 1 162, and weighing each node tuple once per search 180 weight
+    # calls of 1 092
     tr = _traced_round("route_free")
     assert tr.count("solver.expanded") == 1062
     assert tr.count("solver.enqueued") == 1468

@@ -1,4 +1,3 @@
-import copy
 import random
 import re
 from dataclasses import replace
@@ -409,22 +408,24 @@ FREE_ROUTE = (
 )
 
 
-def _with_state_keys(ag):
-    """The same binding with the search memo keyed on whole states."""
-    ag = copy.copy(ag)
-    ag.read_slots = None
-    return ag
+def _per_source(g, pra, **kw):
+    """The query's answer graphs with its free source s bound, one per
+    node: searches that share no memo across values of s."""
+    return [AnswerGraph(g, pra, bound_nodes={"s": s}, **kw)
+            for s in g.real_nodes]
 
 
 def test_free_sources_share_successor_work(monkeypatch):
     # the enumeration expands 178 configurations over 176 distinct
-    # states, which differ in s; successors read only the env's target
-    # slot, so 57 projected keys make 57 successor calls, and the search
-    # and its answers are those of a memo keyed on whole states
+    # (state, s) pairs; a state's env holds t alone, what successors
+    # read, so 57 states make 57 successor calls where the searches that
+    # bind s make 176 between them, and its search and answers are
+    # theirs
     g = rand_timed_graph(random.Random(5), n=20, degree=3)
-    ag = AnswerGraph(g, validate(parse(
-        FREE_ROUTE + "HAVING time[pi] <= 12"), g).query.query)
-    assert ag.read_slots == (ag.plan.env_vars.index("t"),)
+    pra = validate(parse(FREE_ROUTE + "HAVING time[pi] <= 12"),
+                   g).query.query
+    ag = AnswerGraph(g, pra)
+    assert ag.plan.read_slots == (ag.plan.env_vars.index("t"),)
     calls = []
     successors = AnswerGraph.successors
 
@@ -434,76 +435,105 @@ def test_free_sources_share_successor_work(monkeypatch):
 
     monkeypatch.setattr(AnswerGraph, "successors", counted)
     answers, stats = search_answers(ag, max_len=6)
-    keys = {(st.nfa_states, st.pos, st.nodes,
-             tuple([st.env[s] for s in ag.read_slots])) for st in calls}
     assert (stats.expanded, stats.enqueued) == (178, 178)
-    assert len(calls) == len(keys) == 57
+    assert len(calls) == len(set(calls)) == 57
 
     calls.clear()
-    assert search_answers(_with_state_keys(ag), max_len=6) \
-        == (answers, stats)
-    assert len(calls) == len(set(calls)) == 176
-    assert len(answers) == 87
+    union, expanded, enqueued = set(), 0, 0
+    for one in _per_source(g, pra):
+        got, one_stats = search_answers(one, max_len=6)
+        union |= got
+        expanded += one_stats.expanded
+        enqueued += one_stats.enqueued
+    assert (expanded, enqueued) == (178, 178) and len(calls) == 176
+    assert answers == union and len(answers) == 87
 
 
-def _checked_replays(monkeypatch):
-    """Make every hit of a projected search memo assert that its list
-    equals the binding's successors with fresh weight vectors; returns
-    the states whose hit read a list computed under another env."""
-    replayed = []
-    shared = _Search._shared
+def _checked_memo(monkeypatch):
+    """Make every search's memo check each hit: the list it holds must
+    equal the state's successors with fresh weight vectors.  Returns the
+    states hit."""
+    hits = []
+    init = _Search.__init__
 
-    def checked(search, st, read):
-        out = shared(search, st, read)
-        if isinstance(out, list):
-            assert out == [(succ, search.weight_vec(succ))
-                           for succ in search.ag.successors(st)], st
-            mkey = st[:3] + (tuple([st.env[s] for s in read]),)
-            if search.memo[mkey][0] != st.env:
-                replayed.append(st)
-        return out
+    class Checked(dict):
+        def __init__(self, search):
+            super().__init__()
+            self.search = search
 
-    monkeypatch.setattr(_Search, "_shared", checked)
-    return replayed
+        def get(self, st, default=None):
+            out = super().get(st, default)
+            if out is not None:
+                ag, sign = self.search.ag, self.search.sign
+                assert out == [(succ, ag.weight(succ, sign))
+                               for succ in ag.successors(st)], st
+                hits.append(st)
+            return out
+
+    def checked_init(search, *args, **kwargs):
+        init(search, *args, **kwargs)
+        search.memo = Checked(search)
+
+    monkeypatch.setattr(_Search, "__init__", checked_init)
+    return hits
 
 
 def test_replayed_successors_match_fresh_ones(monkeypatch):
-    # free (s, t) searches of every kind replay successors computed for
-    # another s; each replay equals a fresh computation, and results and
-    # stats equal those of a memo keyed on whole states
-    replayed = _checked_replays(monkeypatch)
+    # free (s, t) searches of every kind read successors from their one
+    # memo, shared across values of s; each hit equals a fresh
+    # computation, emptiness, witness and answers are those of the
+    # searches that bind s, and extrema are the oracle's
+    hits = _checked_memo(monkeypatch)
+    target = ("time", ("pi",))
+    small = SolveConfig(b1=2, b2=4)
     for seed in range(4):
         g = rand_timed_graph(random.Random(seed), n=8, degree=2)
-        pra = validate(parse(FREE_ROUTE + "HAVING time[pi] <= 15"),
-                       g).query.query
-        for ag in (AnswerGraph(g, pra),
-                   AnswerGraph(g, pra, target=("time", ("pi",)))):
-            assert ag.read_slots is not None
-            runs = [lambda ag: search_answers(ag, max_len=5)]
-            if ag.plan.target is None:
-                runs.append(lambda ag: check_empty(ag, cfg=CFG))
-            else:
-                runs += [lambda ag, m=m, c=c: extremum(ag, m, cfg=c)
-                         for m in (MIN, MAX) for c in (CFG, None)]
-            for run in runs:
-                assert run(ag) == run(_with_state_keys(ag)), seed
-    assert replayed
+        vq = validate(parse(FREE_ROUTE + "HAVING time[pi] <= 15"), g)
+        pra = vq.query.query
+        ag = AnswerGraph(g, pra)
+        assert ag.carried_vary
+        res = check_empty(ag, cfg=CFG)
+        per = [check_empty(one, cfg=CFG) for one in _per_source(g, pra)]
+        assert res.empty == all(r.empty for r in per), seed
+        if not res.empty:
+            # the first target is the first of its source's own search
+            one = per[res.env["s"] - 1]
+            assert (res.env, res.paths) == (one.env, one.paths), seed
+        answers, _ = search_answers(ag, max_len=5)
+        assert answers == set().union(*[
+            search_answers(one, max_len=5)[0]
+            for one in _per_source(g, pra)]), seed
 
-    # an RPQ over an embedded data graph: nested searches bind v and key
-    # on whole states, the outer one replays across s
-    replayed.clear()
+        ag = AnswerGraph(g, pra, target=target)
+        for mode in (MIN, MAX):
+            got = extremum(ag, mode, cfg=small)
+            assert got.value == oracle_two_phase(
+                g, vq, target, mode, small.b1, small.b2), (seed, mode)
+            assert (got.env, got.witness) in enumerate_satisfying(
+                g, pra, OracleConfig(max_path_len=small.b1)), (seed, mode)
+            assert aggregate(g, "time", [got.witness["pi"]]) == got.value
+            # under derived bounds, the best of the per-source values
+            got = extremum(ag, mode, cfg=SolveConfig()).value
+            values = [extremum(one, mode, cfg=SolveConfig()).value
+                      for one in _per_source(g, pra, target=target)]
+            assert got == (min if mode == MIN else max)(values), (seed, mode)
+    assert hits
+
+    # an RPQ over an embedded data graph: nested searches bind v, and
+    # the outer one reads successors across s
+    hits.clear()
     dg = rand_data_graph(random.Random(11), max_nodes=5)
     g = embed(dg)
     answers = engine_answers(g, rpq_query_text(("a", "b", "star"),
                                                ("a", "b")), max_len=5)
-    assert replayed and answers
+    assert hits and answers
 
 
 def test_shared_lazy_target_agrees_with_oracle(monkeypatch):
     # MATCH NODES (s, t) SUCH THAT s -pi-> t AND s -rho-> t: a free source
     # and one lazy target that both components bind, under random extra
     # regular and arithmetical constraints
-    replayed = _checked_replays(monkeypatch)
+    _checked_memo(monkeypatch)
     rng = random.Random(4471)
     b = 4
     cfg = SolveConfig(b1=b, b2=2 * b, visited_budget=2_000_000)
@@ -530,7 +560,7 @@ def test_shared_lazy_target_agrees_with_oracle(monkeypatch):
             regular_constraints=tuple(regular), arith_constraints=arith))
         pra = validate(q, g).query.query
         ag = AnswerGraph(g, pra)
-        assert ag.plan.lazy_vars == {"t"} and ag.read_slots is not None
+        assert ag.plan.lazy_vars == {"t"} and ag.carried_vary
 
         res = check_empty(ag, cfg=cfg)
         assert res.empty == (not enumerate_answers(g, q, ocfg)), trial
@@ -541,7 +571,7 @@ def test_shared_lazy_target_agrees_with_oracle(monkeypatch):
         assert engine_answers(g, q, max_len=b, cfg=cfg) == want, trial
         seen_empty += res.empty
         seen_answers += bool(want)
-    assert seen_empty and seen_answers and replayed
+    assert seen_empty and seen_answers
 
 
 def _abc_route(g, having):
