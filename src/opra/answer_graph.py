@@ -423,9 +423,6 @@ class AnswerGraph:
         self._domains = list(plan.domains)
         for s, v in plan.bound_slots:
             self._domains[s] = (bound_nodes[v],)
-        # do start states differ in their carried values?
-        self.carried_vary = any(len(self._domains[s]) > 1
-                                for s in plan.carried_slots)
 
     # -- start and target states -----------------------------------------
 
@@ -448,7 +445,7 @@ class AnswerGraph:
                     if srcs and not (p and all(full[s] == p[0] for s in srcs)
                                      and plan._can_end(i, p[-1], env)):
                         break
-                    choices.append((path_index(p, 1) if self.N >= 1 else SINK,))
+                    choices.append((path_index(p, 1),))
                 elif srcs:
                     starts = {full[s] for s in srcs}
                     if len(starts) != 1:

@@ -5,33 +5,38 @@ over configurations (product state, context, accumulated weight
 vector), explored by one breadth-first search.  The context is the
 carried values of the start (`Plan.carried_slots`), which no step reads
 and so stay as they started, and the tracked path prefixes.  The search
-yields each configuration with its depth as it is admitted, in
-generation order, and expands a level only once the previous one has
-been consumed, so a caller stops it at any configuration.  The prefixes
-are only tracked when enumerating answers; otherwise they stay empty.
-The search applies two sound prunings:
+yields only its answers: each admitted configuration that is a target
+within every bound, with its depth, in generation order.  It expands a
+level only once the previous one has been consumed, so a caller stops
+it at any answer.  The prefixes are only tracked when enumerating
+answers; otherwise they stay empty.  The search applies two sound
+prunings:
 
   * dominance: a configuration is dropped when an already-seen
-    configuration with the same product state and the same context has
-    componentwise smaller or equal accumulated weights (after sign
-    normalization everything is minimized).  Both configurations have the
-    same completions, which decode to the same answers; the kept one
-    reaches each of them at no greater depth and with no greater
-    weights, so reachability of satisfying completions, minimal values
-    and the set of answers within a length bound are all preserved;
+    configuration with the same product state has componentwise smaller
+    or equal accumulated weights (after sign normalization everything is
+    minimized).  No step, target test or weight reads the context, so
+    both configurations have the same completions; the kept one reaches
+    each of them at no greater depth, with no greater weights and
+    earlier in generation order, so reachability of satisfying
+    completions, the first target, minimal values and the lazy values
+    of an answer table are all preserved.  Enumeration reports each
+    answer's context, so there the key is (state, context): equal
+    contexts decode the same completions to the same answers, and the
+    set of answers within a length bound is preserved;
   * monotonicity: when every possible per-state contribution to a
     constraint component is nonnegative, configurations already above
     that component's bound can never come back and are dropped.
 
 One rule reads every answer off the search (`_fold`).  Over the
-admitted targets that meet every bound within b2, in generation order,
-the answer is the first one, replaced by each strictly better one within
-b1; a better one beyond b1 makes it unbounded, reported as the matching
-infinity with no witness; no target at all gives the empty-set
-convention (+inf for MIN, -inf for MAX).  Emptiness is the rule with
-b1 = b2 and no target value, so it stops at its first target; an
-extremum stops once it is unbounded.  The default bounds grow with a
-capped product-size estimate and are overridable.
+answers the search yields within depth b2, the answer is the first one,
+replaced by each strictly better one within b1; a better one beyond b1
+makes it unbounded, reported as the matching infinity with no witness;
+no target at all gives the empty-set convention (+inf for MIN, -inf
+for MAX).  Emptiness is the rule with b1 = b2 and no target value, so it
+stops at its first target; an extremum stops once it is unbounded.  The
+default bounds grow with a capped product-size estimate and are
+overridable.
 
 Emptiness is complete for instances whose witnesses fit under b2;
 extrema are not, since a better path beyond b1 is read as unbounded
@@ -46,17 +51,19 @@ extremum search also recognises the cycle itself (Karp-Miller
 acceleration in the direction where satisfaction is monotone).  With
 accumulated vectors sign-normalised so the target is minimised:
 
-  * pump: a newly admitted c2 = (st, ctx, a') with an ancestor
-    c1 = (st, ctx, a), both finite, a' <= a componentwise and a' < a on
-    the target, closes a cycle that keeps every constraint component no
-    larger and lowers the target.  If a search from c1 over the
-    constraint components finds a completion d within b2 - depth(c1)
+  * pump: a newly admitted c2 at state st with vector a' and an
+    ancestor c1 at st with vector a, both finite, a' <= a componentwise
+    and a' < a on the target, closes a cycle that keeps every constraint
+    component no larger and lowers the target.  If a search from c1 over
+    the constraint components finds a completion d within b2 - depth(c1)
     whose target is not +inf, the extremum is unbounded: a + k(a' - a) + d
-    <= a + d meets every bound for every k.  The ancestor chain is only
-    walked when a' replaces a stored vector of (st, ctx) with a higher
-    target, so searches that do not pump pay nothing for it;
+    <= a + d meets every bound for every k, and the search ends there by
+    raising `_Unbounded`, which `_fold` reads as the matching infinity.
+    The ancestor chain is only walked when a' replaces a stored vector
+    of st with a higher target, so searches that do not pump pay nothing
+    for it;
   * dead key: when that search finds nothing, a's constraint part
-    is recorded for (st, ctx), and a later configuration there whose
+    is recorded for st, and a later configuration there whose
     constraint part is >= it is not admitted: breadth-first order puts
     it at depth >= depth(c1), so it has no completion within b2 either.
 
@@ -73,14 +80,14 @@ property of the whole search it gives no table: an extremum under
 derived bounds (pumping), and emptiness under derived bounds with a
 non-monotone HAVING row, whose frontier need not die out.
 
-A search memoises successors with their weight vectors on the state,
-which holds all that `successors` reads, so a state met at another
-weight, or under other carried values such as another free source,
-reuses them as they are.  The memo belongs to the search object and
-dies with it.
+A search memoises successors with their weight vectors and target
+flags on the state, which holds all that `successors` reads, so a state
+met at another weight, or under other carried values such as another
+free source, reuses them as they are, and each state is tested as a
+target once.  The memo belongs to the search object and dies with it.
 
 A configuration admitted costs one probe of the dominance store, keyed
-by the product state alone where all contexts are one.  The store is
+by the product state alone outside enumeration.  The store is
 shaped by the length of the search's weight vectors (`_Dominance`): one
 minimum per key for one, a staircase decided by one bisect for two, and
 a list otherwise.  A MIN target that is a HAVING row alone is read from
@@ -177,10 +184,10 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
             size *= len(nfa.moves)
         size = min(size, _STATE_CAP)
         w = 1
-        for terms in plan._arith:
-            for coeff, name, _ in terms:
-                bound = max(1, _finite_bound(plan.source, name))
-                w = max(w, abs(coeff) * bound)
+        for ac in plan.pra.arith_constraints:
+            for t in ac.terms:
+                bound = max(1, _finite_bound(plan.source, t.labelling))
+                w = max(w, abs(t.coeff) * bound)
         if plan.target is not None:
             w = max(w, max(1, _finite_bound(plan.source, plan.target[0])))
         d = len(plan.bounds) + 1
@@ -225,7 +232,7 @@ def _monotone_components(source, pra: PraQuery) -> List[int]:
 
 class _Dominance:
     """Antichains of componentwise-minimal weight vectors, one per key:
-    the product state, or (state, context) where contexts can differ.
+    the product state, or (state, context) when enumerating answers.
     A search's vectors all have one length, `Plan.layout`'s: its HAVING
     rows, then the sign-normalised target, which has no column of its own
     where it is a MIN target read from a row.  The store is shaped by
@@ -318,34 +325,32 @@ class _Search:
     The context is (carried, prefixes): the carried values its start
     came with, and per tracked path component the nodes it has walked so
     far (bound components report their whole input path), () when
-    nothing is tracked.  Dominance compares configurations with the same
-    state and context (`dom_key`).  `parent` is the configuration it was
-    generated from, None at a start.  `weight_vec` keeps each node
-    tuple's vector for the search's lifetime; a read that raises keeps
-    nothing, and raises again when repeated.
+    nothing is tracked.  `tracked` is None for a search that reports no
+    context, whose dominance key (`dom_key`) is the state alone; one
+    that tracks components, even none, reports contexts and keys on
+    (state, context).  `parent` is the configuration it was generated
+    from, None at a start.  `weight_vec` keeps each node tuple's vector
+    for the search's lifetime; a read that raises keeps nothing, and
+    raises again when repeated.
     """
 
-    unbounded = False  # set by a search that recognises an unbounded value
-
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int = 0,
-                 tracked: Sequence[int] = (),
+                 tracked: Optional[Sequence[int]] = None,
                  stats: Optional[SolveStats] = None):
         self.ag = ag
         self.bounds = ag.plan.bounds
         self.cfg = cfg
         # 1 minimises the target, -1 maximises it, 0: no target column
         self.sign = sign
-        self.tracked = tuple(tracked)
-        # dominance keys on (state, context) where contexts can differ
-        self.dom_key = itemgetter(
-            slice(2) if self.tracked or ag.carried_vary else 0)
+        self.tracked = tuple(tracked or ())
+        self.dom_key = itemgetter(0 if tracked is None else slice(2))
         self.stats = SolveStats() if stats is None else stats
         dim, self.target_col = ag.plan.layout(sign)
         self.dom = _Dominance(dim)
         self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
         self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
-        # per state, its successors with their weight vectors
-        self.memo: Dict[AGState, List[Tuple[AGState, _Vec]]] = {}
+        # per state, its successors with their weight vectors and target flags
+        self.memo: Dict[AGState, List[Tuple[AGState, _Vec, bool]]] = {}
 
     def weight_vec(self, st: AGState) -> _Vec:
         w = self.weights.get(st.nodes)
@@ -354,11 +359,12 @@ class _Search:
         return w
 
     def _expand(self, st: AGState):
-        """st's successors with their weight vectors, each weighed when the
-        search reaches it; memoised once all are, never partial."""
-        out = []
+        """st's successors with their weight vectors and target flags,
+        each read when the search reaches it; memoised once all are,
+        never partial."""
+        out, is_target = [], self.ag.is_target
         for succ in self.ag.successors(st):
-            out.append((succ, self.weight_vec(succ)))
+            out.append((succ, self.weight_vec(succ), is_target(succ)))
             yield out[-1]
         self.memo[st] = out
 
@@ -372,10 +378,6 @@ class _Search:
             else:
                 out.append(prev[slot])
         return tuple(out)
-
-    def meets(self, key: _Config) -> bool:
-        """Is the configuration a target within every bound?"""
-        return self.ag.is_target(key[0]) and _le(key[2], self.bounds)
 
     def _admit(self, key: _Config) -> _Admitted:
         """The vectors key replaced in the dominance store, or None when
@@ -392,15 +394,18 @@ class _Search:
 
     def levels(self, max_depth: int,
                _starts: Optional[Iterable[_Config]] = None):
-        """Yield (depth, config) for each configuration as it is admitted,
-        in generation order, up to depth max_depth.  A level is expanded
-        only once the previous one has been consumed, so a caller that
-        stops at a configuration builds nothing after it.  `_starts`
-        replaces the answer graph's start configurations.  Each expanded
-        state is logged at DEBUG on `opra.solver`.
+        """Yield (depth, config) for each admitted configuration that is a
+        target within every bound, as it is admitted, in generation
+        order, up to depth max_depth.  A level is expanded only once the
+        previous one has been consumed, so a caller that stops at an
+        answer builds nothing after it.  `_starts` replaces the answer
+        graph's start configurations, which are tested as targets here;
+        a successor's flag comes from the memo.  Each expanded state is
+        logged at DEBUG on `opra.solver`.
         """
         tracked, stats, memo = self.tracked, self.stats, self.memo
         admit, budget = self._admit, self.cfg.visited_budget
+        bounds, is_target = self.bounds, self.ag.is_target
         trace = logger.isEnabledFor(logging.DEBUG)
         if _starts is None:
             empty = tuple(() for _ in tracked)
@@ -411,7 +416,8 @@ class _Search:
         for key in _starts:
             if admit(key) is not None:
                 level.append(key)
-                yield 0, key
+                if is_target(key[0]) and _le(key[2], bounds):
+                    yield 0, key
         depth = 0
         while level and depth < max_depth:
             nxt = []
@@ -427,7 +433,8 @@ class _Search:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
                 moves = memo.get(st)
-                for succ, w in self._expand(st) if moves is None else moves:
+                for succ, w, target in \
+                        self._expand(st) if moves is None else moves:
                     acc2 = tuple([
                         a + b if type(a) is int and type(b) is int
                         else ext_add(a, b)
@@ -438,7 +445,8 @@ class _Search:
                     key = (succ, ctx2, acc2, conf)
                     if admit(key) is not None:
                         nxt.append(key)
-                        yield depth + 1, key
+                        if target and _le(acc2, bounds):
+                            yield depth + 1, key
             depth += 1
             level = nxt
 
@@ -451,34 +459,38 @@ class _Search:
         return self.ag.decode(chain, carried)
 
 
+class _Unbounded(Exception):
+    """A pump search has proved its extremum unbounded."""
+
+
 def _fold(search: _Search, b1: int, b2: int,
           slots: Optional[Sequence[int]] = None,
           starts: Optional[Iterable[_Config]] = None
           ) -> Dict[Tuple[NodeId, ...], Tuple[ExtInt, Optional[_Config]]]:
     """The answer rule of the module docstring.  Per tuple of the env at
-    `slots` (the key () without slots), over the admitted targets that
-    meet every bound within b2: (value, configuration) of the first one,
-    then of each strictly better one within b1, or (-inf, None) for a
-    better one beyond b1.  A value is the sign-normalised target, or 0
-    without a target column.  {(): (-inf, None)} once the search is
-    `unbounded` (a pump).  `starts` replaces the answer graph's start
+    `slots` (the key () without slots), over the answers the search
+    yields within depth b2: (value, configuration) of the first one, then
+    of each strictly better one within b1, or (-inf, None) for a better
+    one beyond b1.  A value is the sign-normalised target, or 0 without a
+    target column.  {(): (-inf, None)} when the search raises
+    `_Unbounded` (a pump).  `starts` replaces the answer graph's start
     configurations.  Without slots the search stops once its one answer
     is decided: at the first target without a target column, at -inf
     otherwise."""
-    col, meets = search.target_col, search.meets
+    col = search.target_col
     out: Dict[Tuple[NodeId, ...], Tuple[ExtInt, Optional[_Config]]] = {}
-    for depth, key in search.levels(b2, starts):
-        if search.unbounded:
-            return {(): (NEG_INF, None)}
-        if not meets(key):
-            continue
-        at = () if slots is None else tuple([key[0].env[s] for s in slots])
-        value = 0 if col is None else key[2][col]
-        old = out.get(at)
-        if old is None or value < old[0]:
-            out[at] = (NEG_INF, None) if depth > b1 else (value, key)
-            if slots is None and (col is None or depth > b1):
-                break
+    try:
+        for depth, key in search.levels(b2, starts):
+            at = () if slots is None \
+                else tuple([key[0].env[s] for s in slots])
+            value = 0 if col is None else key[2][col]
+            old = out.get(at)
+            if old is None or value < old[0]:
+                out[at] = (NEG_INF, None) if depth > b1 else (value, key)
+                if slots is None and (col is None or depth > b1):
+                    break
+    except _Unbounded:
+        return {(): (NEG_INF, None)}
     return out
 
 
@@ -502,8 +514,9 @@ class _Completion(_Search):
 
 class _PumpSearch(_Search):
     """The extremum search under derived bounds: the pump and dead-key
-    rules of the module docstring on top of dominance.  A dead key is a
-    dominance key (`dom_key`)."""
+    rules of the module docstring on top of dominance.  It ends itself
+    once `_pumps` proves a pump, raising `_Unbounded` out of `levels`.
+    A dead key is a dominance key (`dom_key`), the state alone."""
 
     def __init__(self, ag: AnswerGraph, cfg: SolveConfig, sign: int,
                  b2: int):
@@ -521,8 +534,9 @@ class _PumpSearch(_Search):
         replaced = super()._admit(key)
         # acc replaced a stored vector with a higher target
         col = self.target_col
-        if replaced and any(key[2][col] < v[col] for v in replaced):
-            self.unbounded = self._pumps(key)
+        if replaced and any(key[2][col] < v[col] for v in replaced) \
+                and self._pumps(key):
+            raise _Unbounded
         return replaced
 
     def _pumps(self, c2: _Config) -> bool:
@@ -666,22 +680,19 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
     """All decoded answers whose product paths have at most max_len steps.
 
     An answer is (free-node assignment, free-path tuple).  The search
-    carries each free path's prefix in its configurations, so dominance
-    and monotone pruning apply as for emptiness without losing an answer:
-    configurations with the same state and prefixes have the same
-    completions and decode to the same answers.  A max_len that is not
-    an int >= 0 raises `ValidationError`.
+    carries each free path's prefix in its configurations and keys
+    dominance on (state, context), so dominance and monotone pruning
+    apply as for emptiness without losing an answer: configurations with
+    the same state and context have the same completions and decode to
+    the same answers.  A max_len that is not an int >= 0 raises
+    `ValidationError`.
     """
     check_int("max_len", max_len, 0)
     cfg = cfg or SolveConfig()
     plan = ag.plan
-    n_free_nodes = len(plan.pra.match_nodes)
-    tracked = [i for i, v in enumerate(plan.path_vars)
-               if v in plan.pra.match_paths]
-    search = _Search(ag, cfg, tracked=tracked)
-    answers = set()
-    for _, key in search.levels(max_len):
-        if search.meets(key):
-            (carried, pre), env = key[1], key[0].env
-            answers.add((plan.full_env(carried, env)[:n_free_nodes], pre))
+    n = len(plan.pra.match_nodes)
+    search = _Search(ag, cfg, tracked=[
+        i for i, v in enumerate(plan.path_vars) if v in plan.pra.match_paths])
+    answers = {(plan.full_env(carried, st.env)[:n], pre)
+               for _, (st, (carried, pre), _, _) in search.levels(max_len)}
     return answers, search.stats

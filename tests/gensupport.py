@@ -146,6 +146,16 @@ def rand_instance(rng: random.Random, max_len: int,
     return g, rand_query(rng, g, free_path_p=free_path_p)
 
 
+def carried_vary(ag) -> bool:
+    """Do the start states of the answer graph ag differ in their carried
+    values: has a carried slot that no binding fixes more than one
+    value?"""
+    plan = ag.plan
+    fixed = {s for s, _ in plan.bound_slots}
+    return any(len(plan.domains[s]) > 1 for s in plan.carried_slots
+               if s not in fixed)
+
+
 # -- random regexes over node constraints ----------------------------------------
 
 def step_letters(i: int) -> List[NodeConstraint]:

@@ -11,6 +11,7 @@ from opra.answer_graph import (
 )
 from opra.automata import eval_node_constraint, step
 from opra.engine import engine_answers, evaluate
+from opra.errors import ValidationError
 from opra.extint import NEG_INF, POS_INF, ext_add
 from opra.graph import NO_TARGETS, SINK, Graph, Labelling, aggregate
 from opra.ontology import extend
@@ -28,8 +29,8 @@ from opra.solver import (
 from opra.validate import query_path_vars, validate
 
 from gensupport import (
-    BINARY, BINARY_DEFAULT, BINARY_VALUES, rand_feasible_graph, rand_graph,
-    rand_instance, rand_query, rand_regex, rand_sparse_graph,
+    BINARY, BINARY_DEFAULT, BINARY_VALUES, carried_vary, rand_feasible_graph,
+    rand_graph, rand_instance, rand_query, rand_regex, rand_sparse_graph,
     route_constraint, step_letters,
 )
 
@@ -49,6 +50,28 @@ def test_build_and_solve_route(fig2):
     res = check_empty(ag, cfg=CFG)
     assert not res.empty
     assert res.paths["pi"] == tuple(fig2.node_id(n) for n in "STP")
+
+
+def test_a_product_binds_free_variables_to_real_nodes(fig2):
+    # only a free variable takes a value, and a bound path holds real
+    # nodes only; the sink pads paths inside the product alone
+    s, t = fig2.node_id("S"), fig2.node_id("T")
+    pra = validate(parse(ROUTE + "MATCH NODES (s) SUCH THAT s -pi-> t "
+                         "WHERE route(pi)"), fig2).query.query
+    with pytest.raises(ValidationError,
+                       match="^cannot bind non-free node variable 't'$"):
+        AnswerGraph(fig2, pra, bound_nodes={"t": t})
+    with pytest.raises(ValidationError,
+                       match="^cannot bind non-free path variable 'pi'$"):
+        AnswerGraph(fig2, pra, bound_paths={"pi": (s, t)})
+    pra = validate(parse(ROUTE + "MATCH PATHS (pi) SUCH THAT s -pi-> t "
+                         "WHERE route(pi)"), fig2).query.query
+    with pytest.raises(ValidationError,
+                       match="^input paths range over real nodes only$"):
+        AnswerGraph(fig2, pra, bound_paths={"pi": (s, SINK, t)})
+    res = check_empty(AnswerGraph(fig2, pra, bound_paths={"pi": (s, t)}),
+                      cfg=CFG)
+    assert not res.empty and res.paths == {"pi": (s, t)}
 
 
 def test_unsatisfiable_letter_gives_empty(fig2):
@@ -527,10 +550,22 @@ def test_states_hold_the_read_slots_and_chains_keep_their_carried_values():
         plan = ag.plan
         kinds |= {"lazy" for v in pra.match_nodes if v in plan.lazy_vars}
         kinds |= {"bound"} if bound else set()
-        kinds |= {"carried"} if ag.carried_vary else set()
+        kinds |= {"carried"} if carried_vary(ag) else set()
 
-        search = _Search(ag, cfg)
-        for _, (st, (carried, _), _, parent) in search.levels(2 * b):
+        # every admitted configuration, answer or not
+        search, admitted = _Search(ag, cfg), []
+        admit = search._admit
+
+        def spy(key):
+            replaced = admit(key)
+            if replaced is not None:
+                admitted.append(key)
+            return replaced
+
+        search._admit = spy
+        for _ in search.levels(2 * b):
+            pass
+        for st, (carried, _), _, parent in admitted:
             assert len(st.env) == len(plan.read_slots), trial
             assert len(carried) == len(plan.carried_slots), trial
             assert parent is None or parent[1][0] == carried, trial

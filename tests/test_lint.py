@@ -152,3 +152,52 @@ def test_private_imports_flags_only_private_names_of_opra():
     assert private_imports(tree) == [
         (2, "_Search"), (3, "_hidden"), (4, "helper"), (5, "_state"),
         (6, "opra._impl")]
+
+
+def foreign_private_reads(tree: ast.Module):
+    """(line, expression) of each read of a `_`-prefixed attribute that
+    the module defines nowhere, as a function, class or method, or by an
+    assignment to a name or attribute: a private attribute is its
+    module's own, and what another module needs of it is public.  Reads
+    on `self` and `cls` are a class's own."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return sorted(
+        (node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and _private(node.attr) and node.attr not in own
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("self", "cls")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_reads_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert foreign_private_reads(tree) == []
+
+
+def test_foreign_private_reads_flags_only_other_modules_attributes():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, plan):\n"
+        "        self._rows = plan._arith\n"
+        "        self._step()\n"
+        "    def _step(self): return self._hidden\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls._made\n"
+        "_cache = None\n"
+        "def read(box, mod):\n"
+        "    box._seen = box._rows, _cache\n"
+        "    return box._step, box._seen, mod._private, box.__dict__\n"
+        "y = sys._getframe()\n")
+    assert foreign_private_reads(tree) == [
+        (3, "plan._arith"), (11, "mod._private"), (12, "sys._getframe")]

@@ -333,6 +333,23 @@ def test_defined_binary_labelling_as_letter(fig2, monkeypatch):
                                     OracleConfig(max_path_len=3))
 
 
+def test_defined_labelling_of_another_arity_bounds_no_step(fig2):
+    # only a binary definition can bound a step letter: a ternary one has
+    # no step targets, so its letter is evaluated at every candidate,
+    # and the answers are the oracle's
+    text = ("LET hop(x, y, z) := E(x, y) && (y = z) IN "
+            "MATCH NODES (s, t), PATHS (pi) SUCH THAT s -pi-> t "
+            "WHERE <hop(@1, @1', @1') = 1>* <T>(pi)")
+    q = validate(parse(text), fig2)
+    view = extend(fig2, q, solve_config=CFG)
+    assert view.arity("hop") == 3
+    assert view.step_targets("hop", 1) is None
+    assert view.step_targets("hop", 1, reverse=True) is None
+    got = engine_answers(fig2, q, max_len=3, cfg=CFG)
+    assert got and got == enumerate_answers(fig2, q,
+                                            OracleConfig(max_path_len=3))
+
+
 # -- indexed aggregation -------------------------------------------------------
 
 def agg_graph(rng):

@@ -7,7 +7,7 @@ import pytest
 import opra
 from opra.answer_graph import OMEGA, AGState, AnswerGraph
 from opra.embedding import WeightedAutomaton, build_automaton_graph, embed
-from opra.engine import engine_answers
+from opra.engine import engine_answers, prepare
 from opra.errors import (
     IndeterminateSumError, ResourceExceededError, ValidationError,
 )
@@ -30,7 +30,7 @@ from opra.solver import enumerate_answers as search_answers
 from opra.validate import validate
 
 from gensupport import (
-    RUN_QUERY, load_perfbench, rand_automaton, rand_data_graph,
+    RUN_QUERY, carried_vary, load_perfbench, rand_automaton, rand_data_graph,
     rand_feasible_graph, rand_instance, rand_regex, rand_timed_graph,
     route_constraint, rpq_query_text,
 )
@@ -165,6 +165,25 @@ def test_default_bounds_shape(fig2):
         derive_bounds(ag, SolveConfig(b1=5, b2=5))
     # a pinned b2 alone halves into b1, as a derived b2 doubles b1
     assert derive_bounds(ag, SolveConfig(b2=40)) == (20, 40)
+
+
+def test_default_bounds_read_an_on_demand_row_as_magnitude_one():
+    # a defined labelling's magnitude is unknown up front and counts as
+    # 1, a stored one's is its largest finite value (time: 2).  On a
+    # 2-node graph with one 3-state NFA the product estimate is
+    # (2 + 1) * (0 + 2) * 3 = 18, and with d = 2 (one row and the base)
+    # b1 = 18 * (2 * 2 * w * 18 + 1) ** 2 for the row's weight w
+    g = Graph(["a", "b"], [Labelling("E", 2, 0, {(1, 2): 1}),
+                           Labelling("time", 1, 0, {(1,): 1, (2,): 2})])
+    text = ("LET slow(x) := 2 * time(x) IN\n"
+            "MATCH PATHS (pi) SUCH THAT \"a\" -pi-> \"b\" "
+            "WHERE <E(@1, @1') = 1>* <T>(pi)\nHAVING 3 * {}[pi] <= 100")
+    for name, w in (("slow", 3 * 1), ("time", 3 * 2)):
+        view, pra = prepare(g, text.format(name))
+        b1 = 18 * (2 * 2 * w * 18 + 1) ** 2
+        assert derive_bounds(AnswerGraph(view, pra), SolveConfig()) \
+            == (b1, 2 * b1), name
+    assert b1 == 3_374_802
 
 
 @pytest.mark.parametrize("cfg", [
@@ -451,8 +470,8 @@ def test_free_sources_share_successor_work(monkeypatch):
 
 def _checked_memo(monkeypatch):
     """Make every search's memo check each hit: the list it holds must
-    equal the state's successors with fresh weight vectors.  Returns the
-    states hit."""
+    equal the state's successors with fresh weight vectors and target
+    flags.  Returns the states hit."""
     hits = []
     init = _Search.__init__
 
@@ -465,8 +484,9 @@ def _checked_memo(monkeypatch):
             out = super().get(st, default)
             if out is not None:
                 ag, sign = self.search.ag, self.search.sign
-                assert out == [(succ, ag.weight(succ, sign))
-                               for succ in ag.successors(st)], st
+                assert out == [
+                    (succ, ag.weight(succ, sign), ag.is_target(succ))
+                    for succ in ag.successors(st)], st
                 hits.append(st)
             return out
 
@@ -491,7 +511,7 @@ def test_replayed_successors_match_fresh_ones(monkeypatch):
         vq = validate(parse(FREE_ROUTE + "HAVING time[pi] <= 15"), g)
         pra = vq.query.query
         ag = AnswerGraph(g, pra)
-        assert ag.carried_vary
+        assert carried_vary(ag)
         res = check_empty(ag, cfg=CFG)
         per = [check_empty(one, cfg=CFG) for one in _per_source(g, pra)]
         assert res.empty == all(r.empty for r in per), seed
@@ -560,7 +580,7 @@ def test_shared_lazy_target_agrees_with_oracle(monkeypatch):
             regular_constraints=tuple(regular), arith_constraints=arith))
         pra = validate(q, g).query.query
         ag = AnswerGraph(g, pra)
-        assert ag.plan.lazy_vars == {"t"} and ag.carried_vary
+        assert ag.plan.lazy_vars == {"t"} and carried_vary(ag)
 
         res = check_empty(ag, cfg=cfg)
         assert res.empty == (not enumerate_answers(g, q, ocfg)), trial
@@ -710,6 +730,28 @@ def _run_extremum(g, mode: str, having: str = "", target: str = "weight",
     pra = validate(parse(RUN_QUERY + having), g).query.query
     ag = AnswerGraph(g, pra, target=(target, ("pi",)))
     return extremum(ag, mode, cfg=SolveConfig(visited_budget=budget))
+
+
+def test_no_pump_is_read_off_an_infinite_vector():
+    # a -> b -> c with a detour b -> d -> b, where time(d) is -inf: the
+    # detour lowers the target at b to -inf, but a pump needs finite
+    # vectors, so the search goes on to the target through d, and the
+    # minimum comes with that witness, as the oracle has it
+    g = Graph(list("abdc"), [
+        Labelling("E", 2, 0, {(1, 2): 1, (2, 3): 1, (3, 2): 1, (2, 4): 1}),
+        Labelling("time", 1, 0, {(1,): 1, (2,): 1, (3,): NEG_INF, (4,): 1})])
+    vq = validate(parse("def route(p) = <E(@1, @1') = 1>* <T>\n"
+                        'MATCH PATHS (pi) SUCH THAT "a" -pi-> "c" '
+                        "WHERE route(pi)"), g)
+    target = ("time", ("pi",))
+    ag = AnswerGraph(g, vq.query.query, target=target)
+    for mode, want in ((MIN, (1, 2, 3, 2, 4)), (MAX, (1, 2, 4))):
+        res = extremum(ag, mode, cfg=SolveConfig())
+        assert res.value == brute_extremum(
+            g, vq, target, mode, OracleConfig(max_path_len=7)), mode
+        assert res.witness == {"pi": want}, mode
+        assert aggregate(g, "time", [want]) == res.value, mode
+    assert res.value == 3
 
 
 @pytest.mark.parametrize("mode, states, transitions, want, expanded", [
