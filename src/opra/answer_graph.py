@@ -96,9 +96,27 @@ reads each term once: a MIN target is that row's column, with no column
 of its own, and a MAX target negates its value.
 
 A `Plan` holds what depends only on the source, the query, the names
-of the bound variables and the target: variable and slot orders, lazy
-targets, compiled NFAs with their move tables, and weight and target
-readers.  An `AnswerGraph` binds a plan to input paths and node values.
+of the bound variables and the target, and is the one place that reads
+the query and the source's labellings for a search.  It states, each
+computed once when the plan is built unless said otherwise:
+
+  * variable and slot orders, lazy targets, and compiled NFAs with
+    their move tables;
+  * weight and target readers, and the weight vector's layout
+    (`Plan.layout`);
+  * the HAVING rows whose contribution is provably >= 0
+    (`monotone_rows`), which a search prunes on;
+  * the magnitude that derived bounds grow with (`Plan.magnitude`): the
+    largest finite |coefficient * value| a HAVING term or the target
+    can take, at least 1, computed on each read, which only a derived b1
+    makes, from the stored labellings' cached `Labelling.finite_bound`;
+  * the layout of an answer: the free lazy targets in MATCH order with
+    their positions in a state's env (`free_lazy`, `free_lazy_at`), which
+    key an answer table, and the free paths' components in MATCH order
+    (`free_paths`) with the free node variables' values (`free_nodes`),
+    which make an enumerated answer.
+
+An `AnswerGraph` binds a plan to input paths and node values.
 An ontology view keeps the plans of its nested queries, so each is
 compiled once per view and bound once per node tuple, or once per value
 tuple of its eager variables where one search answers every value of
@@ -115,7 +133,7 @@ from typing import (
 
 from .automata import Nfa, compile_regex, eval_node_constraint
 from .errors import ValidationError
-from .extint import ExtInt, ext_add, ext_mul
+from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul, is_finite
 from .graph import NO_TARGETS, SINK, NodeId, NodeTargets, path_index
 from .query import (
     ArithTerm, ConstAtom, LabelAtom, NodeConstraint, NodeRef, PosVar,
@@ -192,6 +210,21 @@ def lazy_targets(pra: PraQuery, bound_paths: Collection[str] = (),
     return frozenset(targets - eager)
 
 
+def monotone_rows(source, pra: PraQuery) -> Tuple[int, ...]:
+    """The HAVING rows of pra whose per-state contribution on source is
+    provably >= 0: every term's least contribution is finite and >= 0
+    (all-sink positions contribute 0, so 0 is always possible).  A
+    labelling the source does not store may take any value."""
+    def least(t: ArithTerm) -> ExtInt:
+        lab = source.labellings.get(t.labelling)
+        lo, hi = (NEG_INF, POS_INF) if lab is None else lab.value_range
+        return ext_mul(t.coeff, lo if t.coeff >= 0 else hi)
+
+    return tuple([i for i, ac in enumerate(pra.arith_constraints)
+                  if all(is_finite(lo) and lo >= 0
+                         for lo in map(least, ac.terms))])
+
+
 class AGState(NamedTuple):
     nfa_states: Tuple[int, ...]
     pos: int
@@ -262,6 +295,14 @@ class Plan:
         self._binds = [(i, lazy) for i, lazy in enumerate(
             tuple(at[s] for s in slots if self.domains[s] == (UNBOUND,))
             for slots in tgt_slots) if lazy]
+        # an answer's layout: the free lazy targets in MATCH order with
+        # their env positions, and the free paths' components in MATCH
+        # order
+        self.free_lazy = tuple([v for v in pra.match_nodes
+                                if v in self.lazy_vars])
+        self.free_lazy_at = tuple([at[self.env_vars.index(v)]
+                                   for v in self.free_lazy])
+        self.free_paths = tuple([pidx[v] for v in pra.match_paths])
 
         # compiled regular constraints with their component selectors
         self.nfas: List[Tuple[Nfa, Tuple[int, ...]]] = [
@@ -297,6 +338,7 @@ class Plan:
         self.bounds: Tuple[int, ...] = tuple(
             ac.bound for ac in pra.arith_constraints
         )
+        self.monotone = monotone_rows(source, pra)
 
         # (labelling, reader), and the HAVING row that is the target alone
         # with coefficient 1, whose value a state's target then takes
@@ -328,6 +370,23 @@ class Plan:
             return n, self._target_row
         return n + 1, n
 
+    @property
+    def magnitude(self) -> int:
+        """The largest |coefficient| * finite bound over the HAVING terms
+        and the target (coefficient 1), and 1.  A bound is at least 1,
+        and 1 for a labelling the source does not store, whose magnitude
+        is unknown up front.  Only a derived b1 reads it, so it is
+        computed on that read and not kept: a `functools.cached_property`,
+        which adds a key to the plan's `__dict__` after `__init__`, cost
+        about 1.5 % of `automaton_extrema`'s ops/s under CPython 3.11."""
+        labs = self.source.labellings
+        terms = [(t.coeff, t.labelling)
+                 for ac in self.pra.arith_constraints for t in ac.terms]
+        if self.target is not None:
+            terms.append((1, self.target[0]))
+        return max([1] + [abs(c) * max(1, labs[name].finite_bound)
+                          if name in labs else abs(c) for c, name in terms])
+
     def _reader(self, name: str, sel: Tuple[int, ...]):
         """`name` at the nodes `sel` picks from a node tuple; 0 when all
         are the sink, as a positionwise sum stops at its longest path.
@@ -343,12 +402,9 @@ class Plan:
                 return 0 if key == sinks else source.label_value(name, key)
             return read
         default, get = lab.default, lab.entries.get
-        if len(sel) == 1:
+        if len(sel) == 1 and default == 0:
             (c,) = sel
-            if default == 0:
-                return lambda nodes: get((nodes[c],), 0)
-            return lambda nodes: 0 if nodes[c] == SINK \
-                else get((nodes[c],), default)
+            return lambda nodes: get((nodes[c],), 0)
 
         def read_sel(nodes: Tuple[NodeId, ...]) -> ExtInt:
             key = tuple([nodes[c] for c in sel])
@@ -360,6 +416,12 @@ class Plan:
         """Every slot's value, from carried values and a state's env."""
         both = carried + env
         return tuple([both[i] for i in self._unsplit])
+
+    def free_nodes(self, carried: Tuple[NodeId, ...],
+                   env: Tuple[NodeId, ...]) -> Tuple[NodeId, ...]:
+        """The free node variables' values, in MATCH order, from carried
+        values and a state's env: they lead `env_vars`."""
+        return self.full_env(carried, env)[:len(self.pra.match_nodes)]
 
     def _can_end(self, i: int, node: NodeId, env: Tuple[NodeId, ...]) -> bool:
         for s in self._tgt_slots[i]:

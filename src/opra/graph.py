@@ -112,13 +112,17 @@ class Labelling:
             self._indexes[value, by, at] = targets
         return targets
 
+    @cached_property
+    def value_range(self) -> Tuple[ExtInt, ExtInt]:
+        """The least and the greatest value this labelling can take."""
+        values = (self.default, *self.entries.values())
+        return min(values), max(values)
+
+    @cached_property
     def finite_bound(self) -> int:
-        """Largest absolute finite value this labelling can take."""
-        bound = abs(self.default) if is_finite(self.default) else 0
-        for v in self.entries.values():
-            if is_finite(v) and abs(v) > bound:
-                bound = abs(v)
-        return bound
+        """Largest absolute finite value this labelling can take, or 0."""
+        return max([abs(v) for v in (self.default, *self.entries.values())
+                    if is_finite(v)], default=0)
 
 
 class Graph:

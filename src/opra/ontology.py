@@ -186,9 +186,8 @@ def _nested(view: ExtendedGraph, term: Term,
         table = _table(view, term, mode, target, {
             v: eta[v] for v in q.match_nodes if v not in lazy})
         if table is not None:
-            return table.values.get(
-                tuple([eta[v] for v in q.match_nodes if v in lazy]),
-                table.default)
+            return table.values.get(tuple([eta[v] for v in table.key_vars]),
+                                    table.default)
     ag = AnswerGraph(view, q, bound_nodes={v: eta[v] for v in q.match_nodes},
                      plans=view._plans, target=target)
     if mode is None:

@@ -35,7 +35,9 @@ makes it unbounded, reported as the matching infinity with no witness;
 no target at all gives the empty-set convention (+inf for MIN, -inf
 for MAX).  Emptiness is the rule with b1 = b2 and no target value, so it
 stops at its first target; an extremum stops once it is unbounded.  The
-default bounds grow with a capped product-size estimate and are
+default bounds grow with a capped product-size estimate and with the
+magnitude the plan states (`Plan.magnitude`; the plan paragraph of the
+`answer_graph` module docstring lists what a plan states), and are
 overridable.
 
 Emptiness is complete for instances whose witnesses fit under b2;
@@ -70,10 +72,11 @@ accumulated vectors sign-normalised so the target is minimised:
 Pinned bounds keep the answer rule alone.
 
 `answer_table` answers emptiness or an extremum for every value tuple
-of a query's free lazy targets (`Plan.lazy_vars`) with one search, as
+of a query's free lazy targets (`Plan.free_lazy`) with one search, as
 an ontology view asks for a nested term at many tuples.  It runs the
 search to its end and applies the answer rule per tuple of the lazy
-values a target configuration was bound with.  Lazy targets are read by
+values a target configuration was bound with; a query without a free
+lazy target has one tuple, (), whose search stops at its one answer.  Lazy targets are read by
 nothing but the step that binds them, so each tuple's configurations
 are admitted as in its own search.  Where the stopping rule is a
 property of the whole search it gives no table: an extremum under
@@ -107,11 +110,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter, le
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .answer_graph import AGState, AnswerGraph
+from .answer_graph import AGState, AnswerGraph, monotone_rows
 from .errors import ResourceExceededError, ValidationError, check_int
 from .extint import NEG_INF, POS_INF, ExtInt, ext_add, ext_mul, is_finite
 from .graph import SINK, NodeId
-from .query import ArithTerm, PraQuery
+from .query import PraQuery
 from .validate import check_extremum_mode
 
 logger = logging.getLogger(__name__)
@@ -141,8 +144,7 @@ class SolveConfig:
     visited_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        for name in ("b1", "b2"):
-            v = getattr(self, name)
+        for name, v in (("b1", self.b1), ("b2", self.b2)):
             if v is not None:
                 check_int(f"bound {name}", v)
         check_int("visited budget", self.visited_budget, 1)
@@ -178,56 +180,18 @@ def derive_bounds(ag: AnswerGraph, cfg: SolveConfig) -> Tuple[int, int]:
     b1 = cfg.b1
     if b1 is None:
         plan = ag.plan
-        n_nodes = len(plan.source.real_nodes) + 1
-        size = n_nodes ** plan.k * (ag.N + 2)
+        size = (len(plan.source.real_nodes) + 1) ** plan.k * (ag.N + 2)
         for nfa, _ in plan.nfas:
             size *= len(nfa.moves)
         size = min(size, _STATE_CAP)
-        w = 1
-        for ac in plan.pra.arith_constraints:
-            for t in ac.terms:
-                bound = max(1, _finite_bound(plan.source, t.labelling))
-                w = max(w, abs(t.coeff) * bound)
-        if plan.target is not None:
-            w = max(w, max(1, _finite_bound(plan.source, plan.target[0])))
         d = len(plan.bounds) + 1
-        b1 = min(size * (2 * d * w * size + 1) ** d, _BOUND_CAP)
+        b1 = min(size * (2 * d * plan.magnitude * size + 1) ** d, _BOUND_CAP)
         if cfg.b2 is not None:
             b1 = min(b1, cfg.b2 // 2)  # as b2 = 2 * b1 when b2 is derived
     b2 = cfg.b2 if cfg.b2 is not None else 2 * b1
     if not 0 < b1 < b2:
         raise ValidationError("bounds must satisfy 0 < b1 < b2")
     return b1, b2
-
-
-def _finite_bound(source, name: str) -> int:
-    lab = source.labellings.get(name)
-    if lab is None:
-        return 1  # on-demand labelling: magnitude unknown up front
-    return lab.finite_bound()
-
-
-def _value_range(source, name: str) -> Tuple[ExtInt, ExtInt]:
-    lab = source.labellings.get(name)
-    if lab is None:
-        return NEG_INF, POS_INF
-    values = (lab.default, *lab.entries.values())
-    return min(values), max(values)
-
-
-def _monotone_components(source, pra: PraQuery) -> List[int]:
-    """The HAVING rows of pra whose per-state contribution on source is
-    provably >= 0: every term's least contribution is finite and >= 0
-    (all-sink positions contribute 0, so 0 is always possible)."""
-    def least(t: ArithTerm) -> ExtInt:
-        lo, hi = _value_range(source, t.labelling)
-        return ext_mul(t.coeff, lo if t.coeff >= 0 else hi)
-
-    out = []
-    for i, ac in enumerate(pra.arith_constraints):
-        if all(is_finite(lo) and lo >= 0 for lo in map(least, ac.terms)):
-            out.append(i)
-    return out
 
 
 class _Dominance:
@@ -347,7 +311,7 @@ class _Search:
         self.stats = SolveStats() if stats is None else stats
         dim, self.target_col = ag.plan.layout(sign)
         self.dom = _Dominance(dim)
-        self.monotone = _monotone_components(ag.plan.source, ag.plan.pra)
+        self.monotone = ag.plan.monotone
         self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
         # per state, its successors with their weight vectors and target flags
         self.memo: Dict[AGState, List[Tuple[AGState, _Vec, bool]]] = {}
@@ -463,8 +427,7 @@ class _Unbounded(Exception):
     """A pump search has proved its extremum unbounded."""
 
 
-def _fold(search: _Search, b1: int, b2: int,
-          slots: Optional[Sequence[int]] = None,
+def _fold(search: _Search, b1: int, b2: int, slots: Sequence[int] = (),
           starts: Optional[Iterable[_Config]] = None
           ) -> Dict[Tuple[NodeId, ...], Tuple[ExtInt, Optional[_Config]]]:
     """The answer rule of the module docstring.  Per tuple of the env at
@@ -481,13 +444,12 @@ def _fold(search: _Search, b1: int, b2: int,
     out: Dict[Tuple[NodeId, ...], Tuple[ExtInt, Optional[_Config]]] = {}
     try:
         for depth, key in search.levels(b2, starts):
-            at = () if slots is None \
-                else tuple([key[0].env[s] for s in slots])
+            at = tuple([key[0].env[s] for s in slots]) if slots else ()
             value = 0 if col is None else key[2][col]
             old = out.get(at)
             if old is None or value < old[0]:
                 out[at] = (NEG_INF, None) if depth > b1 else (value, key)
-                if slots is None and (col is None or depth > b1):
+                if not slots and (col is None or depth > b1):
                     break
     except _Unbounded:
         return {(): (NEG_INF, None)}
@@ -627,9 +589,11 @@ def extremum(ag: AnswerGraph, mode: str,
 
 @dataclass
 class AnswerTable:
-    """Answers per value tuple of a query's free lazy targets, in MATCH
-    order; a tuple with no satisfying path is not in `values` and reads
-    `default`."""
+    """Answers per value tuple of the variables `key_vars`, a query's free
+    lazy targets in MATCH order (`Plan.free_lazy`, `answer_graph` module
+    docstring); a tuple with no satisfying path is not in `values` and
+    reads `default`."""
+    key_vars: Tuple[str, ...]
     values: Dict[Tuple[NodeId, ...], ExtInt]
     default: ExtInt
     stats: SolveStats
@@ -642,20 +606,25 @@ def table_applies(source, pra: PraQuery, mode: Optional[str],
     for emptiness with a non-monotone HAVING row, whose frontier need
     not die out.  Decided from the query, so no plan is built for it."""
     return cfg.b1 is not None or cfg.b2 is not None or mode is None and \
-        len(_monotone_components(source, pra)) == len(pra.arith_constraints)
+        len(monotone_rows(source, pra)) == len(pra.arith_constraints)
 
 
 def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
                  cfg: Optional[SolveConfig] = None) -> Optional[AnswerTable]:
     """Emptiness as 1 or 0 (mode None), or the `mode` extremum, for every
     value tuple of the query's free lazy targets at once: one search,
-    run to its end, with those targets bound where their paths end.
+    run to its end, with those targets bound where their paths end.  A
+    query without one has the one tuple (), and its search stops where
+    `check_empty`'s or `extremum`'s does.
 
     Each tuple's answer is the one `check_empty` or `extremum` gives with
     the tuple bound, by the rule of `_fold`; a tuple with no satisfying
-    path reads 0 or the empty-set value.  None where one search cannot
-    stand for the per-tuple ones (`table_applies`).  Arguments are
-    checked as `extremum` checks them.
+    path reads 0 or the empty-set value.  The plan states the tuples'
+    variables and their env positions (`Plan.free_lazy` and
+    `Plan.free_lazy_at`, in the plan paragraph of the `answer_graph`
+    module docstring).  None where one search cannot stand for the
+    per-tuple ones (`table_applies`).  Arguments are checked as
+    `extremum` checks them.
     """
     sign = 0 if mode is None else _sign(ag, mode)
     cfg = cfg or SolveConfig()
@@ -663,36 +632,31 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
     if not table_applies(plan.source, plan.pra, mode, cfg):
         return None
     b1, b2 = derive_bounds(ag, cfg)
-    # lazy targets are read slots, so their values are in a state's env
-    slots = [plan.read_slots.index(plan.env_vars.index(v))
-             for v in plan.pra.match_nodes if v in plan.lazy_vars]
     search = _Search(ag, cfg, sign)
-    if mode is None:
-        found = _fold(search, b2, b2, slots)
-        return AnswerTable(dict.fromkeys(found, 1), 0, search.stats)
-    found = _fold(search, b1, b2, slots)
-    return AnswerTable({k: ext_mul(sign, v) for k, (v, _) in found.items()},
-                       ext_mul(sign, POS_INF), search.stats)
+    found = _fold(search, b1 if mode else b2, b2, plan.free_lazy_at)
+    values = {k: 1 if mode is None else ext_mul(sign, v)
+              for k, (v, _) in found.items()}
+    default = 0 if mode is None else ext_mul(sign, POS_INF)
+    return AnswerTable(plan.free_lazy, values, default, search.stats)
 
 
 def enumerate_answers(ag: AnswerGraph, max_len: int,
                       cfg: Optional[SolveConfig] = None):
     """All decoded answers whose product paths have at most max_len steps.
 
-    An answer is (free-node assignment, free-path tuple).  The search
-    carries each free path's prefix in its configurations and keys
-    dominance on (state, context), so dominance and monotone pruning
-    apply as for emptiness without losing an answer: configurations with
-    the same state and context have the same completions and decode to
-    the same answers.  A max_len that is not an int >= 0 raises
+    An answer is (free-node assignment, free-path tuple), both in MATCH
+    order, as the plan lays them out (`Plan.free_nodes`,
+    `Plan.free_paths`).  The search carries each free path's prefix in
+    its configurations and keys dominance on (state, context), so
+    dominance and monotone pruning apply as for emptiness without losing
+    an answer: configurations with the same state and context have the
+    same completions and decode to the same answers.  A max_len that is not an int >= 0 raises
     `ValidationError`.
     """
     check_int("max_len", max_len, 0)
     cfg = cfg or SolveConfig()
     plan = ag.plan
-    n = len(plan.pra.match_nodes)
-    search = _Search(ag, cfg, tracked=[
-        i for i, v in enumerate(plan.path_vars) if v in plan.pra.match_paths])
-    answers = {(plan.full_env(carried, st.env)[:n], pre)
+    search = _Search(ag, cfg, tracked=plan.free_paths)
+    answers = {(plan.free_nodes(carried, st.env), pre)
                for _, (st, (carried, pre), _, _) in search.levels(max_len)}
     return answers, search.stats

@@ -3,7 +3,10 @@
 Checks that every labelling reference resolves (graph labelling or an
 earlier ontology entry), arities match, position variables stay inside
 regular constraints and within range, node literals name real nodes,
-variables are used consistently and no definition nests too deep.
+variables are used consistently and no definition nests too deep.  It
+also rejects what only a hand-built AST can hold: a letter comparison
+other than `<=`, `<` and `=`, and a constant, coefficient or bound that
+is not an int, which the engine would read as an infinity.
 Validation is a pure checking pass: the AST itself is already in core
 form, so downstream consumers derive whatever ordering they need from it.
 """
@@ -25,13 +28,15 @@ from .errors import (
     UnknownLabellingError,
     UnknownVariableError,
     ValidationError,
+    check_int,
 )
 from .graph import Graph
 from .query import (
     AGGREGATE_FUNCS, BINARY_FUNCS, PATH_EXTREMA,
-    AggTerm, ApplyTerm, Concat, ConstTerm, IndicatorTerm, LabelAtom,
-    LabelTerm, Letter, OntologyEntry, OpraQuery, PathExtremumTerm, PraQuery,
-    Regex, RegularConstraint, Star, Term, Union_, VarEqTerm,
+    AggTerm, ApplyTerm, Concat, ConstAtom, ConstTerm, IndicatorTerm,
+    LabelAtom, LabelTerm, Letter, NodeConstraint, OntologyEntry, OpraQuery,
+    PathExtremumTerm, PraQuery, Regex, RegularConstraint, Star, Term, Union_,
+    VarEqTerm,
 )
 
 MAX_EVAL_DEPTH = 64
@@ -73,15 +78,14 @@ def query_path_vars(pra: PraQuery) -> Tuple[str, ...]:
     return free + tuple(sorted(named - set(free)))
 
 
-def _label_atoms(r: Regex) -> Iterator[LabelAtom]:
+def _letters(r: Regex) -> Iterator[NodeConstraint]:
     if isinstance(r, Letter):
-        nc = r.constraint
-        yield from (a for a in (nc.lhs, nc.rhs) if isinstance(a, LabelAtom))
+        yield r.constraint
     elif isinstance(r, (Concat, Union_)):
-        yield from _label_atoms(r.left)
-        yield from _label_atoms(r.right)
+        yield from _letters(r.left)
+        yield from _letters(r.right)
     elif isinstance(r, Star):
-        yield from _label_atoms(r.body)
+        yield from _letters(r.body)
 
 
 def definition_heights(entries: Collection[OntologyEntry],
@@ -110,7 +114,8 @@ def definition_heights(entries: Collection[OntologyEntry],
             return 1
         q = t.query
         reads = [a.labelling for rc in q.regular_constraints
-                 for a in _label_atoms(rc.regex)]
+                 for nc in _letters(rc.regex) for a in (nc.lhs, nc.rhs)
+                 if isinstance(a, LabelAtom)]
         reads += [r.labelling for ac in q.arith_constraints for r in ac.terms]
         if not isinstance(t, IndicatorTerm):
             reads.append(t.labelling)
@@ -175,24 +180,33 @@ class _Checker:
         for rc in pra.regular_constraints:
             self.check_regular(rc)
         for ac in pra.arith_constraints:
+            check_int("a HAVING bound", ac.bound)
             for t in ac.terms:
+                check_int("a HAVING coefficient", t.coeff)
                 self.check_arity(t.labelling, len(t.path_vars))
 
     def check_regular(self, rc: RegularConstraint) -> None:
         k = len(rc.path_vars)
-        for atom in _label_atoms(rc.regex):
-            self.check_arity(atom.labelling, len(atom.args))
-            for pv in atom.args:
-                if pv.index < 1 or pv.index > k:
-                    raise PositionVarOutOfRangeError(
-                        f"{pv.text()} out of range for a constraint "
-                        f"over {k} path(s)"
-                    )
+        for nc in _letters(rc.regex):
+            if nc.op not in ("<=", "<", "="):
+                raise ValidationError(f"unknown letter comparison {nc.op!r}")
+            for atom in (nc.lhs, nc.rhs):
+                if isinstance(atom, ConstAtom):
+                    check_int("a letter constant", atom.value)
+                    continue
+                self.check_arity(atom.labelling, len(atom.args))
+                for pv in atom.args:
+                    if pv.index < 1 or pv.index > k:
+                        raise PositionVarOutOfRangeError(
+                            f"{pv.text()} out of range for a constraint "
+                            f"over {k} path(s)"
+                        )
 
     # -- terms ------------------------------------------------------------
 
     def check_term(self, term: Term, scope: FrozenSet[str]) -> None:
         if isinstance(term, ConstTerm):
+            check_int("a term constant", term.value)
             return
         if isinstance(term, LabelTerm):
             self.check_arity(term.labelling, len(term.args))

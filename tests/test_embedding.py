@@ -80,6 +80,23 @@ def test_embed_rejects_bad_data():
             data_graph_from_dict(data)
 
 
+def test_embed_path_needs_one_more_node_than_symbols():
+    dg = DataGraph(("u", "v"), ("a",), (("u", "a", "v"),), {})
+    for nodes, symbols in ((("u", "v"), ()), (("u",), ("a",))):
+        with pytest.raises(ValueError, match="one more node than edge"):
+            embed_path(dg, nodes, symbols)
+
+
+@pytest.mark.parametrize("transition, message", [
+    (("q0", "a", 2, "q1"), "transition weights must be -1, 0 or 1"),
+    (("q0", "a", 1, "q9"), "transition uses unknown state"),
+    (("q9", "a", -1, "q0"), "transition uses unknown state"),
+], ids=["weight", "dst", "src"])
+def test_automaton_rejects_bad_transition(transition, message):
+    with pytest.raises(GraphLoadError, match=f"^{message}$"):
+        WeightedAutomaton(("q0", "q1"), ("q0",), ("q1",), (transition,))
+
+
 def test_automaton_graph_single_transition():
     wa = WeightedAutomaton(("q0", "q1"), ("q0",), ("q1",),
                            (("q0", "a", -1, "q1"),))

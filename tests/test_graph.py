@@ -156,6 +156,27 @@ def test_load_errors():
     assert g.label_value("w", (g.node_id("b"),)) == POS_INF
 
 
+def test_graph_rejects_duplicate_names():
+    with pytest.raises(NameCollisionError, match="^duplicate node name 'a'$"):
+        Graph(["a", "b", "a"], [])
+    w = Labelling("w", 1)
+    with pytest.raises(NameCollisionError,
+                       match="^duplicate labelling name 'w'$"):
+        Graph(["a"], [w, Labelling("v", 1), w])
+
+
+@pytest.mark.parametrize("data, message", [
+    (["a"], "graph file must be an object with a 'nodes' array"),
+    ({"labellings": {}}, "graph file must be an object with a 'nodes' array"),
+    ({"nodes": "ab"}, "'nodes' must be an array of strings"),
+    ({"nodes": ["a", 1]}, "'nodes' must be an array of strings"),
+], ids=["array", "no-nodes", "string", "int-node"])
+def test_malformed_graph_is_load_error(data, message):
+    with pytest.raises(GraphLoadError) as err:
+        graph_from_dict(data)
+    assert type(err.value) is GraphLoadError and str(err.value) == message
+
+
 @pytest.mark.parametrize("labellings", [
     {"w": 5},
     [1],

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from opra import errors
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "opra"
 # the package's __init__ imports only to re-export
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py"
@@ -201,3 +203,96 @@ def test_foreign_private_reads_flags_only_other_modules_attributes():
         "y = sys._getframe()\n")
     assert foreign_private_reads(tree) == [
         (3, "plan._arith"), (11, "mod._private"), (12, "sys._getframe")]
+
+
+# (module, enclosing function, exception) -> why that raise is untyped
+UNTYPED_RAISES = {
+    ("automata.py", "compile_regex.walk", "TypeError"):
+        "guard of a hand-built regex node that is no regex class; "
+        "validate rejects nothing that reaches it",
+    ("ontology.py", "eval_term", "TypeError"):
+        "guard of a hand-built term that is no term class",
+    ("oracle.py", "regex_matches.m", "TypeError"):
+        "guard of a hand-built regex node that is no regex class",
+    ("oracle.py", "oracle_eval_term", "TypeError"):
+        "guard of a hand-built term that is no term class",
+    ("query.py", "term_text", "TypeError"):
+        "guard of a hand-built term that is no term class",
+    ("graph.py", "path_index", "ValueError"):
+        "a caller's position below 1; the engine counts positions from 1",
+    ("extint.py", "from_json", "ValueError"):
+        "graph_from_dict re-raises it as GraphLoadError",
+    ("extint.py", "ext_compare", "ValueError"):
+        "validate admits only <=, < and = as letter comparisons",
+    ("embedding.py", "embed_path", "ValueError"):
+        "a caller's mismatched node and symbol sequences",
+    ("graph.py", "View.term_value", "NotImplementedError"):
+        "abstract method of the label-source protocol",
+    ("solver.py", "_PumpSearch._admit", "_Unbounded"):
+        "private control flow: _fold catches it, so it never leaves "
+        "the solver",
+}
+
+
+def untyped_raises(tree: ast.Module):
+    """(enclosing function, exception) of each raise whose exception is
+    no `OpraError` subclass of `opra.errors`, with its line: every error
+    a caller sees is typed.  A bare re-raise names no exception."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) \
+                    else child.exc
+                name = ast.unparse(exc)
+                cls = getattr(errors, name, None)
+                if not (isinstance(cls, type)
+                        and issubclass(cls, errors.OpraError)):
+                    found.append((child.lineno, ".".join(scope), name))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_every_raise_is_typed_or_listed(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module = str(path.relative_to(SRC))
+    assert [(line, scope, name) for line, scope, name in untyped_raises(tree)
+            if (module, scope, name) not in UNTYPED_RAISES] == []
+
+
+def test_untyped_raises_flags_only_untyped_ones():
+    tree = ast.parse(
+        "from .errors import ValidationError\n"
+        "class Box:\n"
+        "    def check(self, v):\n"
+        "        if v is None:\n"
+        "            raise ValidationError('no value')\n"
+        "        try:\n"
+        "            return int(v)\n"
+        "        except ValueError:\n"
+        "            raise\n"
+        "def read(v):\n"
+        "    def inner():\n"
+        "        raise KeyError(v)\n"
+        "    raise TypeError\n"
+        "raise ValueError('at import')\n")
+    assert untyped_raises(tree) == [
+        (12, "read.inner", "KeyError"), (13, "read", "TypeError"),
+        (14, "", "ValueError")]
+
+
+def test_untyped_raise_allowlist_names_live_raises():
+    live = {(str(path.relative_to(SRC)), scope, name)
+            for path in SRC.rglob("*.py")
+            for _, scope, name in untyped_raises(
+                ast.parse(path.read_text(encoding="utf-8")))}
+    assert set(UNTYPED_RAISES) <= live

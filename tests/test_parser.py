@@ -208,6 +208,21 @@ ROUTE_TAIL = "def r(p) = <T>\nMATCH PATHS (pi)\nSUCH THAT s -pi-> t\n"
      "1:30: expected an aggregate or term after '*'"),
     ("MATCH PATHS (p) HAVING w[] <= 1",
      "1:26: aggregate needs at least one path variable"),
+    ("MATCH PATHS (p) HAVING time[p] 3",
+     "1:32: expected a comparison in HAVING"),
+    ("MATCH PATHS (p) WHERE <T>()",
+     "1:28: regular constraint needs at least one path variable"),
+    ("MATCH PATHS (p) WHERE <time(@1) <= -x>(p)",
+     "1:37: expected an integer after '-'"),
+    ("MATCH PATHS (p) WHERE <T> + (p)",
+     "1:30: expected a node constraint, '(', or 'eps'"),
+    ("MATCH PATHS (p) WHERE <@1 <= 3>(p)",
+     "1:24: expected an integer or a labelling application"),
+    ("LET f(x) := agg f z { 1 : 1 } IN MATCH NODES (s)",
+     "1:19: 'f' is not an aggregate function"),
+    # a position variable is no node variable, and no value either
+    ("LET f(x) := @1 + 1 IN MATCH NODES (s)",
+     "1:20: node variable '@1' used as a value"),
     ("MATCH NODES (s) SUCH THAT s -p-> s AND", "1:39: expected node variable"),
     ("MATCH NODES (s,", "1:16: expected identifier"),
     # the column does not advance over a comment

@@ -234,6 +234,18 @@ def test_invalid_solve_arguments_are_validation_errors(fig2):
         answer_table(AnswerGraph(fig2, _route_sp(fig2)), MIN, CFG)
 
 
+def test_table_without_lazy_targets_is_the_one_search(fig2):
+    # a query with no free lazy target keys its table on () alone, and
+    # its search stops at the one answer, as check_empty and extremum do
+    ag = AnswerGraph(fig2, _route_sp(fig2), target=("time", ("pi",)))
+    assert ag.plan.free_lazy == ()
+    res, table = check_empty(ag, cfg=CFG), answer_table(ag, cfg=CFG)
+    assert table.key_vars == () and table.values == {(): 1}
+    assert table.stats == res.stats
+    res, table = extremum(ag, MIN, cfg=CFG), answer_table(ag, MIN, CFG)
+    assert table.values == {(): res.value} and table.stats == res.stats
+
+
 def test_weight_vec_is_the_rows_then_the_target_read_alone():
     # a state's weights read each term once, and a target equal to a
     # one-term row with coefficient 1 takes that row's value: the search's
@@ -466,6 +478,22 @@ def test_free_sources_share_successor_work(monkeypatch):
         enqueued += one_stats.enqueued
     assert (expanded, enqueued) == (178, 178) and len(calls) == 176
     assert answers == union and len(answers) == 87
+
+
+def test_enumeration_lists_free_paths_in_match_order(fig2):
+    # the plan puts a bound free path first among its components; an
+    # answer still lists its free paths in MATCH PATHS order, as the
+    # oracle does under the same binding
+    vq = validate(parse(
+        "MATCH NODES (s, t), PATHS (p, q) SUCH THAT s -p-> s AND t -q-> t "
+        "WHERE <T>(p) AND <T>(q)"), fig2)
+    bound = {"q": (fig2.node_id("T"),)}
+    ag = AnswerGraph(fig2, vq.query.query, bound_paths=bound)
+    assert ag.plan.path_vars == ("q", "p")
+    got, _ = search_answers(ag, max_len=3)
+    assert got == enumerate_answers(fig2, vq, OracleConfig(max_path_len=3),
+                                    bound_paths=bound)
+    assert got and all(paths[1] == bound["q"] for _, paths in got)
 
 
 def _checked_memo(monkeypatch):

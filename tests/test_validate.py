@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from opra.errors import (
 )
 from opra.oracle import OracleConfig, enumerate_answers
 from opra.parser import parse
+from opra.query import AggTerm, ApplyTerm, ConstAtom, ConstTerm
 from opra.validate import validate
 
 from gensupport import INVALID_QUERIES
@@ -136,3 +138,71 @@ def test_path_variable_only_in_having(fig2):
     got = engine_answers(fig2, vq, max_len=3)
     assert got == enumerate_answers(fig2, vq, OracleConfig(max_path_len=3))
     assert len(got) == 4
+
+
+def _with_letter(q, **fields):
+    """q with its first regular constraint's one letter changed."""
+    rc = q.query.regular_constraints[0]
+    letter = replace(rc.regex, constraint=replace(rc.regex.constraint,
+                                                  **fields))
+    return replace(q, query=replace(
+        q.query, regular_constraints=(replace(rc, regex=letter),)))
+
+
+def test_letter_comparison_outside_le_lt_eq_is_rejected(fig2):
+    # the parser turns '>' round to '<'; a hand-built '>' would reach
+    # the letter's evaluation and fail there untyped
+    q = parse("MATCH PATHS (p) WHERE <time(@1) <= 3>(p)")
+    with pytest.raises(ValidationError, match="letter comparison '>'"):
+        validate(_with_letter(q, op=">"), fig2)
+
+
+def _float_const(q):
+    term = q.ontology[0].term
+    return replace(q, ontology=(replace(q.ontology[0], term=replace(
+        term, args=(ConstTerm(2.5),) + term.args[1:])),))
+
+
+def _float_atom(q):
+    return _with_letter(q, rhs=ConstAtom(2.5))
+
+
+def _float_coeff(q):
+    ac = q.query.arith_constraints[0]
+    return replace(q, query=replace(q.query, arith_constraints=(replace(
+        ac, terms=(replace(ac.terms[0], coeff=2.5),)),)))
+
+
+def _float_bound(q):
+    ac = q.query.arith_constraints[0]
+    return replace(q, query=replace(q.query, arith_constraints=(
+        replace(ac, bound=2.5),)))
+
+
+@pytest.mark.parametrize("text, build, what", [
+    # a float reads as an infinity: 2.5 + time(W) would be 2.5
+    ("LET f(x) := 2 + time(x) IN MATCH NODES (s)", _float_const,
+     "a term constant"),
+    ("MATCH PATHS (p) WHERE <time(@1) <= 3>(p)", _float_atom,
+     "a letter constant"),
+    ("MATCH PATHS (p) HAVING 2 * time[p] <= 3", _float_coeff,
+     "a HAVING coefficient"),
+    ("MATCH PATHS (p) HAVING time[p] <= 3", _float_bound, "a HAVING bound"),
+], ids=["term", "letter", "coefficient", "bound"])
+def test_float_constant_is_rejected(fig2, text, build, what):
+    with pytest.raises(ValidationError,
+                       match=f"{what} must be an int, not 2.5"):
+        validate(build(parse(text)), fig2)
+
+
+@pytest.mark.parametrize("term, message", [
+    (ApplyTerm("avg", (ConstTerm(1),)), "unknown function 'avg'"),
+    (AggTerm("+", "z", ConstTerm(1), ConstTerm(1)),
+     "'+' is not an aggregate function"),
+], ids=["apply", "aggregate"])
+def test_hand_built_function_outside_its_kind_is_rejected(fig2, term,
+                                                          message):
+    q = parse("LET f(x) := 1 IN MATCH NODES (s)")
+    q = replace(q, ontology=(replace(q.ontology[0], term=term),))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(q, fig2)
