@@ -288,6 +288,9 @@ class Plan:
                                    if s not in self.read_slots)
         split = self.carried_slots + self.read_slots
         self._unsplit = tuple(split.index(s) for s in range(len(split)))
+        # the free node variables lead `env_vars`: their places in
+        # carried values followed by a state's env
+        self._free_at = self._unsplit[:len(pra.match_nodes)]
         at = {s: i for i, s in enumerate(self.read_slots)}
         # per component, its targets' positions in a state's env, and the
         # lazy ones its last step binds
@@ -420,8 +423,9 @@ class Plan:
     def free_nodes(self, carried: Tuple[NodeId, ...],
                    env: Tuple[NodeId, ...]) -> Tuple[NodeId, ...]:
         """The free node variables' values, in MATCH order, from carried
-        values and a state's env: they lead `env_vars`."""
-        return self.full_env(carried, env)[:len(self.pra.match_nodes)]
+        values and a state's env."""
+        both = carried + env
+        return tuple([both[i] for i in self._free_at])
 
     def _can_end(self, i: int, node: NodeId, env: Tuple[NodeId, ...]) -> bool:
         for s in self._tgt_slots[i]:

@@ -119,12 +119,17 @@ def tokenize(text: str) -> List[Token]:
 
 
 class _VarRef:
-    """Parser-internal marker for a bare node-variable reference."""
+    """Parser-internal marker for a bare node- or position-variable
+    reference."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
+
+    def __str__(self) -> str:
+        kind = "position" if self.name.startswith("@") else "node"
+        return f"{kind} variable {self.name!r}"
 
 
 # left-associative binary term operators, loosest first, each mapped to
@@ -616,9 +621,7 @@ class Parser:
             elif isinstance(left, _VarRef) or isinstance(right, _VarRef):
                 ref = left if isinstance(left, _VarRef) else right
                 self.error(
-                    f"node variable {ref.name!r} can only be compared "
-                    "with another variable"
-                )
+                    f"{ref} can only be compared with another variable")
             else:
                 eq = ApplyTerm("*", (
                     ApplyTerm("<=", (left, right)),
@@ -637,7 +640,7 @@ class Parser:
 
     def _as_value(self, t):
         if isinstance(t, _VarRef):
-            self.error(f"node variable {t.name!r} used as a value")
+            self.error(f"{t} used as a value")
         return t
 
     def _parse_term_unary(self):

@@ -21,9 +21,9 @@ prunings:
     earlier in generation order, so reachability of satisfying
     completions, the first target, minimal values and the lazy values
     of an answer table are all preserved.  Enumeration reports each
-    answer's context, so there the key is (state, context): equal
-    contexts decode the same completions to the same answers, and the
-    set of answers within a length bound is preserved;
+    answer's context, so its per-context search keys on (state,
+    context): equal contexts decode the same completions to the same
+    answers, and the set of answers within a length bound is preserved;
   * monotonicity: when every possible per-state contribution to a
     constraint component is nonnegative, configurations already above
     that component's bound can never come back and are dropped.
@@ -76,18 +76,37 @@ of a query's free lazy targets (`Plan.free_lazy`) with one search, as
 an ontology view asks for a nested term at many tuples.  It runs the
 search to its end and applies the answer rule per tuple of the lazy
 values a target configuration was bound with; a query without a free
-lazy target has one tuple, (), whose search stops at its one answer.  Lazy targets are read by
-nothing but the step that binds them, so each tuple's configurations
-are admitted as in its own search.  Where the stopping rule is a
-property of the whole search it gives no table: an extremum under
-derived bounds (pumping), and emptiness under derived bounds with a
-non-monotone HAVING row, whose frontier need not die out.
+lazy target has one tuple, (), whose search stops at its one answer.
+Lazy targets are read by nothing but the step that binds them, so each
+tuple's configurations are admitted as in its own search.  Where the
+stopping rule is a property of the whole search it gives no table: an
+extremum under derived bounds (pumping), and emptiness under derived
+bounds with a non-monotone HAVING row, whose frontier need not die out.
+
+`enumerate_answers` reports every answer's context.  Where it tracks
+no free path and no HAVING row weighs a state (`Plan.free_paths` is
+empty and `Plan.layout(0)[0]` is 0), an answer depends only on a
+target state and the carried values of a start that reaches it.  Then
+one multi-source search (`_Search.reach`; Then et al., *The more the
+merrier*, VLDB 2014) numbers the starts' distinct carried tuples and
+carries, per state, an int whose set bits are the contexts that have
+reached it.  A step gives each successor the bits it has not seen, and
+a level maps each state to the bits that first reach it there, so a
+state is expanded once per level however many free sources reach it.
+The answers are decoded at the end from the target states' bits, one
+`Plan.free_nodes` per bit.  Any other enumeration runs the per-context
+search, one configuration per (state, context), with tracked prefixes
+and rows as above.  Both count one enqueued configuration per new
+(state, context) pair, the new bits' popcount in the multi-source
+search, and check the visited budget against that count before each
+expansion, so the budget bounds the same pairs either way.
 
 A search memoises successors with their weight vectors and target
 flags on the state, which holds all that `successors` reads, so a state
-met at another weight, or under other carried values such as another
-free source, reuses them as they are, and each state is tested as a
-target once.  The memo belongs to the search object and dies with it.
+met at another weight, at another depth, or under other carried values
+such as another free source, reuses them as they are, and each state
+is tested as a target once.  The memo belongs to the search object and
+dies with it; the multi-source search reads the same memo.
 
 A configuration admitted costs one probe of the dominance store, keyed
 by the product state alone outside enumeration.  The store is
@@ -414,6 +433,47 @@ class _Search:
             depth += 1
             level = nxt
 
+    def reach(self, starts: Dict[AGState, int],
+              max_depth: int) -> Dict[AGState, int]:
+        """The multi-source search of the module docstring, for a search
+        that tracks no prefix and has no weight column.  `starts` maps
+        each start state to the bits of its contexts; the result maps
+        each state reached within max_depth steps to the bits of the
+        contexts that reach it.  It admits the (state, context) pairs
+        `levels` would admit, at the same depths, and counts them and
+        checks the budget as `levels` does.  Successors come from the
+        memo, and each expanded state is logged as there.
+        """
+        stats, memo = self.stats, self.memo
+        budget = self.cfg.visited_budget
+        trace = logger.isEnabledFor(logging.DEBUG)
+        seen, level, depth = dict(starts), starts, 0
+        stats.enqueued += sum([bits.bit_count() for bits in seen.values()])
+        while level and depth < max_depth:
+            nxt: Dict[AGState, int] = {}
+            for st, bits in level.items():
+                stats.expanded += 1
+                if stats.enqueued > budget:
+                    raise ResourceExceededError(
+                        f"visited budget {budget} exceeded",
+                        expanded=stats.expanded,
+                    )
+                if trace:
+                    logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
+                                 depth, st.pos, st.nodes, st.nfa_states)
+                moves = memo.get(st)
+                for succ, _, _ in self._expand(st) if moves is None \
+                        else moves:
+                    old = seen.get(succ, 0)
+                    new = bits & ~old
+                    if new:
+                        seen[succ] = old | new
+                        nxt[succ] = nxt.get(succ, 0) | new
+                        stats.enqueued += new.bit_count()
+            depth += 1
+            level = nxt
+        return seen
+
     def reconstruct(self, key: _Config):
         carried, chain = key[1][0], []
         while key is not None:
@@ -629,7 +689,9 @@ def answer_table(ag: AnswerGraph, mode: Optional[str] = None,
     sign = 0 if mode is None else _sign(ag, mode)
     cfg = cfg or SolveConfig()
     plan = ag.plan
-    if not table_applies(plan.source, plan.pra, mode, cfg):
+    # `table_applies`, with the monotone rows the plan states
+    if not (cfg.b1 is not None or cfg.b2 is not None or mode is None
+            and len(plan.monotone) == len(plan.bounds)):
         return None
     b1, b2 = derive_bounds(ag, cfg)
     search = _Search(ag, cfg, sign)
@@ -646,17 +708,41 @@ def enumerate_answers(ag: AnswerGraph, max_len: int,
 
     An answer is (free-node assignment, free-path tuple), both in MATCH
     order, as the plan lays them out (`Plan.free_nodes`,
-    `Plan.free_paths`).  The search carries each free path's prefix in
-    its configurations and keys dominance on (state, context), so
-    dominance and monotone pruning apply as for emptiness without losing
-    an answer: configurations with the same state and context have the
-    same completions and decode to the same answers.  A max_len that is not an int >= 0 raises
-    `ValidationError`.
+    `Plan.free_paths`).  Where no free path is tracked and no HAVING row
+    weighs a state, one multi-source search (`_Search.reach`) carries
+    the set of contexts that reaches each state as the bits of an int,
+    so a state is expanded once per level however many free sources
+    reach it, and the answers are decoded from the target states' bits.
+    Otherwise the search carries each free path's prefix in its
+    configurations and keys dominance on (state, context), so dominance
+    and monotone pruning apply as for emptiness without losing an
+    answer: configurations with the same state and context have the
+    same completions and decode to the same answers.  Either way the
+    stats count one enqueued configuration per (state, context) pair
+    admitted, and the visited budget bounds that count.  A max_len that
+    is not an int >= 0 raises `ValidationError`.
     """
     check_int("max_len", max_len, 0)
     cfg = cfg or SolveConfig()
     plan = ag.plan
     search = _Search(ag, cfg, tracked=plan.free_paths)
-    answers = {(plan.free_nodes(carried, st.env), pre)
-               for _, (st, (carried, pre), _, _) in search.levels(max_len)}
+    if plan.free_paths or plan.layout(0)[0]:
+        answers = {(plan.free_nodes(carried, st.env), pre)
+                   for _, (st, (carried, pre), _, _)
+                   in search.levels(max_len)}
+        return answers, search.stats
+    contexts: Dict[Tuple[NodeId, ...], int] = {}
+    starts: Dict[AGState, int] = {}
+    for st, carried in ag.start_states():
+        bit = 1 << contexts.setdefault(carried, len(contexts))
+        starts[st] = starts.get(st, 0) | bit
+    carried_at = list(contexts)
+    answers = set()
+    for st, bits in search.reach(starts, max_len).items():
+        if ag.is_target(st):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                answers.add((plan.free_nodes(
+                    carried_at[low.bit_length() - 1], st.env), ()))
     return answers, search.stats

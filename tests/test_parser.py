@@ -220,9 +220,12 @@ ROUTE_TAIL = "def r(p) = <T>\nMATCH PATHS (pi)\nSUCH THAT s -pi-> t\n"
      "1:24: expected an integer or a labelling application"),
     ("LET f(x) := agg f z { 1 : 1 } IN MATCH NODES (s)",
      "1:19: 'f' is not an aggregate function"),
-    # a position variable is no node variable, and no value either
+    # a position variable is no value either
     ("LET f(x) := @1 + 1 IN MATCH NODES (s)",
-     "1:20: node variable '@1' used as a value"),
+     "1:20: position variable '@1' used as a value"),
+    ("LET f(x) := @1 = 1 IN MATCH NODES (s)",
+     "1:20: position variable '@1' can only be compared with another "
+     "variable"),
     ("MATCH NODES (s) SUCH THAT s -p-> s AND", "1:39: expected node variable"),
     ("MATCH NODES (s,", "1:16: expected identifier"),
     # the column does not advance over a comment

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -6,7 +7,9 @@ import pytest
 
 import opra
 from opra.answer_graph import OMEGA, AGState, AnswerGraph
-from opra.embedding import WeightedAutomaton, build_automaton_graph, embed
+from opra.embedding import (
+    DataGraph, WeightedAutomaton, build_automaton_graph, embed,
+)
 from opra.engine import engine_answers, prepare
 from opra.errors import (
     IndeterminateSumError, ResourceExceededError, ValidationError,
@@ -30,9 +33,9 @@ from opra.solver import enumerate_answers as search_answers
 from opra.validate import validate
 
 from gensupport import (
-    RUN_QUERY, carried_vary, load_perfbench, rand_automaton, rand_data_graph,
-    rand_feasible_graph, rand_instance, rand_regex, rand_timed_graph,
-    route_constraint, rpq_query_text,
+    RPQ_SHAPES, RUN_QUERY, carried_vary, load_perfbench, rand_automaton,
+    rand_data_graph, rand_feasible_graph, rand_instance, rand_regex,
+    rand_timed_graph, route_constraint, rpq_query_text,
 )
 
 CFG = SolveConfig(b1=8, b2=16)
@@ -568,11 +571,13 @@ def test_replayed_successors_match_fresh_ones(monkeypatch):
     assert hits
 
     # an RPQ over an embedded data graph: nested searches bind v, and
-    # the outer one reads successors across s
+    # the outer one, which expands a state once per level for every s
+    # that reaches it, reads the successors of a state it reaches again
+    # at another depth
     hits.clear()
     dg = rand_data_graph(random.Random(11), max_nodes=5)
     g = embed(dg)
-    answers = engine_answers(g, rpq_query_text(("a", "b", "star"),
+    answers = engine_answers(g, rpq_query_text(("a", "union_b"),
                                                ("a", "b")), max_len=5)
     assert hits and answers
 
@@ -620,6 +625,106 @@ def test_shared_lazy_target_agrees_with_oracle(monkeypatch):
         seen_empty += res.empty
         seen_answers += bool(want)
     assert seen_empty and seen_answers
+
+
+def _per_context(ag, max_len, cfg):
+    """The answers of the search with one configuration per (state,
+    carried values), which reports each context it admits."""
+    plan = ag.plan
+    return {(plan.free_nodes(carried, st.env), ())
+            for _, (st, (carried, _), _, _)
+            in _Search(ag, cfg, tracked=()).levels(max_len)}
+
+
+def _per_carried_value(g, pra, max_len, cfg, **kw):
+    """The union of the answers of the searches that bind each free node
+    variable the query's starts carry, one search per value tuple."""
+    plan = AnswerGraph(g, pra, **kw).plan
+    free = [v for v in pra.match_nodes
+            if plan.env_vars.index(v) in plan.carried_slots]
+    union = set()
+    for values in itertools.product(g.real_nodes, repeat=len(free)):
+        one = AnswerGraph(g, pra, bound_nodes=dict(zip(free, values)), **kw)
+        union |= search_answers(one, max_len, cfg)[0]
+    return union
+
+
+def test_context_sets_decode_the_per_source_answers():
+    # an enumeration with no free path and no HAVING row carries the set
+    # of contexts that reach each state; its answers are the oracle's,
+    # those of the search with one configuration per (state, context),
+    # and the union of the searches that bind each carried free node
+    # variable.  Random instances, each with its rows, which keep the
+    # per-context search, and without them, and RPQs over embedded data
+    # graphs
+    rng = random.Random(3101)
+    cfg = SolveConfig(visited_budget=200_000)
+    b, sets = 4, 0
+    for trial in range(60):
+        g, q = rand_instance(rng, max_len=b, joint_budget=20_000,
+                             free_path_p=0, max_nodes=4, n_unary=1)
+        rowless = replace(q, query=replace(q.query, arith_constraints=()))
+        for query in (q, rowless):
+            vq = validate(query, g)
+            pra = vq.query.query
+            ag = AnswerGraph(g, pra)
+            got, _ = search_answers(ag, b, cfg)
+            assert got == enumerate_answers(g, vq, OracleConfig(
+                max_path_len=b, max_paths=2_000_000)), trial
+            assert got == _per_context(ag, b, cfg), trial
+            assert got == _per_carried_value(g, pra, b, cfg), trial
+        sets += carried_vary(ag) and len(got) > 1
+    assert sets >= 8
+
+    for seed in range(4):
+        g = embed(rand_data_graph(random.Random(seed), max_nodes=4))
+        for shape in RPQ_SHAPES:
+            text = rpq_query_text(shape, ("a", "b"))
+            view, pra = prepare(g, text)
+            ag = AnswerGraph(view, pra)
+            got, _ = search_answers(ag, 5, cfg)
+            assert got == enumerate_answers(g, validate(parse(text), g),
+                                            OracleConfig(max_path_len=5))
+            assert got == _per_context(ag, 5, cfg), (seed, shape)
+            assert got == _per_carried_value(view, pra, 5, cfg), (seed, shape)
+
+
+def _data_rpq(n: int, shape):
+    """An RPQ's answer graph over an n-node embedded data graph in which
+    every node has one a-edge and one b-edge to random targets."""
+    rng = random.Random(1)
+    nodes = tuple(f"d{i}" for i in range(n))
+    edges = tuple((u, a, rng.choice(nodes)) for u in nodes for a in "ab")
+    view, pra = prepare(embed(DataGraph(nodes, ("a", "b"), edges, {})),
+                        rpq_query_text(shape, ("a", "b")))
+    return AnswerGraph(view, pra)
+
+
+def test_enumeration_expands_a_state_once_per_level():
+    # (a+b)* from every source of a 64-node data graph: a state is
+    # expanded at most once per depth it is reached at, 589 times where
+    # one expansion per (state, source) made 2 530; the (state, source)
+    # pairs enqueued are as many as that search's, 4 158
+    ag = _data_rpq(64, ("a", "union_b"))
+    answers, stats = search_answers(ag, 5)
+    level, reached = {st for st, _ in ag.start_states()}, 0
+    for _ in range(5):
+        reached += len(level)
+        level = {succ for st in level for succ in ag.successors(st)}
+    assert stats.expanded <= reached == 790
+    assert stats.enqueued == 4158 and len(answers) == 1480
+
+
+def test_enumeration_budget_counts_state_source_pairs():
+    # the visited budget bounds the (state, source) pairs enqueued, not
+    # the states expanded: 4 158 pairs over 589 expansions fit a budget
+    # of 4 158 and not one of 2 000
+    ag = _data_rpq(64, ("a", "union_b"))
+    _, stats = search_answers(ag, 5, SolveConfig(visited_budget=4158))
+    assert stats.enqueued == 4158
+    with pytest.raises(ResourceExceededError) as err:
+        search_answers(ag, 5, SolveConfig(visited_budget=2000))
+    assert err.value.expanded < stats.expanded
 
 
 def _abc_route(g, having):
@@ -969,10 +1074,11 @@ def test_searches_admit_no_dead_state(monkeypatch):
     # a state in which an NFA's components are all on the sink while its
     # state is not final has no successor and is no target, so no search
     # admits one, start states included: random instances under pinned
-    # bounds (emptiness, both extrema, answer sets) and automaton graphs
-    # under derived bounds, pumping and completion searches included
-    admitted = []
-    admit = _Search._admit
+    # bounds (emptiness, both extrema, answer sets, the states a
+    # multi-source enumeration reaches too) and automaton graphs under
+    # derived bounds, pumping and completion searches included
+    admitted, reached = [], []
+    admit, reach = _Search._admit, _Search.reach
 
     def spy(self, key):
         got = admit(self, key)
@@ -980,7 +1086,14 @@ def test_searches_admit_no_dead_state(monkeypatch):
             admitted.append((self.ag.plan.nfas, key[0]))
         return got
 
+    def spy_reach(self, starts, max_depth):
+        got = reach(self, starts, max_depth)
+        admitted.extend((self.ag.plan.nfas, st) for st in got)
+        reached.extend(got)
+        return got
+
     monkeypatch.setattr(_Search, "_admit", spy)
+    monkeypatch.setattr(_Search, "reach", spy_reach)
     rng = random.Random(2024)
     cfg = SolveConfig(b1=4, b2=8, visited_budget=200_000)
     for _ in range(12):
@@ -1003,4 +1116,4 @@ def test_searches_admit_no_dead_state(monkeypatch):
             if all(st.nodes[c] == SINK for c in sel):
                 assert st.nfa_states[j] in nfa.final, st
                 ended += 1
-    assert len(admitted) > 1_500 and ended > 500
+    assert len(admitted) > 1_500 and ended > 500 and reached
