@@ -108,17 +108,29 @@ such as another free source, reuses them as they are, and each state
 is tested as a target once.  The memo belongs to the search object and
 dies with it; the multi-source search reads the same memo.
 
-A configuration admitted costs one probe of the dominance store, keyed
-by the product state alone outside enumeration.  The store is
-shaped by the length of the search's weight vectors (`_Dominance`): one
-minimum per key for one, a staircase decided by one bisect for two, and
-a list otherwise.  A MIN target that is a HAVING row alone is read from
-that row, with no column of its own (`Plan.layout`): the vectors (t, t)
-and (t', t') it would give compare as t and t' do, so dominance
-outcomes are the same with one component fewer.  Weights read nodes
-only, so a search weighs each node tuple once.  A configuration carries
-the one it was generated from, so a witness and a pump's ancestors are
-read back along that chain, and no map from configurations is kept.
+A candidate is a successor with its context and summed vector.  It is
+tested against the monotone rows and the dominance store, keyed by the
+product state alone outside enumeration, before it becomes a
+configuration, as resource-constrained shortest-path codes test a label
+before they make it (Irnich & Desaulniers, *Shortest path problems with
+resource constraints*, 2005).  For a one-component vector the sum, the
+row and the probe are inline, one lookup and one compare, so a dropped
+candidate builds no tuple and makes no call.  A longer vector is built
+and tested as a configuration.  `_admit` applies the rules again and
+stores what it admits, so an admitted one-component candidate costs two
+probes.  An override of `_admit` (pump, dead key, +inf target) calls the
+base one and adds only rejections with no side effect, so a candidate
+dropped early is one it would reject, and the drop changes nothing it
+does.  The store is shaped by the length of the search's weight vectors
+(`_Dominance`): one minimum per key for one, a staircase decided by one
+bisect for two, and a list otherwise.  A MIN target that is a HAVING row
+alone is read from that row, with no column of its own (`Plan.layout`):
+the vectors (t, t) and (t', t') it would give compare as t and t' do, so
+dominance outcomes are the same with one component fewer.  Weights read
+nodes only, so a search weighs each node tuple once.  A configuration
+carries the one it was generated from, so a witness and a pump's
+ancestors are read back along that chain, and no map from configurations
+is kept.
 """
 
 from __future__ import annotations
@@ -171,6 +183,12 @@ class SolveConfig:
 
 @dataclass
 class SolveStats:
+    """What a search did.  `enqueued` counts the admitted (state,
+    context) pairs, start configurations included; the multi-source
+    search (`_Search.reach`) adds the popcount of each state's new
+    context bits.  `expanded` counts expansions: one per configuration
+    of an expanded level in `levels`, one per state and level in
+    `reach`."""
     expanded: int = 0
     enqueued: int = 0
 
@@ -224,7 +242,9 @@ class _Dominance:
 
       * 1: one minimum per key, one lookup and one compare (every admit
         of the route workloads and `automaton_extrema`, half of
-        `route_fixed`'s only once its MIN target is read from its row);
+        `route_fixed`'s only once its MIN target is read from its row).
+        `_Search.levels` makes the same lookup and compare inline to
+        drop a candidate before it is built;
       * 2: a staircase, sorted on the first component with the second
         strictly descending (Kung, Luccio & Preparata, JACM 1975).  The
         stored vector with the largest first component <= acc's has the
@@ -326,10 +346,11 @@ class _Search:
         # 1 minimises the target, -1 maximises it, 0: no target column
         self.sign = sign
         self.tracked = tuple(tracked or ())
-        self.dom_key = itemgetter(0 if tracked is None else slice(2))
+        self.by_state = tracked is None
+        self.dom_key = itemgetter(0 if self.by_state else slice(2))
         self.stats = SolveStats() if stats is None else stats
-        dim, self.target_col = ag.plan.layout(sign)
-        self.dom = _Dominance(dim)
+        self.dim, self.target_col = ag.plan.layout(sign)
+        self.dom = _Dominance(self.dim)
         self.monotone = ag.plan.monotone
         self.weights: Dict[Tuple[NodeId, ...], _Vec] = {}
         # per state, its successors with their weight vectors and target flags
@@ -365,7 +386,9 @@ class _Search:
     def _admit(self, key: _Config) -> _Admitted:
         """The vectors key replaced in the dominance store, or None when
         it is not admitted: it is above the bound of a monotone row, or
-        dominated."""
+        dominated.  `levels` drops a one-component candidate that these
+        rules reject before it calls this; an override must call it and
+        add only rejections that have no side effect."""
         acc, bounds = key[2], self.bounds
         for i in self.monotone:
             if acc[i] > bounds[i]:
@@ -389,6 +412,11 @@ class _Search:
         tracked, stats, memo = self.tracked, self.stats, self.memo
         admit, budget = self._admit, self.cfg.visited_budget
         bounds, is_target = self.bounds, self.ag.is_target
+        by_state = self.by_state
+        # a one-component candidate is tested against its monotone row,
+        # if any, and the stored minimum of its key before it is built
+        store = self.dom.store if self.dim == 1 else None
+        cap = bounds[0] if self.monotone else POS_INF
         trace = logger.isEnabledFor(logging.DEBUG)
         if _starts is None:
             empty = tuple(() for _ in tracked)
@@ -415,16 +443,29 @@ class _Search:
                 if trace:
                     logger.debug("expand depth=%d pos=%d nodes=%s nfa=%s",
                                  depth, st.pos, st.nodes, st.nfa_states)
+                if store is not None:
+                    x = acc[0]
                 moves = memo.get(st)
                 for succ, w, target in \
                         self._expand(st) if moves is None else moves:
-                    acc2 = tuple([
-                        a + b if type(a) is int and type(b) is int
-                        else ext_add(a, b)
-                        for a, b in zip(acc, w)
-                    ])
                     ctx2 = (ctx[0], self.prefixes(succ, ctx[1])) \
                         if tracked else ctx
+                    if store is None:
+                        acc2 = tuple([
+                            a + b if type(a) is int and type(b) is int
+                            else ext_add(a, b)
+                            for a, b in zip(acc, w)
+                        ])
+                    else:
+                        y = w[0]
+                        s = x + y if type(x) is int and type(y) is int \
+                            else ext_add(x, y)
+                        if s > cap:
+                            continue
+                        old = store.get(succ if by_state else (succ, ctx2))
+                        if old is not None and old[0] <= s:
+                            continue
+                        acc2 = (s,)
                     key = (succ, ctx2, acc2, conf)
                     if admit(key) is not None:
                         nxt.append(key)

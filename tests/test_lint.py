@@ -296,3 +296,57 @@ def test_untyped_raise_allowlist_names_live_raises():
             for _, scope, name in untyped_raises(
                 ast.parse(path.read_text(encoding="utf-8")))}
     assert set(UNTYPED_RAISES) <= live
+
+
+def admit_overrides_without_super(tree: ast.Module):
+    """(line, name) of each `_admit` defined on a subclass of `_Search`
+    in the module, however indirect, that does not call
+    `super()._admit(`: the search drops a candidate the base rules reject
+    before any override sees it, which is sound only while every
+    override rejects at least what they reject."""
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def searches(cls):
+        return any(n == "_Search" or n in classes and searches(classes[n])
+                   for n in (b.id for b in cls.bases
+                             if isinstance(b, ast.Name)))
+
+    found = []
+    for cls in classes.values():
+        if not searches(cls):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "_admit"):
+                continue
+            if not any(isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "_admit"
+                       and isinstance(node.func.value, ast.Call)
+                       and isinstance(node.func.value.func, ast.Name)
+                       and node.func.value.func.id == "super"
+                       for node in ast.walk(fn)):
+                found.append((fn.lineno, f"{cls.name}._admit"))
+    return sorted(found)
+
+
+def test_admit_overrides_defer_to_the_base_rules():
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    assert admit_overrides_without_super(tree) == []
+
+
+def test_admit_overrides_without_super_flags_only_those():
+    tree = ast.parse(
+        "class _Search:\n"
+        "    def _admit(self, key): return ()\n"
+        "class Keeps(_Search):\n"
+        "    def _admit(self, key):\n"
+        "        return None if key else super()._admit(key)\n"
+        "class Drops(Keeps):\n"
+        "    def _admit(self, key): return ()\n"
+        "class Other:\n"
+        "    def _admit(self, key): return ()\n"
+        "class Calls(_Search):\n"
+        "    def _admit(self, key): return self._admit(key)\n")
+    assert admit_overrides_without_super(tree) == [
+        (7, "Drops._admit"), (11, "Calls._admit")]

@@ -14,7 +14,9 @@ from opra.engine import engine_answers, prepare
 from opra.errors import (
     IndeterminateSumError, ResourceExceededError, ValidationError,
 )
-from opra.extint import NEG_INF, POS_INF, ext_mul, ext_sum, is_finite
+from opra.extint import (
+    NEG_INF, POS_INF, ext_add, ext_mul, ext_sum, is_finite,
+)
 from opra.graph import SINK, Graph, Labelling, aggregate
 from opra.oracle import (
     OracleConfig, brute_extremum, enumerate_answers, enumerate_satisfying,
@@ -777,6 +779,138 @@ def test_huge_int_next_to_infinity_stays_exact():
     res = extremum(AnswerGraph(g, pra, target=("big", ("pi",))), MAX,
                    cfg=CFG)
     assert (res.value, res.witness["pi"]) == (POS_INF, (1, 2, 3))
+
+
+def test_opposite_infinities_along_a_path_raise():
+    # a -> b sums hi(a) = +inf and hi(b) = -inf: the one-component sum of
+    # one row and the two-component one of two both take ext_add's rule
+    g = Graph(["a", "b", "c"], [
+        ABC_EDGES, Labelling("hi", 1, 0, {(1,): POS_INF, (2,): NEG_INF})])
+    for having in ("HAVING hi[pi] <= 0",
+                   "HAVING hi[pi] <= 0 AND hi[pi] >= -5"):
+        pra = _abc_route(g, having)
+        with pytest.raises(IndeterminateSumError):
+            check_empty(AnswerGraph(g, pra), cfg=SolveConfig(b1=4, b2=8))
+
+
+def _spy_admit(monkeypatch):
+    """The (depth, state, context, vector) of each configuration that
+    `_Search._admit` admits, in order, and the number of its calls."""
+    admitted, calls = [], [0]
+    admit = _Search._admit
+
+    def spy(self, key):
+        calls[0] += 1
+        got = admit(self, key)
+        if got is not None:
+            depth, parent = 0, key[3]
+            while parent is not None:
+                depth, parent = depth + 1, parent[3]
+            admitted.append((depth, key[0], key[1], key[2]))
+        return got
+
+    monkeypatch.setattr(_Search, "_admit", spy)
+    return admitted, calls
+
+
+def test_rejected_candidates_are_never_built(monkeypatch):
+    # a one-component candidate above its monotone row or dominated in
+    # the store is dropped before it becomes a configuration, so every
+    # call of _admit admits: emptiness, MIN time read from its row, and
+    # an enumeration keyed on (state, context), on a 100-node route graph.
+    # Testing each built candidate called it 209, 439 and 720 times for
+    # these 113, 147 and 287 admits
+    g = rand_timed_graph(random.Random(1), n=100, degree=3)
+    route = "def route(p) = <E(@1, @1') = 1>* <T>\nMATCH "
+    having = " WHERE route(pi)\nHAVING time[pi] <= 60"
+    pra, free = (validate(parse(route + match + having), g).query.query
+                 for match in ('PATHS (pi) SUCH THAT "n0" -pi-> "n57"',
+                               'NODES (t) SUCH THAT "n0" -pi-> t'))
+    cfg = SolveConfig(b1=60, b2=120)
+    _, calls = _spy_admit(monkeypatch)
+    for want, run in zip((113, 147, 287), (
+            lambda: check_empty(AnswerGraph(g, pra), cfg).stats,
+            lambda: extremum(AnswerGraph(g, pra, target=("time", ("pi",))),
+                             MIN, cfg).stats,
+            lambda: search_answers(AnswerGraph(g, free), 12, cfg)[1])):
+        calls[0] = 0
+        enqueued = run().enqueued
+        assert calls[0] == enqueued == want
+
+
+def _reference_admits(ag, sign, tracked, max_depth):
+    """(depth, state, context, vector) of each configuration the module
+    docstring's rules admit, in generation order: breadth-first levels,
+    a vector above the bound of a monotone row dropped, and one dropped
+    where a vector admitted before for its key, the state, or (state,
+    context) when contexts are reported, is componentwise <= it."""
+    plan, seen, out = ag.plan, {}, []
+    slots = () if tracked is None else tracked
+
+    def prefixes(st, prev):
+        return tuple(
+            ag.bound[i] if ag.bound[i] is not None
+            else prev[j] + (st.nodes[i],) if st.nodes[i] != SINK
+            else prev[j] for j, i in enumerate(slots))
+
+    def offer(depth, st, ctx, vec):
+        if any(vec[i] > plan.bounds[i] for i in plan.monotone):
+            return False
+        kept = seen.setdefault(st if tracked is None else (st, ctx), [])
+        if any(_leq(v, vec) for v in kept):
+            return False
+        kept.append(vec)
+        out.append((depth, st, ctx, vec))
+        return True
+
+    level = [(st, (carried, prefixes(st, ((),) * len(slots))),
+              ag.weight(st, sign)) for st, carried in ag.start_states()]
+    level = [c for c in level if offer(0, *c)]
+    for depth in range(1, max_depth + 1):
+        nxt = []
+        for st, ctx, vec in level:
+            for succ in ag.successors(st):
+                conf = (succ, (ctx[0], prefixes(succ, ctx[1])), tuple(
+                    ext_add(a, b) for a, b in zip(vec, ag.weight(succ, sign))))
+                if offer(depth, *conf):
+                    nxt.append(conf)
+        level = nxt
+    return out
+
+
+def test_levels_admits_what_the_docstring_rules_admit(monkeypatch):
+    # the search admits, in order, exactly the configurations a plain
+    # breadth-first search under the docstring's rules admits: random
+    # instances with 0 to 3 HAVING rows, some of them monotone, searched
+    # without a target, for MIN and MAX, and with enumeration contexts
+    admitted, _ = _spy_admit(monkeypatch)
+    rng = random.Random(1710)
+    b, dims, monotone = 5, set(), 0
+    for trial in range(64):
+        g, q = rand_instance(rng, max_len=b, joint_budget=20_000,
+                             free_path_p=0.5, max_nodes=4, n_unary=2,
+                             value_range=rng.choice(((-3, 3), (0, 3))))
+        pra = q.query
+        rows = tuple(
+            ArithConstraint(tuple(
+                ArithTerm(rng.choice((-1, 1, 2)), rng.choice(("w0", "w1")),
+                          (rng.choice(pra.regular_constraints).path_vars[0],))
+                for _ in range(rng.randint(1, 2))), rng.randint(-2, 8))
+            for _ in range(rng.randint(0, 3)))
+        pra = validate(replace(q, query=replace(pra, arith_constraints=rows)),
+                       g).query.query
+        target = ("w0", (pra.regular_constraints[0].path_vars[0],))
+        for sign, tracked in ((0, None), (1, None), (-1, None),
+                              (0, AnswerGraph(g, pra).plan.free_paths)):
+            ag = AnswerGraph(g, pra, target=target if sign else None)
+            admitted.clear()
+            list(_Search(ag, SolveConfig(visited_budget=10 ** 6), sign,
+                         tracked).levels(b))
+            want = _reference_admits(ag, sign, tracked, b)
+            assert admitted == want, (trial, sign, tracked)
+            dims.add(len(want[0][3]) if want else None)
+        monotone += bool(ag.plan.monotone)
+    assert dims >= {0, 1, 2, 3} and monotone >= 10
 
 
 def _leq(u, v):
